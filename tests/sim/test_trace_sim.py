@@ -22,31 +22,37 @@ from repro.sim.simulator import simulate_app
 
 
 def _traced_run(scheme="detection", protect=("A",), seed=7,
-                tcfg=None, test_config=None):
+                tcfg=None, test_config=None, schemes=None):
     app = create_app("P-ATAX", scale="small", seed=seed)
     tracer = TraceSession(tcfg or TraceConfig(max_events=50000,
                                               interval_cycles=512))
     report = simulate_app(
         app, config=test_config, scheme_name=scheme,
-        protected_names=protect, tracer=tracer,
+        protected_names=protect, tracer=tracer, schemes=schemes,
     )
     return report, tracer
 
 
 class TestNonPerturbation:
-    @pytest.mark.parametrize("scheme,protect", [
-        ("baseline", ()),
-        ("detection", ("A",)),
-        ("correction", ("A", "x")),
-    ])
+    @pytest.mark.parametrize("scheme,protect,schemes,sample_rate", [
+        ("baseline", (), None, 1.0),
+        ("detection", ("A",), None, 1.0),
+        ("correction", ("A", "x"), None, 1.0),
+        ("mixed", ("A", "x"), {"A": "detection", "x": "correction"}, 1.0),
+        ("detection", ("A",), None, 0.25),
+    ], ids=["baseline-protect0", "detection-protect1",
+            "correction-protect2", "mixed-protect3",
+            "detection-protect4-sampled"])
     def test_traced_report_equals_untraced(self, test_config, scheme,
-                                           protect):
+                                           protect, schemes, sample_rate):
         app = create_app("P-ATAX", scale="small", seed=7)
         untraced = simulate_app(app, config=test_config,
                                 scheme_name=scheme,
-                                protected_names=protect)
-        traced, _ = _traced_run(scheme, protect,
-                                test_config=test_config)
+                                protected_names=protect, schemes=schemes)
+        tcfg = TraceConfig(max_events=50000, interval_cycles=512,
+                           sample_rate=sample_rate)
+        traced, _ = _traced_run(scheme, protect, tcfg=tcfg,
+                                test_config=test_config, schemes=schemes)
         assert traced == untraced
 
     def test_tracing_is_per_instance(self, test_config):

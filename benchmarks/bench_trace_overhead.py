@@ -1,21 +1,23 @@
 """Trace-subsystem overhead: disabled tracer must be (near) free.
 
-The trace hooks are attached per simulation *instance* — when no
-:class:`~repro.obs.trace.TraceSession` is passed, every component runs
-its original, unwrapped methods, so the disabled path is the no-hooks
-baseline by construction.  This bench keeps that property honest
-against future regressions (an unconditional hook, a stray branch in
-a hot loop) by timing three interleaved arms on the paper's GPU
+Each simulator component has one body per hot method; its trace hooks
+are blocks guarded by the component's ``_trace`` attribute, which is
+``None`` unless a :class:`~repro.obs.trace.TraceSession` was attached
+to that simulation's instances.  With no session the hooks cost one
+``None`` check per call.  This bench keeps the disabled path honest
+against future regressions (an unconditional hook, trace work outside
+a guard) by timing three interleaved arms on the paper's GPU
 configuration:
 
 * ``baseline`` — ``simulate_app`` with no tracer;
 * ``disabled`` — the identical call, timed in alternation with the
-  baseline (both must run the same code; the measured ratio is pure
-  noise and asserted ``< 1.02``);
+  baseline.  Both arms run the same code, guards included, so the
+  measured ratio is pure noise and asserted ``< 1.02``; the guards'
+  own cost is visible only against a build without them;
 * ``enabled``  — a fresh default-config ``TraceSession`` per run,
-  gated at ``MAX_ENABLED_RATIO`` over baseline: the fused hot-path
-  instrumentation (interned emission sites, a flat tuple ring with
-  amortized compaction, export-time stringification) keeps full
+  gated at ``MAX_ENABLED_RATIO`` over baseline: hooks at the branches
+  that already know the outcome, interned emission sites, a flat ring
+  with amortized compaction and export-time stringification keep full
   tracing cheap enough to leave on.
 
 Each sample batches ``REPRO_BENCH_TRACE_BATCH`` timing runs (default

@@ -76,6 +76,9 @@ class Cache:
         self._sets: list[OrderedDict[int, None]] = [
             OrderedDict() for _ in range(config.n_sets)
         ]
+        #: ``(session, always, evict_site)`` while a trace session is
+        #: attached (``always``: nothing is sampled out).
+        self._trace = None
 
     def _index(self, addr: int) -> tuple[int, int]:
         line = addr // self.config.line_bytes
@@ -87,11 +90,7 @@ class Cache:
         return tag in self._sets[set_idx]
 
     def access(self, addr: int, allocate: bool = True) -> bool:
-        """Access a line; returns True on hit.  Misses allocate (LRU).
-
-        NOTE: the traced variant in ``_attach_tracer`` duplicates this
-        body (fused instrumentation) — keep the two in lockstep.
-        """
+        """Access a line; returns True on hit.  Misses allocate (LRU)."""
         self.stats.accesses += 1
         set_idx, tag = self._index(addr)
         cache_set = self._sets[set_idx]
@@ -101,7 +100,7 @@ class Cache:
             return True
         self.stats.misses += 1
         if allocate:
-            self._fill(cache_set, tag)
+            self._fill(cache_set, tag, addr)
         else:
             self.stats.bypassed += 1
         return False
@@ -113,12 +112,19 @@ class Cache:
         if tag in cache_set:
             cache_set.move_to_end(tag)
             return
-        self._fill(cache_set, tag)
+        self._fill(cache_set, tag, addr)
 
-    def _fill(self, cache_set: OrderedDict[int, None], tag: int) -> None:
+    def _fill(self, cache_set: OrderedDict[int, None], tag: int,
+              addr: int) -> None:
         if len(cache_set) >= self.config.assoc:
             cache_set.popitem(last=False)  # evict LRU
             self.stats.evictions += 1
+            trace = self._trace
+            if trace is not None:
+                tracer, always, evict_site = trace
+                if (always or tracer.sampled()) and evict_site >= 0:
+                    tracer._buf.extend((evict_site, tracer.now, 0,
+                                        tracer.attribute(addr), None))
         cache_set[tag] = None
 
     def invalidate(self, addr: int) -> bool:
@@ -139,55 +145,9 @@ class Cache:
         """Zero the counters without touching cache contents."""
         self.stats = CacheStats()
 
-    # ------------------------------------------------------------------
-    # Cycle-level tracing (attach-time instrumentation)
-    # ------------------------------------------------------------------
     def _attach_tracer(self, tracer, pid: int, tid: int) -> None:
-        """Instrument *this instance* for a trace session.
-
-        ``access`` is rebound to a wrapper that emits (sampled)
-        eviction instants on the given track; timestamps come from the
-        session's request-context cycle, which the LD/ST unit stamps
-        before descending.  Un-attached caches keep the plain method —
-        the disabled-tracer path has no tracing branches at all.
-        """
-        # Fused instrumentation: the traced variant duplicates
-        # ``access``/``_fill`` (keep them in lockstep!) so the hit
-        # path pays no wrapper frame, no ``n_sets`` property calls and
-        # no eviction-delta re-read; the eviction branch itself knows
-        # when to emit.  ``fill``/``lookup``/``invalidate`` stay the
-        # plain methods — the original hook never traced them either.
-        stats = self.stats
-        sets = self._sets
-        line_bytes = self.config.line_bytes
-        n_sets = self.config.n_sets
-        assoc = self.config.assoc
-        sampled = tracer.sampled
-        attribute = tracer.attribute
-        buf_append = tracer._buf.append
-        evict_site = tracer.site("cache", f"{self.name} evict", pid, tid,
-                                 ph="i")
-
-        def traced_access(addr: int, allocate: bool = True) -> bool:
-            stats.accesses += 1
-            line = addr // line_bytes
-            cache_set = sets[line % n_sets]
-            tag = line // n_sets
-            if tag in cache_set:
-                cache_set.move_to_end(tag)
-                stats.hits += 1
-                return True
-            stats.misses += 1
-            if allocate:
-                if len(cache_set) >= assoc:
-                    cache_set.popitem(last=False)  # evict LRU
-                    stats.evictions += 1
-                    if sampled() and evict_site >= 0:
-                        buf_append((evict_site, tracer.now, 0,
-                                    attribute(addr), None))
-                cache_set[tag] = None
-            else:
-                stats.bypassed += 1
-            return False
-
-        self.access = traced_access
+        """Trace this cache's evictions as (sampled) instants on track
+        ``(pid, tid)``, at the request context's cycle."""
+        self._trace = (tracer, tracer.config.sample_rate >= 1.0,
+                       tracer.site("cache", f"{self.name} evict", pid, tid,
+                                   ph="i"))

@@ -76,6 +76,9 @@ class DramChannel:
         self.stats = DramStats()
         self._banks = [_Bank() for _ in range(n_banks)]
         self._bus_next_free = 0
+        #: ``(session, always, hit_sites, miss_sites, bus_site)`` while a
+        #: trace session is attached (``always``: nothing is sampled out).
+        self._trace = None
 
     def _map(self, addr: int) -> tuple[int, int]:
         """Address -> (bank, row).
@@ -93,18 +96,14 @@ class DramChannel:
         return bank, row
 
     def access(self, now: int, addr: int) -> int:
-        """Service a line read arriving at ``now``; return completion time.
-
-        NOTE: the traced variant in ``_attach_tracer`` duplicates this
-        body and ``_map`` (fused instrumentation) — keep them in
-        lockstep.
-        """
+        """Service a line read arriving at ``now``; return completion time."""
         bank_idx, row = self._map(addr)
         bank = self._banks[bank_idx]
         start = max(now, bank.next_free)
         self.stats.requests += 1
         self.stats.bank_queue_cycles += start - now
-        if bank.open_row == row:
+        row_hit = bank.open_row == row
+        if row_hit:
             latency = self.timings.row_hit_cycles
             self.stats.row_hits += 1
         else:
@@ -120,6 +119,25 @@ class DramChannel:
         # carried it out, so the bank cannot accept its next request
         # before ``bus_done`` — not at ``data_ready``.
         bank.next_free = bus_done
+        trace = self._trace
+        if trace is not None:
+            # Attribution totals accumulate per object even when the
+            # sampled bank-busy and bus-transfer spans are thinned out.
+            tracer, always, hit_sites, miss_sites, bus_site = trace
+            obj = tracer.ctx_obj or tracer.attribute(addr)
+            ostats = tracer.object_stats[obj]
+            ostats.dram_reads += 1
+            ostats.dram_busy_cycles += bus_done - start
+            ostats.dram_bus_cycles += bus_done - bus_start
+            tracer.account_read_bytes(obj, self.line_bytes)
+            if always or tracer.sampled():
+                sid = (hit_sites if row_hit else miss_sites)[bank_idx]
+                if sid >= 0:
+                    tracer._buf.extend((sid, start, bus_done - start, obj,
+                                        (start - now, row)))
+                    tracer._buf.extend((bus_site, bus_start,
+                                        bus_done - bus_start, obj,
+                                        (bus_start - data_ready,)))
         return bus_done
 
     @property
@@ -128,94 +146,21 @@ class DramChannel:
             return 0.0
         return self.stats.row_hits / self.stats.requests
 
-    # ------------------------------------------------------------------
-    # Cycle-level tracing (attach-time instrumentation)
-    # ------------------------------------------------------------------
     def _attach_tracer(self, tracer, pid: int, bus_tid: int) -> None:
-        """Instrument this channel for a trace session.
-
-        ``access`` is rebound to a fused variant (a duplicate of the
-        plain ``access``/``_map`` bodies — keep them in lockstep!) that
-        emits one bank-busy span on the bank's thread track and one
-        bus-transfer span on ``bus_tid`` — both tagged with the owning
-        data object.  Attribution totals (requests, busy/bus cycles,
-        bytes) accumulate per object even when the sampled span itself
-        is thinned out.
-        """
-        # Hot-path locals and per-bank interned sites.
-        banks = self._banks
-        n_banks = self.n_banks
-        n_banks_sq = n_banks ** 2
-        row_div = self.row_bytes * n_banks
-        line_bytes = self.line_bytes
-        hit_cycles = self.timings.row_hit_cycles
-        miss_cycles = self.timings.row_miss_cycles
-        bus_cycles = self.timings.bus_cycles_per_line
-        stats = self.stats
-        obj_stats = tracer.obj
-        sampled = tracer.sampled
-        attribute = tracer.attribute
-        always = tracer.config.sample_rate >= 1.0
-        buf_append = tracer._buf.append
-        bucket = tracer._interval_obj_bytes
+        """Trace this channel: one bank-busy span per access on the
+        bank's thread track, one bus-transfer span on ``bus_tid``."""
         bank_args = ("bank_queue", "row")
-        hit_sites = [
-            tracer.site("dram", "row-hit", pid, b, argkeys=bank_args)
-            for b in range(len(banks))
-        ]
-        miss_sites = [
-            tracer.site("dram", "row-miss", pid, b, argkeys=bank_args)
-            for b in range(len(banks))
-        ]
-        bus_site = tracer.site("dram", "bus", pid, bus_tid,
-                               argkeys=("bus_queue",))
-
-        def traced_access(now: int, addr: int) -> int:
-            line = addr // line_bytes
-            row = addr // row_div
-            bank_idx = (line ^ (line // n_banks)
-                        ^ (line // n_banks_sq)) % n_banks
-            bank = banks[bank_idx]
-            bank_free = bank.next_free
-            start = bank_free if bank_free > now else now
-            stats.requests += 1
-            stats.bank_queue_cycles += start - now
-            row_hit = bank.open_row == row
-            if row_hit:
-                stats.row_hits += 1
-                data_ready = start + hit_cycles
-            else:
-                stats.row_misses += 1
-                bank.open_row = row
-                data_ready = start + miss_cycles
-            bus_free = self._bus_next_free
-            bus_start = data_ready if data_ready > bus_free else bus_free
-            done = bus_start + bus_cycles
-            self._bus_next_free = done
-            stats.bus_queue_cycles += bus_start - data_ready
-            # The line occupies the bank's row buffer until the bus has
-            # carried it out (see the plain body).
-            bank.next_free = done
-            obj = tracer.ctx_obj
-            if obj is None:
-                obj = attribute(addr)
-            ostats = obj_stats(obj)
-            ostats.dram_reads += 1
-            ostats.dram_busy_cycles += done - start
-            ostats.dram_bus_cycles += done - bus_start
-            ostats.read_bytes += line_bytes
-            bucket[obj] = bucket.get(obj, 0) + line_bytes
-            if always or sampled():
-                sid = hit_sites[bank_idx] if row_hit \
-                    else miss_sites[bank_idx]
-                if sid >= 0:
-                    buf_append((sid, start, done - start, obj,
-                                (start - now, row)))
-                    buf_append((bus_site, bus_start, done - bus_start,
-                                obj, (bus_start - data_ready,)))
-            return done
-
-        self.access = traced_access
+        banks = range(self.n_banks)
+        self._trace = (
+            tracer,
+            tracer.config.sample_rate >= 1.0,
+            [tracer.site("dram", "row-hit", pid, b, argkeys=bank_args)
+             for b in banks],
+            [tracer.site("dram", "row-miss", pid, b, argkeys=bank_args)
+             for b in banks],
+            tracer.site("dram", "bus", pid, bus_tid,
+                        argkeys=("bus_queue",)),
+        )
 
     def reset(self) -> None:
         """Close all rows, clear timing state and counters."""

@@ -36,13 +36,12 @@ class Link:
         self.name = name
         self.stats = LinkStats()
         self._next_free = 0
+        #: ``(session, always, site)`` while a trace session is
+        #: attached (``always``: nothing is sampled out).
+        self._trace = None
 
     def transfer(self, now: int, nbytes: int) -> int:
-        """Schedule a transfer arriving at ``now``; return delivery time.
-
-        NOTE: the traced variant in ``_attach_tracer`` duplicates this
-        body (fused instrumentation) — keep the two in lockstep.
-        """
+        """Schedule a transfer arriving at ``now``; return delivery time."""
         if nbytes <= 0:
             raise ValueError("transfer size must be positive")
         occupancy = -(-nbytes // self.bytes_per_cycle)
@@ -51,6 +50,16 @@ class Link:
         self.stats.transfers += 1
         self.stats.bytes_moved += nbytes
         self.stats.queue_cycles += start - now
+        trace = self._trace
+        if trace is not None:
+            # One occupancy span: ``ts`` is the cycle the transfer
+            # claims the link (after queueing), ``dur`` its occupancy.
+            tracer, always, site = trace
+            obj = tracer.ctx_obj or tracer.attribute(-1)
+            tracer.object_stats[obj].noc_bytes += nbytes
+            if (always or tracer.sampled()) and site >= 0:
+                tracer._buf.extend((site, start, occupancy, obj,
+                                    (nbytes, start - now)))
         return start + occupancy + self.base_latency
 
     @property
@@ -62,50 +71,12 @@ class Link:
         self._next_free = 0
         self.stats = LinkStats()
 
-    # ------------------------------------------------------------------
-    # Cycle-level tracing (attach-time instrumentation)
-    # ------------------------------------------------------------------
     def _attach_tracer(self, tracer, pid: int, tid: int) -> None:
-        """Instrument this link for a trace session.
-
-        ``transfer`` is rebound to a fused variant (a duplicate of the
-        plain body — keep them in lockstep!) that emits one (sampled)
-        occupancy span per transfer on the given track — ``ts`` is the
-        cycle the transfer actually claims the link (after queueing),
-        ``dur`` its occupancy.  The object tag comes from the session's
-        request context, stamped by the LD/ST unit before descending.
-        """
-        bytes_per_cycle = self.bytes_per_cycle
-        base_latency = self.base_latency
-        stats = self.stats
-        obj_stats = tracer.obj
-        sampled = tracer.sampled
-        attribute = tracer.attribute
-        always = tracer.config.sample_rate >= 1.0
-        buf_append = tracer._buf.append
-        link_site = tracer.site("noc", self.name, pid, tid,
-                                argkeys=("bytes", "queue"))
-
-        def traced_transfer(now: int, nbytes: int) -> int:
-            if nbytes <= 0:
-                raise ValueError("transfer size must be positive")
-            occupancy = -(-nbytes // bytes_per_cycle)
-            free = self._next_free
-            start = now if now > free else free
-            self._next_free = start + occupancy
-            stats.transfers += 1
-            stats.bytes_moved += nbytes
-            stats.queue_cycles += start - now
-            obj = tracer.ctx_obj
-            if obj is None:
-                obj = attribute(-1)
-            obj_stats(obj).noc_bytes += nbytes
-            if (always or sampled()) and link_site >= 0:
-                buf_append((link_site, start, occupancy, obj,
-                            (nbytes, start - now)))
-            return start + occupancy + base_latency
-
-        self.transfer = traced_transfer
+        """Trace this link's transfers on track ``(pid, tid)``, tagged
+        with the request context's object."""
+        self._trace = (tracer, tracer.config.sample_rate >= 1.0,
+                       tracer.site("noc", self.name, pid, tid,
+                                   argkeys=("bytes", "queue")))
 
 
 class Crossbar:

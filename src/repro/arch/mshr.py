@@ -30,6 +30,10 @@ class MshrFile:
         self.max_merged = max_merged
         self._entries: dict[int, int] = {}  # line addr -> merged count
         self.stats = MshrStats()
+        #: ``(session, always, occupancy_site, merge_stall_site,
+        #: full_stall_site, occupancy_args)`` while a trace session is
+        #: attached (``always``: nothing is sampled out).
+        self._trace = None
 
     def probe(self, line_addr: int) -> str:
         """What would happen if a miss to ``line_addr`` arrived now?
@@ -56,29 +60,41 @@ class MshrFile:
             else:
                 self.stats.full_stalls += 1
             raise RuntimeError("MSHR add() while full; probe() first")
-        if outcome == "merge":
+        new_request = outcome == "allocate"
+        if new_request:
+            self._entries[line_addr] = 1
+            self.stats.allocations += 1
+        else:
             self._entries[line_addr] += 1
             self.stats.merges += 1
-            return False
-        self._entries[line_addr] = 1
-        self.stats.allocations += 1
-        return True
+        if self._trace is not None:
+            self._trace_occupancy()
+        return new_request
 
     def record_stall(self, line_addr: int) -> None:
         """Account a stall observed by the LD/ST unit."""
-        if line_addr in self._entries:
+        merge = line_addr in self._entries
+        if merge:
             self.stats.merge_stalls += 1
         else:
             self.stats.full_stalls += 1
+        trace = self._trace
+        if trace is not None:
+            tracer, _always, _site, merge_stall, full_stall, _occ = trace
+            tracer.record(merge_stall if merge else full_stall,
+                          tracer.now, 0)
 
     def release(self, line_addr: int) -> int:
         """Retire the entry when the fill returns; yields merged count."""
         try:
-            return self._entries.pop(line_addr)
+            merged = self._entries.pop(line_addr)
         except KeyError:
             raise KeyError(
                 f"MSHR release for line {line_addr:#x} with no entry"
             ) from None
+        if self._trace is not None:
+            self._trace_occupancy()
+        return merged
 
     @property
     def outstanding(self) -> int:
@@ -88,60 +104,26 @@ class MshrFile:
     def is_empty(self) -> bool:
         return not self._entries
 
-    # ------------------------------------------------------------------
-    # Cycle-level tracing (attach-time instrumentation)
-    # ------------------------------------------------------------------
     def _attach_tracer(self, tracer, pid: int, tid: int = 0) -> None:
-        """Instrument this MSHR file for a trace session.
-
-        ``add``/``release`` are rebound to wrappers that emit (sampled)
-        occupancy counter samples, and ``record_stall`` to one that
-        emits a structural-stall instant — all on the owning SM's
-        track, timestamped with the session's request-context cycle.
-        Un-attached files keep the plain methods.
-        """
+        """Trace this file's (sampled) occupancy as a counter on the
+        owning SM's main track and its structural stalls as instants on
+        track ``(pid, tid)``, at the request context's cycle."""
         from repro.obs.trace import TID_MAIN
 
-        orig_add = self.add
-        orig_release = self.release
-        orig_record_stall = self.record_stall
-        entries = self._entries
-        buf_append = tracer._buf.append
-        sampled = tracer.sampled
-        always = tracer.config.sample_rate >= 1.0
-        occupancy_site = tracer.site(
-            "mshr", f"mshr[{pid}]", pid, TID_MAIN, ph="C",
-            argkeys=("outstanding",),
+        self._trace = (
+            tracer,
+            tracer.config.sample_rate >= 1.0,
+            tracer.site("mshr", f"mshr[{pid}]", pid, TID_MAIN, ph="C",
+                        argkeys=("outstanding",)),
+            tracer.site("mshr", "merge-stall", pid, tid, ph="i"),
+            tracer.site("mshr", "full-stall", pid, tid, ph="i"),
+            # Occupancy is bounded by the file size, so every counter
+            # ``args`` tuple is interned once and shared.
+            tuple((i,) for i in range(self.n_entries + 1)),
         )
-        merge_stall_site = tracer.site("mshr", "merge-stall", pid, tid,
-                                       ph="i")
-        full_stall_site = tracer.site("mshr", "full-stall", pid, tid,
-                                      ph="i")
-        # Occupancy is bounded by the file size, so every counter args
-        # tuple the hooks can emit is interned once and shared.
-        occ_args = tuple((i,) for i in range(self.n_entries + 1))
 
-        def traced_add(line_addr: int) -> bool:
-            new_request = orig_add(line_addr)
-            if (always or sampled()) and occupancy_site >= 0:
-                buf_append((occupancy_site, tracer.now, 0, None,
-                            occ_args[len(entries)]))
-            return new_request
-
-        def traced_release(line_addr: int) -> int:
-            merged = orig_release(line_addr)
-            if (always or sampled()) and occupancy_site >= 0:
-                buf_append((occupancy_site, tracer.now, 0, None,
-                            occ_args[len(entries)]))
-            return merged
-
-        def traced_record_stall(line_addr: int) -> None:
-            orig_record_stall(line_addr)
-            sid = (merge_stall_site if line_addr in entries
-                   else full_stall_site)
-            if sid >= 0:
-                buf_append((sid, tracer.now, 0, None, None))
-
-        self.add = traced_add
-        self.release = traced_release
-        self.record_stall = traced_record_stall
+    def _trace_occupancy(self) -> None:
+        tracer, always, site, _merge, _full, occupancy = self._trace
+        if (always or tracer.sampled()) and site >= 0:
+            tracer._buf.extend((site, tracer.now, 0, None,
+                                occupancy[len(self._entries)]))

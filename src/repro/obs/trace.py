@@ -21,10 +21,11 @@ bandwidth); the series both exports as Perfetto counter tracks (see
 :mod:`repro.obs.perfetto`) and folds into a
 :class:`~repro.obs.metrics.MetricsRegistry`.
 
-Instrumentation is *attach-time*: components are wrapped only when a
-session is installed (see ``_attach_tracer`` hooks in the ``sim`` and
-``arch`` modules), so a simulation without a tracer runs byte-for-byte
-the uninstrumented code — no hook branches, no allocations.
+Instrumentation is *attach-time*: each component's ``_attach_tracer``
+(in the ``sim`` and ``arch`` modules) interns its emission sites and
+sets the component's ``_trace`` attribute, which guards the trace-only
+blocks of its hot methods.  A simulation without a tracer skips those
+blocks on a ``None`` check — no events, no allocations.
 
 Everything recorded is deterministic for a given (trace, config,
 sampling seed): timestamps are simulated cycles, sampling uses a
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Any, Iterable, NamedTuple
 
@@ -61,6 +63,9 @@ TRACE_CATEGORIES = (
 #: Attribution label for traffic that resolves to no known data object
 #: (e.g. replica regions when no request context is active).
 UNATTRIBUTED = "(unattributed)"
+
+#: Ring slots per record: ``site_id, ts, dur, obj, args``.
+_RECORD_SLOTS = 5
 
 # ----------------------------------------------------------------------
 # Track numbering (Perfetto pid/tid space).  Processes group tracks:
@@ -369,7 +374,8 @@ class TraceSession:
     * :attr:`now` — the cycle of the load/store currently descending
       the hierarchy (components below the LD/ST unit have their own
       precise times and ignore it);
-    * :attr:`ctx_obj` — the data object owning the in-flight request;
+    * :attr:`ctx_obj` — the data object owning the in-flight request,
+      stamped by the LD/ST unit as each request enters;
     * :attr:`last_stall_reason` — set by the LD/ST unit on structural
       stalls so the SM-level hook can label the warp's stall span.
 
@@ -378,12 +384,15 @@ class TraceSession:
     about an emission site — phase, category, name, pid, tid and the
     ``args`` key tuple — is interned once at hook-attach time into a
     *site id* (:meth:`site`), and :meth:`record` appends only the
-    dynamic payload ``(site, ts, dur, obj, args)`` to a flat ring
-    list.  The ring is bounded by amortized compaction: appends run
+    dynamic payload ``site, ts, dur, obj, args`` to a flat ring list,
+    five slots per record.  Keeping no per-record tuple alive spares
+    most events a garbage-collected allocation, so a traced run does
+    not trigger the collector much more often than an untraced one.
+    The ring is bounded by amortized compaction: appends run
     until twice ``max_events``, then the oldest half is sliced off in
     one C-level ``del``, so steady-state memory stays within
     2 × ``max_events`` records while the per-event cost is a single
-    tuple append.  Named events (``TraceEvent``), ``args`` dicts and
+    list extend.  Named events (``TraceEvent``), ``args`` dicts and
     formatted strings are materialized lazily by :attr:`events` at
     export time — deferred stringification keeps allocation churn out
     of the simulated loop.
@@ -393,9 +402,10 @@ class TraceSession:
         self.config = config or TraceConfig()
         cap = self.config.max_events
         self._cap = cap
-        self._compact_at = 2 * cap
-        #: Ring storage: ``(site_id, ts, dur, obj, args)`` tuples.
-        self._buf: list[tuple] = []
+        self._compact_at = 2 * cap * _RECORD_SLOTS
+        #: Flat ring storage: ``site_id, ts, dur, obj, args`` slots, one
+        #: record after another.
+        self._buf: list = []
         #: Records compacted away so far (evicted ring entries).
         self._trimmed = 0
         #: Interned site descriptors:
@@ -412,7 +422,8 @@ class TraceSession:
             set(self.config.categories)
             if self.config.categories is not None else None
         )
-        self.object_stats: dict[str, ObjectTraceStats] = {}
+        self.object_stats: defaultdict[str, ObjectTraceStats] = \
+            defaultdict(ObjectTraceStats)
         #: Interval time-series samples, in cycle order.
         self.samples: list[dict[str, Any]] = []
         self._interval_obj_bytes: dict[str, int] = {}
@@ -443,11 +454,7 @@ class TraceSession:
 
     def obj(self, name: str) -> ObjectTraceStats:
         """The attribution accumulator for object ``name``."""
-        stats = self.object_stats.get(name)
-        if stats is None:
-            stats = ObjectTraceStats()
-            self.object_stats[name] = stats
-        return stats
+        return self.object_stats[name]
 
     # ------------------------------------------------------------------
     # Sampling and emission
@@ -519,14 +526,14 @@ class TraceSession:
         if sid < 0:
             return
         buf = self._buf
-        buf.append((sid, ts, dur, obj, args))
+        buf += (sid, ts, dur, obj, args)
         if len(buf) >= self._compact_at:
             self._compact()
 
     def _compact(self) -> None:
         """Evict the over-capacity prefix of the ring in one slice.
 
-        Hot hooks append to :attr:`_buf` directly (bypassing
+        Hot hooks extend :attr:`_buf` directly (bypassing
         :meth:`record`) and rely on the interval sampler's
         :meth:`add_sample` calling this, so the ring's memory bound is
         enforced at interval granularity on that path.  The
@@ -536,10 +543,10 @@ class TraceSession:
         never changes any output.
         """
         buf = self._buf
-        cut = len(buf) - self._cap
+        cut = len(buf) - self._cap * _RECORD_SLOTS
         if cut > 0:
             del buf[:cut]
-            self._trimmed += cut
+            self._trimmed += cut // _RECORD_SLOTS
 
     def emit(
         self,
@@ -578,7 +585,7 @@ class TraceSession:
     @property
     def emitted(self) -> int:
         """Events recorded (category-filtered emissions excluded)."""
-        return self._trimmed + len(self._buf)
+        return self._trimmed + len(self._buf) // _RECORD_SLOTS
 
     @property
     def dropped(self) -> int:
@@ -594,12 +601,10 @@ class TraceSession:
         are built here — at export/inspection time — not while the
         simulation runs.
         """
-        buf = self._buf
-        if len(buf) > self._cap:
-            buf = buf[len(buf) - self._cap:]
+        slots = iter(self._buf[-self._cap * _RECORD_SLOTS:])
         sites = self._sites
         out: list[TraceEvent] = []
-        for sid, ts, dur, obj, args in buf:
+        for sid, ts, dur, obj, args in zip(*[slots] * _RECORD_SLOTS):
             ph, cat, name, pid, tid, argkeys = sites[sid]
             if argkeys is not None and type(args) is tuple:
                 args = dict(zip(argkeys, args))
@@ -644,7 +649,8 @@ class TraceSession:
     def publish_metrics(self, metrics: "MetricsRegistry") -> None:
         """Fold the session's aggregates into a metrics registry."""
         metrics.inc("trace.events.emitted", self.emitted)
-        metrics.inc("trace.events.kept", min(self._cap, len(self._buf)))
+        metrics.inc("trace.events.kept",
+                    min(self._cap, len(self._buf) // _RECORD_SLOTS))
         metrics.inc("trace.events.dropped", self.dropped)
         metrics.inc("trace.samples", len(self.samples))
         for sample in self.samples:

@@ -55,15 +55,6 @@ class TimingProtection:
         """The scheme protecting ``obj_name`` (uniform fallback)."""
         return self.schemes.get(obj_name, self.scheme_name)
 
-    @property
-    def n_way(self) -> int:
-        """Width of the copy comparison (2 for detection, 3 for
-        correction) — of the first protected object for mixed specs."""
-        if not self.offsets:
-            return 1
-        any_offsets = next(iter(self.offsets.values()))
-        return 1 + len(any_offsets)
-
     @classmethod
     def baseline(cls) -> "TimingProtection":
         """The no-protection descriptor."""
@@ -114,6 +105,9 @@ class LdstUnit:
         self._compare_cycles: dict[str, int] = {}
         #: objects whose comparison happens off the critical path
         self._lazy_detection: frozenset[str] = frozenset()
+        #: ``(session, always, miss_site, merge_site)`` while a trace
+        #: session is attached (``always``: nothing is sampled out).
+        self._trace = None
         if protection.active:
             for obj_name, offsets in protection.offsets.items():
                 self._compare_cycles[obj_name] = budget.compare_cycles(
@@ -150,10 +144,16 @@ class LdstUnit:
         skewing the very hit-rate counters the overhead results use.
         Stall returns are side-effect-free, so ``l1_accesses`` and
         ``l1_hits`` are invariant under retries.
-
-        NOTE: the traced variant in ``_attach_tracer`` duplicates this
-        body (fused instrumentation) — keep the two in lockstep.
         """
+        trace = self._trace
+        if trace is not None:
+            # Stamp the request context, so every component below (L1,
+            # MSHR, crossbar, L2, DRAM) attributes its events to the
+            # owning object — replica traffic included, which the
+            # address map alone cannot resolve.
+            tracer = trace[0]
+            tracer.now = now
+            tracer.ctx_obj = obj_name
         self._drain(now)
         pending = self._pending.get(addr)
         if pending is not None:
@@ -162,15 +162,25 @@ class LdstUnit:
             if outcome == "stall":
                 self.stats.stalls.mshr_full += 1
                 self.mshr.record_stall(addr)
+                if trace is not None:
+                    self._trace_stall(obj_name, now, pending[0],
+                                      "mshr_full")
                 return 0, pending[0]
-            self.l1.access(addr)
+            hit = self.l1.access(addr)
             self.mshr.add(addr)
             # The line's demand-ready time can predate a late-arriving
             # warp's own L1 read-port turnaround; data is never
             # delivered faster than an L1 hit at ``now`` would be.
-            return max(pending[1], now + self.config.l1_hit_latency), None
+            ready = max(pending[1], now + self.config.l1_hit_latency)
+            if trace is not None:
+                # A line evicted while filling was re-allocated by this
+                # access, which reads as a miss-fill, not a merge.
+                self._trace_fill(obj_name, now, ready, merged=hit)
+            return ready, None
         if self.l1.lookup(addr):
             self.l1.access(addr)
+            if trace is not None:
+                trace[0].object_stats[obj_name].loads += 1
             return now + self.config.l1_hit_latency, None
 
         # True miss: need an MSHR slot and, for lazy detection, room in
@@ -181,6 +191,8 @@ class LdstUnit:
             stall_until = (
                 self._fill_heap[0][0] if self._fill_heap else now + 1
             )
+            if trace is not None:
+                self._trace_stall(obj_name, now, stall_until, "mshr_full")
             return 0, stall_until
         protected = (
             self.protection.active
@@ -190,6 +202,9 @@ class LdstUnit:
             if len(self._compare_heap) >= \
                     self.config.pending_compare_entries:
                 self.stats.stalls.compare_queue_full += 1
+                if trace is not None:
+                    self._trace_stall(obj_name, now, self._compare_heap[0],
+                                      "compare_queue_full")
                 return 0, self._compare_heap[0]
 
         self.l1.access(addr)
@@ -221,232 +236,60 @@ class LdstUnit:
         self.mshr.add(addr)
         heapq.heappush(self._fill_heap, (fill, addr))
         self._pending[addr] = (fill, demand_ready)
+        if trace is not None:
+            self._trace_fill(obj_name, now, demand_ready, merged=False)
         return demand_ready, None
 
     def store(self, now: int, addr: int) -> None:
-        """Write-through, no-allocate, fire-and-forget.
-
-        NOTE: the traced variant in ``_attach_tracer`` duplicates this
-        body (fused instrumentation) — keep the two in lockstep.
-        """
+        """Write-through, no-allocate, fire-and-forget."""
+        trace = self._trace
+        if trace is not None:
+            # A store carries no object name: resolve it by address.
+            tracer = trace[0]
+            tracer.now = now
+            tracer.ctx_obj = None
+            tracer.ctx_obj = tracer.attribute(addr)
         self.subsystem.write(now, addr)
         self.stats.store_transactions += 1
 
     # ------------------------------------------------------------------
-    # Cycle-level tracing (attach-time instrumentation)
+    # Cycle-level tracing
     # ------------------------------------------------------------------
     def _attach_tracer(self, tracer, pid: int) -> None:
-        """Instrument this unit for a trace session.
+        """Trace this unit and its L1 and MSHR file on SM ``pid``.
 
-        The LD/ST unit is the request-context layer: ``load`` stamps the
-        session's ``now``/``ctx_obj`` before descending the synchronous
-        hierarchy, so every component below (L1, MSHR, crossbar, L2,
-        DRAM) attributes its events to the exact owning object — replica
-        traffic included, which the address-map fallback alone cannot
-        resolve.  Outcomes are classified from stats deltas: the L1 tag
-        array is touched exactly once per issued primary access, so a
-        miss delta means a true miss and an MSHR merge delta a merged
-        one.  On structural stalls it records the reason for the SM-level
-        hook to label the warp's stall span.
+        The LD/ST unit is the request-context layer (see ``load``).
+        Loads leave per-object tallies and (sampled) miss-fill spans or
+        merge instants; structural stalls record their reason for the
+        SM to label the warp's stall span.
         """
         from repro.obs.trace import TID_LDST
 
         self.l1._attach_tracer(tracer, pid, TID_LDST)
         self.mshr._attach_tracer(tracer, pid, TID_LDST)
-        # Fused instrumentation: the traced variant duplicates
-        # ``load``'s body (keep the two in lockstep!) instead of
-        # wrapping it — each branch already knows whether it hit,
-        # merged, missed or stalled, so the wrapper's stats-delta
-        # re-derivation and its extra call frame both disappear.
-        # Everything below is resolved once per attach: none of these
-        # objects are rebound during a simulation (components are
-        # built fresh per simulate call).  Note the bound methods are
-        # captured *after* the L1/MSHR hooks attached, so the fused
-        # body descends through the traced cache and MSHR exactly as
-        # the plain ``load`` would.
-        drain = self._drain
-        pending_map = self._pending
-        fill_heap = self._fill_heap
-        compare_heap = self._compare_heap
-        # The L1 probe/fill is inlined below (the fused equivalent of
-        # ``lookup`` + ``access`` with the line index computed once —
-        # keep it in lockstep with ``Cache.access``); the evict site
-        # re-interns the key the L1's own hook registered above, so
-        # both emit the same site id.
-        l1_stats = self.l1.stats
-        l1_sets = self.l1._sets
-        l1_line_bytes = self.l1.config.line_bytes
-        l1_n_sets = self.l1.config.n_sets
-        l1_assoc = self.l1.config.assoc
-        l1_evict_site = tracer.site(
-            "cache", f"{self.l1.name} evict", pid, TID_LDST, ph="i"
+        self._trace = (
+            tracer,
+            tracer.config.sample_rate >= 1.0,
+            tracer.site("cache", "l1-miss-fill", pid, TID_LDST),
+            tracer.site("mshr", "miss-merge", pid, TID_LDST, ph="i"),
         )
-        mshr_probe = self.mshr.probe
-        mshr_add = self.mshr.add            # traced
-        mshr_record_stall = self.mshr.record_stall  # traced
-        subsystem_read = self.subsystem.read        # traced
-        subsystem_write = self.subsystem.write      # traced
-        heappush = heapq.heappush
-        stats = self.stats
-        stalls = self.stats.stalls
-        protection = self.protection
-        prot_active = protection.active
-        prot_offsets = protection.offsets
-        lazy_detection = self._lazy_detection
-        compare_cycles = self._compare_cycles
-        l1_hit_latency = self.config.l1_hit_latency
-        compare_entries = self.config.pending_compare_entries
-        obj_stats = tracer.obj
-        sampled = tracer.sampled
-        attribute = tracer.attribute
-        always = tracer.config.sample_rate >= 1.0
-        buf_append = tracer._buf.append
-        miss_site = tracer.site("cache", "l1-miss-fill", pid, TID_LDST)
-        merge_site = tracer.site("mshr", "miss-merge", pid, TID_LDST,
-                                 ph="i")
 
-        memo_name: str | None = None
-        memo_stats = None
+    def _trace_stall(self, obj_name: str, now: int, stall_until: int,
+                     reason: str) -> None:
+        tracer = self._trace[0]
+        tracer.object_stats[obj_name].stall_cycles += stall_until - now
+        tracer.last_stall_reason = reason
 
-        def traced_load(now: int, obj_name: str, addr: int) \
-                -> tuple[int, int | None]:
-            # ``ctx_obj`` is consumed only below ``subsystem.read`` (the
-            # L2/NoC/DRAM hooks), so it is stamped just around those
-            # calls in the true-miss branch and stays ``None`` on every
-            # other path; ``last_stall_reason`` is read only on stall
-            # returns, so the success paths never touch it.
-            nonlocal memo_name, memo_stats
-            tracer.now = now
-            drain(now)
-            pending = pending_map.get(addr)
-            if pending is not None:
-                # Merged miss: data is already on its way.
-                if mshr_probe(addr) == "stall":
-                    stalls.mshr_full += 1
-                    mshr_record_stall(addr)
-                    stall_until = pending[0]
-                    obj_stats(obj_name).stall_cycles += stall_until - now
-                    tracer.last_stall_reason = "mshr_full"
-                    return 0, stall_until
-                line = addr // l1_line_bytes
-                l1_set = l1_sets[line % l1_n_sets]
-                tag = line // l1_n_sets
-                l1_stats.accesses += 1
-                if hit := tag in l1_set:
-                    l1_set.move_to_end(tag)
-                    l1_stats.hits += 1
-                else:
-                    l1_stats.misses += 1
-                    if len(l1_set) >= l1_assoc:
-                        l1_set.popitem(last=False)  # evict LRU
-                        l1_stats.evictions += 1
-                        if sampled() and l1_evict_site >= 0:
-                            buf_append((l1_evict_site, now, 0,
-                                        obj_name, None))
-                    l1_set[tag] = None
-                mshr_add(addr)
-                ready = pending[1]
-                turnaround = now + l1_hit_latency
-                if turnaround > ready:
-                    ready = turnaround
-                ostats = obj_stats(obj_name)
-                ostats.loads += 1
-                if not hit:
-                    # The line was evicted while filling: the access
-                    # re-allocated it, which reads as a miss-fill.
-                    ostats.l1_misses += 1
-                    if (always or sampled()) and miss_site >= 0:
-                        buf_append((miss_site, now, ready - now,
-                                    obj_name, None))
-                else:
-                    ostats.mshr_merges += 1
-                    if (always or sampled()) and merge_site >= 0:
-                        buf_append((merge_site, now, 0, obj_name, None))
-                return ready, None
-            line = addr // l1_line_bytes
-            l1_set = l1_sets[line % l1_n_sets]
-            tag = line // l1_n_sets
-            if tag in l1_set:
-                l1_stats.accesses += 1
-                l1_set.move_to_end(tag)
-                l1_stats.hits += 1
-                if obj_name is memo_name:
-                    memo_stats.loads += 1
-                else:
-                    memo_name = obj_name
-                    memo_stats = obj_stats(obj_name)
-                    memo_stats.loads += 1
-                return now + l1_hit_latency, None
-
-            if mshr_probe(addr) == "stall":
-                stalls.mshr_full += 1
-                mshr_record_stall(addr)
-                stall_until = (
-                    fill_heap[0][0] if fill_heap else now + 1
-                )
-                obj_stats(obj_name).stall_cycles += stall_until - now
-                tracer.last_stall_reason = "mshr_full"
-                return 0, stall_until
-            protected = prot_active and obj_name in prot_offsets
-            if protected and obj_name in lazy_detection:
-                if len(compare_heap) >= compare_entries:
-                    stalls.compare_queue_full += 1
-                    stall_until = compare_heap[0]
-                    obj_stats(obj_name).stall_cycles += stall_until - now
-                    tracer.last_stall_reason = "compare_queue_full"
-                    return 0, stall_until
-
-            # True-miss fill: the probe above just failed and nothing
-            # since touched the set, so this is ``Cache.access``'s
-            # miss-allocate branch with the index reused.
-            l1_stats.accesses += 1
-            l1_stats.misses += 1
-            if len(l1_set) >= l1_assoc:
-                l1_set.popitem(last=False)  # evict LRU
-                l1_stats.evictions += 1
-                if sampled() and l1_evict_site >= 0:
-                    buf_append((l1_evict_site, now, 0, obj_name, None))
-            l1_set[tag] = None
-            tracer.ctx_obj = obj_name
-            fill = subsystem_read(now, addr)
-            stats.demand_misses += 1
-            demand_ready = fill
-            if protected:
-                replica_times = []
-                for offset in prot_offsets[obj_name]:
-                    replica_times.append(
-                        subsystem_read(now, addr + offset)
-                    )
-                    stats.replica_transactions += 1
-                all_copies = max(fill, *replica_times)
-                if obj_name in lazy_detection:
-                    demand_ready = fill
-                    heappush(compare_heap,
-                             all_copies + compare_cycles[obj_name])
-                else:
-                    demand_ready = (
-                        all_copies + compare_cycles[obj_name]
-                    )
-            tracer.ctx_obj = None
-            mshr_add(addr)
-            heappush(fill_heap, (fill, addr))
-            pending_map[addr] = (fill, demand_ready)
-            ostats = obj_stats(obj_name)
-            ostats.loads += 1
+    def _trace_fill(self, obj_name: str, now: int, ready: int,
+                    merged: bool) -> None:
+        tracer, always, miss_site, merge_site = self._trace
+        ostats = tracer.object_stats[obj_name]
+        ostats.loads += 1
+        if merged:
+            ostats.mshr_merges += 1
+            sid, dur = merge_site, 0
+        else:
             ostats.l1_misses += 1
-            if (always or sampled()) and miss_site >= 0:
-                buf_append((miss_site, now, demand_ready - now,
-                            obj_name, None))
-            return demand_ready, None
-
-        def traced_store(now: int, addr: int) -> None:
-            # Fused ``store`` (keep in lockstep with the plain body):
-            # write-through, no-allocate, fire-and-forget.
-            tracer.now = now
-            tracer.ctx_obj = attribute(addr)
-            subsystem_write(now, addr)
-            tracer.ctx_obj = None
-            stats.store_transactions += 1
-
-        self.load = traced_load
-        self.store = traced_store
+            sid, dur = miss_site, ready - now
+        if (always or tracer.sampled()) and sid >= 0:
+            tracer._buf.extend((sid, now, dur, obj_name, None))

@@ -53,53 +53,67 @@ class MemorySubsystem:
             for i in range(config.n_mem_channels)
         ]
         self._l2_next_free = [0] * config.n_mem_channels
+        #: ``(session, always, hit_sites, miss_sites, write_sites)`` while
+        #: a trace session is attached (``always``: nothing is sampled
+        #: out).
+        self._trace = None
 
     def read(self, now: int, addr: int) -> int:
         """Service a read-line request; return data-delivery time at the
-        requesting SM.
-
-        NOTE: the traced variant in ``_attach_tracer`` duplicates this
-        body (fused instrumentation) — keep the two in lockstep.
-        """
+        requesting SM."""
         part = self.config.channel_of_address(addr)
         arrive = self.crossbar.send_request(now, part)
-        start = max(arrive, self._l2_next_free[part])
+        l2_free = self._l2_next_free[part]
+        start = max(arrive, l2_free)
         self._l2_next_free[part] = start + self.config.l2_service_cycles
-        if self.l2_slices[part].access(addr):
+        hit = self.l2_slices[part].access(addr)
+        if hit:
             data_at = start + self.config.l2_hit_latency
         else:
             dram_at = start + self.config.l2_hit_latency
             data_at = self.dram_channels[part].access(dram_at, addr)
-        return self.crossbar.send_response(data_at, part)
+        done = self.crossbar.send_response(data_at, part)
+        trace = self._trace
+        if trace is not None:
+            tracer, always, hit_sites, miss_sites, _write_sites = trace
+            obj = tracer.ctx_obj or tracer.attribute(addr)
+            ostats = tracer.object_stats[obj]
+            ostats.l2_accesses += 1
+            if not hit:
+                ostats.l2_misses += 1
+            if always or tracer.sampled():
+                # Lower bound of the slice's service start (the exact
+                # value also folds in request-link queueing, which the
+                # NoC track shows separately).
+                sid = (hit_sites if hit else miss_sites)[part]
+                if sid >= 0:
+                    tracer._buf.extend((sid, max(l2_free, now),
+                                        self.config.l2_service_cycles,
+                                        obj, None))
+        return done
 
     def write(self, now: int, addr: int) -> None:
         """Fire-and-forget write-through store: occupies the request
         link and an L2 slot; no response is modelled (write-ack-free),
-        and no L2 allocation happens on a write miss.
-
-        NOTE: the traced variant in ``_attach_tracer`` duplicates this
-        body (fused instrumentation) — keep the two in lockstep.
-        """
+        and no L2 allocation happens on a write miss."""
         part = self.config.channel_of_address(addr)
         arrive = self.crossbar.send_request(now, part)
         start = max(arrive, self._l2_next_free[part])
         self._l2_next_free[part] = start + self.config.l2_service_cycles
         self.l2_slices[part].access(addr, allocate=False)
+        trace = self._trace
+        if trace is not None:
+            tracer, always, _hit_sites, _miss_sites, write_sites = trace
+            obj = tracer.ctx_obj or tracer.attribute(addr)
+            tracer.object_stats[obj].l2_accesses += 1
+            if (always or tracer.sampled()) and write_sites[part] >= 0:
+                tracer._buf.extend((write_sites[part], tracer.now, 0, obj,
+                                    None))
 
-    # ------------------------------------------------------------------
-    # Cycle-level tracing (attach-time instrumentation)
-    # ------------------------------------------------------------------
     def _attach_tracer(self, tracer) -> None:
-        """Instrument the shared hierarchy for a trace session.
-
-        ``read``/``write`` are rebound to fused variants that emit
-        per-request L2-slice service spans (hit/miss straight from the
-        inlined L2 access) and accumulate per-object L2 attribution;
-        the crossbar links and DRAM channels attach their own hooks
-        underneath.  Nothing is rebound when no tracer is attached —
-        the plain methods run byte-identical to the un-instrumented
-        build.
-        """
+        """Trace the shared hierarchy: per-request L2-slice service
+        spans plus per-object L2 attribution here, and the crossbar
+        links' and DRAM channels' own events underneath."""
         from repro.obs.trace import (
             PID_DRAM_BASE,
             PID_L2_BASE,
@@ -124,102 +138,18 @@ class MemorySubsystem:
             tracer.register_track(pid, f"NoC partition {i}", 1, "response")
             req._attach_tracer(tracer, pid, 0)
             rsp._attach_tracer(tracer, pid, 1)
-        for i in range(self.config.n_mem_channels):
+        parts = range(self.config.n_mem_channels)
+        for i in parts:
             tracer.register_track(
                 PID_L2_BASE + i, f"L2 slice {i}", TID_MAIN, "service")
 
-        # Fused instrumentation: the traced variants duplicate
-        # ``read``/``write`` (keep them in lockstep!) so the wrapper
-        # frame, the duplicate address->partition mapping and the
-        # L2-stats-delta hit probe all disappear — the inlined L2
-        # access returns hit/miss directly.  The link/DRAM bound
-        # methods are captured *after* their own hooks attached above,
-        # so the fused bodies descend through the traced components
-        # exactly as the plain methods would.
-        channel_of = self.config.channel_of_address
-        l2_next_free = self._l2_next_free
-        service_cycles = self.config.l2_service_cycles
-        l2_hit_latency = self.config.l2_hit_latency
-        request_bytes = self.crossbar.REQUEST_BYTES
-        line_bytes = self.crossbar.line_bytes
-        req_transfers = [
-            link.transfer for link in self.crossbar.request_links
-        ]  # traced — attached above
-        rsp_transfers = [
-            link.transfer for link in self.crossbar.response_links
-        ]  # traced — attached above
-        l2_accesses = [s.access for s in self.l2_slices]  # plain
-        dram_accesses = [
-            c.access for c in self.dram_channels
-        ]  # traced — attached above
-        obj_stats = tracer.obj
-        sampled = tracer.sampled
-        attribute = tracer.attribute
-        always = tracer.config.sample_rate >= 1.0
-        buf_append = tracer._buf.append
-        n_parts = self.config.n_mem_channels
-        hit_sites = [
-            tracer.site("l2", "l2-hit", PID_L2_BASE + i, TID_MAIN)
-            for i in range(n_parts)
-        ]
-        miss_sites = [
-            tracer.site("l2", "l2-miss", PID_L2_BASE + i, TID_MAIN)
-            for i in range(n_parts)
-        ]
-        write_sites = [
-            tracer.site("l2", "l2-write", PID_L2_BASE + i, TID_MAIN,
-                        ph="i")
-            for i in range(n_parts)
-        ]
+        def sites(name: str, ph: str = "X") -> list[int]:
+            return [tracer.site("l2", name, PID_L2_BASE + i, TID_MAIN,
+                                ph=ph) for i in parts]
 
-        def traced_read(now: int, addr: int) -> int:
-            part = channel_of(addr)
-            arrive = req_transfers[part](now, request_bytes)
-            l2_free = l2_next_free[part]
-            start = arrive if arrive > l2_free else l2_free
-            l2_next_free[part] = start + service_cycles
-            hit = l2_accesses[part](addr)
-            if hit:
-                data_at = start + l2_hit_latency
-            else:
-                data_at = dram_accesses[part](start + l2_hit_latency,
-                                              addr)
-            done = rsp_transfers[part](data_at, line_bytes)
-            obj = tracer.ctx_obj
-            if obj is None:
-                obj = attribute(addr)
-            stats = obj_stats(obj)
-            stats.l2_accesses += 1
-            if not hit:
-                stats.l2_misses += 1
-            if always or sampled():
-                # Lower bound of the slice's service start (the exact
-                # value also folds in request-link queueing, which the
-                # NoC track shows separately).
-                sid = hit_sites[part] if hit else miss_sites[part]
-                if sid >= 0:
-                    buf_append((sid, l2_free if l2_free > now else now,
-                                service_cycles, obj, None))
-            return done
-
-        def traced_write(now: int, addr: int) -> None:
-            part = channel_of(addr)
-            arrive = req_transfers[part](now, request_bytes)
-            l2_free = l2_next_free[part]
-            start = arrive if arrive > l2_free else l2_free
-            l2_next_free[part] = start + service_cycles
-            l2_accesses[part](addr, allocate=False)
-            obj = tracer.ctx_obj
-            if obj is None:
-                obj = attribute(addr)
-            obj_stats(obj).l2_accesses += 1
-            if always or sampled():
-                sid = write_sites[part]
-                if sid >= 0:
-                    buf_append((sid, tracer.now, 0, obj, None))
-
-        self.read = traced_read
-        self.write = traced_write
+        self._trace = (tracer, tracer.config.sample_rate >= 1.0,
+                       sites("l2-hit"), sites("l2-miss"),
+                       sites("l2-write", "i"))
 
     # ------------------------------------------------------------------
     # Aggregated stats

@@ -202,11 +202,11 @@ def _attach_trace_hooks(
     sms: list[SmCore],
     subsystem: MemorySubsystem,
 ) -> None:
-    """Instrument every component of one simulation for ``tracer``.
+    """Attach ``tracer`` to every component of one simulation.
 
-    Instance methods are rebound only on these objects — the classes
-    (and therefore every un-traced simulation, including ones running
-    concurrently in the same process) are untouched.
+    Only these instances get the session — every other simulation,
+    including ones running concurrently in the same process, stays
+    untraced.
     """
     tracer.register_track(
         PID_TIMELINE, "kernel timeline", TID_MAIN, "kernels")
@@ -228,10 +228,10 @@ def simulate_trace(
     ``metrics``, when given, receives the simulator's observability
     counters and per-channel DRAM distributions (additively — one
     registry can aggregate many simulations).  ``tracer``, when given,
-    records the cycle-level event trace and interval time series; the
-    un-traced path executes exactly the code it did before tracing
-    existed (hooks are attached per instance, never installed on the
-    classes).
+    records the cycle-level event trace and interval time series.
+    Each component has one body for both paths: its trace hooks are
+    guarded blocks that an un-traced simulation skips on a ``None``
+    check.
     """
     protection = protection or TimingProtection.baseline()
     budget = budget or HardwareBudget.from_config(config)
@@ -261,25 +261,16 @@ def simulate_trace(
             if ctas:
                 sm.start_kernel(ctas, global_time)
                 heapq.heappush(heap, (sm.cycle, sm.sm_id))
-        if sampler is None:
-            while heap:
-                _cycle, sm_id = heapq.heappop(heap)
-                sm = sms[sm_id]
-                if not sm.active:
-                    continue
-                sm.step()
-                if sm.active:
-                    heapq.heappush(heap, (sm.cycle, sm.sm_id))
-        else:
-            while heap:
-                _cycle, sm_id = heapq.heappop(heap)
-                sampler.advance(_cycle)
-                sm = sms[sm_id]
-                if not sm.active:
-                    continue
-                sm.step()
-                if sm.active:
-                    heapq.heappush(heap, (sm.cycle, sm.sm_id))
+        while heap:
+            cycle, sm_id = heapq.heappop(heap)
+            if sampler is not None and cycle >= sampler.next_boundary:
+                sampler.advance(cycle)
+            sm = sms[sm_id]
+            if not sm.active:
+                continue
+            sm.step()
+            if sm.active:
+                heapq.heappush(heap, (sm.cycle, sm.sm_id))
         kernel_end = max(
             (sm.cycle for sm in sms), default=global_time
         )

@@ -46,6 +46,10 @@ class SmCore:
         self._warps: list[WarpRunner] = []
         self._warp_cta: dict[int, _ResidentCta] = {}
         self._rr = 0
+        #: ``(session, always, pid, stall_sites, issue_sites,
+        #: slot_args)`` while a trace session is attached (``always``:
+        #: nothing is sampled out).
+        self._trace = None
 
     # ------------------------------------------------------------------
     # Kernel orchestration
@@ -123,26 +127,24 @@ class SmCore:
         self.cycle = max(self.cycle + 1, next_time)
 
     def _issue(self, warp: WarpRunner, slots: int) -> int:
-        # NOTE: the traced variant in _attach_tracer duplicates this
-        # body (fused instrumentation) — keep the two in lockstep.
         inst = warp.current()
         if isinstance(inst, Compute):
             if inst.wait and warp.outstanding_max > self.cycle:
                 self.stats.stalls.memory_wait += 1
                 warp.resume_time = warp.outstanding_max
+                if self._trace is not None:
+                    self._trace_stall("memory_wait", warp, None)
                 return 0
             if inst.wait:
                 warp.outstanding_max = 0
             if warp.compute_remaining == 0:
                 warp.compute_remaining = inst.count
-            take = min(slots, warp.compute_remaining)
-            warp.compute_remaining -= take
-            self.stats.instructions += take
+            used = min(slots, warp.compute_remaining)
+            warp.compute_remaining -= used
+            self.stats.instructions += used
             if warp.compute_remaining == 0:
                 warp.advance()
-            return take
-
-        if isinstance(inst, Load):
+        elif isinstance(inst, Load):
             used = 0
             while warp.txn_index < len(inst.addrs) and used < slots:
                 addr = inst.addrs[warp.txn_index]
@@ -151,6 +153,11 @@ class SmCore:
                 )
                 if stall_until is not None:
                     warp.resume_time = max(stall_until, self.cycle + 1)
+                    if self._trace is not None:
+                        tracer = self._trace[0]
+                        reason = tracer.last_stall_reason
+                        tracer.last_stall_reason = None
+                        self._trace_stall(reason, warp, inst.obj)
                     return used
                 used += 1
                 warp.txn_index += 1
@@ -159,9 +166,7 @@ class SmCore:
                     warp.outstanding_max = ready
             if warp.txn_index >= len(inst.addrs):
                 warp.advance()
-            return used
-
-        if isinstance(inst, Store):
+        elif isinstance(inst, Store):
             used = 0
             while warp.txn_index < len(inst.addrs) and used < slots:
                 self.ldst.store(self.cycle, inst.addrs[warp.txn_index])
@@ -170,136 +175,58 @@ class SmCore:
                 self.stats.instructions += 1
             if warp.txn_index >= len(inst.addrs):
                 warp.advance()
-            return used
-
-        raise TypeError(f"unknown instruction {inst!r}")
+        else:
+            raise TypeError(f"unknown instruction {inst!r}")
+        trace = self._trace
+        if trace is not None and used:
+            # A sampled issue instant on the warp's own track.
+            tracer, always, pid, _stalls, issue_sites, slot_args = trace
+            if always or tracer.sampled():
+                wid = warp.trace.warp_id
+                sid = issue_sites.get(wid)
+                if sid is None:
+                    sid = issue_sites[wid] = tracer.site(
+                        "warp", "issue", pid, wid, ph="i",
+                        argkeys=("slots",))
+                if sid >= 0:
+                    tracer._buf.extend((sid, self.cycle, 0, None,
+                                        slot_args[used]))
+        return used
 
     # ------------------------------------------------------------------
-    # Cycle-level tracing (attach-time instrumentation)
+    # Cycle-level tracing
     # ------------------------------------------------------------------
     def _attach_tracer(self, tracer) -> None:
-        """Instrument this SM for a trace session.
-
-        ``_issue`` is rebound to a wrapper that emits per-warp stall
-        spans (always kept — stalls are the structural events the
-        paper's overhead analysis cares about) and sampled issue
-        instants, each on the warp's own thread track inside this SM's
-        process group.  The stall reason comes from the stats delta for
-        compute waits and from the LD/ST unit's shared context for
-        structural (MSHR / compare-queue) stalls.
-        """
+        """Trace this SM: per-warp stall spans (always kept — stalls
+        are the structural events the paper's overhead analysis cares
+        about) and sampled issue instants, each on the warp's own
+        thread track inside this SM's process group.  Per-warp sites
+        are interned lazily, on first use."""
         from repro.obs.trace import PID_SM_BASE, TID_LDST
 
         pid = PID_SM_BASE + self.sm_id
         tracer.register_track(pid, f"SM {self.sm_id}", TID_LDST, "LD/ST")
         self.ldst._attach_tracer(tracer, pid)
-        # Fused instrumentation: the traced variant duplicates
-        # ``_issue``'s body (keep the two in lockstep!) instead of
-        # wrapping it, so stall reasons fall out of the branches the
-        # scheduler takes anyway — no stats-delta re-derivation, no
-        # second call frame.  All attribute chains the slot loop would
-        # repeat are bound once here; event sites are interned outside
-        # the loop (stall-reason and per-warp sites lazily, on first
-        # use) and the payload goes straight into the session ring.
-        stats = self.stats
-        stalls = self.stats.stalls
-        ldst_load = self.ldst.load    # traced — attached above
-        ldst_store = self.ldst.store  # traced — attached above
-        site = tracer.site
-        sampled = tracer.sampled
-        always = tracer.config.sample_rate >= 1.0
-        buf_append = tracer._buf.append
-        stall_sites: dict[tuple[str, int], int] = {}
-        issue_sites: dict[int, int] = {}
-        issue_sites_get = issue_sites.get
-        # ``used`` never exceeds the issue width, so every instant args
-        # tuple the hook can emit is interned once and shared.
-        used_args = tuple(
-            (i,) for i in range(self.config.issue_width + 1)
-        )
+        # ``used`` never exceeds the issue width, so every issue
+        # instant's ``args`` tuple is interned once and shared.
+        slot_args = tuple(
+            (i,) for i in range(self.config.issue_width + 1))
+        self._trace = (tracer, tracer.config.sample_rate >= 1.0, pid,
+                       {}, {}, slot_args)
 
-        def _stall_span(reason: str, warp, cycle: int, obj) -> None:
-            # A stalled warp has not advanced, so its current
-            # instruction names the object it is blocked on.
-            key = (reason, warp.warp_id)
-            sid = stall_sites.get(key)
-            if sid is None:
-                sid = site("warp", "stall:" + reason, pid, warp.warp_id)
-                stall_sites[key] = sid
-            if sid >= 0:
-                buf_append((sid, cycle,
-                            max(warp.resume_time - cycle, 1), obj, None))
-
-        def traced_issue(warp, slots: int) -> int:
-            cycle = self.cycle
-            inst = warp.current()
-            if isinstance(inst, Compute):
-                if inst.wait and warp.outstanding_max > cycle:
-                    stalls.memory_wait += 1
-                    warp.resume_time = warp.outstanding_max
-                    _stall_span("memory_wait", warp, cycle, None)
-                    return 0
-                if inst.wait:
-                    warp.outstanding_max = 0
-                if warp.compute_remaining == 0:
-                    warp.compute_remaining = inst.count
-                used = min(slots, warp.compute_remaining)
-                warp.compute_remaining -= used
-                stats.instructions += used
-                if warp.compute_remaining == 0:
-                    warp.advance()
-            elif isinstance(inst, Load):
-                used = 0
-                addrs = inst.addrs
-                obj_name = inst.obj
-                txn = warp.txn_index
-                n = len(addrs)
-                while txn < n and used < slots:
-                    ready, stall_until = ldst_load(
-                        cycle, obj_name, addrs[txn]
-                    )
-                    if stall_until is not None:
-                        warp.resume_time = max(stall_until, cycle + 1)
-                        warp.txn_index = txn
-                        reason = tracer.last_stall_reason
-                        tracer.last_stall_reason = None
-                        _stall_span(reason, warp, cycle, obj_name)
-                        return used
-                    used += 1
-                    txn += 1
-                    stats.instructions += 1
-                    if ready > warp.outstanding_max:
-                        warp.outstanding_max = ready
-                warp.txn_index = txn
-                if txn >= n:
-                    warp.advance()
-            elif isinstance(inst, Store):
-                used = 0
-                addrs = inst.addrs
-                txn = warp.txn_index
-                n = len(addrs)
-                while txn < n and used < slots:
-                    ldst_store(cycle, addrs[txn])
-                    used += 1
-                    txn += 1
-                    stats.instructions += 1
-                warp.txn_index = txn
-                if txn >= n:
-                    warp.advance()
-            else:
-                raise TypeError(f"unknown instruction {inst!r}")
-            if used and (always or sampled()):
-                wid = warp.warp_id
-                sid = issue_sites_get(wid)
-                if sid is None:
-                    sid = site("warp", "issue", pid, wid, ph="i",
-                               argkeys=("slots",))
-                    issue_sites[wid] = sid
-                if sid >= 0:
-                    buf_append((sid, cycle, 0, None, used_args[used]))
-            return used
-
-        self._issue = traced_issue
+    def _trace_stall(self, reason: str, warp: WarpRunner, obj) -> None:
+        # A stalled warp has not advanced, so its current instruction
+        # names the object it is blocked on.
+        tracer, _always, pid, stall_sites, _issues, _args = self._trace
+        key = (reason, warp.warp_id)
+        sid = stall_sites.get(key)
+        if sid is None:
+            sid = stall_sites[key] = tracer.site(
+                "warp", "stall:" + reason, pid, warp.warp_id)
+        if sid >= 0:
+            tracer._buf.extend((sid, self.cycle,
+                                max(warp.resume_time - self.cycle, 1),
+                                obj, None))
 
     def _retire(self) -> None:
         finished_ctas = set()

@@ -218,8 +218,3 @@ class TestRetryInvariance:
 class TestTimingProtection:
     def test_baseline_inactive(self):
         assert not TimingProtection.baseline().active
-
-    def test_n_way(self):
-        assert detection_spec().n_way == 2
-        assert correction_spec().n_way == 3
-        assert TimingProtection.baseline().n_way == 1

@@ -7,6 +7,11 @@ before any refactor of its hot path:
   benchmark's cycle oracle) for every application at small scale on
   ``fast_config()``, under baseline, detection-hot, correction-hot and
   correction-all, plus one mixed per-object spec on P-BICG;
+* ``geometries`` — the same statistics on two further configurations:
+  the paper's Table I GPU (15 SMs, 6 partitions, 128-set L2 slices) on
+  P-BICG, and a stall-heavy ``fast_config()`` with 4 MSHRs of 2 merges
+  each and a 4-entry compare queue on C-NN and P-ATAX, which drives the
+  MSHR-full and compare-queue-full retry paths thousands of times;
 * ``traces`` — SHA-256 digests of a traced P-ATAX run's rendered
   Perfetto document, per-object summary and interval samples, at full
   and thinned sampling and with a category filter.  The thinned digests
@@ -26,7 +31,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.arch.config import fast_config
+from repro.arch.config import PAPER_CONFIG, fast_config
 from repro.core.manager import ReliabilityManager
 from repro.kernels.registry import (
     APPLICATIONS,
@@ -48,6 +53,17 @@ PROTECTIONS = (
     ("correction", "hot"),
     ("correction", "all"),
 )
+#: name -> (config, apps, protections) of each extra geometry.
+GEOMETRIES = {
+    "paper": (PAPER_CONFIG, ("P-BICG",), PROTECTIONS),
+    "stall-heavy": (
+        fast_config().scaled(l1_mshr_entries=4, l1_mshr_max_merged=2,
+                             pending_compare_entries=4),
+        ("C-NN", "P-ATAX"),
+        (("baseline", "none"), ("detection", "hot"),
+         ("correction", "all")),
+    ),
+}
 MIXED_APP = "P-BICG"
 MIXED_SPEC = "A=detection,p=detection,r=correction"
 
@@ -88,21 +104,25 @@ def sim_doc(report) -> dict:
     }
 
 
-def _manager(app: str) -> ReliabilityManager:
+def _manager(app: str, config=None) -> ReliabilityManager:
     # Four C-NN images at small scale take ~10x the other apps together.
     kwargs = {"batch": 1} if app == "C-NN" else {}
     return ReliabilityManager(create_app(app, scale="small", **kwargs),
-                              config=fast_config())
+                              config=config or fast_config())
 
 
-def report_docs(app: str) -> dict[str, dict]:
-    """``"scheme/protect"`` -> sim_doc of every oracle run of ``app``."""
-    manager = _manager(app)
+def report_docs(app: str, config=None,
+                protections=PROTECTIONS) -> dict[str, dict]:
+    """``"scheme/protect"`` -> sim_doc of every oracle run of ``app``
+    (plus the mixed spec on ``fast_config()``)."""
+    manager = _manager(app, config)
     docs = {
         f"{scheme}/{protect}":
             sim_doc(manager.simulate_performance(scheme, protect))
-        for scheme, protect in PROTECTIONS
+        for scheme, protect in protections
     }
+    if config is not None:
+        return docs
     if app == MIXED_APP:
         docs[MIXED_SPEC] = sim_doc(
             manager.simulate_performance("baseline", MIXED_SPEC))
@@ -135,6 +155,17 @@ def test_sim_reports_match_oracle(app):
     assert report_docs(app) == _oracle()["reports"][app]
 
 
+def geometry_docs(name: str) -> dict[str, dict]:
+    """app -> report_docs of every app of extra geometry ``name``."""
+    config, apps, protections = GEOMETRIES[name]
+    return {app: report_docs(app, config, protections) for app in apps}
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRIES))
+def test_geometry_reports_match_oracle(name):
+    assert geometry_docs(name) == _oracle()["geometries"][name]
+
+
 @pytest.mark.parametrize("run", sorted(TRACE_RUNS))
 def test_trace_digests_match_oracle(run):
     assert trace_digests(TRACE_RUNS[run]) == _oracle()["traces"][run]
@@ -147,6 +178,7 @@ def test_oracle_covers_every_app():
 if __name__ == "__main__":
     FIXTURE.write_text(json.dumps({
         "reports": {app: report_docs(app) for app in APPS},
+        "geometries": {name: geometry_docs(name) for name in GEOMETRIES},
         "traces": {run: trace_digests(tcfg)
                    for run, tcfg in TRACE_RUNS.items()},
     }, indent=1, sort_keys=True) + "\n")

@@ -72,65 +72,75 @@ class Cache:
         self.config = config
         self.name = name
         self.stats = CacheStats()
-        # Each set is an OrderedDict tag -> None; last entry = MRU.
+        # The geometry as plain ints: the per-access hot path reads
+        # them instead of re-deriving ``config.n_sets``.
+        self._line_bytes = config.line_bytes
+        self._n_sets = config.n_sets
+        self._assoc = config.assoc
+        # Each set is an OrderedDict keyed by *line number* -> None;
+        # last entry = MRU.  A line maps to exactly one (set, tag) pair,
+        # so the line number identifies the tag within its set.
         self._sets: list[OrderedDict[int, None]] = [
-            OrderedDict() for _ in range(config.n_sets)
+            OrderedDict() for _ in range(self._n_sets)
         ]
-        #: ``(session, always, evict_site)`` while a trace session is
-        #: attached (``always``: nothing is sampled out).
+        #: ``(session, ring, always, evict_site)`` while a trace session
+        #: is attached (``ring``: the session's event list; ``always``:
+        #: nothing is sampled out).
         self._trace = None
 
-    def _index(self, addr: int) -> tuple[int, int]:
-        line = addr // self.config.line_bytes
-        return line % self.config.n_sets, line // self.config.n_sets
+    def _index(self, addr: int) -> tuple[OrderedDict[int, None], int]:
+        """``(set, line)`` of a byte address: the cache's one indexing
+        rule, inlined verbatim by ``lookup`` and ``access``."""
+        line = addr // self._line_bytes
+        return self._sets[line % self._n_sets], line
 
     def lookup(self, addr: int) -> bool:
         """Probe only: is the line present?  No stats, no LRU update."""
-        set_idx, tag = self._index(addr)
-        return tag in self._sets[set_idx]
+        line = addr // self._line_bytes
+        return line in self._sets[line % self._n_sets]
 
     def access(self, addr: int, allocate: bool = True) -> bool:
         """Access a line; returns True on hit.  Misses allocate (LRU)."""
-        self.stats.accesses += 1
-        set_idx, tag = self._index(addr)
-        cache_set = self._sets[set_idx]
-        if tag in cache_set:
-            cache_set.move_to_end(tag)
-            self.stats.hits += 1
+        stats = self.stats
+        stats.accesses += 1
+        line = addr // self._line_bytes
+        cache_set = self._sets[line % self._n_sets]
+        if line in cache_set:
+            cache_set.move_to_end(line)
+            stats.hits += 1
             return True
-        self.stats.misses += 1
+        stats.misses += 1
         if allocate:
-            self._fill(cache_set, tag, addr)
+            self._fill(cache_set, line, addr)
         else:
-            self.stats.bypassed += 1
+            stats.bypassed += 1
         return False
 
     def fill(self, addr: int) -> None:
         """Install a line (response path fill) without counting an access."""
-        set_idx, tag = self._index(addr)
-        cache_set = self._sets[set_idx]
-        if tag in cache_set:
-            cache_set.move_to_end(tag)
+        cache_set, line = self._index(addr)
+        if line in cache_set:
+            cache_set.move_to_end(line)
             return
-        self._fill(cache_set, tag, addr)
+        self._fill(cache_set, line, addr)
 
-    def _fill(self, cache_set: OrderedDict[int, None], tag: int,
+    def _fill(self, cache_set: OrderedDict[int, None], line: int,
               addr: int) -> None:
-        if len(cache_set) >= self.config.assoc:
+        if len(cache_set) >= self._assoc:
             cache_set.popitem(last=False)  # evict LRU
             self.stats.evictions += 1
             trace = self._trace
             if trace is not None:
-                tracer, always, evict_site = trace
+                tracer, buf, always, evict_site = trace
                 if (always or tracer.sampled()) and evict_site >= 0:
-                    tracer._buf.extend((evict_site, tracer.now, 0,
-                                        tracer.attribute(addr), None))
-        cache_set[tag] = None
+                    buf += (evict_site, tracer.now, 0,
+                            tracer.ctx_obj or tracer.attribute(addr), None)
+        cache_set[line] = None
 
     def invalidate(self, addr: int) -> bool:
         """Drop a line if present; returns True if it was resident."""
-        set_idx, tag = self._index(addr)
-        return self._sets[set_idx].pop(tag, "absent") != "absent"
+        cache_set, line = self._index(addr)
+        return cache_set.pop(line, "absent") != "absent"
 
     def flush(self) -> None:
         """Drop every resident line (stats are kept)."""
@@ -148,6 +158,7 @@ class Cache:
     def _attach_tracer(self, tracer, pid: int, tid: int) -> None:
         """Trace this cache's evictions as (sampled) instants on track
         ``(pid, tid)``, at the request context's cycle."""
-        self._trace = (tracer, tracer.config.sample_rate >= 1.0,
+        self._trace = (tracer, tracer._buf,
+                       tracer.config.sample_rate >= 1.0,
                        tracer.site("cache", f"{self.name} evict", pid, tid,
                                    ph="i"))

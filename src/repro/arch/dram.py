@@ -75,9 +75,14 @@ class DramChannel:
         self.name = name
         self.stats = DramStats()
         self._banks = [_Bank() for _ in range(n_banks)]
+        # ``_map``'s divisors, computed once.
+        self._row_span = row_bytes * n_banks
+        self._banks_sq = n_banks ** 2
         self._bus_next_free = 0
-        #: ``(session, always, hit_sites, miss_sites, bus_site)`` while a
-        #: trace session is attached (``always``: nothing is sampled out).
+        #: ``(session, ring, object_stats, always, hit_sites, miss_sites,
+        #: bus_site)`` while a trace session is attached (``ring`` and
+        #: ``object_stats``: the session's event list and per-object
+        #: tallies; ``always``: nothing is sampled out).
         self._trace = None
 
     def _map(self, addr: int) -> tuple[int, int]:
@@ -89,32 +94,38 @@ class DramChannel:
         column-major accesses of the Polybench kernels — still spread
         over all banks instead of aliasing onto a few.
         """
+        n_banks = self.n_banks
         line = addr // self.line_bytes
-        row = addr // (self.row_bytes * self.n_banks)
-        bank = (line ^ (line // self.n_banks) ^ (line // (self.n_banks ** 2))) \
-            % self.n_banks
+        row = addr // self._row_span
+        bank = (line ^ (line // n_banks) ^ (line // self._banks_sq)) \
+            % n_banks
         return bank, row
 
     def access(self, now: int, addr: int) -> int:
         """Service a line read arriving at ``now``; return completion time."""
         bank_idx, row = self._map(addr)
         bank = self._banks[bank_idx]
-        start = max(now, bank.next_free)
-        self.stats.requests += 1
-        self.stats.bank_queue_cycles += start - now
+        stats = self.stats
+        timings = self.timings
+        start = bank.next_free
+        if start < now:
+            start = now
+        stats.requests += 1
+        stats.bank_queue_cycles += start - now
         row_hit = bank.open_row == row
         if row_hit:
-            latency = self.timings.row_hit_cycles
-            self.stats.row_hits += 1
+            data_ready = start + timings.row_hit_cycles
+            stats.row_hits += 1
         else:
-            latency = self.timings.row_miss_cycles
-            self.stats.row_misses += 1
+            data_ready = start + timings.row_miss_cycles
+            stats.row_misses += 1
             bank.open_row = row
-        data_ready = start + latency
-        bus_start = max(data_ready, self._bus_next_free)
-        bus_done = bus_start + self.timings.bus_cycles_per_line
+        bus_start = self._bus_next_free
+        if bus_start < data_ready:
+            bus_start = data_ready
+        bus_done = bus_start + timings.bus_cycles_per_line
         self._bus_next_free = bus_done
-        self.stats.bus_queue_cycles += bus_start - data_ready
+        stats.bus_queue_cycles += bus_start - data_ready
         # The line occupies the bank's row buffer until the bus has
         # carried it out, so the bank cannot accept its next request
         # before ``bus_done`` — not at ``data_ready``.
@@ -123,9 +134,10 @@ class DramChannel:
         if trace is not None:
             # Attribution totals accumulate per object even when the
             # sampled bank-busy and bus-transfer spans are thinned out.
-            tracer, always, hit_sites, miss_sites, bus_site = trace
+            tracer, buf, object_stats, always, hit_sites, miss_sites, \
+                bus_site = trace
             obj = tracer.ctx_obj or tracer.attribute(addr)
-            ostats = tracer.object_stats[obj]
+            ostats = object_stats[obj]
             ostats.dram_reads += 1
             ostats.dram_busy_cycles += bus_done - start
             ostats.dram_bus_cycles += bus_done - bus_start
@@ -133,11 +145,10 @@ class DramChannel:
             if always or tracer.sampled():
                 sid = (hit_sites if row_hit else miss_sites)[bank_idx]
                 if sid >= 0:
-                    tracer._buf.extend((sid, start, bus_done - start, obj,
-                                        (start - now, row)))
-                    tracer._buf.extend((bus_site, bus_start,
-                                        bus_done - bus_start, obj,
-                                        (bus_start - data_ready,)))
+                    buf += (sid, start, bus_done - start, obj,
+                            (start - now, row),
+                            bus_site, bus_start, bus_done - bus_start, obj,
+                            (bus_start - data_ready,))
         return bus_done
 
     @property
@@ -153,6 +164,8 @@ class DramChannel:
         banks = range(self.n_banks)
         self._trace = (
             tracer,
+            tracer._buf,
+            tracer.object_stats,
             tracer.config.sample_rate >= 1.0,
             [tracer.site("dram", "row-hit", pid, b, argkeys=bank_args)
              for b in banks],

@@ -36,8 +36,10 @@ class Link:
         self.name = name
         self.stats = LinkStats()
         self._next_free = 0
-        #: ``(session, always, site)`` while a trace session is
-        #: attached (``always``: nothing is sampled out).
+        #: ``(session, ring, object_stats, always, site)`` while a trace
+        #: session is attached (``ring`` and ``object_stats``: the
+        #: session's event list and per-object tallies; ``always``:
+        #: nothing is sampled out).
         self._trace = None
 
     def transfer(self, now: int, nbytes: int) -> int:
@@ -45,21 +47,23 @@ class Link:
         if nbytes <= 0:
             raise ValueError("transfer size must be positive")
         occupancy = -(-nbytes // self.bytes_per_cycle)
-        start = max(now, self._next_free)
+        start = self._next_free
+        if start < now:
+            start = now
         self._next_free = start + occupancy
-        self.stats.transfers += 1
-        self.stats.bytes_moved += nbytes
-        self.stats.queue_cycles += start - now
+        stats = self.stats
+        stats.transfers += 1
+        stats.bytes_moved += nbytes
+        stats.queue_cycles += start - now
         trace = self._trace
         if trace is not None:
             # One occupancy span: ``ts`` is the cycle the transfer
             # claims the link (after queueing), ``dur`` its occupancy.
-            tracer, always, site = trace
+            tracer, buf, object_stats, always, site = trace
             obj = tracer.ctx_obj or tracer.attribute(-1)
-            tracer.object_stats[obj].noc_bytes += nbytes
+            object_stats[obj].noc_bytes += nbytes
             if (always or tracer.sampled()) and site >= 0:
-                tracer._buf.extend((site, start, occupancy, obj,
-                                    (nbytes, start - now)))
+                buf += (site, start, occupancy, obj, (nbytes, start - now))
         return start + occupancy + self.base_latency
 
     @property
@@ -74,7 +78,8 @@ class Link:
     def _attach_tracer(self, tracer, pid: int, tid: int) -> None:
         """Trace this link's transfers on track ``(pid, tid)``, tagged
         with the request context's object."""
-        self._trace = (tracer, tracer.config.sample_rate >= 1.0,
+        self._trace = (tracer, tracer._buf, tracer.object_stats,
+                       tracer.config.sample_rate >= 1.0,
                        tracer.site("noc", self.name, pid, tid,
                                    argkeys=("bytes", "queue")))
 

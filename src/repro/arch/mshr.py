@@ -30,9 +30,10 @@ class MshrFile:
         self.max_merged = max_merged
         self._entries: dict[int, int] = {}  # line addr -> merged count
         self.stats = MshrStats()
-        #: ``(session, always, occupancy_site, merge_stall_site,
+        #: ``(session, ring, always, occupancy_site, merge_stall_site,
         #: full_stall_site, occupancy_args)`` while a trace session is
-        #: attached (``always``: nothing is sampled out).
+        #: attached (``ring``: the session's event list; ``always``:
+        #: nothing is sampled out).
         self._trace = None
 
     def probe(self, line_addr: int) -> str:
@@ -41,10 +42,11 @@ class MshrFile:
         Returns ``"allocate"`` (new entry available), ``"merge"``
         (existing entry has room), or ``"stall"``.
         """
-        count = self._entries.get(line_addr)
-        if count is not None:
-            return "merge" if count < self.max_merged else "stall"
-        return "allocate" if len(self._entries) < self.n_entries else "stall"
+        entries = self._entries
+        count = entries.get(line_addr)
+        if count is None:
+            return "allocate" if len(entries) < self.n_entries else "stall"
+        return "merge" if count < self.max_merged else "stall"
 
     def add(self, line_addr: int) -> bool:
         """Register a miss.  Returns True if a *new* downstream request
@@ -55,13 +57,10 @@ class MshrFile:
         """
         outcome = self.probe(line_addr)
         if outcome == "stall":
-            if line_addr in self._entries:
-                self.stats.merge_stalls += 1
-            else:
-                self.stats.full_stalls += 1
+            # A misuse, not a stall the LD/ST unit observed: the stall
+            # counters stay untouched (``record_stall`` owns them).
             raise RuntimeError("MSHR add() while full; probe() first")
-        new_request = outcome == "allocate"
-        if new_request:
+        if outcome == "allocate":
             self._entries[line_addr] = 1
             self.stats.allocations += 1
         else:
@@ -69,20 +68,23 @@ class MshrFile:
             self.stats.merges += 1
         if self._trace is not None:
             self._trace_occupancy()
-        return new_request
+        return outcome == "allocate"
 
     def record_stall(self, line_addr: int) -> None:
         """Account a stall observed by the LD/ST unit."""
         merge = line_addr in self._entries
+        stats = self.stats
         if merge:
-            self.stats.merge_stalls += 1
+            stats.merge_stalls += 1
         else:
-            self.stats.full_stalls += 1
+            stats.full_stalls += 1
         trace = self._trace
         if trace is not None:
-            tracer, _always, _site, merge_stall, full_stall, _occ = trace
-            tracer.record(merge_stall if merge else full_stall,
-                          tracer.now, 0)
+            tracer, buf, _always, _site, merge_stall, full_stall, _occ = \
+                trace
+            sid = merge_stall if merge else full_stall
+            if sid >= 0:
+                buf += (sid, tracer.now, 0, None, None)
 
     def release(self, line_addr: int) -> int:
         """Retire the entry when the fill returns; yields merged count."""
@@ -112,6 +114,7 @@ class MshrFile:
 
         self._trace = (
             tracer,
+            tracer._buf,
             tracer.config.sample_rate >= 1.0,
             tracer.site("mshr", f"mshr[{pid}]", pid, TID_MAIN, ph="C",
                         argkeys=("outstanding",)),
@@ -123,7 +126,6 @@ class MshrFile:
         )
 
     def _trace_occupancy(self) -> None:
-        tracer, always, site, _merge, _full, occupancy = self._trace
+        tracer, buf, always, site, _merge, _full, occupancy = self._trace
         if (always or tracer.sampled()) and site >= 0:
-            tracer._buf.extend((site, tracer.now, 0, None,
-                                occupancy[len(self._entries)]))
+            buf += (site, tracer.now, 0, None, occupancy[len(self._entries)])

@@ -534,9 +534,10 @@ class TraceSession:
         """Evict the over-capacity prefix of the ring in one slice.
 
         Hot hooks extend :attr:`_buf` directly (bypassing
-        :meth:`record`) and rely on the interval sampler's
-        :meth:`add_sample` calling this, so the ring's memory bound is
-        enforced at interval granularity on that path.  The
+        :meth:`record`; they may hold the list itself, which is only
+        ever trimmed in place, never rebound) and rely on the interval
+        sampler's :meth:`add_sample` calling this, so the ring's memory
+        bound is enforced at interval granularity on that path.  The
         :attr:`events`/:attr:`emitted`/:attr:`dropped` accessors are
         compaction-timing independent — they slice/count from
         ``_trimmed`` plus the live tail — so *when* compaction runs
@@ -619,7 +620,7 @@ class TraceSession:
     def account_read_bytes(self, obj_name: str, nbytes: int) -> None:
         """Credit DRAM read bytes to ``obj_name`` for the current
         sampling interval (and the whole-run attribution totals)."""
-        self.obj(obj_name).read_bytes += nbytes
+        self.object_stats[obj_name].read_bytes += nbytes
         bucket = self._interval_obj_bytes
         bucket[obj_name] = bucket.get(obj_name, 0) + nbytes
 

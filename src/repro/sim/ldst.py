@@ -105,8 +105,18 @@ class LdstUnit:
         self._compare_cycles: dict[str, int] = {}
         #: objects whose comparison happens off the critical path
         self._lazy_detection: frozenset[str] = frozenset()
-        #: ``(session, always, miss_site, merge_site)`` while a trace
-        #: session is attached (``always``: nothing is sampled out).
+        #: object name -> replica offsets, for protected objects only
+        self._offsets: dict[str, tuple[int, ...]] = (
+            protection.offsets if protection.active else {})
+        # Per-load constants and the shared stall tally, hoisted out of
+        # the config and stats objects for the hot path.
+        self._hit_latency = config.l1_hit_latency
+        self._compare_entries = config.pending_compare_entries
+        self._stalls = stats.stalls
+        #: ``(session, ring, object_stats, always, miss_site,
+        #: merge_site)`` while a trace session is attached (``ring`` and
+        #: ``object_stats``: the session's event list and per-object
+        #: tallies; ``always``: nothing is sampled out).
         self._trace = None
         if protection.active:
             for obj_name, offsets in protection.offsets.items():
@@ -123,12 +133,14 @@ class LdstUnit:
     def _drain(self, now: int) -> None:
         """Retire MSHR entries whose fills have arrived and compare-queue
         entries whose lazy comparison has finished."""
-        while self._fill_heap and self._fill_heap[0][0] <= now:
-            _fill, line = heapq.heappop(self._fill_heap)
+        fill_heap = self._fill_heap
+        while fill_heap and fill_heap[0][0] <= now:
+            _fill, line = heapq.heappop(fill_heap)
             self.mshr.release(line)
             self._pending.pop(line, None)
-        while self._compare_heap and self._compare_heap[0] <= now:
-            heapq.heappop(self._compare_heap)
+        compare_heap = self._compare_heap
+        while compare_heap and compare_heap[0] <= now:
+            heapq.heappop(compare_heap)
 
     def load(self, now: int, obj_name: str, addr: int) \
             -> tuple[int, int | None]:
@@ -146,6 +158,24 @@ class LdstUnit:
         ``l1_hits`` are invariant under retries.
         """
         trace = self._trace
+        fill_heap = self._fill_heap
+        compare_heap = self._compare_heap
+        # Most loads find nothing due yet: skip the drain's frame then.
+        if (fill_heap and fill_heap[0][0] <= now) \
+                or (compare_heap and compare_heap[0] <= now):
+            if trace is not None:
+                # The retired entries' occupancy counters carry ``now``.
+                trace[0].now = now
+            self._drain(now)
+        pending = self._pending.get(addr)
+        l1 = self.l1
+        if pending is None and l1.lookup(addr):
+            # An L1 hit reaches nothing below the L1 and emits no event:
+            # it only tallies the load.
+            l1.access(addr)
+            if trace is not None:
+                trace[2][obj_name].loads += 1
+            return now + self._hit_latency, None
         if trace is not None:
             # Stamp the request context, so every component below (L1,
             # MSHR, crossbar, L2, DRAM) attributes its events to the
@@ -154,87 +184,72 @@ class LdstUnit:
             tracer = trace[0]
             tracer.now = now
             tracer.ctx_obj = obj_name
-        self._drain(now)
-        pending = self._pending.get(addr)
+        mshr = self.mshr
         if pending is not None:
             # Merged miss: data is already on its way.
-            outcome = self.mshr.probe(addr)
-            if outcome == "stall":
-                self.stats.stalls.mshr_full += 1
-                self.mshr.record_stall(addr)
+            if mshr.probe(addr) == "stall":
+                self._stalls.mshr_full += 1
+                mshr.record_stall(addr)
                 if trace is not None:
                     self._trace_stall(obj_name, now, pending[0],
                                       "mshr_full")
                 return 0, pending[0]
-            hit = self.l1.access(addr)
-            self.mshr.add(addr)
+            hit = l1.access(addr)
+            mshr.add(addr)
             # The line's demand-ready time can predate a late-arriving
             # warp's own L1 read-port turnaround; data is never
             # delivered faster than an L1 hit at ``now`` would be.
-            ready = max(pending[1], now + self.config.l1_hit_latency)
+            ready = pending[1]
+            if ready < now + self._hit_latency:
+                ready = now + self._hit_latency
             if trace is not None:
                 # A line evicted while filling was re-allocated by this
                 # access, which reads as a miss-fill, not a merge.
                 self._trace_fill(obj_name, now, ready, merged=hit)
             return ready, None
-        if self.l1.lookup(addr):
-            self.l1.access(addr)
-            if trace is not None:
-                trace[0].object_stats[obj_name].loads += 1
-            return now + self.config.l1_hit_latency, None
 
         # True miss: need an MSHR slot and, for lazy detection, room in
         # the pending-compare queue before any transaction goes out.
-        if self.mshr.probe(addr) == "stall":
-            self.stats.stalls.mshr_full += 1
-            self.mshr.record_stall(addr)
-            stall_until = (
-                self._fill_heap[0][0] if self._fill_heap else now + 1
-            )
+        if mshr.probe(addr) == "stall":
+            self._stalls.mshr_full += 1
+            mshr.record_stall(addr)
+            stall_until = fill_heap[0][0] if fill_heap else now + 1
             if trace is not None:
                 self._trace_stall(obj_name, now, stall_until, "mshr_full")
             return 0, stall_until
-        protected = (
-            self.protection.active
-            and obj_name in self.protection.offsets
-        )
-        if protected and obj_name in self._lazy_detection:
-            if len(self._compare_heap) >= \
-                    self.config.pending_compare_entries:
-                self.stats.stalls.compare_queue_full += 1
-                if trace is not None:
-                    self._trace_stall(obj_name, now, self._compare_heap[0],
-                                      "compare_queue_full")
-                return 0, self._compare_heap[0]
+        lazy = obj_name in self._lazy_detection
+        if lazy and len(compare_heap) >= self._compare_entries:
+            self._stalls.compare_queue_full += 1
+            if trace is not None:
+                self._trace_stall(obj_name, now, compare_heap[0],
+                                  "compare_queue_full")
+            return 0, compare_heap[0]
 
-        self.l1.access(addr)
-        fill = self.subsystem.read(now, addr)
-        self.stats.demand_misses += 1
+        l1.access(addr)
+        subsystem = self.subsystem
+        stats = self.stats
+        fill = subsystem.read(now, addr)
+        stats.demand_misses += 1
         demand_ready = fill
-        if protected:
-            replica_times = []
-            for offset in self.protection.offsets[obj_name]:
-                replica_times.append(
-                    self.subsystem.read(now, addr + offset)
-                )
-                self.stats.replica_transactions += 1
-            all_copies = max(fill, *replica_times)
-            if obj_name in self._lazy_detection:
-                demand_ready = fill
-                heapq.heappush(
-                    self._compare_heap,
-                    all_copies + self._compare_cycles[obj_name],
-                )
+        offsets = self._offsets.get(obj_name)
+        if offsets is not None:
+            all_copies = fill
+            for offset in offsets:
+                replica = subsystem.read(now, addr + offset)
+                if replica > all_copies:
+                    all_copies = replica
+            stats.replica_transactions += len(offsets)
+            if lazy:
+                heapq.heappush(compare_heap,
+                               all_copies + self._compare_cycles[obj_name])
             else:
                 # Correction, or the eager-detection ablation: stall
                 # the dependency until every copy arrived and the
                 # comparator/vote pass finished.
-                demand_ready = (
-                    all_copies + self._compare_cycles[obj_name]
-                )
+                demand_ready = all_copies + self._compare_cycles[obj_name]
 
-        self.mshr.add(addr)
-        heapq.heappush(self._fill_heap, (fill, addr))
+        mshr.add(addr)
+        heapq.heappush(fill_heap, (fill, addr))
         self._pending[addr] = (fill, demand_ready)
         if trace is not None:
             self._trace_fill(obj_name, now, demand_ready, merged=False)
@@ -269,6 +284,8 @@ class LdstUnit:
         self.mshr._attach_tracer(tracer, pid, TID_LDST)
         self._trace = (
             tracer,
+            tracer._buf,
+            tracer.object_stats,
             tracer.config.sample_rate >= 1.0,
             tracer.site("cache", "l1-miss-fill", pid, TID_LDST),
             tracer.site("mshr", "miss-merge", pid, TID_LDST, ph="i"),
@@ -276,14 +293,15 @@ class LdstUnit:
 
     def _trace_stall(self, obj_name: str, now: int, stall_until: int,
                      reason: str) -> None:
-        tracer = self._trace[0]
-        tracer.object_stats[obj_name].stall_cycles += stall_until - now
+        tracer, _buf, object_stats, *_sites = self._trace
+        object_stats[obj_name].stall_cycles += stall_until - now
         tracer.last_stall_reason = reason
 
     def _trace_fill(self, obj_name: str, now: int, ready: int,
                     merged: bool) -> None:
-        tracer, always, miss_site, merge_site = self._trace
-        ostats = tracer.object_stats[obj_name]
+        tracer, buf, object_stats, always, miss_site, merge_site = \
+            self._trace
+        ostats = object_stats[obj_name]
         ostats.loads += 1
         if merged:
             ostats.mshr_merges += 1
@@ -292,4 +310,4 @@ class LdstUnit:
             ostats.l1_misses += 1
             sid, dur = miss_site, ready - now
         if (always or tracer.sampled()) and sid >= 0:
-            tracer._buf.extend((sid, now, dur, obj_name, None))
+            buf += (sid, now, dur, obj_name, None)

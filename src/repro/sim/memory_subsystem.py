@@ -53,31 +53,34 @@ class MemorySubsystem:
             for i in range(config.n_mem_channels)
         ]
         self._l2_next_free = [0] * config.n_mem_channels
-        #: ``(session, always, hit_sites, miss_sites, write_sites)`` while
-        #: a trace session is attached (``always``: nothing is sampled
-        #: out).
+        self._l2_service = config.l2_service_cycles
+        self._l2_hit_latency = config.l2_hit_latency
+        #: ``(session, ring, object_stats, always, hit_sites, miss_sites,
+        #: write_sites)`` while a trace session is attached (``ring`` and
+        #: ``object_stats``: the session's event list and per-object
+        #: tallies; ``always``: nothing is sampled out).
         self._trace = None
 
     def read(self, now: int, addr: int) -> int:
         """Service a read-line request; return data-delivery time at the
         requesting SM."""
         part = self.config.channel_of_address(addr)
-        arrive = self.crossbar.send_request(now, part)
+        crossbar = self.crossbar
+        arrive = crossbar.send_request(now, part)
         l2_free = self._l2_next_free[part]
-        start = max(arrive, l2_free)
-        self._l2_next_free[part] = start + self.config.l2_service_cycles
+        start = arrive if arrive > l2_free else l2_free
+        self._l2_next_free[part] = start + self._l2_service
+        data_at = start + self._l2_hit_latency
         hit = self.l2_slices[part].access(addr)
-        if hit:
-            data_at = start + self.config.l2_hit_latency
-        else:
-            dram_at = start + self.config.l2_hit_latency
-            data_at = self.dram_channels[part].access(dram_at, addr)
-        done = self.crossbar.send_response(data_at, part)
+        if not hit:
+            data_at = self.dram_channels[part].access(data_at, addr)
+        done = crossbar.send_response(data_at, part)
         trace = self._trace
         if trace is not None:
-            tracer, always, hit_sites, miss_sites, _write_sites = trace
+            tracer, buf, object_stats, always, hit_sites, miss_sites, \
+                _write_sites = trace
             obj = tracer.ctx_obj or tracer.attribute(addr)
-            ostats = tracer.object_stats[obj]
+            ostats = object_stats[obj]
             ostats.l2_accesses += 1
             if not hit:
                 ostats.l2_misses += 1
@@ -87,9 +90,8 @@ class MemorySubsystem:
                 # NoC track shows separately).
                 sid = (hit_sites if hit else miss_sites)[part]
                 if sid >= 0:
-                    tracer._buf.extend((sid, max(l2_free, now),
-                                        self.config.l2_service_cycles,
-                                        obj, None))
+                    buf += (sid, l2_free if l2_free > now else now,
+                            self._l2_service, obj, None)
         return done
 
     def write(self, now: int, addr: int) -> None:
@@ -103,12 +105,12 @@ class MemorySubsystem:
         self.l2_slices[part].access(addr, allocate=False)
         trace = self._trace
         if trace is not None:
-            tracer, always, _hit_sites, _miss_sites, write_sites = trace
+            tracer, buf, object_stats, always, _hit_sites, _miss_sites, \
+                write_sites = trace
             obj = tracer.ctx_obj or tracer.attribute(addr)
-            tracer.object_stats[obj].l2_accesses += 1
+            object_stats[obj].l2_accesses += 1
             if (always or tracer.sampled()) and write_sites[part] >= 0:
-                tracer._buf.extend((write_sites[part], tracer.now, 0, obj,
-                                    None))
+                buf += (write_sites[part], tracer.now, 0, obj, None)
 
     def _attach_tracer(self, tracer) -> None:
         """Trace the shared hierarchy: per-request L2-slice service
@@ -147,7 +149,8 @@ class MemorySubsystem:
             return [tracer.site("l2", name, PID_L2_BASE + i, TID_MAIN,
                                 ph=ph) for i in parts]
 
-        self._trace = (tracer, tracer.config.sample_rate >= 1.0,
+        self._trace = (tracer, tracer._buf, tracer.object_stats,
+                       tracer.config.sample_rate >= 1.0,
                        sites("l2-hit"), sites("l2-miss"),
                        sites("l2-write", "i"))
 

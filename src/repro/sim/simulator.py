@@ -13,7 +13,7 @@ a :class:`~repro.sim.metrics.SimReport`.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush, heapreplace
 
 from repro.arch.address_space import DeviceMemory
 from repro.arch.config import GpuConfig, PAPER_CONFIG
@@ -28,6 +28,9 @@ from repro.sim.ldst import LdstUnit, SimStats, TimingProtection
 from repro.sim.memory_subsystem import MemorySubsystem
 from repro.sim.metrics import SimReport
 from repro.sim.sm import SmCore
+
+#: Sampling boundary of an untraced simulation: never reached.
+_NEVER = 1 << 62
 
 
 def build_protection(
@@ -190,7 +193,7 @@ class _IntervalSampler:
         self.tracer.add_sample(
             cycle,
             ipc=d_instr / length,
-            mshr_occupancy=sum(u.mshr.outstanding for u in self.ldsts),
+            mshr_occupancy=sum([u.mshr.outstanding for u in self.ldsts]),
             row_hit_rate=(d_hits / d_req) if d_req else 0.0,
             instructions=d_instr,
             dram_requests=d_req,
@@ -260,17 +263,21 @@ def simulate_trace(
         for sm, ctas in zip(sms, assignments):
             if ctas:
                 sm.start_kernel(ctas, global_time)
-                heapq.heappush(heap, (sm.cycle, sm.sm_id))
+                heappush(heap, (sm.cycle, sm.sm_id))
+        boundary = sampler.next_boundary if sampler is not None \
+            else _NEVER
+        # One entry per busy SM, keyed (local clock, SM id): step the
+        # laggard, then re-key it in place or drop it once idle.
         while heap:
-            cycle, sm_id = heapq.heappop(heap)
-            if sampler is not None and cycle >= sampler.next_boundary:
+            cycle, sm_id = heap[0]
+            if cycle >= boundary:
                 sampler.advance(cycle)
+                boundary = sampler.next_boundary
             sm = sms[sm_id]
-            if not sm.active:
-                continue
-            sm.step()
-            if sm.active:
-                heapq.heappush(heap, (sm.cycle, sm.sm_id))
+            if sm.step():
+                heapreplace(heap, (sm.cycle, sm_id))
+            else:
+                heappop(heap)
         kernel_end = max(
             (sm.cycle for sm in sms), default=global_time
         )

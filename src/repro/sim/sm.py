@@ -10,12 +10,15 @@ simulation cost proportional to work, not to cycles.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from repro.arch.config import GpuConfig
 from repro.kernels.trace import Compute, CtaTrace, Load, Store
 from repro.sim.ldst import LdstUnit, SimStats
 from repro.sim.warp import WarpRunner
 
 _FAR_FUTURE = 1 << 62
+_resume_time = attrgetter("resume_time")
 
 
 class _ResidentCta:
@@ -46,9 +49,10 @@ class SmCore:
         self._warps: list[WarpRunner] = []
         self._warp_cta: dict[int, _ResidentCta] = {}
         self._rr = 0
-        #: ``(session, always, pid, stall_sites, issue_sites,
-        #: slot_args)`` while a trace session is attached (``always``:
-        #: nothing is sampled out).
+        self._issue_width = config.issue_width
+        #: ``(session, ring, always, pid, stall_sites, slot_args)``
+        #: while a trace session is attached (``ring``: the session's
+        #: flat event list; ``always``: nothing is sampled out).
         self._trace = None
 
     # ------------------------------------------------------------------
@@ -90,107 +94,127 @@ class SmCore:
     # ------------------------------------------------------------------
     # Cycle execution
     # ------------------------------------------------------------------
-    def step(self) -> None:
-        """Issue at the current cycle, then advance the local clock."""
-        slots = self.config.issue_width
-        n = len(self._warps)
+    def step(self) -> bool:
+        """Issue at the current cycle, then advance the local clock.
+
+        Returns :attr:`active` after the step, so the simulator's drain
+        loop need not read it again.
+        """
+        cycle = self.cycle
+        warps = self._warps
+        n = len(warps)
+        rr = self._rr
+        slots = self._issue_width
+        trace = self._trace
         issued_any = False
         retired = False
-        scanned = 0
-        while slots > 0 and scanned < n:
-            warp = self._warps[(self._rr + scanned) % n]
-            scanned += 1
-            if warp.done or warp.resume_time > self.cycle:
+        # Round-robin from ``rr``.  No resident warp is done at step
+        # entry (``_retire`` drops them), and a warp that finishes
+        # here is not visited again.
+        for i in range(rr, rr + n):
+            warp = warps[i % n]
+            if warp.resume_time > cycle:
                 continue
             used = self._issue(warp, slots)
             if used:
                 issued_any = True
                 slots -= used
+                if trace is not None and warp.resume_time <= cycle:
+                    # A sampled issue instant on the warp's own track,
+                    # after every event of the issued transactions.  A
+                    # warp that stalled part-way (its resume time moved
+                    # past this cycle) gets its stall span instead.
+                    tracer, buf, always, pid, _stalls, slot_args = trace
+                    if always or tracer.sampled():
+                        sid = warp.issue_site
+                        if sid is None:
+                            sid = warp.issue_site = tracer.site(
+                                "warp", "issue", pid, warp.trace.warp_id,
+                                ph="i", argkeys=("slots",))
+                        if sid >= 0:
+                            buf += (sid, cycle, 0, None, slot_args[used])
             if warp.done:
                 retired = True
+            if not slots:
+                break
         if retired:
             self._retire()
             n = len(self._warps)
         if n:
-            self._rr = (self._rr + 1) % max(n, 1)
+            self._rr = (rr + 1) % n
 
-        if not self.active:
-            return
+        if not (self._warps or self._cta_queue):
+            return False
         if issued_any:
-            self.cycle += 1
-            return
+            self.cycle = cycle + 1
+            return True
         # Nothing could issue: jump to the earliest resume time.
-        next_time = _FAR_FUTURE
-        for warp in self._warps:
-            if not warp.done and warp.resume_time < next_time:
-                next_time = warp.resume_time
-        self.cycle = max(self.cycle + 1, next_time)
+        next_time = min(map(_resume_time, self._warps),
+                        default=_FAR_FUTURE)
+        self.cycle = next_time if next_time > cycle + 1 else cycle + 1
+        return True
 
     def _issue(self, warp: WarpRunner, slots: int) -> int:
-        inst = warp.current()
-        if isinstance(inst, Compute):
-            if inst.wait and warp.outstanding_max > self.cycle:
+        inst = warp.insts[warp.pc]
+        kind = type(inst)
+        if kind is Load:
+            obj, addrs = inst
+            n_addrs = len(addrs)
+            txn = first = warp.txn_index
+            end = first + slots if first + slots < n_addrs else n_addrs
+            cycle = self.cycle
+            load = self.ldst.load
+            while txn < end:
+                ready, stall_until = load(cycle, obj, addrs[txn])
+                if stall_until is not None:
+                    used = txn - first
+                    if used:
+                        warp.txn_index = txn
+                        self.stats.instructions += used
+                    warp.resume_time = stall_until \
+                        if stall_until > cycle else cycle + 1
+                    if self._trace is not None:
+                        tracer = self._trace[0]
+                        reason = tracer.last_stall_reason
+                        tracer.last_stall_reason = None
+                        self._trace_stall(reason, warp, obj)
+                    return used
+                txn += 1
+                if ready > warp.outstanding_max:
+                    warp.outstanding_max = ready
+            used = txn - first
+            warp.txn_index = txn
+            self.stats.instructions += used
+            if txn >= n_addrs:
+                warp.advance()
+        elif kind is Compute:
+            count, wait = inst
+            if wait and warp.outstanding_max > self.cycle:
                 self.stats.stalls.memory_wait += 1
                 warp.resume_time = warp.outstanding_max
                 if self._trace is not None:
                     self._trace_stall("memory_wait", warp, None)
                 return 0
-            if inst.wait:
+            if wait:
                 warp.outstanding_max = 0
-            if warp.compute_remaining == 0:
-                warp.compute_remaining = inst.count
-            used = min(slots, warp.compute_remaining)
-            warp.compute_remaining -= used
+            remaining = warp.compute_remaining or count
+            used = slots if slots < remaining else remaining
+            warp.compute_remaining = remaining - used
             self.stats.instructions += used
-            if warp.compute_remaining == 0:
+            if used == remaining:
                 warp.advance()
-        elif isinstance(inst, Load):
+        elif kind is Store:
+            addrs = inst.addrs
             used = 0
-            while warp.txn_index < len(inst.addrs) and used < slots:
-                addr = inst.addrs[warp.txn_index]
-                ready, stall_until = self.ldst.load(
-                    self.cycle, inst.obj, addr
-                )
-                if stall_until is not None:
-                    warp.resume_time = max(stall_until, self.cycle + 1)
-                    if self._trace is not None:
-                        tracer = self._trace[0]
-                        reason = tracer.last_stall_reason
-                        tracer.last_stall_reason = None
-                        self._trace_stall(reason, warp, inst.obj)
-                    return used
+            while warp.txn_index < len(addrs) and used < slots:
+                self.ldst.store(self.cycle, addrs[warp.txn_index])
                 used += 1
                 warp.txn_index += 1
                 self.stats.instructions += 1
-                if ready > warp.outstanding_max:
-                    warp.outstanding_max = ready
-            if warp.txn_index >= len(inst.addrs):
-                warp.advance()
-        elif isinstance(inst, Store):
-            used = 0
-            while warp.txn_index < len(inst.addrs) and used < slots:
-                self.ldst.store(self.cycle, inst.addrs[warp.txn_index])
-                used += 1
-                warp.txn_index += 1
-                self.stats.instructions += 1
-            if warp.txn_index >= len(inst.addrs):
+            if warp.txn_index >= len(addrs):
                 warp.advance()
         else:
             raise TypeError(f"unknown instruction {inst!r}")
-        trace = self._trace
-        if trace is not None and used:
-            # A sampled issue instant on the warp's own track.
-            tracer, always, pid, _stalls, issue_sites, slot_args = trace
-            if always or tracer.sampled():
-                wid = warp.trace.warp_id
-                sid = issue_sites.get(wid)
-                if sid is None:
-                    sid = issue_sites[wid] = tracer.site(
-                        "warp", "issue", pid, wid, ph="i",
-                        argkeys=("slots",))
-                if sid >= 0:
-                    tracer._buf.extend((sid, self.cycle, 0, None,
-                                        slot_args[used]))
         return used
 
     # ------------------------------------------------------------------
@@ -201,7 +225,8 @@ class SmCore:
         are the structural events the paper's overhead analysis cares
         about) and sampled issue instants, each on the warp's own
         thread track inside this SM's process group.  Per-warp sites
-        are interned lazily, on first use."""
+        are interned lazily, on first use; each warp keeps its issue
+        site (``WarpRunner.issue_site``)."""
         from repro.obs.trace import PID_SM_BASE, TID_LDST
 
         pid = PID_SM_BASE + self.sm_id
@@ -211,22 +236,22 @@ class SmCore:
         # instant's ``args`` tuple is interned once and shared.
         slot_args = tuple(
             (i,) for i in range(self.config.issue_width + 1))
-        self._trace = (tracer, tracer.config.sample_rate >= 1.0, pid,
-                       {}, {}, slot_args)
+        self._trace = (tracer, tracer._buf,
+                       tracer.config.sample_rate >= 1.0, pid, {},
+                       slot_args)
 
     def _trace_stall(self, reason: str, warp: WarpRunner, obj) -> None:
         # A stalled warp has not advanced, so its current instruction
         # names the object it is blocked on.
-        tracer, _always, pid, stall_sites, _issues, _args = self._trace
-        key = (reason, warp.warp_id)
+        tracer, buf, _always, pid, stall_sites, _args = self._trace
+        key = (reason, warp.trace.warp_id)
         sid = stall_sites.get(key)
         if sid is None:
             sid = stall_sites[key] = tracer.site(
-                "warp", "stall:" + reason, pid, warp.warp_id)
+                "warp", "stall:" + reason, pid, key[1])
         if sid >= 0:
-            tracer._buf.extend((sid, self.cycle,
-                                max(warp.resume_time - self.cycle, 1),
-                                obj, None))
+            dur = warp.resume_time - self.cycle
+            buf += (sid, self.cycle, dur if dur > 1 else 1, obj, None)
 
     def _retire(self) -> None:
         finished_ctas = set()

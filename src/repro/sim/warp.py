@@ -17,22 +17,28 @@ class WarpRunner:
 
     __slots__ = (
         "trace",
+        "insts",
         "pc",
         "compute_remaining",
         "txn_index",
         "outstanding_max",
         "resume_time",
         "done",
+        "issue_site",
     )
 
     def __init__(self, trace: WarpTrace):
         self.trace = trace
+        self.insts = trace.insts
         self.pc = 0
         self.compute_remaining = 0
         self.txn_index = 0
         self.outstanding_max = 0
         self.resume_time = 0
         self.done = not trace.insts
+        #: The interned issue-instant site of a traced run (``None``
+        #: until the warp first issues under a trace session).
+        self.issue_site = None
 
     @property
     def warp_id(self) -> int:
@@ -40,12 +46,12 @@ class WarpRunner:
 
     def current(self):
         """The instruction at the warp's program counter."""
-        return self.trace.insts[self.pc]
+        return self.insts[self.pc]
 
     def advance(self) -> None:
         """Move to the next instruction; mark done at stream end."""
         self.pc += 1
         self.compute_remaining = 0
         self.txn_index = 0
-        if self.pc >= len(self.trace.insts):
+        if self.pc >= len(self.insts):
             self.done = True

@@ -1,5 +1,7 @@
 """Tests for the MSHR file."""
 
+import dataclasses
+
 import pytest
 
 from repro.arch.mshr import MshrFile
@@ -34,8 +36,15 @@ class TestAllocateMerge:
     def test_add_while_full_raises(self):
         mshr = MshrFile(1, 1)
         mshr.add(0)
+        before = dataclasses.replace(mshr.stats)
         with pytest.raises(RuntimeError):
-            mshr.add(128)
+            mshr.add(128)    # file full
+        with pytest.raises(RuntimeError):
+            mshr.add(0)      # merge capacity exhausted
+        # A misused add() is not a stall: the stall counters that feed
+        # ``sim.mshr.*_stalls`` stay untouched.
+        assert mshr.stats == before
+        assert mshr.outstanding == 1
 
 
 class TestRelease:

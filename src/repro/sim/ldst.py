@@ -26,6 +26,9 @@ from repro.core.hardware import HardwareBudget
 from repro.sim.memory_subsystem import MemorySubsystem
 from repro.sim.metrics import StallBreakdown
 
+#: ``_drain_at`` while both heaps are empty: never reached.
+_NEVER = 1 << 62
+
 
 @dataclass(frozen=True)
 class TimingProtection:
@@ -101,6 +104,9 @@ class LdstUnit:
         self._pending: dict[int, tuple[int, int]] = {}
         self._fill_heap: list[tuple[int, int]] = []
         self._compare_heap: list[int] = []
+        #: Earliest fill or lazy-compare completion in the two heaps:
+        #: ``load`` drains only once ``now`` reaches it.
+        self._drain_at = _NEVER
         #: object name -> comparator cycles for that object's n-way read
         self._compare_cycles: dict[str, int] = {}
         #: objects whose comparison happens off the critical path
@@ -141,6 +147,8 @@ class LdstUnit:
         compare_heap = self._compare_heap
         while compare_heap and compare_heap[0] <= now:
             heapq.heappop(compare_heap)
+        self._drain_at = min(fill_heap[0][0] if fill_heap else _NEVER,
+                             compare_heap[0] if compare_heap else _NEVER)
 
     def load(self, now: int, obj_name: str, addr: int) \
             -> tuple[int, int | None]:
@@ -158,11 +166,8 @@ class LdstUnit:
         ``l1_hits`` are invariant under retries.
         """
         trace = self._trace
-        fill_heap = self._fill_heap
-        compare_heap = self._compare_heap
         # Most loads find nothing due yet: skip the drain's frame then.
-        if (fill_heap and fill_heap[0][0] <= now) \
-                or (compare_heap and compare_heap[0] <= now):
+        if now >= self._drain_at:
             if trace is not None:
                 # The retired entries' occupancy counters carry ``now``.
                 trace[0].now = now
@@ -213,11 +218,13 @@ class LdstUnit:
         if mshr.probe(addr) == "stall":
             self._stalls.mshr_full += 1
             mshr.record_stall(addr)
+            fill_heap = self._fill_heap
             stall_until = fill_heap[0][0] if fill_heap else now + 1
             if trace is not None:
                 self._trace_stall(obj_name, now, stall_until, "mshr_full")
             return 0, stall_until
         lazy = obj_name in self._lazy_detection
+        compare_heap = self._compare_heap
         if lazy and len(compare_heap) >= self._compare_entries:
             self._stalls.compare_queue_full += 1
             if trace is not None:
@@ -240,8 +247,10 @@ class LdstUnit:
                     all_copies = replica
             stats.replica_transactions += len(offsets)
             if lazy:
-                heapq.heappush(compare_heap,
-                               all_copies + self._compare_cycles[obj_name])
+                done = all_copies + self._compare_cycles[obj_name]
+                heapq.heappush(compare_heap, done)
+                if done < self._drain_at:
+                    self._drain_at = done
             else:
                 # Correction, or the eager-detection ablation: stall
                 # the dependency until every copy arrived and the
@@ -249,7 +258,9 @@ class LdstUnit:
                 demand_ready = all_copies + self._compare_cycles[obj_name]
 
         mshr.add(addr)
-        heapq.heappush(fill_heap, (fill, addr))
+        heapq.heappush(self._fill_heap, (fill, addr))
+        if fill < self._drain_at:
+            self._drain_at = fill
         self._pending[addr] = (fill, demand_ready)
         if trace is not None:
             self._trace_fill(obj_name, now, demand_ready, merged=False)

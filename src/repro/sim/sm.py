@@ -161,7 +161,9 @@ class SmCore:
             obj, addrs = inst
             n_addrs = len(addrs)
             txn = first = warp.txn_index
-            end = first + slots if first + slots < n_addrs else n_addrs
+            end = first + slots
+            if end > n_addrs:
+                end = n_addrs
             cycle = self.cycle
             load = self.ldst.load
             while txn < end:

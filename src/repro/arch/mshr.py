@@ -73,15 +73,13 @@ class MshrFile:
     def record_stall(self, line_addr: int) -> None:
         """Account a stall observed by the LD/ST unit."""
         merge = line_addr in self._entries
-        stats = self.stats
         if merge:
-            stats.merge_stalls += 1
+            self.stats.merge_stalls += 1
         else:
-            stats.full_stalls += 1
-        trace = self._trace
-        if trace is not None:
+            self.stats.full_stalls += 1
+        if self._trace is not None:
             tracer, buf, _always, _site, merge_stall, full_stall, _occ = \
-                trace
+                self._trace
             sid = merge_stall if merge else full_stall
             if sid >= 0:
                 buf += (sid, tracer.now, 0, None, None)

@@ -26,8 +26,9 @@ from repro.core.hardware import HardwareBudget
 from repro.sim.memory_subsystem import MemorySubsystem
 from repro.sim.metrics import StallBreakdown
 
-#: ``_drain_at`` while both heaps are empty: never reached.
-_NEVER = 1 << 62
+#: A cycle no simulation reaches: the time of an event that is not
+#: pending (an empty heap, an untraced run's sampling boundary).
+_FAR_FUTURE = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,7 @@ class LdstUnit:
         self._compare_heap: list[int] = []
         #: Earliest fill or lazy-compare completion in the two heaps:
         #: ``load`` drains only once ``now`` reaches it.
-        self._drain_at = _NEVER
+        self._drain_at = _FAR_FUTURE
         #: object name -> comparator cycles for that object's n-way read
         self._compare_cycles: dict[str, int] = {}
         #: objects whose comparison happens off the critical path
@@ -147,8 +148,10 @@ class LdstUnit:
         compare_heap = self._compare_heap
         while compare_heap and compare_heap[0] <= now:
             heapq.heappop(compare_heap)
-        self._drain_at = min(fill_heap[0][0] if fill_heap else _NEVER,
-                             compare_heap[0] if compare_heap else _NEVER)
+        self._drain_at = min(
+            fill_heap[0][0] if fill_heap else _FAR_FUTURE,
+            compare_heap[0] if compare_heap else _FAR_FUTURE,
+        )
 
     def load(self, now: int, obj_name: str, addr: int) \
             -> tuple[int, int | None]:
@@ -156,7 +159,9 @@ class LdstUnit:
 
         Returns ``(ready_time, None)`` when issued, or
         ``(0, stall_until)`` on a structural stall (MSHR or compare
-        queue full) — the caller retries at ``stall_until``.
+        queue full) — the caller retries at ``stall_until``, which is
+        always later than ``now``: it is the completion time of a fill
+        or comparison still in flight after the drain.
 
         The L1 probe happens *after* every structural-stall check: a
         stalled load is retried by the scheduler, and probing first

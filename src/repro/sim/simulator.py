@@ -24,13 +24,15 @@ from repro.kernels.base import GpuApplication
 from repro.kernels.trace import AppTrace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import PID_TIMELINE, TID_MAIN, TraceSession
-from repro.sim.ldst import LdstUnit, SimStats, TimingProtection
+from repro.sim.ldst import (
+    _FAR_FUTURE,
+    LdstUnit,
+    SimStats,
+    TimingProtection,
+)
 from repro.sim.memory_subsystem import MemorySubsystem
 from repro.sim.metrics import SimReport
 from repro.sim.sm import SmCore
-
-#: Sampling boundary of an untraced simulation: never reached.
-_NEVER = 1 << 62
 
 
 def build_protection(
@@ -265,7 +267,7 @@ def simulate_trace(
                 sm.start_kernel(ctas, global_time)
                 heappush(heap, (sm.cycle, sm.sm_id))
         boundary = sampler.next_boundary if sampler is not None \
-            else _NEVER
+            else _FAR_FUTURE
         # One entry per busy SM, keyed (local clock, SM id): step the
         # laggard, then re-key it in place or drop it once idle.
         while heap:

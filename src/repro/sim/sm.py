@@ -14,10 +14,9 @@ from operator import attrgetter
 
 from repro.arch.config import GpuConfig
 from repro.kernels.trace import Compute, CtaTrace, Load, Store
-from repro.sim.ldst import LdstUnit, SimStats
+from repro.sim.ldst import _FAR_FUTURE, LdstUnit, SimStats
 from repro.sim.warp import WarpRunner
 
-_FAR_FUTURE = 1 << 62
 _resume_time = attrgetter("resume_time")
 
 
@@ -111,8 +110,7 @@ class SmCore:
         # Round-robin from ``rr``.  No resident warp is done at step
         # entry (``_retire`` drops them), and a warp that finishes
         # here is not visited again.
-        for i in range(rr, rr + n):
-            warp = warps[i % n]
+        for warp in warps[rr:] + warps[:rr] if rr else warps:
             if warp.resume_time > cycle:
                 continue
             used = self._issue(warp, slots)
@@ -129,7 +127,7 @@ class SmCore:
                         sid = warp.issue_site
                         if sid is None:
                             sid = warp.issue_site = tracer.site(
-                                "warp", "issue", pid, warp.trace.warp_id,
+                                "warp", "issue", pid, warp.warp_id,
                                 ph="i", argkeys=("slots",))
                         if sid >= 0:
                             buf += (sid, cycle, 0, None, slot_args[used])
@@ -173,8 +171,7 @@ class SmCore:
                     if used:
                         warp.txn_index = txn
                         self.stats.instructions += used
-                    warp.resume_time = stall_until \
-                        if stall_until > cycle else cycle + 1
+                    warp.resume_time = stall_until
                     if self._trace is not None:
                         tracer = self._trace[0]
                         reason = tracer.last_stall_reason
@@ -246,11 +243,11 @@ class SmCore:
         # A stalled warp has not advanced, so its current instruction
         # names the object it is blocked on.
         tracer, buf, _always, pid, stall_sites, _args = self._trace
-        key = (reason, warp.trace.warp_id)
+        key = (reason, warp.warp_id)
         sid = stall_sites.get(key)
         if sid is None:
             sid = stall_sites[key] = tracer.site(
-                "warp", "stall:" + reason, pid, key[1])
+                "warp", "stall:" + reason, pid, warp.warp_id)
         if sid >= 0:
             dur = warp.resume_time - self.cycle
             buf += (sid, self.cycle, dur if dur > 1 else 1, obj, None)

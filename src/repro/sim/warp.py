@@ -44,10 +44,6 @@ class WarpRunner:
     def warp_id(self) -> int:
         return self.trace.warp_id
 
-    def current(self):
-        """The instruction at the warp's program counter."""
-        return self.insts[self.pc]
-
     def advance(self) -> None:
         """Move to the next instruction; mark done at stream end."""
         self.pc += 1

@@ -101,7 +101,7 @@ class MemorySubsystem:
         part = self.config.channel_of_address(addr)
         arrive = self.crossbar.send_request(now, part)
         start = max(arrive, self._l2_next_free[part])
-        self._l2_next_free[part] = start + self.config.l2_service_cycles
+        self._l2_next_free[part] = start + self._l2_service
         self.l2_slices[part].access(addr, allocate=False)
         trace = self._trace
         if trace is not None:

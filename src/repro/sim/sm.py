@@ -154,6 +154,8 @@ class SmCore:
 
     def _issue(self, warp: WarpRunner, slots: int) -> int:
         inst = warp.insts[warp.pc]
+        # Dispatch on the exact instruction type, loads first: most
+        # calls are loads, and most of those re-poll a stalled one.
         kind = type(inst)
         if kind is Load:
             obj, addrs = inst

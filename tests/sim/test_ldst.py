@@ -73,6 +73,7 @@ class TestMshrPressure:
             assert stall is None
         ready, stall = unit.load(0, "obj", 9999 * 128)
         assert stall is not None
+        assert stall > 0  # the SM parks the warp at it: never "now"
         assert stats.stalls.mshr_full == 1
 
     def test_stall_clears_after_fill(self):
@@ -122,6 +123,7 @@ class TestDetectionReplication:
         unit.load(0, "hot", 128)
         _ready, stall = unit.load(0, "hot", 256)
         assert stall is not None
+        assert stall > 0
         assert stats.stalls.compare_queue_full == 1
 
 

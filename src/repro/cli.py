@@ -861,7 +861,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "reaches M; part of the sweep identity")
     p.add_argument("--chunk-runs", type=int, default=None,
                    help="runs per durable work unit (default: each "
-                        "cell split into 16 chunks); part of the "
+                        "cell split into 16 chunks, or 64 runs under "
+                        "--target-margin, where units are the stop "
+                        "rule's decision boundaries); part of the "
                         "sweep identity")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes (default 1); never affects "

@@ -19,6 +19,7 @@ from repro.core.hardware import HardwareBudget
 from repro.core.protection import ProtectionSpec
 from repro.core.request import EvaluationRequest
 from repro.errors import ConfigError, SpecError
+from repro.faults.adaptive import AdaptiveConfig
 from repro.faults.campaign import Campaign, CampaignConfig, CampaignResult
 from repro.faults.selection import (
     BlockSelection,
@@ -286,7 +287,10 @@ class ReliabilityManager:
     ) -> Campaign:
         """Materialize an :class:`EvaluationRequest` as a campaign.
 
-        Explicitly passed sinks win over the request's own.
+        Explicitly passed sinks win over the request's own, and the
+        request's ``chunk_runs`` is the stop rule's ``check_every`` —
+        the boundaries a :class:`~repro.runtime.session.Session`
+        decides at for the same request.
         """
         if request.app != self.app.name:
             raise SpecError(
@@ -303,13 +307,14 @@ class ReliabilityManager:
             request.target_margin,
             progress if progress is not None else request.progress,
             secded=request.secded,
+            check_every=request.chunk_runs,
         )
 
     def _evaluation_campaign(
         self, scheme, protect, runs, n_blocks, n_bits, selection,
         seed, keep_runs, jobs, collect_records, collect_provenance,
         metrics, batch, max_batch_bytes, target_margin, progress=None,
-        secded=False,
+        secded=False, check_every=None,
     ) -> Campaign:
         if isinstance(protect, ProtectionSpec) or (
             isinstance(protect, str) and "=" in protect
@@ -335,7 +340,12 @@ class ReliabilityManager:
             metrics=metrics,
             batch=batch,
             max_batch_bytes=max_batch_bytes,
-            target_margin=target_margin,
+            adaptive=(
+                None if target_margin is None else AdaptiveConfig(
+                    target_margin=float(target_margin),
+                    check_every=check_every or AdaptiveConfig.check_every,
+                )
+            ),
             progress=progress,
         )
 

@@ -9,11 +9,13 @@ stops at the first chunk boundary where the margin meets the target.
 The stopping rule is deterministic by construction: decisions are
 made only at chunk boundaries, in run-index order, over the committed
 prefix — never over whatever happens to have finished first.  Workers
-may speculate chunks beyond the eventual stop point (the wave-based
-parallel driver does exactly that), but speculative results past the
-stop boundary are discarded, so the committed result — tallies, kept
-runs, telemetry records, provenance records, stop decisions — is
-byte-identical at any ``--jobs``/``--batch``.
+may speculate chunks beyond the eventual stop point, but speculative
+results past the stop boundary are discarded, so the committed result
+— tallies, kept runs, telemetry records, provenance records, stop
+decisions — is byte-identical at any ``--jobs``/``--batch``.  The rule
+itself is evaluated in one place, the execution core's in-order
+committer (:mod:`repro.runtime.executor`), which campaigns and sweep
+cells share.
 
 Because every run is derived solely from ``(campaign seed, run
 index)``, an adaptive campaign's committed prefix is literally the
@@ -178,45 +180,6 @@ class AdaptiveResult:
         )
 
 
-def _plan_spans(budget: int, check_every: int) -> list[tuple[int, int]]:
-    """Fixed commit-chunk spans — independent of jobs and batch."""
-    return [
-        (start, min(start + check_every, budget))
-        for start in range(0, budget, check_every)
-    ]
-
-
-class _Committer:
-    """In-order chunk commit + stop bookkeeping shared by both paths."""
-
-    def __init__(self, config: AdaptiveConfig):
-        self.config = config
-        self.parts: list["CampaignResult"] = []
-        self.decisions: list[StopDecision] = []
-        self.committed = 0
-        self.sdc = 0
-        self.stopped = False
-
-    def commit(self, part: "CampaignResult") -> bool:
-        """Fold one chunk, evaluate the rule; True once stopped."""
-        if self.stopped:
-            return True
-        self.parts.append(part)
-        self.committed += part.n_runs
-        self.sdc += part.sdc_count
-        stop, interval = should_stop(
-            self.sdc, self.committed,
-            self.config.target_margin, self.config.level,
-        )
-        stop = stop and self.committed >= self.config.min_runs
-        self.decisions.append(StopDecision(
-            committed=self.committed, sdc=self.sdc,
-            interval=interval, stop=stop,
-        ))
-        self.stopped = stop
-        return stop
-
-
 def run_adaptive(
     campaign: "Campaign",
     config: AdaptiveConfig,
@@ -224,88 +187,29 @@ def run_adaptive(
 ) -> AdaptiveResult:
     """Drive ``campaign`` under the early-stopping rule.
 
-    Serial execution commits chunk after chunk.  Parallel execution
-    (``jobs > 1``) speculates one *wave* of chunks at a time across a
-    :class:`~repro.runtime.executor.SpanPool`: every span in the wave
-    runs concurrently, then results commit in run-index order and the
-    rule is evaluated at each boundary — chunks past the first
-    satisfied boundary are discarded.  A wave wastes at most
-    ``jobs - 1`` speculative chunks, and the committed outcome is
-    byte-identical to the serial one.  If no pool can be stood up
-    (or it dies mid-wave) the whole campaign deterministically
-    restarts on the serial path.
+    Runs commit in ``check_every`` spans through the execution core
+    (:mod:`repro.runtime.executor`): spans may finish in any order, on
+    any number of workers, but commit in run-index order and the rule
+    is evaluated at each boundary; spans past the first satisfied
+    boundary are skipped, or discarded if already in flight.  The
+    committed outcome is byte-identical at any ``jobs``/``batch``, and
+    ``campaign`` itself is left as it was.
     """
-    import time
+    from repro.runtime.executor import CampaignExecutor
 
-    from repro.faults.campaign import CampaignResult
-    from repro.runtime.executor import SpanPool, _PoolUnavailable
-
-    n_jobs = campaign.jobs if jobs is None else int(jobs)
-    if n_jobs < 1:
-        raise ConfigError("jobs must be >= 1")
-    progress = getattr(campaign, "progress", None)
-    wall_begin = time.perf_counter()
-
-    def observe(committer: "_Committer") -> None:
-        # Live progress at each commit boundary; purely observational,
-        # a None sink skips even the event construction.
-        if progress is None or not committer.decisions:
-            return
-        from repro.obs.progress import ProgressEvent
-
-        progress(ProgressEvent(
-            phase="adaptive",
-            done=committer.committed,
-            total=budget,
-            elapsed_s=time.perf_counter() - wall_begin,
-            margin=committer.decisions[-1].interval.margin,
-        ))
-
-    if campaign.batch <= 1:
-        # Result-invariant execution knob: sweep whole commit chunks
-        # through the batch engine so analytic classification (and
-        # equivalence pruning) carries the early-stopped campaign.
-        campaign.batch = config.check_every
-    budget = campaign.config.runs
-    spans = _plan_spans(budget, config.check_every)
-    committer = _Committer(config)
-    discarded = 0
-    if n_jobs > 1:
-        try:
-            with SpanPool(campaign, n_jobs) as pool:
-                index = 0
-                while index < len(spans) and not committer.stopped:
-                    wave = spans[index:index + n_jobs]
-                    for _start, part in pool.run(wave):
-                        if committer.stopped:
-                            discarded += part.n_runs
-                        else:
-                            committer.commit(part)
-                            observe(committer)
-                    index += len(wave)
-        except _PoolUnavailable:
-            # Deterministic restart: the committed prefix of a serial
-            # rerun is identical, so recompute rather than splice.
-            committer = _Committer(config)
-            discarded = 0
-            n_jobs = 1
-    if n_jobs == 1:
-        for start, stop in spans:
-            stopped = committer.commit(campaign.run_span(start, stop))
-            observe(committer)
-            if stopped:
-                break
-    merged = CampaignResult.merge(committer.parts)
+    executor = CampaignExecutor(campaign, jobs)
+    merged, committer = executor._execute(config)
+    decisions = committer.decisions[0]
     campaign.metrics.merge_snapshot(merged.metrics_snapshot)
-    campaign.metrics.inc("adaptive.decisions", len(committer.decisions))
-    campaign.metrics.inc("adaptive.committed_runs", committer.committed)
-    campaign.metrics.inc("adaptive.discarded_runs", discarded)
+    campaign.metrics.inc("adaptive.decisions", len(decisions))
+    campaign.metrics.inc("adaptive.committed_runs", merged.n_runs)
+    campaign.metrics.inc("adaptive.discarded_runs", committer.discarded)
     return AdaptiveResult(
         result=merged,
         config=config,
-        budget=budget,
-        converged=committer.stopped,
-        decisions=committer.decisions,
+        budget=campaign.config.runs,
+        converged=bool(committer.stopped),
+        decisions=decisions,
     )
 
 

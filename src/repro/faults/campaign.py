@@ -504,10 +504,10 @@ class Campaign:
         self.adaptive = adaptive
         #: Live-progress sink: a callable taking one
         #: :class:`~repro.obs.progress.ProgressEvent`, invoked at chunk
-        #: granularity by the drivers.  Observational only — never part
-        #: of :meth:`spec_identity`, never shipped to workers, and when
-        #: ``None`` (the default) every driver takes its pre-progress
-        #: code path unchanged.
+        #: granularity by the execution core.  Observational only —
+        #: never part of :meth:`spec_identity`, never shipped to
+        #: workers, and when ``None`` (the default) a serial exhaustive
+        #: campaign runs as one unchunked span.
         self.progress = progress
         #: The full AdaptiveResult of the last adaptive run (decision
         #: trail, convergence flag); None until one completes.
@@ -596,16 +596,9 @@ class Campaign:
         """
         if self.adaptive is not None:
             return self.run_adaptive(jobs=jobs).result
-        n_jobs = self.jobs if jobs is None else jobs
-        if n_jobs != 1 or self.progress is not None:
-            # The executor owns chunking, and with it the chunk
-            # boundaries progress events are emitted at.
-            from repro.runtime.executor import CampaignExecutor
+        from repro.runtime.executor import CampaignExecutor
 
-            return CampaignExecutor(self, jobs=n_jobs).run()
-        result = self.run_span(0, self.config.runs)
-        self.metrics.merge_snapshot(result.metrics_snapshot)
-        return result
+        return CampaignExecutor(self, jobs=jobs).run()
 
     def run_adaptive(self, jobs: int | None = None, config=None):
         """Execute under the CI-driven early-stopping rule.

@@ -1,9 +1,10 @@
 """Campaign execution engine: parallel fan-out, caching, durability.
 
-* :class:`~repro.runtime.executor.CampaignExecutor` — shards a
-  campaign's run indices into chunks, executes them over a process
-  pool (serial fallback included) and reassembles results
-  deterministically.
+* :mod:`repro.runtime.executor` — the one execution core: a single
+  worker pool (retries, deadlines, pool restarts, serial fallback)
+  and a single in-order stop rule, driving every campaign, adaptive
+  campaign and sweep cell; :class:`~repro.runtime.executor.CampaignExecutor`
+  is its one-campaign entry.
 * :mod:`repro.runtime.cache` — per-process cache of pristine device
   memory, golden outputs and memory traces keyed by application
   identity, so sweeps and worker processes never recompute them per

@@ -1,25 +1,28 @@
-"""Parallel campaign execution: shard run indices over worker processes.
+"""The one execution core: a worker pool and an in-order stop rule.
 
-A campaign's runs are embarrassingly parallel — every run is derived
-solely from ``(campaign seed, run index)`` — so the executor shards
-the index space into contiguous chunks, fans the chunks out over a
-:class:`concurrent.futures.ProcessPoolExecutor`, and deterministically
-reassembles the per-chunk tallies regardless of completion order.
+Every evaluation — a plain campaign, an adaptive campaign, each cell
+of a sweep — executes as :class:`WorkUnit` spans of one campaign's run
+indices.  Two pieces drive them, and nothing else does:
 
-Two transport paths feed the workers:
+* ``_run_units`` — the pool loop.  With ``jobs=1`` units run
+  in-process; otherwise they fan out over one
+  :class:`concurrent.futures.ProcessPoolExecutor`, each shipped as its
+  campaign's picklable :class:`CampaignSpec` (a worker rebuilds the
+  campaign once and reuses it, under fork and spawn alike).  Failed
+  attempts retry with exponential backoff, attempts may carry a
+  deadline, a dead pool restarts a bounded number of times, and when
+  no pool can be used the remaining units run in-process.
+* ``_Committer`` — the in-order per-cell committer.  Finished units
+  fold into their cell's contiguous run-index prefix only, so tallies
+  and decisions depend on the unit plan, never on completion order.
+  With an :class:`~repro.faults.adaptive.AdaptiveConfig` it evaluates
+  the stopping rule at every unit boundary; the first satisfied
+  boundary stops the cell and its later units become skippable.
 
-* **fork** (Linux/macOS default): workers inherit the fully prepared
-  campaign object — pristine memory, golden output, replica image and
-  all — through the forked address space, so nothing heavyweight is
-  ever pickled.  Tasks are just ``(start, stop)`` spans.
-* **spawn** (fallback): a picklable :class:`CampaignSpec` travels to
-  each worker, which rebuilds the campaign once and caches it for the
-  remaining chunks; the process-level app cache then makes pristine
-  memory and golden output a once-per-worker cost.
-
-If no worker pool can be created at all (restricted platforms), the
-executor silently degrades to the serial path and records why in
-``fallback_reason``.
+Every run derives solely from ``(campaign seed, run index)``, so the
+committed results, records and decision trails are byte-identical at
+any ``jobs``/``batch``.  :class:`CampaignExecutor` is the one-campaign
+entry; sweeps enter through :class:`~repro.runtime.session.Session`.
 """
 
 from __future__ import annotations
@@ -27,22 +30,34 @@ from __future__ import annotations
 import copy
 import math
 import multiprocessing as mp
-from concurrent.futures import ProcessPoolExecutor
+import time
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from itertools import count
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SessionError, SpecError
+from repro.faults.adaptive import StopDecision, should_stop
+from repro.obs.log import get_logger
+from repro.obs.progress import ProgressEvent
+from repro.utils.stats import confidence_interval
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.faults.adaptive import AdaptiveConfig
     from repro.faults.campaign import Campaign, CampaignResult
+    from repro.obs.metrics import MetricsRegistry
+
+log = get_logger("executor")
 
 #: Target chunks per worker: small enough to amortize dispatch, large
 #: enough to balance load when chunk durations vary.
 _CHUNKS_PER_WORKER = 4
-#: Worker-side cap on cached rebuilt campaigns (spawn path).
+#: Worker-side cap on cached rebuilt campaigns.
 _MAX_WORKER_CAMPAIGNS = 8
+#: Pool restarts tolerated before degrading to serial execution.
+_MAX_POOL_RESTARTS = 2
 
 
 def plan_chunks(
@@ -125,24 +140,14 @@ class CampaignSpec:
 
 _TOKENS = count(1)
 
-#: Campaign fork-inherited by workers (set in the parent immediately
-#: before the pool's workers are forked, cleared afterwards).
-_ACTIVE_CAMPAIGN: "Campaign | None" = None
-
-#: Spawn-path worker cache: campaigns rebuilt from specs.
+#: Worker-side cache: campaigns rebuilt from specs.
 _WORKER_CAMPAIGNS: dict[str, "Campaign"] = {}
-
-
-def _run_span_inherited(span: tuple[int, int]) -> "CampaignResult":
-    """Worker entry (fork path): run a span of the inherited campaign."""
-    start, stop = span
-    return _ACTIVE_CAMPAIGN.run_span(start, stop)
 
 
 def _run_span_spec(
     spec: CampaignSpec, span: tuple[int, int]
 ) -> "CampaignResult":
-    """Worker entry (spawn path): rebuild-or-reuse, then run a span."""
+    """Worker entry: rebuild-or-reuse the campaign, then run a span."""
     campaign = _WORKER_CAMPAIGNS.get(spec.token)
     if campaign is None:
         from repro.faults.campaign import Campaign
@@ -171,133 +176,354 @@ def _run_span_spec(
     return campaign.run_span(start, stop)
 
 
-class _PoolUnavailable(Exception):
-    """Raised internally when no worker pool can be stood up."""
+@dataclass(frozen=True)
+class SessionConfig:
+    """Execution knobs of the core (never part of any identity)."""
+
+    jobs: int = 1
+    #: Retries per chunk beyond the first attempt.
+    max_retries: int = 2
+    #: Base of the exponential backoff between attempts (seconds):
+    #: attempt ``k`` sleeps ``retry_backoff_s * 2**(k-1)``.
+    retry_backoff_s: float = 0.25
+    #: Deadline per chunk attempt (seconds); ``None`` disables.
+    chunk_timeout_s: float | None = None
+    #: Multiprocessing start method override (default: fork if
+    #: available, else the platform default).
+    start_method: str | None = None
+    #: Stop (checkpointed, resumable) after this many newly executed
+    #: chunks — for schedulers with wall-clock budgets and for tests.
+    stop_after_chunks: int | None = None
+    #: Runs swept per vectorized campaign batch (results are identical
+    #: to ``batch=1`` — an execution knob, never sweep identity).
+    batch: int = 1
+    #: Memory clamp on one vectorized batch.
+    max_batch_bytes: int = 256 * 1024 * 1024
+
+    def validate(self) -> None:
+        """Reject out-of-range knobs with :class:`SpecError`."""
+        if self.jobs < 1:
+            raise SpecError("session jobs must be >= 1")
+        if self.batch < 1:
+            raise SpecError("session batch must be >= 1")
+        if self.max_batch_bytes < 1:
+            raise SpecError("session max_batch_bytes must be >= 1")
+        if self.max_retries < 0:
+            raise SpecError("session max_retries must be >= 0")
+        if self.retry_backoff_s < 0:
+            raise SpecError("session retry_backoff_s must be >= 0")
+        if self.chunk_timeout_s is not None and self.chunk_timeout_s <= 0:
+            raise SpecError("session chunk_timeout_s must be positive")
+        if self.stop_after_chunks is not None \
+                and self.stop_after_chunks < 1:
+            raise SpecError("session stop_after_chunks must be >= 1")
 
 
-class SpanPool:
-    """A worker pool wired to one campaign, reusable across waves.
+@dataclass(frozen=True)
+class WorkUnit:
+    """One durable work unit: a span of one cell's run indices."""
 
-    Owns the whole parallel-transport dance — multiprocessing context
-    choice, pool creation (translated to :class:`_PoolUnavailable` on
-    restricted platforms), fork-inheritance of the prepared campaign
-    vs. spawn-path :class:`CampaignSpec` shipping — behind a context
-    manager whose :meth:`run` executes one list of spans and returns
-    ``(start, result)`` pairs.  The one-shot
-    :class:`CampaignExecutor` runs all its chunks in a single
-    :meth:`run` call; the adaptive driver
-    (:mod:`repro.faults.adaptive`) calls :meth:`run` once per
-    speculation wave, reusing the warm workers between stop-rule
-    checks.
+    cell_index: int
+    start: int
+    stop: int
+
+
+def _unit_batch(batch: int, adaptive: "AdaptiveConfig | None") -> int:
+    """The batch size adaptive units run at (execution knob only).
+
+    An adaptive campaign without a batch of its own sweeps each commit
+    chunk through the batch engine, so analytic classification and
+    equivalence pruning carry the early-stopped campaign.
+    """
+    if adaptive is not None and batch <= 1:
+        return adaptive.check_every
+    return batch
+
+
+class _Committer:
+    """In-order per-cell commit; the one place the stop rule runs."""
+
+    def __init__(self, units: Sequence[WorkUnit],
+                 adaptive: "AdaptiveConfig | None" = None):
+        self.adaptive = adaptive
+        self._plan: dict[int, list[WorkUnit]] = {}
+        for unit in sorted(units, key=lambda u: (u.cell_index, u.start)):
+            self._plan.setdefault(unit.cell_index, []).append(unit)
+        #: Finished units waiting for a gap in their prefix to fill.
+        self._waiting: dict[WorkUnit, "CampaignResult"] = {}
+        #: cell -> committed parts, in run-index order.
+        self.parts = {cell: [] for cell in self._plan}
+        #: cell -> [committed runs, committed SDC runs].
+        self.tallies = {cell: [0, 0] for cell in self._plan}
+        #: cell -> stop-decision trail (adaptive only).
+        self.decisions: dict[int, list[StopDecision]] = {
+            cell: [] for cell in self._plan}
+        #: cell -> run index of its first satisfied boundary.
+        self.stopped: dict[int, int] = {}
+        #: Finished runs that lie past a stop (speculation waste).
+        self.discarded = 0
+
+    def record(self, unit: WorkUnit, result: "CampaignResult") -> bool:
+        """Fold one finished unit; False when it lies past a stop."""
+        if self.skippable(unit):
+            self.discarded += result.n_runs
+            return False
+        cell = unit.cell_index
+        plan, parts = self._plan[cell], self.parts[cell]
+        self._waiting[unit] = result
+        while (cell not in self.stopped and len(parts) < len(plan)
+               and plan[len(parts)] in self._waiting):
+            head = plan[len(parts)]
+            parts.append(self._waiting.pop(head))
+            tally = self.tallies[cell]
+            tally[0] += parts[-1].n_runs
+            tally[1] += parts[-1].sdc_count
+            if self.adaptive is not None:
+                self._decide(cell, head)
+        return True
+
+    def _decide(self, cell: int, head: WorkUnit) -> None:
+        runs, sdc = self.tallies[cell]
+        rule = self.adaptive
+        stop, interval = should_stop(sdc, runs, rule.target_margin,
+                                     rule.level)
+        stop = stop and runs >= rule.min_runs
+        self.decisions[cell].append(StopDecision(
+            committed=runs, sdc=sdc, interval=interval, stop=stop))
+        if stop:
+            self.stopped[cell] = head.stop
+            for unit in [u for u in self._waiting
+                         if u.cell_index == cell]:
+                self.discarded += self._waiting.pop(unit).n_runs
+
+    def skippable(self, unit: WorkUnit) -> bool:
+        """True when the unit lies past its cell's stop boundary."""
+        frontier = self.stopped.get(unit.cell_index)
+        return frontier is not None and unit.start >= frontier
+
+    def margin(self, cell: int) -> float | None:
+        """Wilson CI margin over the cell's committed prefix."""
+        runs, sdc = self.tallies[cell]
+        return confidence_interval(sdc, runs).margin if runs else None
+
+
+class _FallBackToSerial(Exception):
+    """Internal: the pool gave up; serial picks up the rest."""
+
+    def __init__(self, reason: str, completed: set):
+        super().__init__(reason)
+        self.completed = completed
+
+
+def _make_pool(context, jobs: int) -> ProcessPoolExecutor | None:
+    try:
+        return ProcessPoolExecutor(max_workers=jobs, mp_context=context)
+    except (OSError, ValueError, RuntimeError, NotImplementedError):
+        return None
+
+
+def _run_units(
+    campaigns: Sequence["Campaign"],
+    units: Sequence[WorkUnit],
+    on_done: Callable[[WorkUnit, "CampaignResult", str], bool],
+    config: SessionConfig,
+    *,
+    metrics: "MetricsRegistry",
+    skippable: Callable[[WorkUnit], bool] = lambda unit: False,
+    emit: Callable[..., None] = lambda kind, **fields: None,
+    sleep: Callable[[float], None] = time.sleep,
+    specs: Sequence[CampaignSpec] | None = None,
+    entry: Callable = _run_span_spec,
+) -> str | None:
+    """Execute ``units`` (spans of ``campaigns``) with retries.
+
+    ``on_done(unit, result, source)`` receives every finished unit in
+    completion order and returns False to stop early; units for which
+    ``skippable`` answers True are never started.  Pool workers run
+    ``entry(specs[unit.cell_index], (start, stop))``.  ``metrics``
+    gets the ``session.*`` retry, timeout, restart and chunk-time
+    counters, ``emit(kind, **fields)`` the matching narration.
+    Returns why execution degraded to serial, or ``None``.
     """
 
-    def __init__(
-        self,
-        campaign: "Campaign",
-        jobs: int,
-        start_method: str | None = None,
-    ):
-        if jobs < 1:
-            raise ConfigError("jobs must be >= 1")
-        self.campaign = campaign
-        self.jobs = jobs
-        self.start_method = start_method
-        self._pool: ProcessPoolExecutor | None = None
-        self._fork = False
-        self._spec: CampaignSpec | None = None
+    def skip(unit: WorkUnit) -> bool:
+        if skippable(unit):
+            metrics.inc("session.chunks.skipped")
+            return True
+        return False
 
-    def __enter__(self) -> "SpanPool":
-        global _ACTIVE_CAMPAIGN
-        context = self._mp_context()
-        self._fork = context.get_start_method() == "fork"
-        try:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.jobs, mp_context=context
-            )
-        except (OSError, ValueError, RuntimeError,
-                NotImplementedError) as exc:
-            raise _PoolUnavailable("could not create worker pool") from exc
-        if self._fork:
-            # Workers fork lazily at first submit and inherit this;
-            # it stays set for the pool's lifetime so late-forking
-            # workers (e.g. after a wave grows the pool) see it too.
-            _ACTIVE_CAMPAIGN = self.campaign
-        else:
-            self._spec = CampaignSpec.from_campaign(self.campaign)
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        global _ACTIVE_CAMPAIGN
-        try:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True, cancel_futures=True)
-        finally:
-            self._pool = None
-            if self._fork:
-                _ACTIVE_CAMPAIGN = None
-
-    def run(
-        self, spans: list[tuple[int, int]], on_result=None
-    ) -> list[tuple[int, "CampaignResult"]]:
-        """Execute ``spans`` on the pool; ``(start, result)`` pairs.
-
-        Results return in submission order (callers sort by start
-        index before merging anyway); a dead pool surfaces as
-        :class:`_PoolUnavailable` so callers can fall back to serial.
-        ``on_result`` (if given) observes each ``(start, result)`` pair
-        as it is collected — the live-progress hook; it must not raise.
-        """
-        if self._pool is None:
-            raise _PoolUnavailable("pool is not open")
-        futures = []
-        for span in spans:
-            if self._fork:
-                fut = self._pool.submit(_run_span_inherited, span)
-            else:
-                fut = self._pool.submit(_run_span_spec, self._spec, span)
-            futures.append((span[0], fut))
-        parts: list[tuple[int, "CampaignResult"]] = []
-        try:
-            for start, fut in futures:
-                result = fut.result()
-                parts.append((start, result))
-                if on_result is not None:
-                    on_result(start, result)
-        except BrokenProcessPool as exc:
-            raise _PoolUnavailable(
-                "worker pool died before completing"
+    def fail(unit: WorkUnit, attempt: int, exc: BaseException) -> None:
+        """Count one failed attempt; backoff or give up."""
+        if attempt > config.max_retries:
+            raise SessionError(
+                f"chunk [{unit.start}, {unit.stop}) of cell "
+                f"#{unit.cell_index} failed after {attempt} "
+                f"attempt(s): {exc}"
             ) from exc
-        return parts
+        metrics.inc("session.retries")
+        emit("retry", start=unit.start, stop=unit.stop,
+             attempt=attempt, detail=str(exc)[:200])
+        backoff = config.retry_backoff_s * (2 ** (attempt - 1))
+        if backoff > 0:
+            sleep(backoff)
 
-    def _mp_context(self):
-        if self.start_method is not None:
-            return mp.get_context(self.start_method)
-        methods = mp.get_all_start_methods()
-        return mp.get_context("fork" if "fork" in methods else None)
+    def run_pool() -> None:
+        if config.start_method is not None:
+            context = mp.get_context(config.start_method)
+        else:
+            methods = mp.get_all_start_methods()
+            context = mp.get_context(
+                "fork" if "fork" in methods else None)
+        shipped = specs if specs is not None else [
+            CampaignSpec.from_campaign(c) for c in campaigns]
+        deadline = config.chunk_timeout_s
+        tick = None if deadline is None else min(0.05, deadline / 4)
+        completed: set[WorkUnit] = set()
+        queue = deque(pending)
+        attempts: dict[WorkUnit, int] = {}
+        restarts = 0
+        pool = _make_pool(context, config.jobs)
+        if pool is None:
+            raise _FallBackToSerial("could not create worker pool",
+                                    completed)
+        inflight: dict = {}
+        abandoned: set = set()
+
+        def retry(unit: WorkUnit, exc: BaseException) -> None:
+            attempts[unit] = attempts.get(unit, 0) + 1
+            fail(unit, attempts[unit], exc)
+
+        try:
+            while queue or inflight:
+                while queue and len(inflight) < config.jobs:
+                    unit = queue.popleft()
+                    if skip(unit):
+                        continue
+                    try:
+                        fut = pool.submit(entry, shipped[unit.cell_index],
+                                          (unit.start, unit.stop))
+                    except RuntimeError as exc:
+                        raise _FallBackToSerial(
+                            f"worker pool unusable ({exc})", completed
+                        ) from exc
+                    inflight[fut] = (unit, time.monotonic())
+                done, _not_done = wait(set(inflight), timeout=tick,
+                                       return_when=FIRST_COMPLETED)
+                now = time.monotonic()
+                for fut in done:
+                    unit, begin = inflight.pop(fut)
+                    if fut in abandoned:
+                        abandoned.discard(fut)
+                        continue
+                    try:
+                        result = fut.result()
+                    except BrokenProcessPool:
+                        restarts += 1
+                        # Every in-flight unit died with the pool.
+                        dead = [unit] + [
+                            u for f, (u, _) in inflight.items()
+                            if f not in abandoned
+                        ]
+                        inflight.clear()
+                        abandoned.clear()
+                        pool.shutdown(wait=False, cancel_futures=True)
+                        for u in dead:
+                            retry(u, RuntimeError("worker pool died"))
+                            queue.appendleft(u)
+                        if restarts > _MAX_POOL_RESTARTS:
+                            raise _FallBackToSerial(
+                                "worker pool died repeatedly", completed
+                            ) from None
+                        metrics.inc("session.pool_restarts")
+                        pool = _make_pool(context, config.jobs)
+                        if pool is None:
+                            raise _FallBackToSerial(
+                                "could not restart worker pool",
+                                completed,
+                            ) from None
+                        break
+                    except Exception as exc:
+                        retry(unit, exc)
+                        queue.append(unit)
+                    else:
+                        metrics.observe("session.chunk_ms",
+                                        (now - begin) * 1e3)
+                        completed.add(unit)
+                        if not on_done(unit, result, "run"):
+                            return
+                else:
+                    if deadline is None:
+                        continue
+                    # Expire attempts that outran their deadline.
+                    for fut, (unit, begin) in list(inflight.items()):
+                        if fut in abandoned or now - begin < deadline:
+                            continue
+                        metrics.inc("session.timeouts")
+                        emit("timeout", start=unit.start, stop=unit.stop,
+                             attempt=attempts.get(unit, 0) + 1)
+                        retry(unit, TimeoutError(
+                            f"chunk exceeded {deadline:g}s deadline"))
+                        if fut.cancel():
+                            inflight.pop(fut, None)
+                        else:
+                            # Already running: let it finish into the
+                            # void and redo the chunk elsewhere (runs
+                            # are a pure function of (seed, run_index),
+                            # so whichever attempt lands first is
+                            # correct — the other is discarded).
+                            abandoned.add(fut)
+                        queue.append(unit)
+        finally:
+            pool.shutdown(wait=not abandoned, cancel_futures=True)
+
+    pending = list(units)
+    reason = None
+    if config.jobs > 1:
+        try:
+            run_pool()
+            return None
+        except _FallBackToSerial as exc:
+            reason = str(exc)
+            metrics.inc("session.fallback_serial")
+            emit("fallback", detail=reason)
+            log.warning(f"degrading to serial execution ({reason})")
+            pending = [u for u in pending if u not in exc.completed]
+    for unit in pending:
+        if skip(unit):
+            continue
+        attempt = 0
+        while True:
+            begin = time.perf_counter()
+            try:
+                result = campaigns[unit.cell_index].run_span(
+                    unit.start, unit.stop)
+                break
+            except KeyboardInterrupt:
+                raise
+            except Exception as exc:
+                attempt += 1
+                fail(unit, attempt, exc)
+        metrics.observe("session.chunk_ms",
+                        (time.perf_counter() - begin) * 1e3)
+        if not on_done(unit, result, "serial"):
+            break
+    return reason
 
 
 class CampaignExecutor:
-    """Runs one campaign's index space across worker processes.
+    """Runs one campaign's index space through the execution core.
 
-    Reassembly is deterministic: chunk results are ordered by their
-    start index before merging, so ``counts`` and (with
-    ``keep_runs=True``) the ``runs`` list are bit-identical to a
-    serial execution no matter how the workers interleave.
+    Reassembly is deterministic: chunk results commit in run-index
+    order, so ``counts`` and (with ``keep_runs=True``) the ``runs``
+    list are bit-identical to a serial execution no matter how the
+    workers interleave.
     """
 
-    def __init__(
-        self,
-        campaign: "Campaign",
-        jobs: int | None = None,
-        chunk_size: int | None = None,
-        start_method: str | None = None,
-    ):
+    def __init__(self, campaign: "Campaign", jobs: int | None = None):
         self.campaign = campaign
         self.jobs = campaign.jobs if jobs is None else int(jobs)
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
-        self.chunk_size = chunk_size
-        self.start_method = start_method
         #: Worker processes actually used by the last :meth:`run`.
         self.used_jobs = 1
         #: Why the last :meth:`run` degraded to serial, if it did.
@@ -310,97 +536,64 @@ class CampaignExecutor:
         with the executor's own observability: chunk count, wall time,
         worker utilization, and the parent's app-cache hit/miss tally.
         """
-        import time
-
-        from repro.faults.campaign import CampaignResult
-
-        runs = self.campaign.config.runs
-        jobs = min(self.jobs, runs)
-        progress = getattr(self.campaign, "progress", None)
         wall_begin = time.perf_counter()
-        if jobs <= 1:
-            self.used_jobs = 1
-            if progress is None:
-                result = self.campaign.run_span(0, runs)
-            else:
-                result = self._run_serial_chunked(
-                    runs, progress, wall_begin
-                )
-        else:
-            spans = plan_chunks(runs, jobs, self.chunk_size,
-                                align=self.campaign.effective_batch)
-            try:
-                parts = self._run_parallel(
-                    spans, jobs,
-                    self._progress_hook(runs, progress, wall_begin),
-                )
-            except _PoolUnavailable as exc:
-                self.used_jobs = 1
-                self.fallback_reason = str(exc.__cause__ or exc)
-                if progress is None:
-                    result = self.campaign.run_span(0, runs)
-                else:
-                    result = self._run_serial_chunked(
-                        runs, progress, wall_begin
-                    )
-            else:
-                self.used_jobs = jobs
-                parts.sort(key=lambda item: item[0])
-                result = CampaignResult.merge(
-                    [part for _start, part in parts]
-                )
+        result, _committer = self._execute(None)
         self._publish_metrics(
             result, (time.perf_counter() - wall_begin) * 1e3
         )
         return result
 
-    def _run_serial_chunked(
-        self, runs: int, progress, wall_begin: float
-    ) -> "CampaignResult":
-        """Serial execution with chunk-boundary progress events.
+    def _execute(
+        self, adaptive: "AdaptiveConfig | None"
+    ) -> tuple["CampaignResult", _Committer]:
+        """Plan, run and commit the campaign's units.
 
-        Splits the index space exactly like the parallel path would for
-        one worker; the merged result is byte-identical to a single
-        ``run_span(0, runs)`` by the engine's span-merge invariant.
+        Exhaustive campaigns chunk by ``jobs`` (a single span when
+        serial without a progress sink); adaptive ones commit in
+        ``check_every`` spans.  Returns the merged committed result
+        and the committer holding the decision trail.
         """
-        import time
-
         from repro.faults.campaign import CampaignResult
 
-        from repro.obs.progress import ProgressEvent
+        campaign = self.campaign
+        runs = campaign.config.runs
+        jobs = min(self.jobs, runs)
+        progress = campaign.progress
+        if adaptive is not None:
+            batch = _unit_batch(campaign.batch, adaptive)
+            if batch != campaign.batch:
+                # A copy carries the unit batch: the caller's campaign
+                # keeps its own.
+                campaign = copy.copy(campaign)
+                campaign.batch = batch
+            spans = plan_chunks(runs, 1, adaptive.check_every)
+        elif jobs > 1 or progress is not None:
+            spans = plan_chunks(runs, jobs, align=campaign.effective_batch)
+        else:
+            spans = [(0, runs)]
+        units = [WorkUnit(0, start, stop) for start, stop in spans]
+        committer = _Committer(units, adaptive)
+        phase = "campaign" if adaptive is None else "adaptive"
+        begin = time.perf_counter()
 
-        spans = plan_chunks(runs, 1, self.chunk_size,
-                            align=self.campaign.effective_batch)
-        parts = []
-        done = 0
-        for start, stop in spans:
-            parts.append(self.campaign.run_span(start, stop))
-            done += stop - start
-            progress(ProgressEvent(
-                phase="campaign", done=done, total=runs,
-                elapsed_s=time.perf_counter() - wall_begin,
-            ))
-        return CampaignResult.merge(parts)
+        def on_done(unit, result, _source) -> bool:
+            committer.record(unit, result)
+            decisions = committer.decisions[0]
+            if progress is not None and (adaptive is None or decisions):
+                progress(ProgressEvent(
+                    phase=phase, done=committer.tallies[0][0],
+                    total=runs, elapsed_s=time.perf_counter() - begin,
+                    margin=(decisions[-1].interval.margin
+                            if decisions else None),
+                ))
+            return True
 
-    def _progress_hook(self, runs: int, progress, wall_begin: float):
-        """Build the pool's ``on_result`` observer (None when off)."""
-        if progress is None:
-            return None
-        import time
-
-        from repro.obs.progress import ProgressEvent
-
-        done = 0
-
-        def on_result(start: int, result) -> None:
-            nonlocal done
-            done += result.n_runs
-            progress(ProgressEvent(
-                phase="campaign", done=done, total=runs,
-                elapsed_s=time.perf_counter() - wall_begin,
-            ))
-
-        return on_result
+        self.fallback_reason = _run_units(
+            [campaign], units, on_done, SessionConfig(jobs=jobs),
+            metrics=campaign.metrics, skippable=committer.skippable,
+        )
+        self.used_jobs = jobs if self.fallback_reason is None else 1
+        return CampaignResult.merge(committer.parts[0]), committer
 
     def _publish_metrics(
         self, result: "CampaignResult", wall_ms: float
@@ -429,10 +622,3 @@ class CampaignExecutor:
         metrics.counter("runtime.app_cache.entries").set(info["entries"])
         metrics.counter("runtime.app_cache.hits").set(info["hits"])
         metrics.counter("runtime.app_cache.misses").set(info["misses"])
-
-    def _run_parallel(
-        self, spans: list[tuple[int, int]], jobs: int,
-        on_result=None,
-    ) -> list[tuple[int, "CampaignResult"]]:
-        with SpanPool(self.campaign, jobs, self.start_method) as pool:
-            return pool.run(spans, on_result)

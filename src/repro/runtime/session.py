@@ -27,9 +27,6 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from math import ceil
 from typing import Callable, Sequence
@@ -46,14 +43,21 @@ from repro.errors import (
     SpecError,
     UnknownSchemeError,
 )
+from repro.faults.adaptive import AdaptiveConfig, StopDecision
 from repro.faults.campaign import Campaign, CampaignConfig, CampaignResult
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.progress import ProgressEvent
 from repro.obs.session import SessionLog
 from repro.runtime.checkpoint import CheckpointStore, wrap_payload_error
 from repro.runtime.executor import (
     CampaignSpec,
+    SessionConfig,
+    WorkUnit,
+    _Committer,
     _run_span_spec,
+    _run_units,
+    _unit_batch,
     plan_chunks,
 )
 from repro.utils.canonical import canonical_digest
@@ -168,9 +172,9 @@ class SweepSpec:
     one shared fault configuration; :meth:`cells` enumerates it in
     deterministic order.  ``chunk_runs`` fixes how many runs one
     durable work unit covers (default: the cell's runs split into
-    :data:`DEFAULT_CHUNKS_PER_CELL` chunks) — it is part of the sweep
-    identity, so a checkpoint directory can never be resumed under a
-    different chunking.
+    :data:`DEFAULT_CHUNKS_PER_CELL` chunks, or 64 runs under a target
+    margin) — it is part of the sweep identity, so a checkpoint
+    directory can never be resumed under a different chunking.
     """
 
     apps: tuple[str, ...]
@@ -192,7 +196,8 @@ class SweepSpec:
     #: reaches this margin (see :mod:`repro.faults.adaptive`); the
     #: remaining planned chunks of that cell are skipped.  Chunk
     #: boundaries are jobs-independent, so the committed sweep result
-    #: stays byte-identical at any parallelism.
+    #: stays byte-identical at any parallelism, and with the default
+    #: ``chunk_runs`` it equals the same adaptive campaign's.
     target_margin: float | None = None
 
     def __post_init__(self):
@@ -280,9 +285,17 @@ class SweepSpec:
                     yield (app, scheme, protect)
 
     def resolved_chunk_runs(self) -> int:
-        """Runs per durable work unit (jobs-independent)."""
+        """Runs per durable work unit (jobs-independent).
+
+        Under a target margin the units are the stop rule's decision
+        boundaries, so the default is the campaign-level
+        ``AdaptiveConfig.check_every`` (64): a cell then stops where
+        the same adaptive campaign does.
+        """
         if self.chunk_runs is not None:
             return self.chunk_runs
+        if self.target_margin is not None:
+            return AdaptiveConfig.check_every
         return max(1, ceil(self.runs / DEFAULT_CHUNKS_PER_CELL))
 
     def cells(self) -> tuple[CellSpec, ...]:
@@ -404,127 +417,8 @@ class SweepSpec:
 
 
 # ----------------------------------------------------------------------
-# Session configuration and results
+# Session results
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class SessionConfig:
-    """Execution knobs of one session (never part of sweep identity)."""
-
-    jobs: int = 1
-    #: Retries per chunk beyond the first attempt.
-    max_retries: int = 2
-    #: Base of the exponential backoff between attempts (seconds):
-    #: attempt ``k`` sleeps ``retry_backoff_s * 2**(k-1)``.
-    retry_backoff_s: float = 0.25
-    #: Deadline per chunk attempt (seconds); ``None`` disables.
-    chunk_timeout_s: float | None = None
-    #: Multiprocessing start method override (default: fork if
-    #: available, else the platform default).
-    start_method: str | None = None
-    #: Stop (checkpointed, resumable) after this many newly executed
-    #: chunks — for schedulers with wall-clock budgets and for tests.
-    stop_after_chunks: int | None = None
-    #: Runs swept per vectorized campaign batch (results are identical
-    #: to ``batch=1`` — an execution knob, never sweep identity).
-    batch: int = 1
-    #: Memory clamp on one vectorized batch.
-    max_batch_bytes: int = 256 * 1024 * 1024
-
-    def validate(self) -> None:
-        """Reject out-of-range knobs with :class:`SpecError`."""
-        if self.jobs < 1:
-            raise SpecError("session jobs must be >= 1")
-        if self.batch < 1:
-            raise SpecError("session batch must be >= 1")
-        if self.max_batch_bytes < 1:
-            raise SpecError("session max_batch_bytes must be >= 1")
-        if self.max_retries < 0:
-            raise SpecError("session max_retries must be >= 0")
-        if self.retry_backoff_s < 0:
-            raise SpecError("session retry_backoff_s must be >= 0")
-        if self.chunk_timeout_s is not None and self.chunk_timeout_s <= 0:
-            raise SpecError("session chunk_timeout_s must be positive")
-        if self.stop_after_chunks is not None \
-                and self.stop_after_chunks < 1:
-            raise SpecError("session stop_after_chunks must be >= 1")
-
-
-@dataclass(frozen=True)
-class WorkUnit:
-    """One durable work unit: a span of one cell's run indices."""
-
-    cell_index: int
-    start: int
-    stop: int
-
-
-class _AdaptiveFrontier:
-    """Per-cell early-stop bookkeeping at chunk granularity.
-
-    Mirrors the campaign-level stopping rule of
-    :mod:`repro.faults.adaptive` on the sweep's durable work units:
-    tallies commit strictly in run-index order over each cell's
-    contiguous chunk prefix, the rule is evaluated at every chunk
-    boundary, and the first satisfied boundary freezes the cell — its
-    later units become skippable.  Chunk boundaries depend only on the
-    spec, so the frontier (and hence the committed sweep result) is
-    identical at any ``jobs``.  With no target margin every method is
-    a cheap no-op.
-    """
-
-    def __init__(self, target_margin: float | None,
-                 units: Sequence[WorkUnit]):
-        self.target_margin = target_margin
-        self._cell_units: dict[int, list[WorkUnit]] = {}
-        if target_margin is not None:
-            for unit in units:
-                self._cell_units.setdefault(
-                    unit.cell_index, []).append(unit)
-            for cell_units in self._cell_units.values():
-                cell_units.sort(key=lambda u: u.start)
-        #: cell -> {unit.start: (sdc, runs)} of known chunk tallies.
-        self._tallies: dict[int, dict[int, tuple[int, int]]] = {}
-        #: cell -> run index of the first satisfied chunk boundary.
-        self._frontier: dict[int, int] = {}
-
-    def record(self, unit: WorkUnit, result: CampaignResult) -> None:
-        """Note one finished chunk and advance the cell's frontier."""
-        if self.target_margin is None:
-            return
-        tallies = self._tallies.setdefault(unit.cell_index, {})
-        tallies[unit.start] = (result.sdc_count, result.n_runs)
-        self._advance(unit.cell_index)
-
-    def _advance(self, cell_index: int) -> None:
-        from repro.faults.adaptive import should_stop
-
-        if cell_index in self._frontier:
-            return
-        tallies = self._tallies.get(cell_index, {})
-        sdc = runs = 0
-        for unit in self._cell_units.get(cell_index, ()):
-            entry = tallies.get(unit.start)
-            if entry is None:
-                return  # gap: the prefix ends before this boundary
-            sdc += entry[0]
-            runs += entry[1]
-            stop, _interval = should_stop(sdc, runs, self.target_margin)
-            if stop:
-                self._frontier[cell_index] = unit.stop
-                return
-
-    def skippable(self, unit: WorkUnit) -> bool:
-        """True when the unit lies beyond its cell's stop frontier."""
-        if self.target_margin is None:
-            return False
-        frontier = self._frontier.get(unit.cell_index)
-        return frontier is not None and unit.start >= frontier
-
-    def required(self, units: Sequence[WorkUnit]) -> list[WorkUnit]:
-        """The units that the committed sweep result must contain."""
-        return [u for u in units if not self.skippable(u)]
-
-
 @dataclass(frozen=True)
 class SweepEntry:
     """One cell's merged result inside a :class:`SweepResult`."""
@@ -532,6 +426,8 @@ class SweepEntry:
     cell: CellSpec
     digest: str
     result: CampaignResult
+    #: The cell's stop-decision trail (empty without a target margin).
+    decisions: tuple[StopDecision, ...] = ()
 
 
 @dataclass
@@ -636,9 +532,6 @@ class Session:
         self._sleep = sleep
         #: Why the session degraded to serial execution, if it did.
         self.fallback_reason: str | None = None
-        #: Early-stop bookkeeping; replaced per run() with a tracker
-        #: over that run's planned units.
-        self._frontier = _AdaptiveFrontier(None, ())
 
     # ------------------------------------------------------------------
     # Planning
@@ -652,6 +545,13 @@ class Session:
                                            chunk_size=chunk_runs):
                 units.append(WorkUnit(cell_index, start, stop))
         return units
+
+    def _adaptive(self) -> AdaptiveConfig | None:
+        """The stopping rule every cell commits under, if any."""
+        if self.spec.target_margin is None:
+            return None
+        return AdaptiveConfig(target_margin=self.spec.target_margin,
+                              check_every=self.spec.resolved_chunk_runs())
 
     # ------------------------------------------------------------------
     # Execution
@@ -667,10 +567,11 @@ class Session:
         """
         wall_begin = time.perf_counter()
         cells = self.spec.cells()
+        adaptive = self._adaptive()
         log.info(f"sweep: {len(cells)} cell(s), building campaigns")
         campaigns = [
             cell.build_campaign(
-                batch=self.config.batch,
+                batch=_unit_batch(self.config.batch, adaptive),
                 max_batch_bytes=self.config.max_batch_bytes,
             )
             for cell in cells
@@ -686,62 +587,76 @@ class Session:
         self._emit("plan", detail=f"{len(cells)} cells, "
                                   f"{len(units)} chunks")
 
-        frontier = _AdaptiveFrontier(self.spec.target_margin, units)
-        self._frontier = frontier
-        parts: dict[WorkUnit, CampaignResult] = {}
+        committer = _Committer(units, adaptive)
+        finished: set[WorkUnit] = set()
         pending: list[WorkUnit] = []
         for unit in units:
             loaded = self._load_checkpointed(unit, cells, digests)
             if loaded is not None:
-                parts[unit] = loaded
-                frontier.record(unit, loaded)
+                finished.add(unit)
+                committer.record(unit, loaded)
             else:
                 pending.append(unit)
-        if len(parts):
-            log.info(f"sweep: resumed {len(parts)} chunk(s) from "
+        if finished:
+            log.info(f"sweep: resumed {len(finished)} chunk(s) from "
                      f"{self.store.root}")
 
         executed = 0
         budget = self.config.stop_after_chunks
         total_runs = sum(u.stop - u.start for u in units)
-        done_runs = sum(r.n_runs for r in parts.values())
+        done_runs = sum(u.stop - u.start for u in finished)
 
         def on_done(unit: WorkUnit, result: CampaignResult,
                     source: str) -> bool:
             """Persist one finished chunk; True to keep going."""
             nonlocal executed, done_runs
-            frontier.record(unit, result)
-            if frontier.skippable(unit):
+            if not committer.record(unit, result):
                 # Speculative chunk past the cell's stop boundary
-                # (finished in flight while the frontier settled):
+                # (finished in flight while the stop settled):
                 # discard so the committed result is jobs-invariant.
                 self.metrics.inc("session.chunks.skipped")
                 return budget is None or executed < budget
-            parts[unit] = result
-            self._persist(unit, digests[unit.cell_index], result)
-            self._emit("chunk", cell=digests[unit.cell_index],
-                       start=unit.start, stop=unit.stop, source=source)
+            finished.add(unit)
+            digest = digests[unit.cell_index]
+            self._persist(unit, digest, result)
+            self._emit("chunk", cell=digest, start=unit.start,
+                       stop=unit.stop, source=source)
             self.metrics.inc("session.chunks.executed")
             executed += 1
             done_runs += result.n_runs
             if self.progress is not None:
-                self._observe_progress(
-                    cells[unit.cell_index].key,
-                    digests[unit.cell_index], unit,
-                    done_runs, total_runs, parts, wall_begin,
+                event = ProgressEvent(
+                    phase="sweep", done=done_runs, total=total_runs,
+                    elapsed_s=time.perf_counter() - wall_begin,
+                    cell=cells[unit.cell_index].key,
+                    margin=committer.margin(unit.cell_index),
                 )
+                self.progress(event)
+                self._emit("progress", cell=digest, start=unit.start,
+                           stop=unit.stop, detail=event.to_detail())
             return budget is None or executed < budget
 
         try:
             if pending:
-                self._execute(pending, campaigns, digests, on_done)
+                self.fallback_reason = _run_units(
+                    campaigns, pending, on_done, self.config,
+                    metrics=self.metrics, skippable=committer.skippable,
+                    emit=self._emit, sleep=self._sleep,
+                    specs=[
+                        dataclasses.replace(
+                            CampaignSpec.from_campaign(campaign),
+                            token=digest)
+                        for campaign, digest in zip(campaigns, digests)
+                    ],
+                    entry=_run_session_span,
+                )
         except KeyboardInterrupt:
             self._emit("interrupted",
                        detail=f"SIGINT after {executed} chunk(s)")
-            raise SessionInterrupted(len(parts), len(units),
+            raise SessionInterrupted(len(finished), len(units),
                                      reason="interrupted") from None
-        required = frontier.required(units)
-        done = sum(1 for unit in required if unit in parts)
+        required = [u for u in units if not committer.skippable(u)]
+        done = sum(1 for unit in required if unit in finished)
         if done < len(required):
             self._emit("interrupted",
                        detail=f"chunk budget ({budget}) reached")
@@ -753,7 +668,7 @@ class Session:
                        detail=f"{skipped} chunk(s) under target margin "
                               f"{self.spec.target_margin:g}")
 
-        result = self._merge(cells, digests, parts, required)
+        result = self._merge(cells, digests, committer, required)
         self.metrics.observe(
             "session.wall_ms", (time.perf_counter() - wall_begin) * 1e3
         )
@@ -803,22 +718,17 @@ class Session:
         self,
         cells: Sequence[CellSpec],
         digests: Sequence[str],
-        parts: dict[WorkUnit, CampaignResult],
+        committer: _Committer,
         units: Sequence[WorkUnit],
     ) -> SweepResult:
         sweep = SweepResult(spec=self.spec)
         for cell_index, cell in enumerate(cells):
-            cell_units = sorted(
-                (u for u in units if u.cell_index == cell_index),
-                key=lambda u: u.start,
-            )
-            merged = CampaignResult.merge(
-                [parts[u] for u in cell_units]
-            )
+            merged = CampaignResult.merge(committer.parts[cell_index])
             # Early-stopped cells legitimately commit fewer runs than
             # planned; the committed count must still match the
             # required units exactly.
-            expected = sum(u.stop - u.start for u in cell_units)
+            expected = sum(u.stop - u.start for u in units
+                           if u.cell_index == cell_index)
             if merged.n_runs != expected:
                 raise SessionError(
                     f"cell {cell.key}: merged {merged.n_runs} run(s), "
@@ -826,260 +736,14 @@ class Session:
                 )
             sweep.entries.append(SweepEntry(
                 cell=cell, digest=digests[cell_index], result=merged,
+                decisions=tuple(committer.decisions[cell_index]),
             ))
         return sweep
-
-    # -- parallel/serial execution --------------------------------------
-    def _execute(self, pending, campaigns, digests, on_done) -> None:
-        if self.config.jobs > 1:
-            try:
-                self._execute_pool(pending, campaigns, digests, on_done)
-                return
-            except _FallBackToSerial as exc:
-                self.fallback_reason = str(exc)
-                self.metrics.inc("session.fallback_serial")
-                self._emit("fallback", detail=str(exc))
-                log.warning(f"sweep: degrading to serial execution "
-                            f"({exc})")
-                pending = [u for u in pending
-                           if u not in exc.completed]
-        self._execute_serial(pending, campaigns, on_done)
-
-    def _execute_serial(self, pending, campaigns, on_done) -> None:
-        for unit in pending:
-            if self._frontier.skippable(unit):
-                self.metrics.inc("session.chunks.skipped")
-                continue
-            result = self._attempt_serial(unit, campaigns)
-            if not on_done(unit, result, "serial"):
-                return
-
-    def _attempt_serial(self, unit, campaigns) -> CampaignResult:
-        campaign = campaigns[unit.cell_index]
-        attempt = 0
-        while True:
-            begin = time.perf_counter()
-            try:
-                result = campaign.run_span(unit.start, unit.stop)
-                self.metrics.observe(
-                    "session.chunk_ms",
-                    (time.perf_counter() - begin) * 1e3,
-                )
-                return result
-            except KeyboardInterrupt:
-                raise
-            except Exception as exc:
-                attempt += 1
-                self._handle_failure(unit, attempt, exc)
-
-    def _handle_failure(self, unit, attempt: int, exc) -> None:
-        """Count one failed attempt; backoff or give up."""
-        if attempt > self.config.max_retries:
-            raise SessionError(
-                f"chunk [{unit.start}, {unit.stop}) of cell "
-                f"#{unit.cell_index} failed after {attempt} "
-                f"attempt(s): {exc}"
-            ) from exc
-        self.metrics.inc("session.retries")
-        self._emit("retry", start=unit.start, stop=unit.stop,
-                   attempt=attempt, detail=str(exc)[:200])
-        backoff = self.config.retry_backoff_s * (2 ** (attempt - 1))
-        if backoff > 0:
-            self._sleep(backoff)
-
-    def _execute_pool(self, pending, campaigns, digests, on_done) -> None:
-        """Fan pending units out over a process pool with retries."""
-        import multiprocessing as mp
-
-        if self.config.start_method is not None:
-            context = mp.get_context(self.config.start_method)
-        else:
-            methods = mp.get_all_start_methods()
-            context = mp.get_context(
-                "fork" if "fork" in methods else None)
-
-        specs = self._worker_specs(campaigns, digests)
-        completed: set[WorkUnit] = set()
-        queue = deque(pending)
-        attempts: dict[WorkUnit, int] = {}
-        restarts = 0
-        pool = self._make_pool(context)
-        if pool is None:
-            raise _FallBackToSerial("could not create worker pool",
-                                    completed)
-        inflight: dict = {}
-        abandoned: set = set()
-        try:
-            while queue or inflight:
-                while queue and len(inflight) < self.config.jobs:
-                    unit = queue.popleft()
-                    if self._frontier.skippable(unit):
-                        self.metrics.inc("session.chunks.skipped")
-                        continue
-                    try:
-                        fut = pool.submit(
-                            _run_session_span,
-                            specs[unit.cell_index],
-                            (unit.start, unit.stop),
-                        )
-                    except RuntimeError as exc:
-                        raise _FallBackToSerial(
-                            f"worker pool unusable ({exc})", completed
-                        ) from exc
-                    inflight[fut] = (unit, time.monotonic())
-                done, _not_done = wait(
-                    set(inflight), timeout=self._tick(),
-                    return_when=FIRST_COMPLETED,
-                )
-                now = time.monotonic()
-                for fut in done:
-                    unit, _begin = inflight.pop(fut)
-                    if fut in abandoned:
-                        abandoned.discard(fut)
-                        continue
-                    try:
-                        result = fut.result()
-                    except BrokenProcessPool:
-                        restarts += 1
-                        # Every in-flight unit died with the pool.
-                        dead = [unit] + [
-                            u for f, (u, _) in inflight.items()
-                            if f not in abandoned
-                        ]
-                        inflight.clear()
-                        abandoned.clear()
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        for u in dead:
-                            attempts[u] = attempts.get(u, 0) + 1
-                            self._handle_failure(
-                                u, attempts[u],
-                                RuntimeError("worker pool died"),
-                            )
-                            queue.appendleft(u)
-                        if restarts > 2:
-                            raise _FallBackToSerial(
-                                "worker pool died repeatedly",
-                                completed,
-                            ) from None
-                        self.metrics.inc("session.pool_restarts")
-                        pool = self._make_pool(context)
-                        if pool is None:
-                            raise _FallBackToSerial(
-                                "could not restart worker pool",
-                                completed,
-                            ) from None
-                        break
-                    except Exception as exc:
-                        attempts[unit] = attempts.get(unit, 0) + 1
-                        self._handle_failure(unit, attempts[unit], exc)
-                        queue.append(unit)
-                    else:
-                        self.metrics.observe(
-                            "session.chunk_ms",
-                            (now - _begin) * 1e3,
-                        )
-                        completed.add(unit)
-                        if not on_done(unit, result, "run"):
-                            return
-                else:
-                    self._reap_timeouts(inflight, abandoned, queue,
-                                        attempts, now)
-        finally:
-            pool.shutdown(wait=not abandoned,
-                          cancel_futures=True)
-
-    def _reap_timeouts(self, inflight, abandoned, queue, attempts,
-                       now: float) -> None:
-        """Expire attempts that outran their per-chunk deadline."""
-        deadline = self.config.chunk_timeout_s
-        if deadline is None:
-            return
-        for fut, (unit, begin) in list(inflight.items()):
-            if fut in abandoned or now - begin < deadline:
-                continue
-            self.metrics.inc("session.timeouts")
-            self._emit("timeout", start=unit.start, stop=unit.stop,
-                       attempt=attempts.get(unit, 0) + 1)
-            attempts[unit] = attempts.get(unit, 0) + 1
-            self._handle_failure(
-                unit, attempts[unit],
-                TimeoutError(
-                    f"chunk exceeded {deadline:g}s deadline"),
-            )
-            if fut.cancel():
-                inflight.pop(fut, None)
-            else:
-                # Already running: let it finish into the void and
-                # redo the chunk elsewhere (results are a pure
-                # function of (seed, run_index), so whichever attempt
-                # lands first is correct — the other is discarded).
-                abandoned.add(fut)
-            queue.append(unit)
-
-    def _tick(self) -> float | None:
-        if self.config.chunk_timeout_s is None:
-            return None
-        return min(0.05, self.config.chunk_timeout_s / 4)
-
-    def _worker_specs(self, campaigns, digests) -> list[CampaignSpec]:
-        return [
-            dataclasses.replace(
-                CampaignSpec.from_campaign(campaign), token=digest
-            )
-            for campaign, digest in zip(campaigns, digests)
-        ]
-
-    def _make_pool(self, context) -> ProcessPoolExecutor | None:
-        try:
-            return ProcessPoolExecutor(
-                max_workers=self.config.jobs, mp_context=context
-            )
-        except (OSError, ValueError, RuntimeError,
-                NotImplementedError):
-            return None
 
     # -- plumbing -------------------------------------------------------
     def _emit(self, kind: str, **fields) -> None:
         if self.events is not None:
             self.events.emit(kind, **fields)
-
-    def _observe_progress(
-        self, cell_key: str, digest: str, unit: WorkUnit,
-        done: int, total: int,
-        parts: dict[WorkUnit, CampaignResult], wall_begin: float,
-    ) -> None:
-        """Emit one sweep progress event and mirror it to the log.
-
-        The margin is the Wilson CI width over the current cell's
-        committed runs so far — the "CI width so far" an operator
-        watches an adaptive sweep converge on.
-        """
-        from repro.obs.progress import ProgressEvent
-        from repro.utils.stats import confidence_interval
-
-        sdc = runs = 0
-        for other, result in parts.items():
-            if other.cell_index == unit.cell_index:
-                sdc += result.sdc_count
-                runs += result.n_runs
-        margin = (confidence_interval(sdc, runs).margin
-                  if runs else None)
-        event = ProgressEvent(
-            phase="sweep", done=done, total=total,
-            elapsed_s=time.perf_counter() - wall_begin,
-            cell=cell_key, margin=margin,
-        )
-        self.progress(event)
-        self._emit("progress", cell=digest, start=unit.start,
-                   stop=unit.stop, detail=event.to_detail())
-
-
-class _FallBackToSerial(Exception):
-    """Internal: the pool path gave up; serial picks up the rest."""
-
-    def __init__(self, reason: str, completed: set):
-        super().__init__(reason)
-        self.completed = completed
 
 
 def run_sweep(

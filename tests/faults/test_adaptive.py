@@ -8,7 +8,6 @@ from repro.errors import ConfigError, SpecError
 from repro.faults.adaptive import (
     AdaptiveConfig,
     StopDecision,
-    _plan_spans,
     run_adaptive,
     should_stop,
     stratified_estimate,
@@ -84,7 +83,9 @@ class TestStoppingRule:
         assert interval.margin <= 0.03
 
     def test_plan_spans_covers_budget_exactly(self):
-        spans = _plan_spans(100, 32)
+        from repro.runtime.executor import plan_chunks
+
+        spans = plan_chunks(100, 1, chunk_size=32)
         assert spans == [(0, 32), (32, 64), (64, 96), (96, 100)]
 
 
@@ -121,6 +122,14 @@ class TestAdaptiveCampaign:
         floored.run()
         assert floored.adaptive_result.stopped_at >= 256 \
             > eager.adaptive_result.stopped_at
+
+    def test_run_adaptive_leaves_the_campaign_batch_alone(self):
+        campaign = make_campaign(target_margin=0.05)
+        assert campaign.batch == 1
+        adaptive = campaign.run_adaptive()
+        assert campaign.batch == 1
+        # the commit chunks still swept through the batch engine
+        assert adaptive.analytic_runs > 0
 
     def test_run_adaptive_requires_a_config(self):
         campaign = make_campaign()
@@ -167,16 +176,15 @@ class TestDeterminism:
     def test_pool_failure_falls_back_to_serial(self, monkeypatch):
         import repro.runtime.executor as executor
 
-        monkeypatch.setattr(
-            executor.SpanPool, "__enter__",
-            lambda self: (_ for _ in ()).throw(
-                executor._PoolUnavailable("forced")),
-        )
+        monkeypatch.setattr(executor, "_make_pool",
+                            lambda context, jobs: None)
         reference = make_campaign(target_margin=0.05)
         ref_result = reference.run()
         campaign = make_campaign(target_margin=0.05, jobs=4)
         result = campaign.run()
         assert result.to_dict() == ref_result.to_dict()
+        counters = campaign.metrics.snapshot()["counters"]
+        assert counters["session.fallback_serial"] == 1
 
 
 class TestStratifiedEstimate:

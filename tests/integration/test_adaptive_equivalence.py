@@ -102,3 +102,96 @@ class TestStopReproducibility:
                 [d.to_dict() for d in adaptive.decisions],
             ))
         assert trails[0] == trails[1]
+
+
+class TestEntryPointEquivalence:
+    """One request, five entry points, the same committed bytes."""
+
+    @staticmethod
+    def _bytes(tmp_path, name, result, decisions):
+        from repro.obs.records import TelemetryWriter, write_decisions
+
+        records = tmp_path / f"{name}.records.jsonl"
+        with TelemetryWriter(str(records)) as writer:
+            writer.write_result(result)
+        trail = None
+        if decisions is not None:
+            trail = tmp_path / f"{name}.decisions.jsonl"
+            write_decisions(str(trail), decisions)
+            trail = trail.read_bytes()
+        return records.read_bytes(), trail
+
+    @pytest.mark.parametrize("batch", [1, 16])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("app_name,scheme,protect,runs", [
+        ("P-BICG", "detection", "hot", 400),
+        ("A-Laplacian", "baseline", "none", 1000),
+    ])
+    def test_every_entry_point_commits_the_same_runs(
+            self, tmp_path, app_name, scheme, protect, runs, jobs,
+            batch):
+        from repro.core.request import EvaluationRequest
+        from repro.faults.campaign import Campaign, CampaignConfig
+        from repro.runtime.session import Session, SweepSpec, run_sweep
+
+        request = EvaluationRequest(
+            app=app_name, scheme=scheme, protect=protect, runs=runs,
+            scale="small", target_margin=0.05, collect_records=True,
+            jobs=jobs, batch=batch)
+        manager = manager_for(app_name)
+        outputs = {}
+
+        result = manager.evaluate(request=request)
+        outputs["evaluate"] = self._bytes(tmp_path, "evaluate", result,
+                                          None)
+
+        adaptive = manager.evaluate_adaptive(
+            target_margin=0.05, scheme=scheme, protect=protect,
+            runs=runs, collect_records=True, jobs=jobs, batch=batch)
+        outputs["evaluate_adaptive"] = self._bytes(
+            tmp_path, "evaluate_adaptive", adaptive.result,
+            adaptive.decisions)
+
+        campaign = Campaign(
+            manager.app, manager.selection(request.selection),
+            scheme=scheme, protect=manager.protected_names(protect),
+            config=CampaignConfig(runs=runs, seed=request.seed),
+            collect_records=True, jobs=jobs, batch=batch,
+            target_margin=0.05)
+        adaptive = campaign.run_adaptive()
+        outputs["run_adaptive"] = self._bytes(
+            tmp_path, "run_adaptive", adaptive.result,
+            adaptive.decisions)
+
+        entry = Session(request).run().entries[0]
+        outputs["session"] = self._bytes(
+            tmp_path, "session", entry.result, entry.decisions)
+
+        entry = run_sweep(SweepSpec.from_request(request), jobs=jobs,
+                          batch=batch).entries[0]
+        outputs["run_sweep"] = self._bytes(
+            tmp_path, "run_sweep", entry.result, entry.decisions)
+
+        records, trail = outputs.pop("evaluate_adaptive")
+        assert trail and records
+        for name, (other_records, other_trail) in outputs.items():
+            assert other_records == records, name
+            if other_trail is not None:
+                assert other_trail == trail, name
+
+    def test_request_chunk_runs_is_the_check_every(self, tmp_path):
+        # A request's chunk_runs moves the decision boundaries of every
+        # entry point alike (32-run boundaries stop this cell at 96
+        # runs; the default 64-run ones at 128).
+        from repro.core.request import EvaluationRequest
+        from repro.runtime.session import Session
+
+        request = EvaluationRequest(
+            app="P-BICG", scheme="detection", protect="hot", runs=400,
+            scale="small", target_margin=0.05, chunk_runs=32,
+            collect_records=True)
+        result = manager_for("P-BICG").evaluate(request=request)
+        entry = Session(request).run().entries[0]
+        assert result.n_runs == entry.result.n_runs == 96
+        assert self._bytes(tmp_path, "evaluate", result, None) \
+            == self._bytes(tmp_path, "session", entry.result, None)

@@ -22,10 +22,13 @@ from repro.kernels.registry import create_app
 from repro.runtime import (
     CampaignExecutor,
     CampaignSpec,
+    SessionConfig,
+    WorkUnit,
     app_cache_key,
     app_context,
     plan_chunks,
 )
+from repro.runtime.executor import _run_units
 
 
 def make_campaign(app_name="A-Laplacian", scheme="baseline",
@@ -178,8 +181,32 @@ class TestExecutor:
     def test_explicit_chunk_size(self):
         campaign = make_campaign(runs=10, keep_runs=True)
         reference = make_campaign(runs=10, keep_runs=True).run()
-        executor = CampaignExecutor(campaign, jobs=2, chunk_size=3)
+        units = [WorkUnit(0, start, stop)
+                 for start, stop in plan_chunks(10, 2, chunk_size=3)]
+        parts = {}
+
+        def on_done(unit, result, _source):
+            parts[unit] = result
+            return True
+
+        reason = _run_units([campaign], units, on_done,
+                            SessionConfig(jobs=2),
+                            metrics=campaign.metrics)
+        assert reason is None
+        merged = CampaignResult.merge([parts[u] for u in units])
+        assert run_signature(merged) == run_signature(reference)
+
+    def test_pool_failure_degrades_to_serial(self, monkeypatch):
+        import repro.runtime.executor as executor_mod
+
+        monkeypatch.setattr(executor_mod, "_make_pool",
+                            lambda context, jobs: None)
+        reference = make_campaign(runs=10, keep_runs=True).run()
+        executor = CampaignExecutor(
+            make_campaign(runs=10, keep_runs=True), jobs=2)
         assert run_signature(executor.run()) == run_signature(reference)
+        assert executor.used_jobs == 1
+        assert executor.fallback_reason == "could not create worker pool"
 
     def test_bad_jobs_rejected(self):
         with pytest.raises(ConfigError):

@@ -2,10 +2,11 @@
 
 Times one fault-injection campaign (P-BICG, correction scheme, full
 replication — the paper's most replica-heavy configuration) through
-three arms of the execution engine:
+these arms of the execution engine:
 
-* ``serial-full`` — the original flow: deep-copy the pristine memory
-  and rebuild every replica inside each run;
+* ``serial-full`` — the original flow (``Campaign._run_reference``):
+  deep-copy the pristine memory and rebuild every replica inside each
+  run;
 * ``serial-cow``  — copy-on-write clones of a once-prepared replica
   image, with overlay-aware divergence checks;
 * ``parallel-cow`` — the same COW path fanned out over worker
@@ -19,7 +20,11 @@ three arms of the execution engine:
   0.03): same statistical question as the fixed budget, answered from
   a committed prefix.  Its *effective* runs/sec is the full budget
   divided by wall time — the runs the fixed protocol would have paid
-  for, delivered at early-stop cost.
+  for, delivered at early-stop cost;
+* ``mixed-serial`` / ``mixed-batched`` — a mixed per-object spec
+  (``A`` triplicated, ``p``/``r`` duplicated, one of the greedy
+  search's configurations) through the scalar loop and the batched
+  engine, which must agree on the tallies.
 
 The four exhaustive arms must produce bit-identical outcome tallies —
 the engine's core guarantee — and the batched arm must clear the
@@ -46,7 +51,9 @@ from pathlib import Path
 from conftest import SEED, banner
 
 from repro.core.manager import ReliabilityManager
+from repro.core.protection import ProtectionSpec
 from repro.faults.campaign import Campaign, CampaignConfig
+from repro.faults.outcomes import Outcome
 from repro.kernels.registry import create_app
 from repro.runtime import clear_app_cache
 from repro.utils.tables import TextTable
@@ -56,6 +63,7 @@ BENCH_JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "4"))
 BENCH_BATCH = int(os.environ.get("REPRO_BENCH_BATCH", "64"))
 BENCH_MARGIN = float(os.environ.get("REPRO_BENCH_MARGIN", "0.03"))
 _APP, _SCALE, _SCHEME, _PROTECT = "P-BICG", "default", "correction", "all"
+_MIXED = "A=correction,p=detection,r=detection"
 
 #: Batched-engine throughput bar from the issue's acceptance criteria.
 MIN_BATCHED_SPEEDUP = 5.0
@@ -68,33 +76,39 @@ def _peak_rss_mb() -> float:
     return round((self_kb + child_kb) / 1024.0, 1)
 
 
-def _time_arm(manager, clone_mode: str, jobs: int, batch: int = 1):
+def _time_arm(manager, jobs: int, batch: int = 1, reference=False,
+              protection=None):
+    how = {"protection": protection} if protection is not None else {
+        "scheme": _SCHEME, "protect": manager.protected_names(_PROTECT)}
     campaign = Campaign(
         manager.app,
         manager.selection("access-weighted"),
-        scheme=_SCHEME,
-        protect=manager.protected_names(_PROTECT),
+        **how,
         config=CampaignConfig(runs=BENCH_RUNS, seed=SEED),
-        clone_mode=clone_mode,
         jobs=jobs,
         batch=batch,
     )
     start = time.perf_counter()
-    result = campaign.run()
+    if reference:
+        counts = {o: 0 for o in Outcome}
+        for run_index in range(BENCH_RUNS):
+            counts[campaign._run_reference(run_index).outcome] += 1
+    else:
+        counts = campaign.run().counts
     elapsed = time.perf_counter() - start
     return {
-        "clone_mode": clone_mode,
+        "memory": "full" if reference else "cow",
         "jobs": jobs,
         "batch": batch,
         "effective_batch": campaign.effective_batch,
         "seconds": round(elapsed, 3),
         "runs_per_sec": round(BENCH_RUNS / elapsed, 1),
-        "outcomes": {o.value: n for o, n in result.counts.items() if n},
+        "outcomes": {o.value: n for o, n in counts.items() if n},
         # ru_maxrss is a process-lifetime high-water mark, so this is
         # the watermark *after* the arm — a batched arm that blew up
         # memory would show as a jump over the preceding arms.
         "peak_rss_mb": _peak_rss_mb(),
-    }, elapsed, result.counts
+    }, elapsed, counts
 
 
 def _time_adaptive_arm(manager):
@@ -104,7 +118,6 @@ def _time_adaptive_arm(manager):
         scheme=_SCHEME,
         protect=manager.protected_names(_PROTECT),
         config=CampaignConfig(runs=BENCH_RUNS, seed=SEED),
-        clone_mode="cow",
         batch=BENCH_BATCH,
         target_margin=BENCH_MARGIN,
     )
@@ -112,7 +125,7 @@ def _time_adaptive_arm(manager):
     adaptive = campaign.run_adaptive()
     elapsed = time.perf_counter() - start
     return {
-        "clone_mode": "cow",
+        "memory": "cow",
         "jobs": 1,
         "batch": BENCH_BATCH,
         "target_margin": BENCH_MARGIN,
@@ -136,14 +149,17 @@ def test_campaign_throughput(benchmark):
         manager = ReliabilityManager(
             create_app(_APP, scale=_SCALE, seed=1234))
         arms, times, tallies = {}, {}, {}
-        for name, mode, jobs, batch in (
-            ("serial-full", "full", 1, 1),
-            ("serial-cow", "cow", 1, 1),
-            ("parallel-cow", "cow", BENCH_JOBS, 1),
-            ("batched-cow", "cow", 1, BENCH_BATCH),
+        mixed = ProtectionSpec.parse(_MIXED)
+        for name, jobs, batch, options in (
+            ("serial-full", 1, 1, {"reference": True}),
+            ("serial-cow", 1, 1, {}),
+            ("parallel-cow", BENCH_JOBS, 1, {}),
+            ("batched-cow", 1, BENCH_BATCH, {}),
+            ("mixed-serial", 1, 1, {"protection": mixed}),
+            ("mixed-batched", 1, BENCH_BATCH, {"protection": mixed}),
         ):
             arms[name], times[name], tallies[name] = _time_arm(
-                manager, mode, jobs, batch)
+                manager, jobs, batch, **options)
         arms["adaptive"], times["adaptive"], adaptive = \
             _time_adaptive_arm(manager)
         return arms, times, tallies, adaptive
@@ -156,6 +172,7 @@ def test_campaign_throughput(benchmark):
     # statistical bar instead, below.)
     assert tallies["serial-full"] == tallies["serial-cow"] \
         == tallies["parallel-cow"] == tallies["batched-cow"]
+    assert tallies["mixed-serial"] == tallies["mixed-batched"]
 
     speedup = {
         name: round(times["serial-full"] / times[name], 2)
@@ -163,6 +180,8 @@ def test_campaign_throughput(benchmark):
                      "adaptive")
     }
     batched_vs_cow = round(times["serial-cow"] / times["batched-cow"], 2)
+    mixed_batched_vs_serial = round(
+        times["mixed-serial"] / times["mixed-batched"], 2)
     adaptive_vs_batched = round(
         arms["adaptive"]["effective_runs_per_sec"]
         / arms["batched-cow"]["runs_per_sec"], 2)
@@ -171,6 +190,7 @@ def test_campaign_throughput(benchmark):
         "scale": _SCALE,
         "scheme": _SCHEME,
         "protect": _PROTECT,
+        "mixed_protection": _MIXED,
         "runs": BENCH_RUNS,
         "seed": SEED,
         "jobs": BENCH_JOBS,
@@ -180,6 +200,7 @@ def test_campaign_throughput(benchmark):
         "arms": arms,
         "speedup_vs_serial_full": speedup,
         "batched_vs_serial_cow": batched_vs_cow,
+        "mixed_batched_vs_serial": mixed_batched_vs_serial,
         "adaptive_vs_batched_effective": adaptive_vs_batched,
         "min_batched_speedup": MIN_BATCHED_SPEEDUP,
         "peak_rss_mb": _peak_rss_mb(),
@@ -203,8 +224,14 @@ def test_campaign_throughput(benchmark):
                    arms["adaptive"]["effective_runs_per_sec"],
                    speedup["adaptive"],
                    arms["adaptive"]["peak_rss_mb"]])
+    for name in ("mixed-serial", "mixed-batched"):
+        table.add_row([name, arms[name]["seconds"],
+                       arms[name]["runs_per_sec"],
+                       round(times["serial-full"] / times[name], 2),
+                       arms[name]["peak_rss_mb"]])
     print(table.render())
-    print(f"\nbatched vs serial-cow: {batched_vs_cow}x; adaptive "
+    print(f"\nbatched vs serial-cow: {batched_vs_cow}x; mixed batched "
+          f"vs mixed serial: {mixed_batched_vs_serial}x; adaptive "
           f"effective vs batched: {adaptive_vs_batched}x "
           f"(stopped at {arms['adaptive']['stopped_runs']}/{BENCH_RUNS}, "
           f"{arms['adaptive']['simulated_runs']} simulated); "
@@ -228,7 +255,6 @@ def test_campaign_throughput(benchmark):
     # estimate must sit inside the exhaustive arms' 95% CI, and its
     # effective throughput must beat the batched engine whenever the
     # budget leaves room to stop early.
-    from repro.faults.outcomes import Outcome
     from repro.utils.stats import confidence_interval
 
     exhaustive_ci = confidence_interval(

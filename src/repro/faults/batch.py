@@ -6,24 +6,32 @@ construction, functional execution, output comparison — for every run,
 even though the vast majority of injected fault clusters are either
 invisible (the stuck bits agree with the data underneath) or fully
 absorbed by the replication scheme before they reach the kernel.  This
-module batches a span of run indices and splits the lanes analytically:
+module batches a span of run indices and splits the lanes analytically.
+Both paths share one lane pipeline on the campaign: the reference
+planner (``Campaign._plan``), fault injection with the scheme built by
+:func:`~repro.core.schemes.make_protection` (``Campaign._inject``),
+outcome classification (``Campaign._outcome``) and record emission
+(``Campaign._emit``), so every protection spec — uniform, mixed
+per-object, SECDED — runs here.
 
 * **Planning** is vectorized: per-lane seeds come from
   :func:`repro.utils.fastseed.derive_seeds` (SeedSequence as uint32
   array sweeps) and the per-lane generators are re-seeded in place via
   PCG64 state injection instead of being constructed.  The draws
-  themselves replicate :meth:`Campaign.run_one` call-for-call, so the
-  sampled faults are bit-identical; a reference cross-check runs on the
-  first lane of every batch and the whole plan falls back to the scalar
-  RNG path if it (or the module's one-time self check) ever disagrees.
+  themselves replicate the reference planner call-for-call, so the
+  sampled faults are bit-identical; a cross-check against the reference
+  planner runs on the first lane of every batch and the whole plan
+  falls back to it if it (or the module's one-time self check) ever
+  disagrees.
 
 * **Classification** exploits the stuck-at overlay algebra: a lane
   whose merged overlays are a no-op against the underlying bytes
   executes bitwise-identically to the fault-free run (MASKED); a lane
   whose visible divergence lies entirely in protected objects resolves
-  from the fault-free read trace alone (DETECTED at the first protected
-  divergent read, or CORRECTED with the per-read vote counts).  These
-  *analytic* lanes produce the same :class:`RunResult` and
+  from the fault-free read trace alone (DETECTED at the first
+  detection-protected divergent read, or CORRECTED with the per-read
+  vote counts), each object judged by its own scheme.  These *analytic*
+  lanes produce the same :class:`RunResult` and
   :class:`~repro.obs.records.RunRecord` payloads as scalar execution
   without touching the kernel.  The soundness argument is strictly
   data-driven — every analytic lane's kernel-visible data is bitwise
@@ -40,12 +48,19 @@ module batches a span of run indices and splits the lanes analytically:
   simulating.  Prune tallies surface as
   ``campaign.batch.pruned.{dead,agrees,unread}`` counters.
 
-* Remaining **exec lanes** — any lane with visible divergence in an
-  unprotected object, or a writable-object fault the snapshots cannot
-  clear — run through the application's
-  ``execute_batch``, which vectorized kernels implement as stacked
-  ``(N, ...)`` NumPy sweeps (scalar fallback otherwise), and are
-  classified exactly like :meth:`Campaign._classify`.
+* Remaining **exec lanes** — visible divergence in an unprotected
+  object, a writable-object fault the snapshots cannot clear, or
+  divergence reaching both a detection- and a correction-protected
+  object — run through the application's ``execute_batch``, which
+  vectorized kernels implement as stacked ``(N, ...)`` NumPy sweeps
+  (scalar fallback otherwise).
+
+* **SECDED** lanes skip the analytic classifier: the kernel consumes
+  post-decode data, not the injected overlays.  Each lane's faults are
+  filtered through the (72,64) decode; a lane with a
+  detected-uncorrectable error resolves to DETECTED without executing,
+  the rest go through the same ``execute_batch``, and the per-fault
+  ECC verdicts feed the provenance derivation.
 
 The fault-free evidence base (golden timeline, prefix read counts,
 clean counters, layout caches) and the analytic classifier itself live
@@ -53,9 +68,6 @@ in :class:`repro.obs.provenance.GoldenEvidence`, shared with the
 scalar path's provenance derivation — both strategies reason from the
 same captured state, which is what makes telemetry *and* provenance
 streams byte-identical across ``--batch`` settings.
-
-The engine requires ``clone_mode="cow"`` and no SECDED filtering; the
-campaign falls back to the scalar loop otherwise.
 """
 
 from __future__ import annotations
@@ -64,19 +76,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.schemes import make_scheme
-from repro.errors import FaultDetected, KernelCrash
-from repro.faults.injector import apply_faults_merged, merge_fault_masks
 from repro.faults.model import FaultSpec, sample_word_fault
-from repro.faults.outcomes import Outcome, RunResult
-from repro.obs.records import RunRecord
+from repro.faults.outcomes import RunResult
 from repro.utils import fastseed
-from repro.utils.rng import RngStream, derive_seed
+from repro.utils.rng import RngStream
 
 
 @dataclass
 class _Lane:
-    """One planned run of a batch: its seed and sampled faults."""
+    """One planned run: its seed and sampled faults."""
 
     run_index: int
     seed: int
@@ -108,7 +116,7 @@ class _FastStream(RngStream):
 
 
 class BatchEngine:
-    """Per-campaign batched planner + classifier (lazily prepared)."""
+    """Per-campaign batched planner + classifier."""
 
     def __init__(self, campaign):
         self.campaign = campaign
@@ -119,41 +127,8 @@ class BatchEngine:
         self._child = _FastStream()
 
     # ------------------------------------------------------------------
-    # One-time preparation: the fault-free reference execution
-    # ------------------------------------------------------------------
-    def _prepare(self):
-        """The campaign's shared :class:`GoldenEvidence` base."""
-        return self.campaign._golden_evidence()
-
-    @property
-    def _timeline(self):
-        """The golden read/write timeline of the evidence base."""
-        return self._prepare().timeline
-
-    def _writable_verdict(self, name, byte_masks):
-        """Equivalence-class verdict for a writable-object overlay
-        (delegates to the shared evidence base)."""
-        return self._prepare().writable_verdict(name, byte_masks)
-
-    # ------------------------------------------------------------------
     # Lane planning (vectorized seeds, reused generators)
     # ------------------------------------------------------------------
-    def _plan_reference(self, run_index: int) -> _Lane:
-        """Plan one lane exactly as :meth:`Campaign.run_one` does."""
-        c = self.campaign
-        seed = derive_seed(c.config.seed, run_index)
-        rng = RngStream(seed)
-        block_addrs = c.selection.pick(rng, c.config.n_blocks)
-        children = rng.child_pool(len(block_addrs))
-        faults = [
-            sample_word_fault(
-                children[i], addr, c.config.n_bits,
-                word_candidates=c._live_words_for(addr),
-            )
-            for i, addr in enumerate(block_addrs)
-        ]
-        return _Lane(run_index, seed, faults)
-
     def _plan_fast(self, start: int, stop: int) -> list[_Lane]:
         c = self.campaign
         indices = np.arange(start, stop, dtype=np.uint64)
@@ -185,66 +160,19 @@ class BatchEngine:
         return lanes
 
     def _plan(self, start: int, stop: int) -> list[_Lane]:
+        c = self.campaign
         if self._fast:
             lanes = self._plan_fast(start, stop)
             # Cross-check the first lane of every batch against the
-            # reference derivation; any disagreement (a numpy internals
+            # reference planner; any disagreement (a numpy internals
             # change the self check somehow missed) permanently demotes
             # this engine to reference planning.
-            reference = self._plan_reference(start)
+            reference = c._plan(start)
             if (lanes[0].seed, lanes[0].faults) == \
                     (reference.seed, reference.faults):
                 return lanes
             self._fast = False
-        return [self._plan_reference(i) for i in range(start, stop)]
-
-    # ------------------------------------------------------------------
-    # Real execution for the undecidable lanes
-    # ------------------------------------------------------------------
-    def _run_exec(self, lanes: list[_Lane]) -> list[tuple]:
-        c = self.campaign
-        memories, schemes = [], []
-        for lane in lanes:
-            memory = c._run_memory()
-            protected = [memory.object(n) for n in c.protected_names]
-            scheme = make_scheme(c.scheme_name, memory, protected)
-            apply_faults_merged(memory, merge_fault_masks(lane.faults))
-            memories.append(memory)
-            schemes.append(scheme)
-        with np.errstate(all="ignore"):
-            outputs = c.app.execute_batch(memories, schemes)
-        results = []
-        for lane, scheme, output in zip(lanes, schemes, outputs):
-            if isinstance(output, FaultDetected):
-                run = RunResult(
-                    lane.run_index, Outcome.DETECTED, 0.0, str(output)
-                )
-            elif isinstance(output, KernelCrash):
-                run = RunResult(
-                    lane.run_index, Outcome.CRASH, 0.0, str(output)
-                )
-            else:
-                metric = c.app.error_metric.compare(c._golden, output)
-                if metric.is_sdc:
-                    run = RunResult(
-                        lane.run_index, Outcome.SDC, metric.error,
-                        f"error {metric.error:.6g} > {metric.threshold:g}",
-                    )
-                elif getattr(scheme, "stats", None) is not None \
-                        and scheme.stats.corrected_reads:
-                    run = RunResult(
-                        lane.run_index, Outcome.CORRECTED, metric.error,
-                        f"{scheme.stats.corrected_bytes} byte(s) voted out",
-                    )
-                else:
-                    run = RunResult(
-                        lane.run_index, Outcome.MASKED, metric.error
-                    )
-            results.append(
-                (run, dict(vars(scheme.stats))
-                 if getattr(scheme, "stats", None) is not None else {})
-            )
-        return results
+        return [c._plan(i) for i in range(start, stop)]
 
     # ------------------------------------------------------------------
     # Batch entry point
@@ -260,70 +188,53 @@ class BatchEngine:
         :class:`~repro.obs.provenance.ProvenanceRecord` payloads as
         the scalar path, in run-index order.
         """
-        ev = self._prepare()
+        c = self.campaign
+        # Under SECDED the kernel consumes post-decode data, not the
+        # injected overlays the analytic classifier reasons about.
+        ev = None if c.config.secded else c._golden_evidence()
         lanes = self._plan(start, stop)
-        decided: dict[int, tuple] = {}
-        exec_lanes: list[_Lane] = []
-        analytic_idx: set[int] = set()
+        # Per lane: (result, counters, evidence, SECDED verdicts).
+        decided: list = [None] * len(lanes)
+        pending = []
         pruned: dict[str, int] = {}
-        for lane in lanes:
+        for slot, lane in enumerate(lanes):
             verdict = (
                 ev.classify_analytic(lane.run_index, lane.faults)
-                if ev.analytic else None
+                if ev is not None and ev.analytic else None
             )
-            if verdict is None:
-                exec_lanes.append(lane)
-            else:
+            if verdict is not None:
                 run, counters, prunes = verdict
-                decided[lane.run_index] = (run, counters)
-                analytic_idx.add(lane.run_index)
+                decided[slot] = (run, counters, "analytic", None)
                 for tag in prunes:
                     pruned[tag] = pruned.get(tag, 0) + 1
-        if exec_lanes:
-            for run, counters in self._run_exec(exec_lanes):
-                decided[run.run_index] = (run, counters)
+                continue
+            memory = c._run_memory()
+            scheme, verdicts, run = c._inject(lane, memory)
+            if run is None:
+                pending.append((slot, memory, scheme, verdicts))
+            else:
+                decided[slot] = (run, vars(scheme.stats), "executed",
+                                 verdicts)
+        if pending:
+            with np.errstate(all="ignore"):
+                outputs = c.app.execute_batch(
+                    [memory for _slot, memory, _s, _v in pending],
+                    [scheme for _slot, _m, scheme, _v in pending],
+                )
+            for (slot, _memory, scheme, verdicts), output in \
+                    zip(pending, outputs):
+                run = c._outcome(lanes[slot].run_index, output, scheme)
+                decided[slot] = (run, vars(scheme.stats), "executed",
+                                 verdicts)
         if metrics is not None:
-            metrics.inc(
-                "campaign.batch.analytic_lanes",
-                len(lanes) - len(exec_lanes),
-            )
-            metrics.inc("campaign.batch.exec_lanes", len(exec_lanes))
+            n_analytic = sum(d[2] == "analytic" for d in decided)
+            metrics.inc("campaign.batch.analytic_lanes", n_analytic)
+            metrics.inc("campaign.batch.exec_lanes",
+                        len(lanes) - n_analytic)
             for tag in sorted(pruned):
                 metrics.inc(f"campaign.batch.pruned.{tag}", pruned[tag])
-        results = []
-        for lane in lanes:
-            run, counters = decided[lane.run_index]
-            if metrics is not None:
-                for fault in lane.faults:
-                    obj = ev.object_for_block(fault.block_addr)
-                    metrics.inc(f"campaign.faults.object.{obj.name}")
-                metrics.inc(f"campaign.outcome.{run.outcome.value}")
-            if provenance_sink is not None:
-                provenance_sink.append(ev.provenance(
-                    lane.run_index, lane.seed, lane.faults, run,
-                    evidence=(
-                        "analytic" if lane.run_index in analytic_idx
-                        else "executed"
-                    ),
-                ))
-            if record_sink is not None:
-                c = self.campaign
-                record_sink.append(RunRecord(
-                    run_index=lane.run_index,
-                    seed=lane.seed,
-                    app=c.app.name,
-                    scheme=c.scheme_name,
-                    selection=c.selection.name,
-                    n_blocks=c.config.n_blocks,
-                    n_bits=c.config.n_bits,
-                    outcome=run.outcome.value,
-                    error=float(run.error),
-                    detail=run.detail,
-                    faults=tuple(lane.faults),
-                    counters=tuple(sorted(
-                        (name, int(value))
-                        for name, value in counters.items()
-                    )),
-                ))
-            results.append(run)
-        return results
+        for lane, (run, counters, evidence, verdicts) in \
+                zip(lanes, decided):
+            c._emit(lane, run, counters, metrics, record_sink,
+                    provenance_sink, evidence=evidence, verdicts=verdicts)
+        return [d[0] for d in decided]

@@ -27,7 +27,7 @@ from typing import Iterable
 import numpy as np
 
 from repro._compat import UNSET, resolve_renamed
-from repro.arch.address_space import DeviceMemory
+from repro.arch.address_space import DataObject, DeviceMemory
 from repro.core.protection import ProtectionSpec
 from repro.core.schemes import SCHEME_NAMES, make_protection
 from repro.errors import (
@@ -37,10 +37,10 @@ from repro.errors import (
     SpecError,
     UnknownSchemeError,
 )
-from repro.faults.batch import BatchEngine
-from repro.faults.injector import apply_faults
+from repro.faults.batch import BatchEngine, _Lane
+from repro.faults.injector import apply_faults_merged, merge_fault_masks
 from repro.faults.secded_filter import apply_filtered_faults
-from repro.faults.model import FaultSpec, live_words, sample_word_fault
+from repro.faults.model import live_words, sample_word_fault
 from repro.faults.outcomes import Outcome, RunResult
 from repro.faults.selection import BlockSelection
 from repro.kernels.base import GpuApplication
@@ -54,12 +54,6 @@ from repro.utils.stats import (
     confidence_interval,
     zero_run_interval,
 )
-
-#: Per-run memory strategies: ``"cow"`` clones the prepared (replica-
-#: populated) image copy-on-write; ``"full"`` deep-copies the pristine
-#: memory and rebuilds replicas every run (the original, slow path —
-#: kept as the reference the COW path is tested bit-for-bit against).
-CLONE_MODES = ("cow", "full")
 
 #: Bumped whenever the serialized campaign-result shape changes
 #: incompatibly (checkpoint chunks embed it).  v2 added the
@@ -383,11 +377,11 @@ class Campaign:
     ``jobs`` fans the runs out over that many worker processes (see
     :class:`~repro.runtime.executor.CampaignExecutor`); the outcome is
     bit-identical to a serial execution because each run derives
-    entirely from ``(seed, run_index)``.  ``clone_mode`` picks the
-    per-run memory strategy (see :data:`CLONE_MODES`): the default
-    ``"cow"`` clones a once-prepared, replica-populated image
-    copy-on-write, so a run materializes private copies only of the
-    objects it actually writes.
+    entirely from ``(seed, run_index)``.  Every run clones a
+    once-prepared, replica-populated image copy-on-write, so it
+    materializes private copies only of the objects it actually
+    writes; :meth:`_run_reference` keeps the original deep-copy flow
+    as the oracle that path is tested against.
 
     ``collect_records=True`` makes every run emit a deterministic
     :class:`~repro.obs.records.RunRecord` into the result; ``metrics``
@@ -406,7 +400,6 @@ class Campaign:
         config: CampaignConfig | None = None,
         keep_runs: bool = False,
         jobs: int = 1,
-        clone_mode: str = "cow",
         collect_records: bool = False,
         collect_provenance: bool = False,
         metrics: MetricsRegistry | None = None,
@@ -446,16 +439,6 @@ class Campaign:
             if scheme not in SCHEME_NAMES:
                 raise UnknownSchemeError(scheme, SCHEME_NAMES)
             protection = ProtectionSpec.uniform(scheme, protect)
-        if protection.is_mixed and collect_provenance:
-            raise ConfigError(
-                "provenance collection does not support mixed "
-                "per-object schemes yet (the cause taxonomy is "
-                "defined per uniform scheme)"
-            )
-        if clone_mode not in CLONE_MODES:
-            raise ConfigError(
-                f"clone_mode {clone_mode!r} not in {CLONE_MODES}"
-            )
         if jobs < 1:
             raise ConfigError("jobs must be >= 1")
         if batch < 1:
@@ -472,7 +455,6 @@ class Campaign:
         self.config = config or CampaignConfig()
         self.keep_runs = keep_runs
         self.jobs = jobs
-        self.clone_mode = clone_mode
         self.collect_records = collect_records
         #: Emit one :class:`~repro.obs.provenance.ProvenanceRecord` per
         #: run into the result.  Off by default: the derivation walks
@@ -480,10 +462,10 @@ class Campaign:
         #: telemetry path must not pay.
         self.collect_provenance = collect_provenance
         #: Runs propagated per batched sweep (1 = scalar ``run_one``
-        #: loop).  Like ``jobs``/``clone_mode`` this is an execution
-        #: knob, provably result-invariant, and stays out of
-        #: :meth:`spec_identity`; ``max_batch_bytes`` clamps the
-        #: effective size so large apps cannot OOM.
+        #: loop).  Like ``jobs`` this is an execution knob, provably
+        #: result-invariant, and stays out of :meth:`spec_identity`;
+        #: ``max_batch_bytes`` clamps the effective size so large apps
+        #: cannot OOM.
         self.batch = batch
         self.max_batch_bytes = max_batch_bytes
         #: Early-stopping rule (an
@@ -528,8 +510,10 @@ class Campaign:
         #: Prepared per-campaign image: pristine memory plus the
         #: scheme's replicas, built once and COW-cloned per run.
         self._base_memory: DeviceMemory | None = None
-        #: live-word candidates per block address; the object layout is
-        #: identical in every clone, so repeats across runs reuse it.
+        #: Owning object and live-word candidates per block address; the
+        #: object layout is identical in every clone, so repeats across
+        #: runs reuse them.
+        self._block_objects: dict[int, DataObject] = {}
         self._live_words: dict[int, list[int]] = {}
 
     @property
@@ -549,7 +533,7 @@ class Campaign:
         campaign's results: the application's structural cache key,
         the selection policy, scheme, protected objects, fault config
         and the result-shape flags.  Execution knobs that provably do
-        not change results (``jobs``, ``clone_mode``) stay out, so a
+        not change results (``jobs``, ``batch``) stay out, so a
         checkpoint taken at one parallelism resumes at any other.
         """
         from repro.runtime.cache import app_cache_key
@@ -687,17 +671,13 @@ class Campaign:
         """The batch size actually used by :meth:`run_span`.
 
         The requested ``batch`` is clamped so a batch's worst-case
-        footprint (every lane COW-cloning the full base image) stays
-        under ``max_batch_bytes``, and collapses to 1 whenever the
-        batched engine cannot guarantee scalar-identical results
-        (SECDED filtering, ``clone_mode="full"``, mixed per-object
-        schemes — the lane classifier models one uniform scheme).
+        footprint — every lane COW-cloning the full prepared image,
+        replicas included — stays under ``max_batch_bytes``.
         """
-        if self.batch <= 1 or self.config.secded \
-                or self.clone_mode != "cow" \
-                or self.protection.is_mixed:
+        if self.batch <= 1:
             return 1
-        per_lane = max(1, self._pristine.bytes_allocated)
+        per_lane = max(1, self._pristine.bytes_allocated
+                       + self.protection.replica_bytes(self._pristine))
         return max(1, min(self.batch, self.max_batch_bytes // per_lane))
 
     def run_batch(
@@ -714,17 +694,9 @@ class Campaign:
         ``provenance_sink``) RunRecords and ProvenanceRecords are
         identical to calling :meth:`run_one` per index — the batched
         engine (see :mod:`repro.faults.batch`) is an execution
-        strategy, not a semantic variant.  Configurations the engine
-        does not support (SECDED, full clone mode, mixed per-object
-        schemes) transparently fall back to the scalar loop.
+        strategy, not a semantic variant, for every protection spec
+        (uniform, mixed, SECDED).
         """
-        if self.config.secded or self.clone_mode != "cow" \
-                or self.protection.is_mixed:
-            return [
-                self.run_one(i, metrics=metrics, record_sink=record_sink,
-                             provenance_sink=provenance_sink)
-                for i in range(start, stop)
-            ]
         if self._batch_engine is None:
             self._batch_engine = BatchEngine(self)
         return self._batch_engine.run_batch(
@@ -745,11 +717,7 @@ class Campaign:
         return self._evidence
 
     def _run_memory(self) -> DeviceMemory:
-        """Per-run device memory according to ``clone_mode``."""
-        if self.clone_mode == "full":
-            # Reference path: deep-copy the pristine memory; replicas
-            # are recreated from scratch inside every run.
-            return self._pristine.clone()
+        """Per-run device memory: a COW clone of the prepared image."""
         if self._base_memory is None:
             if self.protection.is_baseline:
                 # No replicas to prepare: COW straight off the shared
@@ -761,12 +729,41 @@ class Campaign:
                 self._base_memory = base
         return self._base_memory.cow_clone()
 
+    def _object_for_block(self, addr: int) -> DataObject:
+        """The data object owning block address ``addr`` (memoized)."""
+        obj = self._block_objects.get(addr)
+        if obj is None:
+            obj = self._pristine.object_at(addr)
+            self._block_objects[addr] = obj
+        return obj
+
     def _live_words_for(self, addr: int) -> list[int]:
         candidates = self._live_words.get(addr)
         if candidates is None:
-            candidates = live_words(self._pristine.object_at(addr), addr)
+            candidates = live_words(self._object_for_block(addr), addr)
             self._live_words[addr] = candidates
         return candidates
+
+    def _plan(self, run_index: int) -> _Lane:
+        """The reference plan of one run: its seed and sampled faults.
+
+        The batch engine's vectorized planner reproduces these draws
+        call for call and cross-checks every batch against this one.
+        """
+        seed = derive_seed(self.config.seed, run_index)
+        rng = RngStream(seed)
+        block_addrs = self.selection.pick(rng, self.config.n_blocks)
+        children = rng.child_pool(len(block_addrs))
+        faults = [
+            sample_word_fault(
+                children[i],
+                addr,
+                self.config.n_bits,
+                word_candidates=self._live_words_for(addr),
+            )
+            for i, addr in enumerate(block_addrs)
+        ]
+        return _Lane(run_index, seed, faults)
 
     def run_one(
         self,
@@ -784,43 +781,129 @@ class Campaign:
         :class:`~repro.obs.provenance.ProvenanceRecord`.  All are
         optional so ad-hoc single-run calls stay cheap.
         """
-        seed = derive_seed(self.config.seed, run_index)
-        rng = RngStream(seed)
-        memory = self._run_memory()
-        scheme = make_protection(memory, self.protection)
+        return self._run_lane(
+            self._plan(run_index), self._run_memory(), metrics,
+            record_sink, provenance_sink,
+        )
 
-        block_addrs = self.selection.pick(rng, self.config.n_blocks)
-        children = rng.child_pool(len(block_addrs))
-        faults = [
-            sample_word_fault(
-                children[i],
-                addr,
-                self.config.n_bits,
-                word_candidates=self._live_words_for(addr),
+    def _run_reference(
+        self, run_index: int, record_sink: list[RunRecord] | None = None
+    ) -> RunResult:
+        """Execute one run on the original deep-copy flow.
+
+        Deep-copies the pristine memory and rebuilds the replicas
+        inside the run instead of COW-cloning the prepared image: the
+        slow reference the copy-on-write and batched paths are tested
+        against bit for bit.
+        """
+        return self._run_lane(
+            self._plan(run_index), self._pristine.clone(),
+            record_sink=record_sink,
+        )
+
+    def _run_lane(
+        self,
+        lane: _Lane,
+        memory: DeviceMemory,
+        metrics: MetricsRegistry | None = None,
+        record_sink: list[RunRecord] | None = None,
+        provenance_sink: list[ProvenanceRecord] | None = None,
+    ) -> RunResult:
+        """Inject one planned lane into ``memory``, execute, classify
+        and emit it."""
+        scheme, verdicts, result = self._inject(lane, memory)
+        if result is None:
+            try:
+                with np.errstate(all="ignore"):
+                    output = self.app.execute(memory, scheme)
+            except (FaultDetected, KernelCrash) as exc:
+                output = exc
+            result = self._outcome(lane.run_index, output, scheme)
+        self._emit(lane, result, vars(scheme.stats), metrics,
+                   record_sink, provenance_sink, verdicts=verdicts)
+        return result
+
+    def _inject(self, lane: _Lane, memory: DeviceMemory):
+        """Build the protection on ``memory``, then install the lane's
+        faults.
+
+        Returns ``(scheme, verdicts, result)``.  Under SECDED every
+        fault cluster is first filtered through a real (72,64) decode:
+        ``verdicts`` are its per-fault
+        :class:`~repro.faults.secded_filter.EccVerdict` s, which the
+        provenance derivation attributes causes from, and ``result``
+        is the DETECTED outcome of a detected-uncorrectable error (the
+        run ends before the application consumes anything).  Without
+        SECDED both are ``None``.
+        """
+        scheme = make_protection(memory, self.protection)
+        if not self.config.secded:
+            apply_faults_merged(memory, merge_fault_masks(lane.faults))
+            return scheme, None, None
+        verdicts, due = apply_filtered_faults(memory, lane.faults)
+        result = None
+        if due:
+            result = RunResult(
+                lane.run_index, Outcome.DETECTED, 0.0,
+                "SECDED detected-uncorrectable error (DUE)",
             )
-            for i, addr in enumerate(block_addrs)
-        ]
-        verdict_sink = (
-            [] if provenance_sink is not None and self.config.secded
-            else None
-        )
-        result = self._classify(
-            run_index, memory, scheme, faults, verdict_sink=verdict_sink
-        )
+        return scheme, verdicts, result
+
+    def _outcome(self, run_index: int, output, scheme) -> RunResult:
+        """Classify an executed lane against the golden output.
+
+        ``output`` is the application's output array, or the
+        :class:`~repro.errors.FaultDetected` /
+        :class:`~repro.errors.KernelCrash` its execution raised.
+        """
+        if isinstance(output, FaultDetected):
+            return RunResult(run_index, Outcome.DETECTED, 0.0, str(output))
+        if isinstance(output, KernelCrash):
+            return RunResult(run_index, Outcome.CRASH, 0.0, str(output))
+        metric = self.app.error_metric.compare(self._golden, output)
+        if metric.is_sdc:
+            return RunResult(
+                run_index, Outcome.SDC, metric.error,
+                f"error {metric.error:.6g} > {metric.threshold:g}",
+            )
+        if scheme.stats.corrected_reads:
+            return RunResult(
+                run_index, Outcome.CORRECTED, metric.error,
+                f"{scheme.stats.corrected_bytes} byte(s) voted out",
+            )
+        return RunResult(run_index, Outcome.MASKED, metric.error)
+
+    def _emit(
+        self,
+        lane: _Lane,
+        result: RunResult,
+        counters: dict[str, int],
+        metrics: MetricsRegistry | None = None,
+        record_sink: list[RunRecord] | None = None,
+        provenance_sink: list[ProvenanceRecord] | None = None,
+        evidence: str | None = None,
+        verdicts: list | None = None,
+    ) -> None:
+        """Emit one classified lane's per-run metrics and records.
+
+        ``counters`` are the scheme's post-run stats; ``evidence``
+        labels a batched lane (``None`` lets the provenance derivation
+        recompute it); ``verdicts`` are a SECDED lane's ECC verdicts.
+        """
         if provenance_sink is not None:
             provenance_sink.append(self._golden_evidence().provenance(
-                run_index, seed, faults, result,
-                secded_verdicts=verdict_sink,
+                lane.run_index, lane.seed, lane.faults, result,
+                evidence=evidence, secded_verdicts=verdicts,
             ))
         if metrics is not None:
-            for fault in faults:
-                obj = self._pristine.object_at(fault.block_addr)
+            for fault in lane.faults:
+                obj = self._object_for_block(fault.block_addr)
                 metrics.inc(f"campaign.faults.object.{obj.name}")
             metrics.inc(f"campaign.outcome.{result.outcome.value}")
         if record_sink is not None:
             record_sink.append(RunRecord(
-                run_index=run_index,
-                seed=seed,
+                run_index=lane.run_index,
+                seed=lane.seed,
                 app=self.app.name,
                 scheme=self.scheme_name,
                 selection=self.selection.name,
@@ -829,66 +912,8 @@ class Campaign:
                 outcome=result.outcome.value,
                 error=float(result.error),
                 detail=result.detail,
-                faults=tuple(faults),
-                counters=self._scheme_counters(scheme),
+                faults=tuple(lane.faults),
+                counters=tuple(sorted(
+                    (name, int(value)) for name, value in counters.items()
+                )),
             ))
-        return result
-
-    @staticmethod
-    def _scheme_counters(scheme) -> tuple[tuple[str, int], ...]:
-        """The scheme's post-run stats as sorted (name, value) pairs."""
-        stats = getattr(scheme, "stats", None)
-        if stats is None:
-            return ()
-        return tuple(sorted(
-            (name, int(value)) for name, value in vars(stats).items()
-        ))
-
-    def _classify(
-        self,
-        run_index: int,
-        memory: DeviceMemory,
-        scheme,
-        faults: list[FaultSpec],
-        verdict_sink: list | None = None,
-    ) -> RunResult:
-        """Inject ``faults``, execute the app, classify the outcome.
-
-        ``verdict_sink`` (SECDED campaigns only) receives the per-fault
-        :class:`~repro.faults.secded_filter.EccVerdict` s of the
-        filtering pass, which the provenance derivation attributes
-        causes from.
-        """
-        if self.config.secded:
-            verdicts, due = apply_filtered_faults(memory, faults)
-            if verdict_sink is not None:
-                verdict_sink.extend(verdicts)
-            if due:
-                return RunResult(
-                    run_index, Outcome.DETECTED, 0.0,
-                    "SECDED detected-uncorrectable error (DUE)",
-                )
-        else:
-            apply_faults(memory, faults)
-
-        try:
-            with np.errstate(all="ignore"):
-                output = self.app.execute(memory, scheme)
-        except FaultDetected as exc:
-            return RunResult(run_index, Outcome.DETECTED, 0.0, str(exc))
-        except KernelCrash as exc:
-            return RunResult(run_index, Outcome.CRASH, 0.0, str(exc))
-
-        metric = self.app.error_metric.compare(self._golden, output)
-        if metric.is_sdc:
-            return RunResult(
-                run_index, Outcome.SDC, metric.error,
-                f"error {metric.error:.6g} > {metric.threshold:g}",
-            )
-        if getattr(scheme, "stats", None) is not None \
-                and scheme.stats.corrected_reads:
-            return RunResult(
-                run_index, Outcome.CORRECTED, metric.error,
-                f"{scheme.stats.corrected_bytes} byte(s) voted out",
-            )
-        return RunResult(run_index, Outcome.MASKED, metric.error)

@@ -2,17 +2,18 @@
 
 Two application paths share one overlay algebra:
 
-* :func:`apply_faults` — the scalar path: one
+* :func:`apply_faults` — per-bit installation: one
   :meth:`~repro.arch.address_space.DeviceMemory.inject_stuck_at` call
   per stuck bit, merging into any existing overlay as it goes.
-* :func:`merge_fault_masks` + :func:`apply_faults_merged` — the batched
-  path: every fault's bits are first folded into one
-  ``(or_mask, and_mask)`` pair per byte (later faults win ties, exactly
-  like :meth:`~repro.arch.address_space.StuckAtOverlay.merged_with`),
-  then installed with a single dict write per touched byte.  The batch
-  engine also reuses the folded masks directly for its analytic
-  visible-divergence classification, so planning and execution agree on
-  the overlay semantics by construction.
+* :func:`merge_fault_masks` + :func:`apply_faults_merged` — the
+  campaign's lane path (scalar and batched runs alike): every fault's
+  bits are first folded into one ``(or_mask, and_mask)`` pair per byte
+  (later faults win ties, exactly like
+  :meth:`~repro.arch.address_space.StuckAtOverlay.merged_with`), then
+  installed with a single dict write per touched byte.  The analytic
+  classifier reuses the folded masks directly for its visible-divergence
+  analysis, so classification and execution agree on the overlay
+  semantics by construction.
 
 Both paths leave the memory with identical overlays for the same fault
 list.

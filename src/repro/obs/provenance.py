@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from repro.arch.address_space import BLOCK_BYTES, DataObject
-from repro.core.schemes import make_scheme
+from repro.core.schemes import make_protection
 from repro.errors import FaultDetected, TelemetryError
 from repro.faults.injector import merge_fault_masks, overlay_read_value
 from repro.faults.model import FaultSpec
@@ -409,8 +409,6 @@ class GoldenEvidence:
 
     def __init__(self, campaign: "Campaign"):
         c = self.campaign = campaign
-        #: Fault-block address -> owning object (shared layout).
-        self._block_objects: dict[int, DataObject] = {}
         #: Byte address -> fault-free byte value in the base image.
         self._base_bytes: dict[int, int] = {}
         #: run_index -> overlay analysis cached by the classifier for
@@ -419,13 +417,16 @@ class GoldenEvidence:
         #: telemetry-only campaigns never grow it).
         self._overlay_memo: dict[int, tuple] = {}
         memory = c._run_memory()
-        self.base_memory = (
-            c._base_memory if c._base_memory is not None else c._pristine
-        )
-        protected = [memory.object(n) for n in c.protected_names]
-        scheme = make_scheme(c.scheme_name, memory, protected)
+        self.base_memory = c._base_memory
+        scheme = make_protection(memory, c.protection)
         self.protected = scheme.protected_names
-        self.kind = scheme.scheme_name
+        #: The detection-protected names; the rest of ``protected`` is
+        #: correction-protected.  Every faulted object is judged by its
+        #: own scheme (a uniform spec leaves one side empty).
+        self.detection_names = frozenset(
+            name for name in self.protected
+            if c.protection.scheme_for(name) == "detection"
+        )
         # Record every data consumption path via the golden timeline:
         # scheme reads (protected or not) AND direct
         # ``memory.read_object`` calls from kernel code ("raw" — they
@@ -490,14 +491,6 @@ class GoldenEvidence:
     # ------------------------------------------------------------------
     # Layout lookups (memoized, shared by classifier and provenance)
     # ------------------------------------------------------------------
-    def object_for_block(self, block_addr: int) -> DataObject:
-        """The data object owning ``block_addr`` (memoized lookup)."""
-        obj = self._block_objects.get(block_addr)
-        if obj is None:
-            obj = self.campaign._pristine.object_at(block_addr)
-            self._block_objects[block_addr] = obj
-        return obj
-
     def base_byte(self, byte_addr: int) -> int:
         """Fault-free byte value at ``byte_addr`` (block-bulk cached)."""
         value = self._base_bytes.get(byte_addr)
@@ -548,7 +541,7 @@ class GoldenEvidence:
             or_mask, and_mask = masks[byte_addr]
             # Word faults never straddle the 128B block, so the byte's
             # block is its fault's block — the memoized lookup applies.
-            obj = self.object_for_block(
+            obj = self.campaign._object_for_block(
                 byte_addr - byte_addr % BLOCK_BYTES
             )
             sited.setdefault(obj.name, obj)
@@ -660,9 +653,15 @@ class GoldenEvidence:
             self.first_unchecked[name] for name in divergent
             if name in self.first_unchecked
         ]
-        if self.kind == "detection" and prot_read:
+        det_read = [name for name in prot_read
+                    if name in self.detection_names]
+        if det_read:
+            if len(det_read) < len(prot_read):
+                # Divergence reaches detection- and correction-protected
+                # objects alike; execution decides which acts first.
+                return None
             i_star, det_name = min(
-                (self.first_prot_read[name], name) for name in prot_read
+                (self.first_prot_read[name], name) for name in det_read
             )
             if any(pos < i_star for pos in unchecked):
                 return None
@@ -681,8 +680,7 @@ class GoldenEvidence:
         if unchecked:
             return None
         if prot_read:
-            if self.kind != "correction":
-                return None
+            # Every divergent protected object is correction-protected.
             corrected_reads = sum(
                 self.prot_read_count[name] for name in prot_read
             )
@@ -780,7 +778,7 @@ class GoldenEvidence:
         """
         sites = []
         for fault in faults:
-            obj = self.object_for_block(fault.block_addr)
+            obj = self.campaign._object_for_block(fault.block_addr)
             # Visibility is a plain disjunction over the fault's own
             # bytes, so iteration order cannot affect the record.
             visible = False
@@ -906,11 +904,12 @@ class GoldenEvidence:
         """Where the detection scheme fires, when the golden evidence
         can tell (read-only divergence under the detection scheme with
         no earlier unchecked escape); ``None`` otherwise."""
-        if outcome is not Outcome.DETECTED or self.kind != "detection":
+        if outcome is not Outcome.DETECTED:
             return None
         prot_names = [
             name for name in ro_divergent
-            if name in self.protected and name in self.first_prot_read
+            if name in self.detection_names
+            and name in self.first_prot_read
         ]
         if not prot_names:
             return None
@@ -931,27 +930,19 @@ class GoldenEvidence:
         seed: int,
         faults: list[FaultSpec],
         result: RunResult,
-        verdicts: list | None,
+        verdicts: list,
     ) -> ProvenanceRecord:
         """SECDED campaigns: causes come from the ECC verdicts; the
         propagation story is nulled (what the application observes is
         the post-decode delivery, not the injected overlay, so the
         golden-stream exposure measure does not apply)."""
-        from repro.faults.secded_filter import (
-            EccVerdict,
-            apply_filtered_faults,
-        )
+        from repro.faults.secded_filter import EccVerdict
 
         c = self.campaign
-        if verdicts is None:
-            # Recompute exactly as the run did: sequential filtering
-            # against a fresh per-run memory (earlier delivered
-            # overlays are visible to later decodes).
-            verdicts, _due = apply_filtered_faults(c._run_memory(), faults)
         delivered = (EccVerdict.MISCORRECTED, EccVerdict.ESCAPED)
         sites = []
         for fault, verdict in zip(faults, verdicts):
-            obj = self.object_for_block(fault.block_addr)
+            obj = self.campaign._object_for_block(fault.block_addr)
             sites.append(ProvenanceSite(
                 object=obj.name,
                 region="hot" if obj.name in self.hot_names else "rest",

@@ -102,7 +102,6 @@ class CampaignSpec:
     protected_names: tuple[str, ...]
     config: Any
     keep_runs: bool
-    clone_mode: str
     collect_records: bool = False
     collect_provenance: bool = False
     batch: int = 1
@@ -126,7 +125,6 @@ class CampaignSpec:
             protected_names=campaign.protected_names,
             config=campaign.config,
             keep_runs=campaign.keep_runs,
-            clone_mode=campaign.clone_mode,
             collect_records=campaign.collect_records,
             collect_provenance=campaign.collect_provenance,
             batch=campaign.batch,
@@ -165,7 +163,6 @@ def _run_span_spec(
             config=spec.config,
             **how,
             keep_runs=spec.keep_runs,
-            clone_mode=spec.clone_mode,
             collect_records=spec.collect_records,
             collect_provenance=spec.collect_provenance,
             batch=spec.batch,

@@ -4,15 +4,17 @@ The batched engine (:mod:`repro.faults.batch`) is an execution
 strategy, not a semantic variant — for any (app, scheme, protect,
 seed, runs) cell it must produce the same outcome tallies and
 byte-identical RunRecord JSONL as ``run_one`` at every batch size and
-worker count.  These tests pin that contract on both an
-analytic-heavy cell (read-only protected objects) and cells with
-writable-object faults that force the real-execution fallback.
+worker count.  These tests pin that contract on an analytic-heavy
+cell (read-only protected objects), cells with writable-object faults
+that force the real-execution fallback, mixed per-object schemes and
+SECDED-filtered campaigns.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.protection import ProtectionSpec
 from repro.faults.batch import BatchEngine
 from repro.faults.campaign import Campaign, CampaignConfig
 from repro.faults.injector import (
@@ -25,17 +27,22 @@ from repro.kernels.registry import create_app
 
 
 def make_campaign(app_name, scheme, protect, runs=24, batch=1, jobs=1,
-                  seed=20210621):
+                  seed=20210621, n_bits=2, secded=False):
+    """``scheme`` ``"mixed"`` takes ``protect`` as an explicit
+    ``object=scheme`` spec string."""
     app = create_app(app_name, scale="small")
     memory = app.fresh_memory()
     pool = [a for o in memory.objects for a in o.block_addrs()]
+    if scheme == "mixed":
+        how = {"protection": ProtectionSpec.parse(protect)}
+    else:
+        how = {"scheme": scheme, "protect": protect}
     return Campaign(
         app,
         uniform_selection(pool),
-        scheme=scheme,
-        protect=protect,
-        config=CampaignConfig(runs=runs, n_blocks=2, n_bits=2,
-                              seed=seed),
+        **how,
+        config=CampaignConfig(runs=runs, n_blocks=2, n_bits=n_bits,
+                              seed=seed, secded=secded),
         keep_runs=True,
         collect_records=True,
         batch=batch,
@@ -54,7 +61,22 @@ CELLS = [
     # Writable outputs in the pool force exec-lane fallback paths.
     ("P-ATAX", "detection", ("A", "x")),
     ("P-GESUMMV", "correction", ("A", "B")),
+    # Mixed per-object schemes; P-ATAX's writable tmp/y force exec
+    # lanes.
+    ("P-BICG", "mixed", "r=detection,p=correction"),
+    ("P-ATAX", "mixed", "A=correction,x=detection"),
+    # SECDED-filtered baseline at 2 and 3 stuck bits.
+    ("P-BICG", "secded", 2),
+    ("P-BICG", "secded", 3),
 ]
+
+
+def cell_campaign(app_name, scheme, protect, **kwargs):
+    """The campaign of one ``CELLS`` entry."""
+    if scheme == "secded":
+        return make_campaign(app_name, "baseline", (), n_bits=protect,
+                             secded=True, **kwargs)
+    return make_campaign(app_name, scheme, protect, **kwargs)
 
 
 class TestBatchedEqualsSerial:
@@ -62,14 +84,45 @@ class TestBatchedEqualsSerial:
     @pytest.mark.parametrize("batch", [8, 64])
     def test_batch_sizes_match_serial(self, app_name, scheme, protect,
                                       batch):
-        serial = make_campaign(app_name, scheme, protect).run()
-        batched = make_campaign(
+        serial = cell_campaign(app_name, scheme, protect).run()
+        batched = cell_campaign(
             app_name, scheme, protect, batch=batch
         ).run()
         assert batched.counts == serial.counts
         assert [r.outcome for r in batched.runs] \
             == [r.outcome for r in serial.runs]
         assert records_jsonl(batched) == records_jsonl(serial)
+
+    @pytest.mark.parametrize("app_name,scheme,protect", CELLS)
+    @pytest.mark.parametrize("batch", [8, 64])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_every_spec_runs_batched(self, app_name, scheme, protect,
+                                     batch, jobs):
+        """Every protection spec takes the batched engine — no scalar
+        fallback — and matches both the scalar loop and the deep-copy
+        reference flow record for record."""
+        serial = cell_campaign(app_name, scheme, protect).run()
+        reference = cell_campaign(app_name, scheme, protect)
+        sink = []
+        for i in range(reference.config.runs):
+            reference._run_reference(i, record_sink=sink)
+        campaign = cell_campaign(app_name, scheme, protect, batch=batch,
+                                 jobs=jobs)
+        batched = campaign.run()
+        assert campaign.effective_batch == batch
+        assert records_jsonl(batched) == records_jsonl(serial)
+        assert records_jsonl(batched) == "\n".join(
+            r.to_json() for r in sink)
+        counters = batched.metrics_snapshot["counters"]
+        analytic = counters.get("campaign.batch.analytic_lanes", 0)
+        assert analytic + counters.get("campaign.batch.exec_lanes", 0) \
+            == batched.n_runs
+        # SECDED lanes never take the analytic classifier (the kernel
+        # sees post-decode data); mixed lanes do.
+        if scheme == "secded":
+            assert analytic == 0
+        elif scheme == "mixed":
+            assert analytic > 0
 
     def test_batch_of_one_is_identity(self):
         serial = make_campaign("P-BICG", "detection", ("A",)).run()
@@ -88,13 +141,28 @@ class TestBatchedEqualsSerial:
         assert records_jsonl(batched) == records_jsonl(serial)
 
 
+class TestMemoryClamp:
+    def test_clamp_counts_replica_bytes(self):
+        """Each lane clones the prepared image, replicas included, so
+        triplicating every object (a 3x image) fits one lane in a
+        budget of four pristine images, not four lanes."""
+        app = create_app("P-BICG", scale="small")
+        names = tuple(o.name for o in app.fresh_memory().objects)
+        campaign = make_campaign("P-BICG", "correction", names, batch=8)
+        pristine = campaign._pristine.bytes_allocated
+        campaign.max_batch_bytes = 4 * pristine
+        assert campaign.effective_batch == 1
+        campaign.max_batch_bytes = 8 * pristine
+        assert campaign.effective_batch == 2
+
+
 class TestPlanningEquivalence:
     def test_fast_plan_matches_reference(self):
         campaign = make_campaign("P-BICG", "detection", ("A",))
         engine = BatchEngine(campaign)
-        engine._prepare()
+        campaign._golden_evidence()
         fast = engine._plan(0, 16)
-        reference = [engine._plan_reference(i) for i in range(16)]
+        reference = [campaign._plan(i) for i in range(16)]
         assert [(l.run_index, l.seed, l.faults) for l in fast] \
             == [(l.run_index, l.seed, l.faults) for l in reference]
 
@@ -118,7 +186,7 @@ class TestMergedInjection:
         apply_faults would, for every lane of a planned batch."""
         campaign = make_campaign("P-BICG", "detection", ("A",))
         engine = BatchEngine(campaign)
-        engine._prepare()
+        campaign._golden_evidence()
         for lane in engine._plan(0, 12):
             serial_mem = campaign._run_memory()
             merged_mem = campaign._run_memory()
@@ -148,11 +216,10 @@ class TestEquivalencePruning:
 
     def test_writable_verdict_classes(self):
         campaign = make_campaign("P-BICG", "detection", ("A",))
-        engine = BatchEngine(campaign)
-        engine._prepare()
-        timeline = engine._timeline
+        evidence = campaign._golden_evidence()
+        timeline = evidence.timeline
         # dead: a name on no read path at all
-        assert engine._writable_verdict("__not_read__", {0: (1, 0)}) \
+        assert evidence.writable_verdict("__not_read__", {0: (1, 0)}) \
             == "dead"
         # agrees / must-exec against a real snapshotted object
         name = next(n for n in timeline.read_values
@@ -160,14 +227,13 @@ class TestEquivalencePruning:
         snap = timeline.read_values[name][0]
         raw = snap[0]
         agreeing = ((raw & 1), (~raw) & 1)  # or/and masks matching bit 0
-        assert engine._writable_verdict(name, {0: agreeing}) == "agrees"
+        assert evidence.writable_verdict(name, {0: agreeing}) == "agrees"
         flipping = (((~raw) & 1), (raw & 1))  # stuck opposite to bit 0
-        assert engine._writable_verdict(name, {0: flipping}) is None
+        assert evidence.writable_verdict(name, {0: flipping}) is None
 
     def test_unsnapshotted_read_paths_force_execution(self):
         campaign = make_campaign("P-BICG", "detection", ("A",))
-        engine = BatchEngine(campaign)
-        engine._prepare()
-        name = next(iter(engine._timeline.read_values))
-        engine._timeline.read_values[name] = []
-        assert engine._writable_verdict(name, {0: (0, 0)}) is None
+        evidence = campaign._golden_evidence()
+        name = next(iter(evidence.timeline.read_values))
+        evidence.timeline.read_values[name] = []
+        assert evidence.writable_verdict(name, {0: (0, 0)}) is None

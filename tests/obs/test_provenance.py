@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.protection import ProtectionSpec
 from repro.errors import TelemetryError
 from repro.faults.campaign import Campaign, CampaignConfig
 from repro.faults.outcomes import Outcome
@@ -37,16 +38,21 @@ from repro.obs.provenance import (
 def make_campaign(app_name, scheme, protect, runs=24, batch=1, jobs=1,
                   n_blocks=2, n_bits=2, seed=20210621, secded=False,
                   read_only_pool=False):
+    """``scheme`` ``"mixed"`` takes ``protect`` as an explicit
+    ``object=scheme`` spec string."""
     app = create_app(app_name, scale="small")
     memory = app.fresh_memory()
     pool = [a for o in memory.objects
             if not read_only_pool or o.read_only
             for a in o.block_addrs()]
+    if scheme == "mixed":
+        how = {"protection": ProtectionSpec.parse(protect)}
+    else:
+        how = {"scheme": scheme, "protect": protect}
     return Campaign(
         app,
         uniform_selection(pool),
-        scheme=scheme,
-        protect=protect,
+        **how,
         config=CampaignConfig(runs=runs, n_blocks=n_blocks,
                               n_bits=n_bits, seed=seed, secded=secded),
         keep_runs=True,
@@ -262,6 +268,17 @@ class TestSecdedProvenance:
         assert causes & {"secded-corrected", "secded-due"}
 
 
+#: Byte-identity cells: uniform, mixed per-object (P-ATAX's writable
+#: tmp/y force exec lanes) and SECDED-filtered campaigns.
+IDENTITY_CELLS = [
+    ("P-ATAX", "baseline", (), {}),
+    ("P-BICG", "mixed", "r=detection,p=correction", {}),
+    ("P-ATAX", "mixed", "A=correction,x=detection", {}),
+    ("P-BICG", "baseline", (), {"secded": True, "n_bits": 2}),
+    ("P-BICG", "baseline", (), {"secded": True, "n_bits": 3}),
+]
+
+
 class TestByteIdentity:
     """The ISSUE's headline guarantee: the provenance stream is
     byte-identical at any --jobs/--batch, including analytically
@@ -270,10 +287,15 @@ class TestByteIdentity:
     @pytest.mark.parametrize("batch", [1, 16])
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_jsonl_identical_across_strategies(self, jobs, batch):
-        serial = make_campaign("P-ATAX", "baseline", (), runs=48).run()
-        other = make_campaign("P-ATAX", "baseline", (), runs=48,
-                              jobs=jobs, batch=batch).run()
-        assert provenance_jsonl(other) == provenance_jsonl(serial)
+        for app_name, scheme, protect, options in IDENTITY_CELLS:
+            serial = make_campaign(app_name, scheme, protect, runs=48,
+                                   **options).run()
+            other = make_campaign(app_name, scheme, protect, runs=48,
+                                  jobs=jobs, batch=batch,
+                                  **options).run()
+            assert len(serial.provenance) == 48
+            assert provenance_jsonl(other) == provenance_jsonl(serial), \
+                (app_name, protect, options)
 
     def test_stream_mixes_analytic_and_executed_evidence(self):
         # The identity above is only meaningful if the batched run

@@ -1,8 +1,8 @@
 """Tests for the parallel campaign execution engine.
 
-The engine's contract is bit-reproducibility: any worker count, chunk
-size and clone mode must produce the exact serial reference result,
-because each run derives solely from (campaign seed, run index).
+The engine's contract is bit-reproducibility: any worker count and
+chunk size must produce the exact serial reference result, because
+each run derives solely from (campaign seed, run index).
 """
 
 import pickle
@@ -55,6 +55,15 @@ def make_campaign(app_name="A-Laplacian", scheme="baseline",
 def run_signature(result):
     return [
         (r.run_index, r.outcome, r.error, r.detail) for r in result.runs
+    ]
+
+
+def reference_signature(campaign):
+    """Signature of the deep-copy reference flow, run by run."""
+    return [
+        (r.run_index, r.outcome, r.error, r.detail)
+        for r in map(campaign._run_reference,
+                     range(campaign.config.runs))
     ]
 
 
@@ -120,10 +129,6 @@ class TestMerge:
 
 
 class TestCampaignValidation:
-    def test_bad_clone_mode(self):
-        with pytest.raises(ConfigError):
-            make_campaign(clone_mode="magic")
-
     def test_bad_jobs(self):
         with pytest.raises(ConfigError):
             make_campaign(jobs=0)
@@ -141,12 +146,11 @@ class TestParallelDeterminism:
         assert run_signature(parallel) == run_signature(serial)
 
     def test_cow_matches_full_clone(self, app_name, scheme):
-        full = make_campaign(app_name, scheme, runs=16, keep_runs=True,
-                             clone_mode="full").run()
-        cow = make_campaign(app_name, scheme, runs=16, keep_runs=True,
-                            clone_mode="cow").run()
-        assert cow.counts == full.counts
-        assert run_signature(cow) == run_signature(full)
+        full = reference_signature(make_campaign(app_name, scheme,
+                                                 runs=16))
+        cow = make_campaign(app_name, scheme, runs=16,
+                            keep_runs=True).run()
+        assert run_signature(cow) == full
 
 
 class TestParallelBaseline:
@@ -223,9 +227,10 @@ class TestCampaignSpec:
         rebuilt = Campaign(
             spec.app, spec.selection, scheme=spec.scheme_name,
             protect=spec.protected_names, config=spec.config,
-            keep_runs=spec.keep_runs, clone_mode=spec.clone_mode,
+            keep_runs=spec.keep_runs,
         )
         assert run_signature(rebuilt.run()) == run_signature(reference)
+        assert reference_signature(rebuilt) == run_signature(reference)
 
     def test_tokens_unique(self):
         campaign = make_campaign(runs=4)

@@ -11,6 +11,7 @@ grid.  Layout::
             chunk-00000000-00000025.json
             chunk-00000025-00000050.json
             ...
+        reports/<key>.json             # one derived result per key
 
 Everything is content-addressed canonical JSON:
 
@@ -22,6 +23,10 @@ Everything is content-addressed canonical JSON:
   load, so torn or hand-edited files surface as
   :class:`~repro.errors.CheckpointError` instead of silently skewing
   merged results;
+* a report file holds one result that is not a chunk — a timing
+  simulation's :class:`~repro.sim.metrics.SimReport`, a search's
+  vulnerability ranking — under the digest of the identity that
+  produced it, with the same payload digest and label checks;
 * writes go through a temp file + :func:`os.replace`, so a crash
   mid-write can never leave a half chunk that a resume would trust.
 """
@@ -40,6 +45,7 @@ STORE_VERSION = 1
 
 _MANIFEST = "MANIFEST.json"
 _CELLS = "cells"
+_REPORTS = "reports"
 
 
 def _chunk_name(start: int, stop: int) -> str:
@@ -96,11 +102,11 @@ class CheckpointStore:
         }
         self.root.mkdir(parents=True, exist_ok=True)
         (self.root / _CELLS).mkdir(exist_ok=True)
-        self._atomic_write(self.manifest_path, manifest)
+        atomic_write_json(self.manifest_path, manifest)
         return manifest
 
     def _read_manifest(self) -> dict:
-        doc = self._read_json(self.manifest_path)
+        doc = read_json(self.manifest_path)
         for key in ("version", "digest", "spec"):
             if key not in doc:
                 raise CheckpointError(
@@ -133,17 +139,9 @@ class CheckpointStore:
         self, cell_digest: str, start: int, stop: int, payload: dict
     ) -> Path:
         """Durably persist one completed chunk's result payload."""
-        path = self.chunk_path(cell_digest, start, stop)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        doc = {
-            "version": STORE_VERSION,
-            "cell": cell_digest,
-            "span": [start, stop],
-            "digest": canonical_digest(payload),
-            "payload": payload,
-        }
-        self._atomic_write(path, doc)
-        return path
+        return self._save(self.chunk_path(cell_digest, start, stop),
+                          {"cell": cell_digest, "span": [start, stop]},
+                          payload)
 
     def load_chunk(
         self, cell_digest: str, start: int, stop: int
@@ -153,30 +151,9 @@ class CheckpointStore:
         Any defect — undecodable JSON, wrong span, digest mismatch —
         raises :class:`~repro.errors.CheckpointError` naming the file.
         """
-        path = self.chunk_path(cell_digest, start, stop)
-        if not path.is_file():
-            return None
-        doc = self._read_json(path)
-        if not isinstance(doc, dict) or "payload" not in doc \
-                or "digest" not in doc:
-            raise CheckpointError(f"{path}: not a chunk document")
-        if doc.get("version") != STORE_VERSION:
-            raise CheckpointError(
-                f"{path}: chunk version {doc.get('version')!r} "
-                f"unsupported (expected {STORE_VERSION})"
-            )
-        if doc.get("span") != [start, stop] \
-                or doc.get("cell") != cell_digest:
-            raise CheckpointError(
-                f"{path}: chunk labeled for cell "
-                f"{str(doc.get('cell'))[:12]}… span {doc.get('span')}, "
-                f"expected {cell_digest[:12]}… span {[start, stop]}"
-            )
-        if canonical_digest(doc["payload"]) != doc["digest"]:
-            raise CheckpointError(
-                f"{path}: payload digest mismatch (corrupt chunk)"
-            )
-        return doc["payload"]
+        return self._load(self.chunk_path(cell_digest, start, stop),
+                          {"cell": cell_digest, "span": [start, stop]},
+                          "chunk")
 
     def completed_spans(self, cell_digest: str) -> set[tuple[int, int]]:
         """Spans with a chunk file present (not yet digest-verified)."""
@@ -199,28 +176,85 @@ class CheckpointStore:
         return spans
 
     # ------------------------------------------------------------------
+    # Reports
+    # ------------------------------------------------------------------
+    def report_path(self, key: str) -> Path:
+        """File path for the report stored under ``key``."""
+        return self.root / _REPORTS / f"{key}.json"
+
+    def save_report(self, key: str, payload: dict) -> Path:
+        """Durably persist one derived result under its identity key."""
+        return self._save(self.report_path(key), {"key": key}, payload)
+
+    def load_report(self, key: str) -> dict | None:
+        """Load the report stored under ``key``, or ``None``.
+
+        Defects raise :class:`~repro.errors.CheckpointError` exactly as
+        :meth:`load_chunk` does; a file labeled with another key is
+        one of them.
+        """
+        return self._load(self.report_path(key), {"key": key}, "report")
+
+    # ------------------------------------------------------------------
     # Plumbing
     # ------------------------------------------------------------------
     @staticmethod
-    def _atomic_write(path: Path, doc: dict) -> None:
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(canonical_json(doc))
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
+    def _save(path: Path, labels: dict, payload: dict) -> Path:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        atomic_write_json(path, {
+            "version": STORE_VERSION,
+            **labels,
+            "digest": canonical_digest(payload),
+            "payload": payload,
+        })
+        return path
 
     @staticmethod
-    def _read_json(path: Path) -> dict:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return json.load(fh)
-        except FileNotFoundError:
-            raise CheckpointError(f"{path}: checkpoint file missing") \
-                from None
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CheckpointError(f"{path}: unreadable ({exc})") from None
+    def _load(path: Path, labels: dict, kind: str) -> dict | None:
+        if not path.is_file():
+            return None
+        doc = read_json(path)
+        if not isinstance(doc, dict) or "payload" not in doc \
+                or "digest" not in doc:
+            raise CheckpointError(f"{path}: not a {kind} document")
+        if doc.get("version") != STORE_VERSION:
+            raise CheckpointError(
+                f"{path}: {kind} version {doc.get('version')!r} "
+                f"unsupported (expected {STORE_VERSION})"
+            )
+        found = {name: doc.get(name) for name in labels}
+        if found != labels:
+            raise CheckpointError(
+                f"{path}: {kind} labeled {found}, expected {labels}"
+            )
+        if canonical_digest(doc["payload"]) != doc["digest"]:
+            raise CheckpointError(
+                f"{path}: payload digest mismatch (corrupt {kind})"
+            )
+        return doc["payload"]
+
+
+def atomic_write_json(path: Path, doc: dict) -> None:
+    """Write ``doc`` as canonical JSON; a crash leaves no torn file."""
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(canonical_json(doc))
+        fh.write("\n")
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+
+
+def read_json(path: Path) -> dict:
+    """Decode one JSON file; any failure is a :class:`CheckpointError`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise CheckpointError(f"{path}: checkpoint file missing") \
+            from None
+    except (OSError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"{path}: unreadable ({exc})") from None
 
 
 def wrap_payload_error(path, exc: ReproError) -> CheckpointError:

@@ -2,16 +2,19 @@
 
 Every evaluation — a plain campaign, an adaptive campaign, each cell
 of a sweep — executes as :class:`WorkUnit` spans of one campaign's run
-indices.  Two pieces drive them, and nothing else does:
+indices; every timing simulation a sweep asks for executes as a
+:class:`SimUnit` beside them.  Two pieces drive them, and nothing else
+does:
 
 * ``_run_units`` — the pool loop.  With ``jobs=1`` units run
   in-process; otherwise they fan out over one
-  :class:`concurrent.futures.ProcessPoolExecutor`, each shipped as its
-  campaign's picklable :class:`CampaignSpec` (a worker rebuilds the
-  campaign once and reuses it, under fork and spawn alike).  Failed
-  attempts retry with exponential backoff, attempts may carry a
-  deadline, a dead pool restarts a bounded number of times, and when
-  no pool can be used the remaining units run in-process.
+  :class:`concurrent.futures.ProcessPoolExecutor`, each span shipped
+  as its campaign's picklable :class:`CampaignSpec` (a worker rebuilds
+  the campaign once and reuses it, under fork and spawn alike) and
+  each simulation as its own picklable unit.  Failed attempts retry
+  with exponential backoff, chunk attempts may carry a deadline, a
+  dead pool restarts a bounded number of times, and when no pool can
+  be used the remaining units run in-process.
 * ``_Committer`` — the in-order per-cell committer.  Finished units
   fold into their cell's contiguous run-index prefix only, so tallies
   and decisions depend on the unit plan, never on completion order.
@@ -34,20 +37,26 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import count
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
+from repro.arch.config import PAPER_CONFIG, GpuConfig
+from repro.core.hardware import HardwareBudget
+from repro.core.protection import ProtectionSpec
 from repro.errors import ConfigError, SessionError, SpecError
 from repro.faults.adaptive import StopDecision, should_stop
 from repro.obs.log import get_logger
 from repro.obs.progress import ProgressEvent
+from repro.utils.canonical import canonical_digest
 from repro.utils.stats import confidence_interval
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.manager import ReliabilityManager
     from repro.faults.adaptive import AdaptiveConfig
     from repro.faults.campaign import Campaign, CampaignResult
     from repro.obs.metrics import MetricsRegistry
+    from repro.sim.metrics import SimReport
 
 log = get_logger("executor")
 
@@ -171,6 +180,63 @@ def _run_span_spec(
         _WORKER_CAMPAIGNS[spec.token] = campaign
     start, stop = span
     return campaign.run_span(start, stop)
+
+
+@dataclass(frozen=True)
+class SimUnit:
+    """One timing simulation, picklable and identified by content.
+
+    The application is named by ``(app, scale, app_seed)``, so a
+    worker rebuilds it from its process's shared app context; the
+    :attr:`digest` over every input is the key its
+    :class:`~repro.sim.metrics.SimReport` persists under.
+    """
+
+    app: str
+    scale: str
+    app_seed: int
+    config: GpuConfig
+    budget: HardwareBudget
+    protection: ProtectionSpec
+
+    @property
+    def digest(self) -> str:
+        """Content address of the simulation's inputs."""
+        return canonical_digest({
+            "app": self.app,
+            "scale": self.scale,
+            "app_seed": self.app_seed,
+            "config": asdict(self.config),
+            "budget": asdict(self.budget),
+            "protection": self.protection.digest(),
+        })
+
+    def run(self) -> "SimReport":
+        """Simulate, on the memory and trace of the app context."""
+        manager = context_manager(self.app, self.scale, self.app_seed,
+                                  self.config)
+        manager.budget = self.budget
+        return manager.simulate_performance("baseline", self.protection)
+
+
+def context_manager(
+    app: str, scale: str, app_seed: int, config: GpuConfig = PAPER_CONFIG,
+) -> "ReliabilityManager":
+    """A manager whose memory and trace are the process's app context's.
+
+    The trace is built once per process (and inherited by forked
+    workers) instead of once per manager.
+    """
+    from repro.core.manager import ReliabilityManager
+    from repro.kernels.registry import create_app
+    from repro.runtime.cache import app_context
+
+    context = app_context(create_app(app, scale=scale, seed=app_seed))
+    manager = ReliabilityManager(context.app, config=config)
+    # Prime the manager's cached analyses with the context's
+    # (identical) artifacts.
+    manager.__dict__.update(memory=context.pristine, trace=context.trace)
+    return manager
 
 
 @dataclass(frozen=True)
@@ -304,6 +370,12 @@ class _Committer:
         return confidence_interval(sdc, runs).margin if runs else None
 
 
+def _unit_timer(unit: WorkUnit | SimUnit) -> str:
+    """The wall-time histogram a finished unit lands in."""
+    return "session.sim_ms" if isinstance(unit, SimUnit) \
+        else "session.chunk_ms"
+
+
 class _FallBackToSerial(Exception):
     """Internal: the pool gave up; serial picks up the rest."""
 
@@ -321,8 +393,8 @@ def _make_pool(context, jobs: int) -> ProcessPoolExecutor | None:
 
 def _run_units(
     campaigns: Sequence["Campaign"],
-    units: Sequence[WorkUnit],
-    on_done: Callable[[WorkUnit, "CampaignResult", str], bool],
+    units: Sequence[WorkUnit | SimUnit],
+    on_done: Callable[[WorkUnit | SimUnit, Any, str], bool],
     config: SessionConfig,
     *,
     metrics: "MetricsRegistry",
@@ -332,34 +404,44 @@ def _run_units(
     specs: Sequence[CampaignSpec] | None = None,
     entry: Callable = _run_span_spec,
 ) -> str | None:
-    """Execute ``units`` (spans of ``campaigns``) with retries.
+    """Execute ``units`` (spans of ``campaigns``, simulations) with
+    retries.
 
     ``on_done(unit, result, source)`` receives every finished unit in
-    completion order and returns False to stop early; units for which
-    ``skippable`` answers True are never started.  Pool workers run
-    ``entry(specs[unit.cell_index], (start, stop))``.  ``metrics``
-    gets the ``session.*`` retry, timeout, restart and chunk-time
-    counters, ``emit(kind, **fields)`` the matching narration.
-    Returns why execution degraded to serial, or ``None``.
+    completion order — a :class:`CampaignResult` for a span, a
+    :class:`~repro.sim.metrics.SimReport` for a :class:`SimUnit` — and
+    returns False to stop early; spans for which ``skippable`` answers
+    True are never started.  Pool workers run
+    ``entry(specs[unit.cell_index], (start, stop))`` for a span and
+    :meth:`SimUnit.run` for a simulation.  ``metrics`` gets the
+    ``session.*`` retry, timeout, restart and unit-time counters,
+    ``emit(kind, **fields)`` the matching narration.  Returns why
+    execution degraded to serial, or ``None``.
     """
 
-    def skip(unit: WorkUnit) -> bool:
-        if skippable(unit):
+    def skip(unit: WorkUnit | SimUnit) -> bool:
+        if isinstance(unit, WorkUnit) and skippable(unit):
             metrics.inc("session.chunks.skipped")
             return True
         return False
 
-    def fail(unit: WorkUnit, attempt: int, exc: BaseException) -> None:
+    def fail(unit: WorkUnit | SimUnit, attempt: int,
+             exc: BaseException) -> None:
         """Count one failed attempt; backoff or give up."""
+        if isinstance(unit, SimUnit):
+            what = f"simulation of {unit.app} under " \
+                f"{unit.protection.to_string()}"
+            where = {"cell": unit.digest}
+        else:
+            what = f"chunk [{unit.start}, {unit.stop}) of cell " \
+                f"#{unit.cell_index}"
+            where = {"start": unit.start, "stop": unit.stop}
         if attempt > config.max_retries:
             raise SessionError(
-                f"chunk [{unit.start}, {unit.stop}) of cell "
-                f"#{unit.cell_index} failed after {attempt} "
-                f"attempt(s): {exc}"
+                f"{what} failed after {attempt} attempt(s): {exc}"
             ) from exc
         metrics.inc("session.retries")
-        emit("retry", start=unit.start, stop=unit.stop,
-             attempt=attempt, detail=str(exc)[:200])
+        emit("retry", attempt=attempt, detail=str(exc)[:200], **where)
         backoff = config.retry_backoff_s * (2 ** (attempt - 1))
         if backoff > 0:
             sleep(backoff)
@@ -397,8 +479,12 @@ def _run_units(
                     if skip(unit):
                         continue
                     try:
-                        fut = pool.submit(entry, shipped[unit.cell_index],
-                                          (unit.start, unit.stop))
+                        if isinstance(unit, SimUnit):
+                            fut = pool.submit(unit.run)
+                        else:
+                            fut = pool.submit(
+                                entry, shipped[unit.cell_index],
+                                (unit.start, unit.stop))
                     except RuntimeError as exc:
                         raise _FallBackToSerial(
                             f"worker pool unusable ({exc})", completed
@@ -443,7 +529,7 @@ def _run_units(
                         retry(unit, exc)
                         queue.append(unit)
                     else:
-                        metrics.observe("session.chunk_ms",
+                        metrics.observe(_unit_timer(unit),
                                         (now - begin) * 1e3)
                         completed.add(unit)
                         if not on_done(unit, result, "run"):
@@ -451,9 +537,11 @@ def _run_units(
                 else:
                     if deadline is None:
                         continue
-                    # Expire attempts that outran their deadline.
+                    # Expire chunk attempts that outran their deadline
+                    # (the deadline is per chunk; simulations have none).
                     for fut, (unit, begin) in list(inflight.items()):
-                        if fut in abandoned or now - begin < deadline:
+                        if fut in abandoned or now - begin < deadline \
+                                or isinstance(unit, SimUnit):
                             continue
                         metrics.inc("session.timeouts")
                         emit("timeout", start=unit.start, stop=unit.stop,
@@ -492,15 +580,18 @@ def _run_units(
         while True:
             begin = time.perf_counter()
             try:
-                result = campaigns[unit.cell_index].run_span(
-                    unit.start, unit.stop)
+                if isinstance(unit, SimUnit):
+                    result = unit.run()
+                else:
+                    result = campaigns[unit.cell_index].run_span(
+                        unit.start, unit.stop)
                 break
             except KeyboardInterrupt:
                 raise
             except Exception as exc:
                 attempt += 1
                 fail(unit, attempt, exc)
-        metrics.observe("session.chunk_ms",
+        metrics.observe(_unit_timer(unit),
                         (time.perf_counter() - begin) * 1e3)
         if not on_done(unit, result, "serial"):
             break

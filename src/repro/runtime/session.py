@@ -18,6 +18,13 @@ units with durable progress:
   attempts can carry a deadline, a broken process pool is restarted a
   bounded number of times, and when no pool can be used at all the
   session degrades to in-process serial execution;
+* timing simulations handed to the session as
+  :class:`~repro.runtime.executor.SimUnit` s run in the same pool,
+  beside the chunks; each finished
+  :class:`~repro.sim.metrics.SimReport` is persisted under the unit's
+  digest and loaded instead of re-simulated on resume.  Simulations
+  are not chunks: chunk counters and ``stop_after_chunks`` ignore
+  them;
 * progress, retry and fallback counters flow through the
   :class:`~repro.obs.metrics.MetricsRegistry`, and an optional
   :class:`~repro.obs.session.SessionLog` narrates the orchestration.
@@ -53,13 +60,16 @@ from repro.runtime.checkpoint import CheckpointStore, wrap_payload_error
 from repro.runtime.executor import (
     CampaignSpec,
     SessionConfig,
+    SimUnit,
     WorkUnit,
     _Committer,
     _run_span_spec,
     _run_units,
     _unit_batch,
+    context_manager,
     plan_chunks,
 )
+from repro.sim.metrics import SimReport
 from repro.utils.canonical import canonical_digest
 
 log = get_logger("session")
@@ -138,11 +148,8 @@ class CellSpec:
         fault sweeps) — results are identical to ``batch=1``, so they
         never join the cell or sweep identity.
         """
-        from repro.core.manager import ReliabilityManager
-        from repro.kernels.registry import create_app
-
-        app = create_app(self.app, scale=self.scale, seed=self.app_seed)
-        manager = ReliabilityManager(app)
+        manager = context_manager(self.app, self.scale, self.app_seed)
+        app = manager.app
         if isinstance(self.protect, ProtectionSpec):
             how = {"protection": self.protect}
         else:
@@ -436,6 +443,8 @@ class SweepResult:
 
     spec: SweepSpec
     entries: list[SweepEntry] = field(default_factory=list)
+    #: The session's timing reports, by :attr:`SimUnit.digest`.
+    reports: dict[str, SimReport] = field(default_factory=dict)
 
     @property
     def results(self) -> list[CampaignResult]:
@@ -490,8 +499,10 @@ class Session:
 
     ``store`` may be a :class:`CheckpointStore`, a directory path, or
     ``None`` (no durability — useful for quick in-memory sweeps and
-    for measuring checkpoint overhead).  ``sleep`` is the backoff
-    clock, injectable for tests.
+    for measuring checkpoint overhead).  ``sims`` are timing
+    simulations to run beside the chunks; their reports land in
+    :attr:`SweepResult.reports`.  ``sleep`` is the backoff clock,
+    injectable for tests.
     """
 
     def __init__(
@@ -503,6 +514,7 @@ class Session:
         events: SessionLog | None = None,
         progress=None,
         sleep: Callable[[float], None] = time.sleep,
+        sims: Sequence[SimUnit] = (),
     ):
         if isinstance(spec, EvaluationRequest):
             # The unified request surface: its identity fields become
@@ -530,6 +542,7 @@ class Session:
         #: Observational only; ``None`` (default) costs nothing.
         self.progress = progress
         self._sleep = sleep
+        self.sims = tuple(sims)
         #: Why the session degraded to serial execution, if it did.
         self.fallback_reason: str | None = None
 
@@ -600,16 +613,36 @@ class Session:
         if finished:
             log.info(f"sweep: resumed {len(finished)} chunk(s) from "
                      f"{self.store.root}")
+        reports: dict[str, SimReport] = {}
+        #: digest -> simulation still to run.
+        sims: dict[str, SimUnit] = {}
+        for sim in self.sims:
+            digest = sim.digest
+            if digest in reports or digest in sims:
+                continue
+            loaded = self._load_report(sim, digest)
+            if loaded is not None:
+                reports[digest] = loaded
+            else:
+                sims[digest] = sim
 
         executed = 0
         budget = self.config.stop_after_chunks
         total_runs = sum(u.stop - u.start for u in units)
         done_runs = sum(u.stop - u.start for u in finished)
 
-        def on_done(unit: WorkUnit, result: CampaignResult,
+        def on_done(unit: WorkUnit | SimUnit,
+                    result: CampaignResult | SimReport,
                     source: str) -> bool:
-            """Persist one finished chunk; True to keep going."""
+            """Persist one finished unit; True to keep going."""
             nonlocal executed, done_runs
+            if isinstance(unit, SimUnit):
+                digest = unit.digest
+                reports[digest] = result
+                if self.store is not None:
+                    self.store.save_report(digest, result.to_dict())
+                self.metrics.inc("session.simulations.executed")
+                return budget is None or executed < budget
             if not committer.record(unit, result):
                 # Speculative chunk past the cell's stop boundary
                 # (finished in flight while the stop settled):
@@ -637,9 +670,11 @@ class Session:
             return budget is None or executed < budget
 
         try:
-            if pending:
+            if pending or sims:
+                # Simulations go first: they are the longest units.
                 self.fallback_reason = _run_units(
-                    campaigns, pending, on_done, self.config,
+                    campaigns, [*sims.values(), *pending], on_done,
+                    self.config,
                     metrics=self.metrics, skippable=committer.skippable,
                     emit=self._emit, sleep=self._sleep,
                     specs=[
@@ -657,7 +692,8 @@ class Session:
                                      reason="interrupted") from None
         required = [u for u in units if not committer.skippable(u)]
         done = sum(1 for unit in required if unit in finished)
-        if done < len(required):
+        if done < len(required) or any(
+                digest not in reports for digest in sims):
             self._emit("interrupted",
                        detail=f"chunk budget ({budget}) reached")
             raise SessionInterrupted(done, len(required),
@@ -669,6 +705,7 @@ class Session:
                               f"{self.spec.target_margin:g}")
 
         result = self._merge(cells, digests, committer, required)
+        result.reports = reports
         self.metrics.observe(
             "session.wall_ms", (time.perf_counter() - wall_begin) * 1e3
         )
@@ -705,6 +742,26 @@ class Session:
         self._emit("chunk", cell=digest, start=unit.start,
                    stop=unit.stop, source="checkpoint")
         return result
+
+    def _load_report(self, sim: SimUnit, digest: str) -> SimReport | None:
+        if self.store is None:
+            return None
+        payload = self.store.load_report(digest)
+        if payload is None:
+            return None
+        path = self.store.report_path(digest)
+        try:
+            report = SimReport.from_dict(payload)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(
+                f"{path}: bad report payload ({exc!r})") from None
+        if report.app_name != sim.app:
+            raise CheckpointError(
+                f"{path}: report is for {report.app_name!r}, expected "
+                f"{sim.app!r}"
+            )
+        self.metrics.inc("session.simulations.loaded")
+        return report
 
     def _persist(
         self, unit: WorkUnit, digest: str, result: CampaignResult

@@ -10,26 +10,31 @@ each proposed protection configuration on three objectives:
   the campaign machinery's guarantees wholesale: chunk-level
   checkpoints, byte-identical results at any ``jobs``/``batch``, and
   resumability;
-* **performance overhead** — one parent-side timing simulation per
-  configuration (slowdown minus one versus the unprotected baseline),
-  cached by configuration digest;
+* **performance overhead** — one timing simulation per configuration
+  (slowdown minus one versus the unprotected baseline), run as a
+  :class:`~repro.runtime.executor.SimUnit` of the same round's
+  session, so at ``jobs > 1`` the simulations share the worker pool
+  with the campaign chunks;
 * **replica memory footprint** — pure address arithmetic
   (:meth:`~repro.core.protection.ProtectionSpec.replica_bytes`).
 
 Durability: under ``store`` the engine keeps a ``SEARCH.json``
-identity manifest plus one checkpoint directory per round
-(``round-0000``, ``round-0001``, ...).  Because strategies are
-deterministic, resuming re-proposes the same candidates and each
-round's sweep replays instantly from its checkpoints — an interrupted
-search (``SessionInterrupted``, exit code 75 in the CLI) continues
-exactly where it stopped, and the replayed search trail is
-byte-identical to an uninterrupted run.
+identity manifest, the vulnerability ranking under ``reports/``, and
+one checkpoint directory per round (``round-0000``, ``round-0001``,
+...) holding the round's campaign chunks and timing reports.  Because
+strategies are deterministic, resuming re-proposes the same
+candidates and each round replays instantly from its checkpoints — an
+interrupted search (``SessionInterrupted``, exit code 75 in the CLI)
+continues exactly where it stopped, simulating only the reports that
+are missing, and the replayed search trail is byte-identical to an
+uninterrupted run.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from repro.core.manager import ReliabilityManager
 from repro.core.request import EvaluationRequest
@@ -41,11 +46,17 @@ from repro.errors import (
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.search import SearchTrailWriter
+from repro.runtime.checkpoint import (
+    CheckpointStore,
+    atomic_write_json,
+    read_json,
+)
+from repro.runtime.executor import SimUnit, context_manager
 from repro.runtime.session import Session, SessionConfig, SweepSpec
 from repro.search.pareto import Evaluation, budget_best, pareto_front
 from repro.search.space import DesignPoint, DesignSpace
 from repro.search.strategies import make_strategy
-from repro.utils.canonical import canonical_digest, canonical_json
+from repro.utils.canonical import canonical_digest
 
 log = get_logger("search")
 
@@ -123,17 +134,19 @@ def _candidate_objects(manager: ReliabilityManager, objects):
 
 def _vulnerability_ranking(
     manager: ReliabilityManager, candidates, runs, n_blocks, n_bits,
-    selection, seed, jobs,
+    selection, seed, jobs, batch, max_batch_bytes,
 ) -> tuple[str, ...]:
     """Candidate objects ranked by baseline SDC attribution.
 
-    One parent-side baseline campaign with provenance collection
-    seeds the greedy/evolutionary strategies (the paper's
-    protect-what-matters argument).  Campaign results are a pure
-    function of ``(seed, run_index)``, so the ranking — like the
-    search trail built on it — is identical at any ``jobs``.
-    Objects without SDC attributions keep their importance order at
-    the tail.
+    One baseline campaign with provenance collection, run in the
+    parent at the search's ``jobs``/``batch``, seeds the
+    greedy/evolutionary strategies (the paper's protect-what-matters
+    argument).  Campaign results are a pure function of
+    ``(seed, run_index)``, so the ranking — like the search trail
+    built on it — is identical at any ``jobs``/``batch``; a durable
+    search stores it and a resume loads it instead of re-running the
+    campaign.  Objects without SDC attributions keep their importance
+    order at the tail.
     """
     from repro.obs.provenance import (
         top_sdc_objects,
@@ -143,7 +156,8 @@ def _vulnerability_ranking(
     result = manager.evaluate(
         scheme="baseline", protect="none", runs=runs,
         n_blocks=n_blocks, n_bits=n_bits, selection=selection,
-        seed=seed, collect_provenance=True, jobs=jobs,
+        seed=seed, collect_provenance=True, jobs=jobs, batch=batch,
+        max_batch_bytes=max_batch_bytes,
     )
     profiles = vulnerability_profiles(result.provenance)
     attributed = [
@@ -155,28 +169,29 @@ def _vulnerability_ranking(
 
 
 class _SearchStore:
-    """The search's durability root: manifest + per-round dirs."""
+    """The search's durability root: manifest, ranking, round dirs."""
 
     def __init__(self, root: str | None):
         self.root = root
+        self.store = None if root is None else CheckpointStore(root)
 
     def initialize(self, identity: dict, resume: bool) -> None:
         """Stamp a fresh root or validate an existing one.
 
         Mirrors :meth:`~repro.runtime.checkpoint.CheckpointStore.
         initialize`: an existing manifest must digest-match the
-        search identity and requires ``resume=True``.
+        search identity and requires ``resume=True``; an unreadable
+        one raises :class:`~repro.errors.CheckpointError`.
         """
         if self.root is None:
             return
         os.makedirs(self.root, exist_ok=True)
-        path = os.path.join(self.root, SEARCH_MANIFEST)
+        path = Path(self.root) / SEARCH_MANIFEST
         digest = canonical_digest(identity)
-        if os.path.isfile(path):
-            import json
-
-            with open(path, "r", encoding="utf-8") as fh:
-                manifest = json.load(fh)
+        if path.is_file():
+            manifest = read_json(path)
+            if not isinstance(manifest, dict):
+                raise CheckpointError(f"{path}: not a search manifest")
             if manifest.get("digest") != digest:
                 raise CheckpointError(
                     f"search directory {self.root} belongs to a "
@@ -191,9 +206,24 @@ class _SearchStore:
                     "continue it"
                 )
             return
-        doc = {"digest": digest, "search": identity}
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(canonical_json(doc) + "\n")
+        atomic_write_json(path, {"digest": digest, "search": identity})
+
+    def ranking(self, key: str, compute) -> tuple[str, ...]:
+        """The ranking stored under ``key``, else ``compute()``'s
+        (stored when durability is on)."""
+        if self.store is None:
+            return compute()
+        payload = self.store.load_report(key)
+        if payload is None:
+            ranking = compute()
+            self.store.save_report(key, {"ranking": list(ranking)})
+            return ranking
+        ranking = payload.get("ranking")
+        if not isinstance(ranking, list) or not all(
+                isinstance(name, str) for name in ranking):
+            raise CheckpointError(
+                f"{self.store.report_path(key)}: not a ranking")
+        return tuple(ranking)
 
     def round_dir(self, round_index: int) -> str | None:
         """Checkpoint directory of one round (``None`` when
@@ -266,10 +296,7 @@ def optimize(
             metrics = request.metrics
     if app is None:
         raise SpecError("optimize needs an application name")
-    from repro.kernels.registry import create_app
-
-    manager = ReliabilityManager(
-        create_app(app, scale=scale, seed=app_seed))
+    manager = context_manager(app, scale, app_seed)
     candidates = _candidate_objects(manager, objects)
     space = DesignSpace(app=app, objects=candidates)
     metrics = metrics if metrics is not None else MetricsRegistry()
@@ -294,10 +321,19 @@ def optimize(
 
     ranking: tuple[str, ...] | None = None
     if strategy in ("greedy", "evolutionary"):
-        ranking = _vulnerability_ranking(
-            manager, candidates, runs, n_blocks, n_bits, selection,
-            seed, jobs,
-        )
+        ranking_key = canonical_digest({
+            "ranking": {
+                "app": app, "scale": scale, "app_seed": app_seed,
+                "candidates": list(candidates), "runs": runs,
+                "n_blocks": n_blocks, "n_bits": n_bits,
+                "selection": selection, "seed": seed,
+            },
+        })
+        ranking = search_store.ranking(
+            ranking_key, lambda: _vulnerability_ranking(
+                manager, candidates, runs, n_blocks, n_bits, selection,
+                seed, jobs, batch, max_batch_bytes,
+            ))
         log.info(f"search: vulnerability ranking {ranking}")
     strategy_obj = make_strategy(
         strategy, space, seed=search_seed, population=population,
@@ -311,19 +347,13 @@ def optimize(
             "strategy": strategy, "search_seed": search_seed,
         })
 
-    baseline_report = manager.simulate_performance("baseline", "none")
-    timing_cache: dict[str, float] = {}
+    def sim_unit(point: DesignPoint) -> SimUnit:
+        return SimUnit(app=app, scale=scale, app_seed=app_seed,
+                       config=manager.config, budget=manager.budget,
+                       protection=point.spec)
 
-    def overhead_of(point: DesignPoint) -> float:
-        if point.spec.is_baseline:
-            return 0.0
-        cached = timing_cache.get(point.digest)
-        if cached is None:
-            report = manager.simulate_performance(
-                "baseline", point.spec)
-            cached = report.slowdown_vs(baseline_report) - 1.0
-            timing_cache[point.digest] = cached
-        return cached
+    baseline_sim = sim_unit(space.baseline())
+    baseline_report = None
 
     evaluated: dict[str, Evaluation] = {}
     chunk_budget = stop_after_chunks
@@ -362,12 +392,20 @@ def optimize(
                         reason="stopped (chunk budget)")
                 executed_before = metrics.counter(
                     "session.chunks.executed").value
+                sims = {p.digest: sim_unit(p) for p in new_points}
+                # The first round also times the baseline, which every
+                # overhead is measured against (the session runs a
+                # repeated unit once).
+                extra = [baseline_sim] if baseline_report is None else []
                 sweep = _run_round(
-                    app, new_points, search_store, round_index,
-                    runs, n_blocks, n_bits, seed, selection, scale,
-                    app_seed, chunk_runs, jobs, batch,
-                    max_batch_bytes, chunk_budget, metrics, progress,
+                    app, new_points, [*extra, *sims.values()],
+                    search_store, round_index, runs, n_blocks, n_bits,
+                    seed, selection, scale, app_seed, chunk_runs, jobs,
+                    batch, max_batch_bytes, chunk_budget, metrics,
+                    progress,
                 )
+                if baseline_report is None:
+                    baseline_report = sweep.reports[baseline_sim.digest]
                 if chunk_budget is not None:
                     chunk_budget -= (
                         metrics.counter("session.chunks.executed")
@@ -375,11 +413,13 @@ def optimize(
                     )
                 for point, entry in zip(new_points, sweep.entries):
                     result = entry.result
+                    report = sweep.reports[sims[point.digest].digest]
+                    overhead = report.slowdown_vs(baseline_report) - 1.0
                     evaluated[point.digest] = Evaluation(
                         point=point,
                         sdc_count=result.sdc_count,
                         runs=result.n_runs,
-                        overhead=overhead_of(point),
+                        overhead=overhead,
                         replica_bytes=point.spec.replica_bytes(
                             manager.memory),
                     )
@@ -434,16 +474,21 @@ def optimize(
                 "session.chunks.executed").value,
             "chunks_resumed": metrics.counter(
                 "session.chunks.resumed").value,
+            "simulations_executed": metrics.counter(
+                "session.simulations.executed").value,
+            "simulations_loaded": metrics.counter(
+                "session.simulations.loaded").value,
         },
     )
 
 
 def _run_round(
-    app, new_points, search_store, round_index, runs, n_blocks,
+    app, new_points, sims, search_store, round_index, runs, n_blocks,
     n_bits, seed, selection, scale, app_seed, chunk_runs, jobs,
     batch, max_batch_bytes, chunk_budget, metrics, progress,
 ):
-    """Evaluate one round's new configurations as a ``spec`` sweep."""
+    """Evaluate one round's new configurations as a ``spec`` sweep,
+    with the round's timing simulations beside its chunks."""
     spec = SweepSpec(
         apps=(app,),
         schemes=("spec",),
@@ -463,8 +508,9 @@ def _run_round(
         stop_after_chunks=chunk_budget,
     )
     session = Session(spec, store=round_dir, config=config,
-                      metrics=metrics, progress=progress)
+                      metrics=metrics, progress=progress, sims=sims)
     # Round directories are always safe to resume: the manifest
-    # digest pins the round's exact cell set, and chunk payloads are
-    # content-verified on load.
+    # digest pins the round's exact cell set, chunk and report
+    # payloads are content-verified on load, and reports are keyed by
+    # the digest of every simulation input.
     return session.run(resume=round_dir is not None)

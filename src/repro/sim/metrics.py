@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 @dataclass
@@ -71,6 +71,30 @@ class SimReport:
         if baseline.l1_missed_accesses == 0:
             raise ValueError("baseline has zero missed accesses")
         return self.l1_missed_accesses / baseline.l1_missed_accesses
+
+    def to_dict(self) -> dict:
+        """JSON image; :meth:`from_dict` rebuilds an equal report.
+
+        ``kernel_cycles`` travels as ``[name, cycles]`` pairs, so the
+        kernel order survives canonical (key-sorted) encoding.
+        """
+        doc = asdict(self)
+        doc["protected_names"] = list(self.protected_names)
+        doc["kernel_cycles"] = [
+            [name, cycles] for name, cycles in self.kernel_cycles.items()
+        ]
+        return doc
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "SimReport":
+        """Rebuild a report from its :meth:`to_dict` image."""
+        fields = dict(doc)
+        fields["protected_names"] = tuple(fields["protected_names"])
+        fields["kernel_cycles"] = {
+            name: cycles for name, cycles in fields["kernel_cycles"]
+        }
+        fields["stalls"] = StallBreakdown(**fields["stalls"])
+        return cls(**fields)
 
     def summary(self) -> str:
         """One-line human-readable report."""

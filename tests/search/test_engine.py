@@ -9,6 +9,7 @@ the front in fewer evaluations than random sampling.
 
 import pytest
 
+from repro.core.manager import ReliabilityManager
 from repro.core.request import EvaluationRequest
 from repro.errors import (
     CheckpointError,
@@ -16,7 +17,7 @@ from repro.errors import (
     SpecError,
 )
 from repro.obs.search import read_search_trail
-from repro.search import optimize
+from repro.search import engine, optimize
 
 APP = "P-BICG"
 #: Small but non-trivial baseline: P-BICG small with this grid shows
@@ -30,6 +31,26 @@ def run(tmp_path, name, **kwargs):
     merged.update(kwargs)
     result = optimize(**merged)
     return result, trail.read_bytes()
+
+
+def stored_reports(store) -> list:
+    """Every timing report file of a search store's rounds."""
+    return sorted(store.glob("round-*/reports/*.json"))
+
+
+@pytest.fixture()
+def sim_calls(monkeypatch):
+    """Count in-process ``simulate_performance`` calls (jobs=1)."""
+    calls = []
+    real = ReliabilityManager.simulate_performance
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(ReliabilityManager, "simulate_performance",
+                        counted)
+    return calls
 
 
 class TestSearchOutcome:
@@ -88,11 +109,15 @@ class TestJobsAndBatchInvariance:
 
 
 class TestResume:
-    def test_interrupt_then_resume_replays_identically(self, tmp_path):
-        _, complete = run(tmp_path, "full", store=str(tmp_path / "a"))
+    def test_interrupt_then_resume_replays_identically(self, tmp_path,
+                                                       sim_calls):
+        full, complete = run(tmp_path, "full", store=str(tmp_path / "a"))
         with pytest.raises(SessionInterrupted):
             run(tmp_path, "cut", store=str(tmp_path / "b"),
                 stop_after_chunks=20)
+        kept = len(stored_reports(tmp_path / "b"))
+        assert 0 < kept < full.stats["simulations_executed"]
+        del sim_calls[:]
         resumed, replayed = run(tmp_path, "cut",
                                 store=str(tmp_path / "b"),
                                 resume=True)
@@ -101,6 +126,49 @@ class TestResume:
         assert resumed.stats["chunks_executed"] < \
             resumed.stats["chunks_resumed"] + \
             resumed.stats["chunks_executed"] + 1
+        # Only the points whose reports were missing are simulated.
+        missing = full.stats["simulations_executed"] - kept
+        assert resumed.stats["simulations_loaded"] == kept
+        assert resumed.stats["simulations_executed"] == missing
+        assert len(sim_calls) == missing
+
+    def test_resume_of_finished_search_simulates_nothing(
+            self, tmp_path, sim_calls, monkeypatch):
+        store = str(tmp_path / "s")
+        cold, trail = run(tmp_path, "cold", store=store)
+        assert len(sim_calls) == cold.stats["simulations_executed"] == 7
+
+        def no_ranking(*_args, **_kwargs):
+            raise AssertionError("the stored ranking was recomputed")
+
+        monkeypatch.setattr(engine, "_vulnerability_ranking",
+                            no_ranking)
+        monkeypatch.setattr(ReliabilityManager, "evaluate", no_ranking)
+        del sim_calls[:]
+        warm, replayed = run(tmp_path, "warm", store=store, resume=True)
+        assert replayed == trail
+        assert sim_calls == []
+        assert warm.stats["simulations_executed"] == 0
+        assert warm.stats["simulations_loaded"] == 7
+        assert warm.stats["chunks_executed"] == 0
+        assert [e.to_dict() for e in warm.evaluations] == \
+            [e.to_dict() for e in cold.evaluations]
+
+    def test_foreign_stored_report_raises(self, tmp_path):
+        store = tmp_path / "s"
+        run(tmp_path, "one", store=str(store))
+        first, second = stored_reports(store)[:2]
+        second.write_bytes(first.read_bytes())
+        with pytest.raises(CheckpointError, match="labeled"):
+            run(tmp_path, "two", store=str(store), resume=True)
+
+    def test_torn_search_manifest_raises(self, tmp_path):
+        store = tmp_path / "s"
+        run(tmp_path, "one", store=str(store))
+        manifest = store / engine.SEARCH_MANIFEST
+        manifest.write_bytes(manifest.read_bytes()[:25])
+        with pytest.raises(CheckpointError, match="unreadable"):
+            run(tmp_path, "two", store=str(store), resume=True)
 
     def test_existing_store_requires_resume_flag(self, tmp_path):
         store = str(tmp_path / "s")
@@ -149,6 +217,21 @@ class TestGreedySeeding:
         greedy_cost = evals_to_zero_sdc(tmp_path / "greedy.jsonl")
         random_cost = evals_to_zero_sdc(tmp_path / "rand.jsonl")
         assert greedy_cost < random_cost
+
+
+class TestVulnerabilityRanking:
+    def test_ranking_identical_across_batch(self):
+        from repro.runtime.executor import context_manager
+
+        manager = context_manager(APP, "small", 1234)
+        candidates = tuple(manager.app.object_importance)
+
+        def ranking(batch):
+            return engine._vulnerability_ranking(
+                manager, candidates, KW["runs"], 1, 2,
+                "access-weighted", KW["seed"], 1, batch, 256 << 20)
+
+        assert ranking(1) == ranking(64)
 
 
 class TestRequestSurface:

@@ -34,7 +34,7 @@ def warn_once(func: str, old: str, new: str) -> None:
         return
     _WARNED.add(key)
     warnings.warn(
-        f"{func}: keyword {old!r} is deprecated, use {new!r} instead "
+        f"{func}: {old!r} is deprecated, use {new!r} instead "
         "(the old spelling will be removed in the next major release)",
         DeprecationWarning,
         stacklevel=4,

@@ -38,6 +38,17 @@ Commands mirror the paper's workflow:
   deterministic static HTML dashboard.
 * ``apps``     — list the available applications.
 
+The evaluating commands declare their
+:class:`~repro.core.request.EvaluationRequest` flags (``--scale``,
+``--app-seed``, ``--fault-seed``, ``--runs``, ``--blocks``, ``--bits``,
+``--selection``, ``--scheme``, ``--protect``, ``--jobs``, ``--batch``,
+``--max-batch-bytes``, ``--target-margin``, ``--chunk-runs``) from one
+table, take exactly the ones their entry point honours, and hand it
+the one request they build.  ``--app-seed`` always sets the inputs,
+``--fault-seed`` the fault campaign.  The deprecated ``--seed`` keeps
+its old meaning per command (app seed; fault seed on ``sweep`` and
+``optimize``), warns once, and exits 4 beside its canonical spelling.
+
 ``campaign`` and ``tradeoff`` accept ``--telemetry PATH`` to stream
 one per-run :class:`~repro.obs.records.RunRecord` JSON line per
 fault-injection run; the file is byte-identical for any ``--jobs``
@@ -53,19 +64,20 @@ the campaign-lifecycle track (campaign/chunk spans, per-run outcome
 instants, adaptive stop decisions).
 
 ``campaign`` and ``sweep`` accept ``--target-margin M`` for adaptive
-statistical campaigns: runs commit in fixed chunks and stop at the
-first chunk boundary whose Wilson CI margin on the SDC rate reaches
-``M``, with ``--runs`` as the budget.  Stop decisions are made only
-at chunk boundaries in run-index order, so the committed results and
-telemetry stay byte-identical at any ``--jobs``/``--batch``;
-``campaign --decisions PATH`` records the decision trail as JSONL.
+statistical campaigns: runs commit in fixed chunks (``--chunk-runs``,
+default 64) and stop at the first chunk boundary whose Wilson CI
+margin on the SDC rate reaches ``M``, with ``--runs`` as the budget.
+Stop decisions are made only at chunk boundaries in run-index order,
+so the committed results and telemetry stay byte-identical at any
+``--jobs``/``--batch``; ``campaign --decisions PATH`` records the
+decision trail as JSONL.
 
-``campaign`` and ``sweep`` accept ``--progress`` for a live one-line
-TTY progress display (runs done, rate, ETA, and — for adaptive or
-sweep cells — the current Wilson CI margin), refreshed at chunk
-boundaries.  Progress is purely observational: results and telemetry
-are byte-identical with or without it, and the flag is rejected
-nowhere — on a pipe it degrades to one line per event.
+``campaign``, ``sweep`` and ``optimize`` accept ``--progress`` for a
+live one-line TTY progress display (runs done, rate, ETA, and — for
+adaptive or sweep cells — the current Wilson CI margin), refreshed at
+chunk boundaries.  Progress is purely observational: results and
+telemetry are byte-identical with or without it; on a pipe it
+degrades to one line per event.
 
 Output honors the global ``-q/--quiet`` and ``-v/--verbose`` flags:
 result tables always print, progress lines are silenced by ``-q``,
@@ -84,10 +96,16 @@ interrupted-but-checkpointed (rerun ``sweep``/``optimize`` with
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
+import warnings
+from contextlib import nullcontext
 
+from repro._compat import UNSET, resolve_renamed
 from repro.analysis.report import campaign_table, performance_table
 from repro.core.manager import ReliabilityManager
+from repro.core.request import EvaluationRequest
+from repro.core.schemes import SCHEME_NAMES
 from repro.kernels.registry import (
     APPLICATIONS,
     FLAT_APPLICATIONS,
@@ -99,10 +117,109 @@ from repro.utils.tables import TextTable
 
 log = get_logger("cli")
 
+#: Every request flag, declared once: flag -> (EvaluationRequest
+#: field, argparse keywords).  The seeds default to ``UNSET`` so an
+#: explicit spelling can be told from the deprecated ``--seed``;
+#: unset, they take the request's defaults.  ``--scheme`` gets its
+#: default per subcommand (see :func:`_evaluating`).
+_REQUEST_FLAGS = {
+    "--scale": ("scale", dict(default="default", choices=(
+        "default", "small"), help="application input size")),
+    "--app-seed": ("app_seed", dict(type=int, default=UNSET, help=(
+        "application input seed (default 1234)"))),
+    "--fault-seed": ("seed", dict(type=int, default=UNSET, help=(
+        "fault-campaign seed (default 20210621)"))),
+    "--runs": ("runs", dict(type=int, default=200, help=(
+        "fault-injection runs per campaign (default 200)"))),
+    "--blocks": ("n_blocks", dict(type=int, default=1, metavar="N", help=(
+        "faulty blocks per run (default 1)"))),
+    "--bits": ("n_bits", dict(type=int, default=2, metavar="N", help=(
+        "flipped bits per faulty block (default 2)"))),
+    "--selection": ("selection", dict(default="access-weighted", choices=(
+        "access-weighted", "miss-weighted", "uniform", "hot", "rest",
+        "stratified"), help="fault-site policy (default: %(default)s)")),
+    "--scheme": ("scheme", dict(choices=SCHEME_NAMES, help=(
+        "protection scheme (default: %(default)s)"))),
+    "--protect": ("protect", dict(default="hot", help=(
+        "none | hot | all | <N objects> (default: hot)"))),
+    "--jobs": ("jobs", dict(type=int, default=1, help=(
+        "worker processes (default 1); never affects results"))),
+    "--batch": ("batch", dict(type=int, default=1, help=(
+        "runs per batched sweep (default 1); never affects results"))),
+    "--max-batch-bytes": ("max_batch_bytes", dict(
+        type=int, default=256 * 1024 * 1024,
+        help="memory ceiling on one batch (default 256 MiB)")),
+    "--target-margin": ("target_margin", dict(
+        type=float, default=None, metavar="M", help=(
+            "stop at the first chunk boundary whose Wilson 95%% CI "
+            "margin on the SDC rate reaches M; --runs is the budget"))),
+    "--chunk-runs": ("chunk_runs", dict(type=int, default=None, help=(
+        "runs per chunk, the durable unit and the --target-margin "
+        "decision boundary (default: 64 under --target-margin, else "
+        "--runs/16)"))),
+}
 
-def _manager(args) -> ReliabilityManager:
-    app = create_app(args.app, scale=args.scale, seed=args.seed)
-    return ReliabilityManager(app, jobs=getattr(args, "jobs", 1))
+#: The shared durability and sink flags, declared once.
+_SHARED_FLAGS = {
+    "--checkpoint-dir": dict(metavar="DIR", help=(
+        "persist every completed chunk under DIR")),
+    "--resume": dict(action="store_true", help=(
+        "continue from the chunks already in --checkpoint-dir")),
+    "--stop-after-chunks": dict(type=int, metavar="N", help=(
+        "stop (exit 75, checkpointed) after N newly executed chunks")),
+    "--telemetry": dict(metavar="PATH", help=(
+        "write one JSONL run record per fault-injection run to PATH")),
+    "--progress": dict(action="store_true", help=(
+        "live one-line progress on stderr; never affects results")),
+    "--trace": dict(metavar="PATH", help=(
+        "also capture the golden (fault-free) timing run as Perfetto "
+        "trace_events JSON at PATH")),
+    "--trace-interval": dict(type=int, default=1024, help=(
+        "time-series sampling period in cycles (default 1024)")),
+    "--trace-max-events": dict(type=int, default=65536, help=(
+        "trace ring-buffer capacity (default 65536)")),
+}
+
+_APP_FLAGS = ("--scale", "--app-seed")
+_GRID_FLAGS = ("--fault-seed", "--runs", "--blocks", "--bits",
+               "--selection")
+_EXEC_FLAGS = ("--jobs", "--batch", "--max-batch-bytes")
+_DURABILITY_FLAGS = ("--checkpoint-dir", "--resume",
+                     "--stop-after-chunks")
+_TRACE_FLAGS = ("--trace", "--trace-interval", "--trace-max-events")
+
+
+def _request(args, **fields) -> EvaluationRequest:
+    """The one :class:`EvaluationRequest` a parsed command describes.
+
+    Reads every request flag the subcommand declared; ``fields`` adds
+    the values no flag carries (sinks, a sweep's first app).  The
+    deprecated ``--seed`` resolves onto its subcommand's canonical
+    seed flag through :func:`repro._compat.resolve_renamed`, whose
+    warning is printed on stderr.
+    """
+    values = {
+        field: getattr(args, field)
+        for field, _ in _REQUEST_FLAGS.values() if hasattr(args, field)
+    }
+    target = _REQUEST_FLAGS[args.seed_alias_of][0]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", DeprecationWarning)
+        values[target] = resolve_renamed(
+            f"repro {args.command}", "--seed", args.seed_alias_of,
+            args.seed_alias, values[target])
+    for warning in caught:
+        log.warning(str(warning.message))
+    if "protect" in values:
+        values["protect"] = _protect_level(values["protect"])
+    values = {k: v for k, v in values.items() if v is not UNSET}
+    return EvaluationRequest(**{"app": args.app, **values, **fields})
+
+
+def _app_manager(request: EvaluationRequest) -> ReliabilityManager:
+    """A manager for the request's application identity."""
+    return ReliabilityManager(create_app(
+        request.app, scale=request.scale, seed=request.app_seed))
 
 
 def _protect_level(value: str) -> int | str:
@@ -122,12 +239,13 @@ def _protect_level(value: str) -> int | str:
 def _progress_sink(args):
     """A :class:`~repro.obs.progress.TtyProgress` for ``--progress``.
 
-    Returns ``None`` unless the flag was given (and not silenced by
-    ``-q``), so drivers take the exact pre-progress code path by
-    default — the campaign engine never sees a disabled sink.
+    A context manager yielding ``None`` unless the flag was given (and
+    not silenced by ``-q``), so drivers take the exact pre-progress
+    code path by default — the campaign engine never sees a disabled
+    sink.
     """
-    if not getattr(args, "progress", False) or args.quiet:
-        return None
+    if not args.progress or args.quiet:
+        return nullcontext()
     from repro.obs.progress import TtyProgress
 
     return TtyProgress()
@@ -144,7 +262,7 @@ def _cmd_apps(_args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    manager = _manager(args)
+    manager = _app_manager(_request(args))
     profile = manager.profile
     t3 = manager.table3()
     discovery = manager.discover_hot_objects()
@@ -162,15 +280,10 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _write_golden_trace(
-    manager: ReliabilityManager,
-    scheme: str,
-    protect: int | str,
-    path: str,
-    args,
-    extra_events: list[dict] | None = None,
-) -> None:
-    """Capture the golden (fault-free) timing run as a trace file.
+def _write_golden_trace(manager: ReliabilityManager,
+                        request: EvaluationRequest, args,
+                        extra_events: list[dict] | None = None) -> None:
+    """Capture the golden (fault-free) timing run at ``--trace``.
 
     The trace is recorded parent-side as one single-threaded timing
     simulation, so the output is byte-identical for any ``--jobs``
@@ -185,6 +298,7 @@ def _write_golden_trace(
         max_events=args.trace_max_events,
         interval_cycles=args.trace_interval,
     ))
+    path, scheme, protect = args.trace, request.scheme, request.protect
     log.debug("capturing golden-run trace (%s, protect=%s)",
               scheme, protect)
     manager.simulate_performance(scheme, protect, tracer=tracer)
@@ -197,35 +311,24 @@ def _write_golden_trace(
 def _cmd_campaign(args) -> int:
     from repro.errors import SpecError
 
-    if args.decisions is not None and args.target_margin is None:
-        raise SpecError("--decisions requires --target-margin")
-    manager = _manager(args)
-    protect = _protect_level(args.protect)
-    kwargs = dict(
-        scheme=args.scheme,
-        protect=protect,
-        runs=args.runs,
-        n_blocks=args.blocks,
-        n_bits=args.bits,
-        selection=args.selection,
-        collect_records=args.telemetry is not None,
-        collect_provenance=args.provenance is not None,
-        batch=args.batch,
-        max_batch_bytes=args.max_batch_bytes,
-    )
+    request = _request(
+        args, collect_records=args.telemetry is not None,
+        collect_provenance=args.provenance is not None)
+    if request.target_margin is None:
+        for flag, value in (("--decisions", args.decisions),
+                            ("--chunk-runs", request.chunk_runs)):
+            if value is not None:
+                raise SpecError(f"{flag} requires --target-margin")
+    log.info(f"campaign: request {request.digest()}")
+    manager = _app_manager(request)
     adaptive = None
-    progress = _progress_sink(args)
-    try:
-        if args.target_margin is not None:
-            adaptive = manager.evaluate_adaptive(
-                target_margin=args.target_margin, progress=progress,
-                **kwargs)
+    with _progress_sink(args) as progress:
+        if request.target_margin is not None:
+            adaptive = manager.evaluate_adaptive(request=request,
+                                                 progress=progress)
             result = adaptive.result
         else:
-            result = manager.evaluate(progress=progress, **kwargs)
-    finally:
-        if progress is not None:
-            progress.close()
+            result = manager.evaluate(request=request, progress=progress)
     log.result(campaign_table([result]).render())
     log.result("")
     log.result(f"SDC rate: {result.sdc_interval()}")
@@ -236,19 +339,16 @@ def _cmd_campaign(args) -> int:
 
             n = write_decisions(args.decisions, adaptive.decisions)
             log.info(f"wrote {n} stop decision(s) to {args.decisions}")
-    if args.telemetry is not None:
-        from repro.obs.records import TelemetryWriter
+    from repro.obs.provenance import ProvenanceWriter
+    from repro.obs.records import TelemetryWriter
 
-        with TelemetryWriter(args.telemetry) as writer:
-            n = writer.write_result(result)
-        log.info(f"wrote {n} run record(s) to {args.telemetry}")
-    if args.provenance is not None:
-        from repro.obs.provenance import ProvenanceWriter
-
-        with ProvenanceWriter(args.provenance) as writer:
-            n = writer.write_result(result)
-        log.info(f"wrote {n} provenance record(s) to "
-                 f"{args.provenance}")
+    for path, sink, kind in ((args.telemetry, TelemetryWriter, "run"),
+                             (args.provenance, ProvenanceWriter,
+                              "provenance")):
+        if path is not None:
+            with sink(path) as writer:
+                n = writer.write_result(result)
+            log.info(f"wrote {n} {kind} record(s) to {path}")
     if args.trace is not None:
         from repro.obs.perfetto import campaign_lifecycle_events
 
@@ -257,47 +357,44 @@ def _cmd_campaign(args) -> int:
             decisions=adaptive.decisions if adaptive is not None
             else None,
         )
-        _write_golden_trace(manager, args.scheme, protect,
-                            args.trace, args, extra_events=lifecycle)
+        _write_golden_trace(manager, request, args,
+                            extra_events=lifecycle)
     return 0
 
 
 def _cmd_perf(args) -> int:
-    manager = _manager(args)
+    request = _request(args)
+    manager = _app_manager(request)
     baseline = manager.simulate_performance("baseline", "none")
     reports = [baseline]
-    if args.scheme != "baseline":
-        protect = _protect_level(args.protect)
-        reports.append(manager.simulate_performance(args.scheme, protect))
+    if request.scheme == "baseline":
+        request = dataclasses.replace(request, protect="none")
     else:
-        protect = "none"
+        reports.append(manager.simulate_performance(request.scheme,
+                                                    request.protect))
     log.result(performance_table(reports, baseline).render())
     if args.trace is not None:
-        _write_golden_trace(manager, args.scheme, protect,
-                            args.trace, args)
+        _write_golden_trace(manager, request, args)
     return 0
 
 
 def _cmd_tradeoff(args) -> int:
     from repro.analysis.tradeoff import knee_point, tradeoff_curve
+    from repro.obs.records import TelemetryWriter
 
-    manager = _manager(args)
-    if args.telemetry is not None:
-        from repro.obs.records import TelemetryWriter
-
-        with TelemetryWriter(args.telemetry) as writer:
-            points = tradeoff_curve(
-                manager, scheme=args.scheme, runs=args.runs,
-                n_blocks=args.blocks, n_bits=args.bits,
-                telemetry=writer,
-            )
+    request = _request(args)
+    writer = (TelemetryWriter(args.telemetry)
+              if args.telemetry is not None else None)
+    with writer if writer is not None else nullcontext():
+        points = tradeoff_curve(
+            _app_manager(request), scheme=request.scheme,
+            runs=request.runs, n_blocks=request.n_blocks,
+            n_bits=request.n_bits, selection=request.selection,
+            seed=request.seed, jobs=request.jobs, telemetry=writer,
+        )
+    if writer is not None:
         log.info(f"wrote {writer.n_written} run record(s) to "
                  f"{args.telemetry}")
-    else:
-        points = tradeoff_curve(
-            manager, scheme=args.scheme, runs=args.runs,
-            n_blocks=args.blocks, n_bits=args.bits,
-        )
     table = TextTable(
         ["protected", "objects", "norm-time", "norm-missed", "SDC",
          "detected", "corrected"],
@@ -325,49 +422,34 @@ def _cmd_sweep(args) -> int:
         summarize_sweep,
         sweep_table,
     )
-    from repro.errors import SpecError
     from repro.obs.session import SessionLog
-    from repro.runtime.session import Session, SessionConfig, SweepSpec
+    from repro.runtime.session import Session, SweepSpec
 
-    if args.resume and args.checkpoint_dir is None:
-        raise SpecError("--resume requires --checkpoint-dir")
-    spec = SweepSpec(
-        apps=tuple(args.apps),
+    request = _request(args, app=args.app[0],
+                       collect_records=args.telemetry is not None)
+    spec = dataclasses.replace(
+        SweepSpec.from_request(request),
+        apps=tuple(args.app),
         schemes=tuple(args.schemes),
         protects=tuple(_protect_level(p) for p in args.protects),
-        runs=args.runs,
-        n_blocks=args.blocks,
-        n_bits=args.bits,
-        seed=args.seed,
-        selection=args.selection,
-        scale=args.scale,
-        app_seed=args.app_seed,
-        chunk_runs=args.chunk_runs,
-        collect_records=args.telemetry is not None,
-        target_margin=args.target_margin,
     )
-    config = SessionConfig(
-        jobs=args.jobs,
+    config = dataclasses.replace(
+        request.session_config(),
         max_retries=args.max_retries,
         chunk_timeout_s=args.chunk_timeout,
         stop_after_chunks=args.stop_after_chunks,
     )
-    events = (SessionLog(args.session_log)
-              if args.session_log is not None else None)
-    progress = _progress_sink(args)
-    session = Session(spec, store=args.checkpoint_dir, config=config,
-                      events=events, progress=progress)
     log.info(f"sweep: {len(spec.cells())} cell(s) x {spec.runs} runs, "
-             f"jobs={args.jobs}"
+             f"jobs={config.jobs}, spec {spec.digest()}"
              + (f", checkpoints in {args.checkpoint_dir}"
                 if args.checkpoint_dir else ""))
-    try:
-        sweep = session.run(resume=args.resume)
-    finally:
-        if progress is not None:
-            progress.close()
-        if events is not None:
-            events.close()
+    events = (SessionLog(args.session_log)
+              if args.session_log is not None else None)
+    with _progress_sink(args) as progress, \
+            events if events is not None else nullcontext():
+        sweep = Session(spec, store=args.checkpoint_dir, config=config,
+                        events=events, progress=progress,
+                        ).run(resume=args.resume)
     rows = summarize_sweep(sweep)
     log.result(sweep_table(rows).render())
     reductions = sdc_reduction_by_app(rows)
@@ -388,46 +470,24 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    from repro.errors import SpecError
     from repro.search import optimize
 
-    if args.resume and args.checkpoint_dir is None:
-        raise SpecError("--resume requires --checkpoint-dir")
     if args.json:
         # --json promises machine-readable stdout; round-progress info
         # lines would corrupt it.
         configure_logging(quiet=True)
-    progress = _progress_sink(args)
-    try:
+    request = _request(args)
+    with _progress_sink(args) as progress:
         result = optimize(
-            app=args.app,
-            strategy=args.strategy,
-            objects=args.objects,
-            runs=args.runs,
-            n_blocks=args.blocks,
-            n_bits=args.bits,
-            selection=args.selection,
-            seed=args.seed,
-            search_seed=args.search_seed,
-            scale=args.scale,
-            app_seed=args.app_seed,
-            population=args.population,
-            generations=args.generations,
-            max_evals=args.max_evals,
-            chunk_runs=args.chunk_runs,
-            store=args.checkpoint_dir,
-            resume=args.resume,
-            jobs=args.jobs,
-            batch=args.batch,
-            stop_after_chunks=args.stop_after_chunks,
-            trail=args.trail,
-            progress=progress,
+            request=request, strategy=args.strategy,
+            objects=args.objects, search_seed=args.search_seed,
+            population=args.population, generations=args.generations,
+            max_evals=args.max_evals, store=args.checkpoint_dir,
+            resume=args.resume, stop_after_chunks=args.stop_after_chunks,
+            trail=args.trail, progress=progress,
             max_overhead=args.budget_overhead,
             max_replica_bytes=args.budget_memory,
         )
-    finally:
-        if progress is not None:
-            progress.close()
     if args.json:
         from repro.utils.canonical import canonical_json
 
@@ -480,19 +540,19 @@ def _cmd_trace(args) -> int:
         log.error("trace: an application is required "
                   "(positional or --app)")
         return 2
-    manager = _manager(args)
-    protect = _protect_level(args.protect)
+    request = _request(args)
+    manager = _app_manager(request)
     tracer = TraceSession(TraceConfig(
         max_events=args.max_events,
         interval_cycles=args.interval,
         sample_rate=args.sample_rate,
         seed=args.sample_seed,
     ))
-    report = manager.simulate_performance(args.scheme, protect,
-                                          tracer=tracer)
+    report = manager.simulate_performance(
+        request.scheme, request.protect, tracer=tracer)
     out = args.out or f"{args.app}.trace.json"
     n = write_chrome_trace(
-        tracer, out, label=f"{manager.app.name} {args.scheme}")
+        tracer, out, label=f"{manager.app.name} {request.scheme}")
     validate_trace_file(out)
     log.info(f"wrote {n} trace event(s) to {out} "
              f"(emitted {tracer.emitted}, dropped {tracer.dropped}, "
@@ -500,7 +560,7 @@ def _cmd_trace(args) -> int:
     log.info("load at https://ui.perfetto.dev (1 us = 1 core cycle)")
     log.result(f"{manager.app.name}: {report.cycles} cycles, "
                f"{report.instructions} instructions "
-               f"({args.scheme}, protect={args.protect})")
+               f"({request.scheme}, protect={request.protect})")
     summary = tracer.object_summary()
     if summary:
         table = TextTable(
@@ -519,7 +579,7 @@ def _cmd_trace(args) -> int:
 
         with open(args.objects_out, "w", encoding="utf-8") as fh:
             json.dump({"app": manager.app.name,
-                       "scheme": args.scheme,
+                       "scheme": request.scheme,
                        "objects": summary}, fh, indent=2,
                       sort_keys=True)
             fh.write("\n")
@@ -705,37 +765,42 @@ def _cmd_report(args) -> int:
 def _cmd_export(args) -> int:
     from repro.analysis.export import export_all
 
-    manager = _manager(args)
-    paths = export_all(manager, args.out, runs=args.runs)
+    request = _request(args)
+    paths = export_all(_app_manager(request), args.out,
+                       runs=request.runs)
     for path in paths:
         log.result(f"wrote {path}")
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser,
-                app_optional: bool = False) -> None:
-    if app_optional:
-        parser.add_argument("app", nargs="?", default=None,
-                            help="application name, e.g. P-BICG")
-    else:
-        parser.add_argument("app", help="application name, e.g. P-BICG")
-    parser.add_argument("--scale", default="default",
-                        choices=("default", "small"))
-    parser.add_argument("--seed", type=int, default=1234)
+def _evaluating(sub, name: str, func, flags, seed_alias: str,
+                scheme: str | None = None, app_nargs: str | None = None,
+                **kwargs):
+    """Add an evaluating subcommand declaring ``flags`` from the tables.
 
-
-def _add_trace_capture(parser: argparse.ArgumentParser) -> None:
-    """The golden-run ``--trace`` capture knobs (campaign / perf)."""
-    parser.add_argument("--trace", metavar="PATH", default=None,
-                        help="also capture the golden (fault-free) "
-                             "timing run as Perfetto trace_events "
-                             "JSON at PATH")
-    parser.add_argument("--trace-interval", type=int, default=1024,
-                        help="time-series sampling period in cycles "
-                             "(default 1024)")
-    parser.add_argument("--trace-max-events", type=int, default=65536,
-                        help="trace ring-buffer capacity "
-                             "(default 65536)")
+    ``seed_alias`` is the canonical seed flag the deprecated ``--seed``
+    stands for on this subcommand (its historical meaning);
+    ``scheme`` is the subcommand's ``--scheme`` default, the one
+    per-subcommand override of the request flag table; ``app_nargs``
+    is the app positional's arity (``sweep`` takes several).
+    """
+    parser = sub.add_parser(name, **kwargs)
+    parser.add_argument("app", nargs=app_nargs,
+                        help="application name, e.g. P-BICG")
+    for flag in flags:
+        if flag in _REQUEST_FLAGS:
+            field, options = _REQUEST_FLAGS[flag]
+            options = dict(options, dest=field)
+            if flag == "--scheme":
+                options["default"] = scheme
+        else:
+            options = _SHARED_FLAGS[flag]
+        parser.add_argument(flag, **options)
+    parser.add_argument("--seed", dest="seed_alias", type=int,
+                        default=UNSET, metavar="SEED",
+                        help=f"deprecated alias of {seed_alias}")
+    parser.set_defaults(func=func, seed_alias_of=seed_alias)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -759,150 +824,66 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("apps", help="list applications").set_defaults(
         func=_cmd_apps)
 
-    p = sub.add_parser("profile", help="access-pattern analysis")
-    _add_common(p)
-    p.set_defaults(func=_cmd_profile)
+    _evaluating(sub, "profile", _cmd_profile, _APP_FLAGS, "--app-seed",
+                help="access-pattern analysis")
 
-    p = sub.add_parser("campaign", help="fault-injection campaign")
-    _add_common(p)
-    p.add_argument("--scheme", default="baseline",
-                   choices=("baseline", "detection", "correction"))
-    p.add_argument("--protect", default="hot",
-                   help="none | hot | all | <N objects>")
-    p.add_argument("--runs", type=int, default=200)
-    p.add_argument("--blocks", type=int, default=1)
-    p.add_argument("--bits", type=int, default=2)
-    p.add_argument("--selection", default="access-weighted",
-                   choices=("access-weighted", "miss-weighted",
-                            "uniform", "hot", "rest", "stratified"))
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the campaign (default 1)")
-    p.add_argument("--batch", type=int, default=1,
-                   help="runs propagated per batched sweep (default 1 "
-                        "= scalar); never affects results")
-    p.add_argument("--target-margin", type=float, default=None,
-                   metavar="M",
-                   help="stop early once the Wilson 95%% CI on the SDC "
-                        "rate reaches margin M (--runs becomes the "
-                        "budget); the committed result is identical "
-                        "at any --jobs/--batch")
+    p = _evaluating(
+        sub, "campaign", _cmd_campaign,
+        (*_APP_FLAGS, *_GRID_FLAGS, "--scheme", "--protect",
+         *_EXEC_FLAGS, "--target-margin", "--chunk-runs",
+         "--telemetry", "--progress", *_TRACE_FLAGS),
+        "--app-seed", scheme="baseline", help="fault-injection campaign")
     p.add_argument("--decisions", metavar="PATH", default=None,
                    help="write the adaptive stop-decision trail as "
                         "JSONL to PATH (requires --target-margin)")
-    p.add_argument("--max-batch-bytes", type=int,
-                   default=256 * 1024 * 1024,
-                   help="memory ceiling that clamps the effective "
-                        "batch size (default 256 MiB)")
-    p.add_argument("--telemetry", metavar="PATH", default=None,
-                   help="write one JSONL run record per fault-injection"
-                        " run to PATH")
     p.add_argument("--provenance", metavar="PATH", default=None,
                    help="write one JSONL fault-provenance record per "
                         "run to PATH (byte-identical at any "
                         "--jobs/--batch); feed it to `repro vuln`")
-    p.add_argument("--progress", action="store_true",
-                   help="live one-line progress on stderr, refreshed "
-                        "at chunk boundaries; never affects results")
-    _add_trace_capture(p)
-    p.set_defaults(func=_cmd_campaign)
 
-    p = sub.add_parser("perf", help="timing simulation")
-    _add_common(p)
-    p.add_argument("--scheme", default="detection",
-                   choices=("baseline", "detection", "correction"))
-    p.add_argument("--protect", default="hot")
-    _add_trace_capture(p)
-    p.set_defaults(func=_cmd_perf)
+    _evaluating(sub, "perf", _cmd_perf,
+                (*_APP_FLAGS, "--scheme", "--protect", *_TRACE_FLAGS),
+                "--app-seed", scheme="detection", help="timing simulation")
 
-    p = sub.add_parser("tradeoff", help="Section V-C sweep")
-    _add_common(p)
-    p.add_argument("--scheme", default="correction",
-                   choices=("detection", "correction"))
-    p.add_argument("--runs", type=int, default=100)
-    p.add_argument("--blocks", type=int, default=1)
-    p.add_argument("--bits", type=int, default=2)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes per campaign (default 1)")
-    p.add_argument("--telemetry", metavar="PATH", default=None,
-                   help="write the whole sweep's run records to one "
-                        "JSONL file at PATH")
-    p.set_defaults(func=_cmd_tradeoff)
+    _evaluating(sub, "tradeoff", _cmd_tradeoff,
+                (*_APP_FLAGS, *_GRID_FLAGS, "--scheme", "--jobs",
+                 "--telemetry"),
+                "--app-seed", scheme="correction", help="Section V-C sweep")
 
-    p = sub.add_parser(
-        "sweep",
+    p = _evaluating(
+        sub, "sweep", _cmd_sweep,
+        (*_APP_FLAGS, *_GRID_FLAGS, *_EXEC_FLAGS, "--target-margin",
+         "--chunk-runs", *_DURABILITY_FLAGS, "--telemetry",
+         "--progress"),
+        "--fault-seed", app_nargs="+",
         help="resumable checkpointed campaign grid")
-    p.add_argument("apps", nargs="+",
-                   help="application name(s), e.g. P-BICG A-Laplacian")
     p.add_argument("--schemes", nargs="+",
-                   default=["baseline", "correction"],
-                   choices=("baseline", "detection", "correction"),
+                   default=["baseline", "correction"], choices=SCHEME_NAMES,
                    help="schemes to cross with every app "
                         "(default: baseline correction)")
     p.add_argument("--protects", nargs="+", default=["hot"],
                    help="protection level(s): none | hot | all | "
                         "<N objects> (default: hot)")
-    p.add_argument("--runs", type=int, default=200,
-                   help="fault-injection runs per cell (default 200)")
-    p.add_argument("--blocks", type=int, default=1)
-    p.add_argument("--bits", type=int, default=2)
-    p.add_argument("--seed", type=int, default=20210621,
-                   help="campaign seed (default 20210621)")
-    p.add_argument("--app-seed", type=int, default=1234,
-                   help="application input seed (default 1234)")
-    p.add_argument("--scale", default="default",
-                   choices=("default", "small"))
-    p.add_argument("--selection", default="access-weighted",
-                   choices=("access-weighted", "miss-weighted",
-                            "uniform", "hot", "rest", "stratified"))
-    p.add_argument("--target-margin", type=float, default=None,
-                   metavar="M",
-                   help="per cell, stop at the first chunk boundary "
-                        "whose Wilson 95%% CI margin on the SDC rate "
-                        "reaches M; part of the sweep identity")
-    p.add_argument("--chunk-runs", type=int, default=None,
-                   help="runs per durable work unit (default: each "
-                        "cell split into 16 chunks, or 64 runs under "
-                        "--target-margin, where units are the stop "
-                        "rule's decision boundaries); part of the "
-                        "sweep identity")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes (default 1); never affects "
-                        "results or checkpoint compatibility")
-    p.add_argument("--checkpoint-dir", metavar="DIR", default=None,
-                   help="persist every completed chunk under DIR")
-    p.add_argument("--resume", action="store_true",
-                   help="continue from the chunks already in "
-                        "--checkpoint-dir")
-    p.add_argument("--stop-after-chunks", type=int, default=None,
-                   metavar="N",
-                   help="stop (exit 75, checkpointed) after N newly "
-                        "executed chunks")
     p.add_argument("--max-retries", type=int, default=2,
                    help="retries per chunk beyond the first attempt "
                         "(default 2)")
     p.add_argument("--chunk-timeout", type=float, default=None,
                    metavar="SECONDS",
                    help="deadline per chunk attempt (default: none)")
-    p.add_argument("--telemetry", metavar="PATH", default=None,
-                   help="write every cell's run records, in cell "
-                        "order, to one JSONL file at PATH")
     p.add_argument("--out", metavar="PATH", default=None,
                    help="write the merged sweep results as canonical "
                         "JSON to PATH")
     p.add_argument("--session-log", metavar="PATH", default=None,
                    help="narrate orchestration (chunks, retries, "
                         "fallbacks) as JSONL events at PATH")
-    p.add_argument("--progress", action="store_true",
-                   help="live one-line progress on stderr with the "
-                        "active cell and its Wilson CI margin; never "
-                        "affects results or checkpoints")
-    p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser(
-        "optimize",
+    p = _evaluating(
+        sub, "optimize", _cmd_optimize,
+        (*_APP_FLAGS, *_GRID_FLAGS, *_EXEC_FLAGS, "--chunk-runs",
+         *_DURABILITY_FLAGS, "--progress"),
+        "--fault-seed",
         help="protection design-space exploration (Pareto front over "
              "SDC rate, overhead, replica footprint)")
-    p.add_argument("app", help="application name, e.g. P-BICG")
     p.add_argument("--strategy", default="greedy",
                    choices=("exhaustive", "greedy", "evolutionary",
                             "random"),
@@ -912,20 +893,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict the design space to the first N "
                         "objects of the importance order "
                         "(default: all)")
-    p.add_argument("--runs", type=int, default=200,
-                   help="fault-injection runs per configuration "
-                        "(default 200)")
-    p.add_argument("--blocks", type=int, default=1)
-    p.add_argument("--bits", type=int, default=2)
-    p.add_argument("--selection", default="access-weighted",
-                   choices=("access-weighted", "miss-weighted",
-                            "uniform", "hot", "rest", "stratified"))
-    p.add_argument("--seed", type=int, default=20210621,
-                   help="campaign seed (default 20210621)")
-    p.add_argument("--app-seed", type=int, default=1234,
-                   help="application input seed (default 1234)")
-    p.add_argument("--scale", default="default",
-                   choices=("default", "small"))
     p.add_argument("--search-seed", type=int, default=1,
                    help="strategy randomness seed (default 1); part "
                         "of the search identity")
@@ -943,25 +910,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget-memory", type=int, default=None,
                    metavar="BYTES",
                    help="budget solver: replica footprint <= BYTES")
-    p.add_argument("--chunk-runs", type=int, default=None,
-                   help="runs per durable work unit (default: each "
-                        "configuration split into 16 chunks)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes (default 1); never affects "
-                        "the front or the trail")
-    p.add_argument("--batch", type=int, default=1,
-                   help="runs propagated per batched sweep "
-                        "(default 1); never affects results")
-    p.add_argument("--checkpoint-dir", metavar="DIR", default=None,
-                   help="persist the search (manifest + per-round "
-                        "campaign chunks) under DIR")
-    p.add_argument("--resume", action="store_true",
-                   help="continue the search already in "
-                        "--checkpoint-dir")
-    p.add_argument("--stop-after-chunks", type=int, default=None,
-                   metavar="N",
-                   help="stop (exit 75, checkpointed) after N newly "
-                        "executed campaign chunks")
     p.add_argument("--trail", metavar="PATH", default=None,
                    help="write the per-round search decision log as "
                         "JSONL at PATH (byte-identical at any "
@@ -972,21 +920,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="PATH", default=None,
                    help="also write the search result as canonical "
                         "JSON to PATH")
-    p.add_argument("--progress", action="store_true",
-                   help="live one-line campaign progress on stderr; "
-                        "never affects results")
-    p.set_defaults(func=_cmd_optimize)
 
-    p = sub.add_parser(
-        "trace",
+    p = _evaluating(
+        sub, "trace", _cmd_trace, (*_APP_FLAGS, "--scheme", "--protect"),
+        "--app-seed", scheme="baseline", app_nargs="?",
         help="cycle-level trace of one timing run (Perfetto JSON)")
-    _add_common(p, app_optional=True)
     p.add_argument("--app", dest="app_opt", default=None,
                    help="application name (alias for the positional)")
-    p.add_argument("--scheme", default="baseline",
-                   choices=("baseline", "detection", "correction"))
-    p.add_argument("--protect", default="hot",
-                   help="none | hot | all | <N objects>")
     p.add_argument("--out", default=None,
                    help="output path (default: <app>.trace.json)")
     p.add_argument("--objects-out", metavar="PATH", default=None,
@@ -1002,7 +942,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default 1.0)")
     p.add_argument("--sample-seed", type=int, default=20210621,
                    help="RNG seed of the sampling coin flips")
-    p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser("stats",
                        help="summarize a telemetry JSONL file")
@@ -1087,12 +1026,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="output HTML path (default: report.html)")
     p.set_defaults(func=_cmd_report)
 
-    p = sub.add_parser("export", help="write exhibit data to CSV")
-    _add_common(p)
+    p = _evaluating(sub, "export", _cmd_export, (*_APP_FLAGS, "--runs"),
+                    "--app-seed", help="write exhibit data to CSV")
     p.add_argument("--out", default="results",
                    help="output directory (default: results/)")
-    p.add_argument("--runs", type=int, default=100)
-    p.set_defaults(func=_cmd_export)
 
     return parser
 
@@ -1127,11 +1064,13 @@ def main(argv: list[str] | None = None) -> int:
     docstring.  An interrupted sweep (``SIGINT`` or
     ``--stop-after-chunks``) exits 75 with its progress checkpointed.
     """
-    from repro.errors import ReproError
+    from repro.errors import ReproError, SpecError
 
     args = build_parser().parse_args(argv)
     configure_logging(verbose=args.verbose, quiet=args.quiet)
     try:
+        if getattr(args, "resume", False) and args.checkpoint_dir is None:
+            raise SpecError("--resume requires --checkpoint-dir")
         return args.func(args)
     except ReproError as exc:
         log.error(f"{args.command}: {exc}")

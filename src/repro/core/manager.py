@@ -267,19 +267,31 @@ class ReliabilityManager:
         batch: int = 1,
         max_batch_bytes: int = 256 * 1024 * 1024,
         progress=None,
+        request: EvaluationRequest | None = None,
     ):
         """Adaptive reliability evaluation: stop at the target margin.
 
         Same experiment as :meth:`evaluate` but returns the
         :class:`~repro.faults.adaptive.AdaptiveResult` — committed
         result plus the chunk-boundary stop-decision trail — instead
-        of only the merged :class:`CampaignResult`.
+        of only the merged :class:`CampaignResult`.  ``request=``
+        supplies every field as in :meth:`evaluate`; it must carry a
+        ``target_margin``.
         """
-        campaign = self._evaluation_campaign(
-            scheme, protect, runs, n_blocks, n_bits, selection, seed,
-            keep_runs, jobs, collect_records, collect_provenance,
-            metrics, batch, max_batch_bytes, target_margin, progress,
-        )
+        if request is not None:
+            if request.target_margin is None:
+                raise SpecError(
+                    "evaluate_adaptive needs a request with a "
+                    "target_margin"
+                )
+            campaign = self._request_campaign(
+                request, metrics=metrics, progress=progress)
+        else:
+            campaign = self._evaluation_campaign(
+                scheme, protect, runs, n_blocks, n_bits, selection, seed,
+                keep_runs, jobs, collect_records, collect_provenance,
+                metrics, batch, max_batch_bytes, target_margin, progress,
+            )
         return campaign.run_adaptive()
 
     def _request_campaign(

@@ -279,9 +279,16 @@ def optimize(
 
     The experiment baseline (fault grid, seeds, scale, knobs) may
     come from an :class:`~repro.core.request.EvaluationRequest` via
-    ``request=`` instead of the individual keywords.
+    ``request=`` instead of the individual keywords.  Every
+    configuration runs its full ``runs`` budget without SECDED, so a
+    request's ``target_margin`` or ``secded`` raises
+    :class:`~repro.errors.SpecError` instead of being dropped.
     """
     if request is not None:
+        for name in ("target_margin", "secded"):
+            if getattr(request, name):
+                raise SpecError(
+                    f"optimize does not support request {name}")
         app = app or request.app
         runs = request.runs
         n_blocks, n_bits = request.n_blocks, request.n_bits

@@ -1,11 +1,15 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 
 import pytest
 
+from repro import cli
+from repro._compat import reset_warnings
 from repro.cli import build_parser, main
 from repro.obs.perfetto import validate_trace_file
+from repro.utils.canonical import canonical_json
 
 
 class TestParser:
@@ -213,6 +217,15 @@ class TestSweepCommand:
                      "--runs", "4"]) == 4
         assert "--checkpoint-dir" in capsys.readouterr().err
 
+    def test_batch_writes_the_scalar_bytes(self, tmp_path):
+        outs = []
+        for batch in ("1", "16"):
+            out = tmp_path / f"batch{batch}.json"
+            assert main(self.ARGS + ["--batch", batch,
+                                     "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_mismatched_checkpoint_dir_exits_5(self, tmp_path, capsys):
         store = tmp_path / "ckpt"
         assert main(self.ARGS + ["--checkpoint-dir", str(store)]) == 0
@@ -259,3 +272,166 @@ class TestExportCommand:
         assert "fig9_a_meanfilter.csv" in out
         assert (tmp_path / "table1_config.csv").exists()
         assert (tmp_path / "fig7_a_meanfilter.csv").exists()
+
+
+def subparsers() -> dict[str, argparse.ArgumentParser]:
+    action = next(a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return dict(action.choices)
+
+
+def request_options(parser) -> dict[str, argparse.Action]:
+    return {
+        action.option_strings[0]: action for action in parser._actions
+        if action.option_strings
+        and action.option_strings[0] in cli._REQUEST_FLAGS
+    }
+
+
+#: The request flags each evaluating subcommand's entry point honours.
+HONOURED = {
+    "profile": {"--scale", "--app-seed"},
+    "perf": {"--scale", "--app-seed", "--scheme", "--protect"},
+    "trace": {"--scale", "--app-seed", "--scheme", "--protect"},
+    "export": {"--scale", "--app-seed", "--runs"},
+    "tradeoff": {"--scale", "--app-seed", "--fault-seed", "--runs",
+                 "--blocks", "--bits", "--selection", "--scheme",
+                 "--jobs"},
+    "campaign": set(cli._REQUEST_FLAGS),
+    "sweep": set(cli._REQUEST_FLAGS) - {"--scheme", "--protect"},
+    "optimize": set(cli._REQUEST_FLAGS)
+    - {"--scheme", "--protect", "--target-margin"},
+}
+
+
+@pytest.fixture()
+def fresh_warnings():
+    reset_warnings()
+    yield
+    reset_warnings()
+
+
+class TestRequestFlags:
+    def test_each_subcommand_takes_exactly_its_honoured_flags(self):
+        parsers = subparsers()
+        for name, flags in HONOURED.items():
+            assert set(request_options(parsers[name])) == flags, name
+
+    def test_every_flag_has_one_default_and_type(self):
+        seen = {}
+        for name in HONOURED:
+            for flag, action in request_options(
+                    subparsers()[name]).items():
+                default = None if flag == "--scheme" else action.default
+                key = (default, action.type, action.choices,
+                       action.dest, action.help)
+                assert seen.setdefault(flag, key) == key, (name, flag)
+        assert set(seen) == set(cli._REQUEST_FLAGS)
+        assert seen["--runs"][0] == 200
+
+    def test_scheme_defaults_keep_their_arm(self):
+        parsers = subparsers()
+        defaults = {name: request_options(parsers[name])["--scheme"]
+                    .default for name in ("campaign", "perf", "trace",
+                                          "tradeoff")}
+        assert defaults == {"campaign": "baseline", "perf": "detection",
+                            "trace": "baseline", "tradeoff": "correction"}
+
+    @pytest.mark.parametrize("argv,field", [
+        (["profile", "P-BICG"], "app_seed"),
+        (["campaign", "P-BICG"], "app_seed"),
+        (["perf", "P-BICG"], "app_seed"),
+        (["trace", "P-BICG"], "app_seed"),
+        (["tradeoff", "P-BICG"], "app_seed"),
+        (["export", "P-BICG"], "app_seed"),
+        (["sweep", "P-BICG"], "seed"),
+        (["optimize", "P-BICG"], "seed"),
+    ])
+    def test_deprecated_seed_keeps_its_old_meaning(
+            self, argv, field, fresh_warnings, capsys):
+        args = build_parser().parse_args(argv + ["--seed", "77"])
+        request = cli._request(
+            args, **({"app": "P-BICG"} if argv[0] == "sweep" else {}))
+        assert getattr(request, field) == 77
+        other = {"app_seed": "seed", "seed": "app_seed"}[field]
+        assert getattr(request, other) == getattr(
+            cli.EvaluationRequest(app="P-BICG"), other)
+        err = capsys.readouterr().err
+        assert err.count("deprecated") == 1
+        assert "'--seed'" in err
+
+    def test_deprecated_seed_warns_once(self, fresh_warnings, capsys):
+        for _ in range(2):
+            cli._request(build_parser().parse_args(
+                ["profile", "P-BICG", "--seed", "5"]))
+        assert capsys.readouterr().err.count("deprecated") == 1
+
+    def test_canonical_spelling_never_warns(self, fresh_warnings,
+                                            capsys):
+        cli._request(build_parser().parse_args(
+            ["campaign", "P-BICG", "--app-seed", "5",
+             "--fault-seed", "6"]))
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["campaign", "A-Laplacian", "--seed", "1", "--app-seed", "1"],
+        ["sweep", "A-Laplacian", "--seed", "1", "--fault-seed", "1"],
+    ])
+    def test_both_spellings_exit_4(self, argv, fresh_warnings, capsys):
+        assert main(argv) == 4
+        assert "both" in capsys.readouterr().err
+
+    def test_campaign_seed_alias_gives_identical_telemetry(
+            self, tmp_path, fresh_warnings):
+        outs = []
+        for flag in ("--seed", "--app-seed"):
+            out = tmp_path / f"{flag.strip('-')}.jsonl"
+            assert main([
+                "-q", "campaign", "A-Laplacian", "--scale", "small",
+                "--runs", "8", flag, "77", "--telemetry", str(out),
+            ]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_sweep_seed_alias_gives_identical_results(
+            self, tmp_path, fresh_warnings):
+        outs = []
+        for flag in ("--seed", "--fault-seed"):
+            out = tmp_path / f"{flag.strip('-')}.json"
+            assert main([
+                "-q", "sweep", "A-Laplacian", "--scale", "small",
+                "--schemes", "baseline", "--runs", "4", flag, "9",
+                "--out", str(out),
+            ]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("flags", [
+        ["--runs", "0"], ["--jobs", "0"], ["--batch", "0"],
+        ["--target-margin", "1.5"], ["--chunk-runs", "32"],
+        ["--decisions", "d.jsonl"],
+    ])
+    def test_invalid_campaign_request_exits_4(self, flags):
+        assert main(["campaign", "A-Laplacian", "--scale", "small",
+                     *flags]) == 4
+
+
+class TestOptimizeCommand:
+    ARGS = ["P-BICG", "--scale", "small", "--objects", "1",
+            "--runs", "16"]
+
+    def test_json_is_the_library_result(self, capsys):
+        from repro.core.request import EvaluationRequest
+        from repro.search import optimize
+
+        assert main(["optimize", *self.ARGS, "--json"]) == 0
+        out = capsys.readouterr().out
+        request = EvaluationRequest(app="P-BICG", scale="small",
+                                    runs=16)
+        expected = optimize(request=request, strategy="greedy",
+                            objects=1)
+        assert out == canonical_json(expected.to_dict()) + "\n"
+
+    def test_resume_without_dir_exits_4(self, capsys):
+        assert main(["optimize", *self.ARGS, "--resume"]) == 4
+        assert "--checkpoint-dir" in capsys.readouterr().err

@@ -91,6 +91,11 @@ class TestManagerSurface:
         with pytest.raises(SpecError, match="P-BICG"):
             manager("A-Laplacian").evaluate(request=request)
 
+    def test_adaptive_request_needs_a_margin(self):
+        request = EvaluationRequest(app="A-Laplacian", runs=4)
+        with pytest.raises(SpecError, match="target_margin"):
+            manager().evaluate_adaptive(request=request)
+
 
 class TestSessionSurface:
     def test_session_accepts_a_request(self):

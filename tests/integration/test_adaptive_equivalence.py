@@ -11,6 +11,7 @@ with nonzero SDC rates so the agreement checks are not vacuous.
 
 import pytest
 
+from repro.cli import main
 from repro.core.manager import ReliabilityManager
 from repro.kernels.registry import create_app
 
@@ -105,7 +106,7 @@ class TestStopReproducibility:
 
 
 class TestEntryPointEquivalence:
-    """One request, five entry points, the same committed bytes."""
+    """One request, six entry points, the same committed bytes."""
 
     @staticmethod
     def _bytes(tmp_path, name, result, decisions):
@@ -171,6 +172,17 @@ class TestEntryPointEquivalence:
                           batch=batch).entries[0]
         outputs["run_sweep"] = self._bytes(
             tmp_path, "run_sweep", entry.result, entry.decisions)
+
+        records = tmp_path / "cli.records.jsonl"
+        trail = tmp_path / "cli.decisions.jsonl"
+        assert main([
+            "-q", "campaign", app_name, "--scale", "small",
+            "--scheme", scheme, "--protect", protect,
+            "--runs", str(runs), "--target-margin", "0.05",
+            "--jobs", str(jobs), "--batch", str(batch),
+            "--telemetry", str(records), "--decisions", str(trail),
+        ]) == 0
+        outputs["cli"] = (records.read_bytes(), trail.read_bytes())
 
         records, trail = outputs.pop("evaluate_adaptive")
         assert trail and records

@@ -257,3 +257,17 @@ class TestRequestSurface:
         result, _ = run(tmp_path, "cap", strategy="random",
                         max_evals=3, population=5)
         assert len(result.evaluations) <= 3
+
+    def test_request_target_margin_rejected(self):
+        # Every configuration runs its full budget; an adaptive request
+        # must not silently evaluate at all of its runs.
+        request = EvaluationRequest(app=APP, runs=400, scale="small",
+                                    target_margin=0.1, batch=64)
+        with pytest.raises(SpecError, match="target_margin"):
+            optimize(request=request, strategy="exhaustive", objects=1)
+
+    def test_request_secded_rejected(self):
+        request = EvaluationRequest(app=APP, runs=16, scale="small",
+                                    secded=True, n_bits=3)
+        with pytest.raises(SpecError, match="secded"):
+            optimize(request=request, strategy="exhaustive", objects=1)

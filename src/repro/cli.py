@@ -594,13 +594,9 @@ def _cmd_stats(args) -> int:
 
     try:
         if args.file == "-":
-            from repro.obs.records import (
-                iter_validated_lines,
-                validate_record,
-            )
+            from repro.obs.records import iter_jsonl
 
-            records = list(iter_validated_lines(
-                sys.stdin, validate_record, label="<stdin>"))
+            records = list(iter_jsonl(sys.stdin, "runs", "<stdin>"))
             summary = summarize_records("<stdin>", records)
         else:
             summary = summarize_file(args.file)
@@ -629,16 +625,15 @@ def _cmd_vuln(args) -> int:
     from repro.obs.provenance import (
         read_provenance,
         top_sdc_objects,
-        validate_provenance,
         vulnerability_profiles,
     )
 
     try:
         if args.file == "-":
-            from repro.obs.records import iter_validated_lines
+            from repro.obs.records import iter_jsonl
 
-            records = list(iter_validated_lines(
-                sys.stdin, validate_provenance, label="<stdin>"))
+            records = list(iter_jsonl(sys.stdin, "provenance",
+                                      "<stdin>"))
         else:
             records = read_provenance(args.file)
     except FileNotFoundError:

@@ -4,7 +4,7 @@ The five outcomes say how a run *ended*; the provenance surface
 (:mod:`repro.obs.provenance`) refines each into a *cause* — why a
 masked run was masked (value agreement, dead word, overwrite window),
 or what fired for a loud one (replica compare, SECDED decode) — via
-the :data:`~repro.obs.provenance.PROVENANCE_CAUSES` taxonomy.
+the :data:`~repro.obs.records.PROVENANCE_CAUSES` taxonomy.
 """
 
 from __future__ import annotations

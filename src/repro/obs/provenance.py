@@ -19,7 +19,9 @@ scalar execution, labeled ``evidence: "analytic"``; a lane is labeled
 analytic exactly when the classifier *can* decide it, a property of
 the faults and the golden evidence, not of the execution strategy.
 Like run telemetry, provenance JSONL is canonical JSON, one record per
-line, byte-identical at any ``--jobs``/``--batch``.
+line, byte-identical at any ``--jobs``/``--batch``; its wire schema,
+vocabularies and validator are registered with the record codec
+(:mod:`repro.obs.records`).
 
 "Read position" here means the index into the golden run's positional
 read stream (:meth:`~repro.obs.trace.GoldenTimeline.reads`) — the
@@ -35,7 +37,6 @@ subcommand and the vulnerability heatmap in
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
@@ -47,8 +48,18 @@ from repro.errors import FaultDetected, TelemetryError
 from repro.faults.injector import merge_fault_masks, overlay_read_value
 from repro.faults.model import FaultSpec
 from repro.faults.outcomes import Outcome, RunResult
-from repro.obs.records import JsonlWriter, iter_validated_jsonl
+from repro.obs.records import (
+    EVIDENCE_KINDS,
+    LIVENESS_CLASSES,
+    PROVENANCE_CAUSES,
+    PROVENANCE_RECORD_VERSION,
+    REGIONS,
+    JsonlWriter,
+    iter_jsonl,
+    validate_provenance,
+)
 from repro.obs.trace import GoldenTimeline
+from repro.utils.canonical import canonical_json
 from repro.utils.stats import (
     ConfidenceInterval,
     confidence_interval,
@@ -58,103 +69,22 @@ from repro.utils.stats import (
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.campaign import Campaign
 
-#: Bumped whenever the provenance record shape changes incompatibly.
-PROVENANCE_RECORD_VERSION = 1
-
-#: The masking/detection cause taxonomy.  Masked runs: the stuck bits
-#: agree with the data underneath (``value-agrees``), the word is on no
-#: read path (``dead-word``), every read sees post-overwrite content
-#: the fault agrees with (``overwritten-before-read``), the SECDED
-#: decode repaired the cluster (``secded-corrected``), or corrupted
-#: data was really consumed yet the output stayed within threshold
-#: (``tolerated``).  Loud runs: ``replica-detected`` (detection scheme
-#: mismatch), ``secded-due`` (detected-uncorrectable ECC error),
-#: ``crash``.  ``replica-voted`` is the correction scheme repairing
-#: reads; ``output-corrupted`` is SDC.
-PROVENANCE_CAUSES = (
-    "value-agrees",
-    "dead-word",
-    "overwritten-before-read",
-    "tolerated",
-    "secded-corrected",
-    "secded-due",
-    "replica-detected",
-    "replica-voted",
-    "output-corrupted",
-    "crash",
-)
-
-#: How a record's classification was established: ``analytic`` lanes
-#: are decided from the golden evidence alone (the batch engine skips
-#: execution for them), ``executed`` lanes ran the application.  The
-#: label is a property of (faults, golden evidence) — identical no
-#: matter which strategy actually produced the record.
-EVIDENCE_KINDS = ("analytic", "executed")
-
-#: Paper vocabulary for the fault site's object class.
-REGIONS = ("hot", "rest")
-
-#: Liveness exposure classes: the golden-timeline window of the object
-#: (``dead``/``input``/``working``), or ``internal`` for objects
-#: consumed only by scheme-internal reads the positional trace cannot
-#: see.
-LIVENESS_CLASSES = ("dead", "input", "working", "internal")
-
-#: Required keys of each entry of a record's ``sites`` list.
-SITE_SCHEMA: dict[str, type | tuple[type, ...]] = {
-    "object": str,
-    "region": str,
-    "liveness": str,
-    "block_addr": int,
-    "word_index": int,
-    "byte_offset": int,
-    "bit_positions": list,
-    "stuck_values": list,
-    "visible": bool,
-}
-
-#: Required top-level keys and their JSON types — the wire schema that
-#: :func:`validate_provenance` enforces.
-PROVENANCE_RECORD_SCHEMA: dict[str, type | tuple[type, ...]] = {
-    "version": int,
-    "run_index": int,
-    "seed": int,
-    "app": str,
-    "scheme": str,
-    "selection": str,
-    "n_blocks": int,
-    "n_bits": int,
-    "outcome": str,
-    "evidence": str,
-    "cause": str,
-    "sites": list,
-    "first_corrupted_read": (int, type(None)),
-    "corrupted_reads": int,
-    "consumers": dict,
-    "detection": (dict, type(None)),
-}
-
 __all__ = [
     "EVIDENCE_KINDS",
     "GoldenEvidence",
     "LIVENESS_CLASSES",
     "PROVENANCE_CAUSES",
-    "PROVENANCE_RECORD_SCHEMA",
     "PROVENANCE_RECORD_VERSION",
     "ProvenanceRecord",
     "ProvenanceSite",
     "ProvenanceWriter",
     "REGIONS",
-    "SITE_SCHEMA",
     "VulnerabilityProfile",
-    "iter_provenance",
     "read_provenance",
     "top_sdc_objects",
     "validate_provenance",
     "vulnerability_profiles",
 ]
-
-_OUTCOME_VALUES = frozenset(o.value for o in Outcome)
 
 
 @dataclass(frozen=True, slots=True)
@@ -257,9 +187,7 @@ class ProvenanceRecord:
 
     def to_json(self) -> str:
         """Canonical single-line JSON (sorted keys, fixed separators)."""
-        return json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":")
-        )
+        return canonical_json(self.to_dict())
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProvenanceRecord":
@@ -289,80 +217,6 @@ class ProvenanceRecord:
         )
 
 
-def validate_provenance(data: dict) -> None:
-    """Check one decoded record against the provenance wire schema.
-
-    Raises :class:`~repro.errors.TelemetryError` on any missing key,
-    wrong type, unknown outcome/evidence/cause, or malformed site.
-    """
-    if not isinstance(data, dict):
-        raise TelemetryError(
-            f"provenance record must be an object, got {type(data)}"
-        )
-    for key, typ in PROVENANCE_RECORD_SCHEMA.items():
-        if key not in data:
-            raise TelemetryError(f"provenance record missing key {key!r}")
-        value = data[key]
-        if not isinstance(value, typ) \
-                or (typ is not bool and isinstance(value, bool)):
-            raise TelemetryError(
-                f"provenance key {key!r} has type {type(value).__name__}"
-            )
-    if data["version"] != PROVENANCE_RECORD_VERSION:
-        raise TelemetryError(
-            f"unsupported provenance version {data['version']} "
-            f"(expected {PROVENANCE_RECORD_VERSION})"
-        )
-    if data["run_index"] < 0:
-        raise TelemetryError("run_index must be non-negative")
-    if data["outcome"] not in _OUTCOME_VALUES:
-        raise TelemetryError(f"unknown outcome {data['outcome']!r}")
-    if data["evidence"] not in EVIDENCE_KINDS:
-        raise TelemetryError(f"unknown evidence {data['evidence']!r}")
-    if data["cause"] not in PROVENANCE_CAUSES:
-        raise TelemetryError(f"unknown cause {data['cause']!r}")
-    if data["corrupted_reads"] < 0:
-        raise TelemetryError("corrupted_reads must be non-negative")
-    first = data["first_corrupted_read"]
-    if first is not None and first < 0:
-        raise TelemetryError("first_corrupted_read must be non-negative")
-    if (first is None) != (data["corrupted_reads"] == 0):
-        raise TelemetryError(
-            "first_corrupted_read and corrupted_reads disagree on "
-            "whether any read consumed corrupted bytes"
-        )
-    for entry in data["sites"]:
-        if not isinstance(entry, dict):
-            raise TelemetryError("site entry must be an object")
-        for key, typ in SITE_SCHEMA.items():
-            value = entry.get(key)
-            if key not in entry or not isinstance(value, typ) \
-                    or (typ is not bool and isinstance(value, bool)):
-                raise TelemetryError(f"site key {key!r} bad/missing")
-        if entry["region"] not in REGIONS:
-            raise TelemetryError(f"unknown region {entry['region']!r}")
-        if entry["liveness"] not in LIVENESS_CLASSES:
-            raise TelemetryError(
-                f"unknown liveness {entry['liveness']!r}"
-            )
-        if len(entry["bit_positions"]) != len(entry["stuck_values"]):
-            raise TelemetryError("site bit/value length mismatch")
-    for name, n in data["consumers"].items():
-        if not isinstance(name, str) or not isinstance(n, int) \
-                or isinstance(n, bool) or n <= 0:
-            raise TelemetryError(
-                "consumers must map object name -> positive read count"
-            )
-    detection = data["detection"]
-    if detection is not None:
-        if not isinstance(detection.get("object"), str) \
-                or not isinstance(detection.get("read_position"), int) \
-                or isinstance(detection.get("read_position"), bool):
-            raise TelemetryError(
-                "detection must carry object/read_position"
-            )
-
-
 class ProvenanceWriter(JsonlWriter):
     """Append-only JSONL sink for :class:`ProvenanceRecord` streams."""
 
@@ -378,19 +232,12 @@ class ProvenanceWriter(JsonlWriter):
                 f"{result.app_name}: no provenance records collected "
                 "(campaign must run with collect_provenance=True)"
             )
-        for record in result.provenance:
-            self.write(record)
-        return len(result.provenance)
-
-
-def iter_provenance(path: str):
-    """Yield validated record dicts from a provenance JSONL file."""
-    return iter_validated_jsonl(path, validate_provenance)
+        return self.write_all(result.provenance)
 
 
 def read_provenance(path: str) -> list[dict]:
     """Load and validate every record of a provenance JSONL file."""
-    return list(iter_provenance(path))
+    return list(iter_jsonl(path, "provenance"))
 
 
 class GoldenEvidence:

@@ -1,37 +1,261 @@
-"""Per-run telemetry records: schema, JSONL writer, validating reader.
+"""The JSONL record codec: schemas, one writer, one reader, one registry.
 
-One :class:`RunRecord` captures everything reproducible about a single
-fault-injection run — its index and derived seed, the campaign
-identity, the injected fault specs, the outcome and error metric, and
-the scheme's counters.  Records are built inside
-:meth:`~repro.faults.campaign.Campaign.run_one`, travel back through
-the parallel executor inside the chunk results, and are merged into
-run-index order, so a telemetry file is byte-identical for any worker
-count.
+Five record streams are evidence for the campaign results and the
+search: run telemetry (:class:`RunRecord`), fault provenance, adaptive
+stop decisions, session events and the search trail.  Each *kind* is
+registered in :data:`RECORD_KINDS` with its schema version, the marker
+keys of its first line, its validator — a :class:`Schema` plus the
+kind's cross-field invariants — and an optional whole-stream check.
 
-Serialization is canonical JSON (sorted keys, fixed separators, one
-record per line) precisely so that byte-level comparison is a valid
-determinism check.  Wall-clock data never enters a record; latency and
-utilization live in the :class:`~repro.obs.metrics.MetricsRegistry`.
+Every stream is written by :class:`JsonlWriter` and read by
+:func:`iter_jsonl`.  Lines are canonical JSON, so byte comparison is a
+valid determinism check: records are merged into run-index order, and
+a telemetry file is byte-identical for any worker count.  Wall-clock
+data never enters a record; it lives in the
+:class:`~repro.obs.metrics.MetricsRegistry`.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 from repro.errors import TelemetryError
 from repro.faults.model import FaultSpec
 from repro.faults.outcomes import Outcome
+from repro.utils.canonical import canonical_json
 
-#: Bumped whenever the record shape changes incompatibly.
+#: Schema versions, bumped whenever a kind's shape changes
+#: incompatibly.
 RUN_RECORD_VERSION = 1
+DECISION_RECORD_VERSION = 1
+PROVENANCE_RECORD_VERSION = 1
+SESSION_EVENT_VERSION = 1
+TRAIL_VERSION = 1
 
-#: Required top-level keys and their JSON types, the wire schema that
-#: :func:`validate_record` enforces.
-RUN_RECORD_SCHEMA: dict[str, type | tuple[type, ...]] = {
-    "version": int,
+#: The masking/detection cause taxonomy of provenance records.  Masked
+#: runs: the stuck bits agree with the data underneath
+#: (``value-agrees``), the word is on no read path (``dead-word``),
+#: every read sees post-overwrite content the fault agrees with
+#: (``overwritten-before-read``), the SECDED decode repaired the
+#: cluster (``secded-corrected``), or corrupted data was really
+#: consumed yet the output stayed within threshold (``tolerated``).
+#: Loud runs: ``replica-detected`` (detection scheme mismatch),
+#: ``secded-due`` (detected-uncorrectable ECC error), ``crash``.
+#: ``replica-voted`` is the correction scheme repairing reads;
+#: ``output-corrupted`` is SDC.
+PROVENANCE_CAUSES = (
+    "value-agrees",
+    "dead-word",
+    "overwritten-before-read",
+    "tolerated",
+    "secded-corrected",
+    "secded-due",
+    "replica-detected",
+    "replica-voted",
+    "output-corrupted",
+    "crash",
+)
+
+#: How a provenance record's classification was established:
+#: ``analytic`` lanes are decided from the golden evidence alone (the
+#: batch engine skips execution for them), ``executed`` lanes ran the
+#: application.  The label is a property of (faults, golden evidence)
+#: — identical no matter which strategy actually produced the record.
+EVIDENCE_KINDS = ("analytic", "executed")
+
+#: Paper vocabulary for the fault site's object class.
+REGIONS = ("hot", "rest")
+
+#: Liveness exposure classes: the golden-timeline window of the object
+#: (``dead``/``input``/``working``), or ``internal`` for objects
+#: consumed only by scheme-internal reads the positional trace cannot
+#: see.
+LIVENESS_CLASSES = ("dead", "input", "working", "internal")
+
+#: The closed vocabulary of session event kinds.
+EVENT_KINDS = (
+    "plan",         # session planned its work units
+    "chunk",        # one chunk completed (source: run|checkpoint|serial)
+    "retry",        # a chunk attempt failed and will be retried
+    "timeout",      # a chunk attempt exceeded its deadline
+    "fallback",     # the session degraded to in-process serial execution
+    "early_stop",   # adaptive cells under target margin skipped chunks
+    "progress",     # mirrored live-progress observation (detail field)
+    "interrupted",  # the session stopped early with durable progress
+    "finish",       # the session completed every planned chunk
+)
+
+#: Valid ``source`` values of a ``chunk`` session event.
+CHUNK_SOURCES = ("run", "serial", "checkpoint")
+
+
+# -- the field checker ---------------------------------------------------
+class OneOf(frozenset):
+    """Spec of a string field drawn from a closed vocabulary."""
+
+    types = (str,)
+
+    def check_value(self, value, key: str) -> None:
+        """Raise :class:`TelemetryError` unless ``value`` fits."""
+        if value not in self:
+            raise TelemetryError(f"unknown {key} {value!r}")
+
+
+@dataclass(frozen=True)
+class ListOf:
+    """Spec of a list whose entries are objects of ``schema``."""
+
+    schema: "Schema"
+    types = (list,)
+
+    def check_value(self, value: list, key: str) -> None:
+        """Raise :class:`TelemetryError` unless ``value`` fits."""
+        for entry in value:
+            self.schema.check(entry)
+
+
+@dataclass(frozen=True)
+class MapOf:
+    """Spec of an object mapping names to values of type ``value``."""
+
+    value: type
+    types = (dict,)
+
+    def check_value(self, value: dict, key: str) -> None:
+        """Raise :class:`TelemetryError` unless ``value`` fits."""
+        for name, item in value.items():
+            if item.__class__ is not self.value \
+                    or name.__class__ is not str:
+                raise TelemetryError(
+                    f"{key} must map names to {self.value.__name__}")
+
+
+class Schema:
+    """The typed shape of one JSON object: the one field checker.
+
+    ``fields`` maps every required key to a spec: a JSON type or a
+    tuple of types, a :class:`OneOf` vocabulary, a nested
+    :class:`Schema` (a ``nullable`` one also accepts ``null``), or a
+    :class:`ListOf`/:class:`MapOf`.  A value matches when its class is
+    one the spec names — JSON decodes to exactly ``dict``, ``list``,
+    ``str``, ``int``, ``float``, ``bool`` and ``None`` — which is the
+    one bool rule at every depth: ``true`` is never an ``int``.
+    ``version`` adds a required ``version`` key pinned to that value,
+    checked first so a record from another schema version is reported
+    as such; ``invariant`` states the cross-field rules and runs once
+    every field has checked out.
+    """
+
+    def __init__(self, what: str, fields: dict, *, version=None,
+                 invariant: Callable[[dict], None] | None = None,
+                 nullable: bool = False):
+        if version is not None:
+            fields = {"version": int, **fields}
+        self.what = what
+        self.version = version
+        self.invariant = invariant
+        self.types = (dict, type(None)) if nullable else (dict,)
+        self._classes = tuple(
+            (key, frozenset(spec if isinstance(spec, tuple) else
+                            (spec,) if isinstance(spec, type)
+                            else spec.types))
+            for key, spec in fields.items()
+        )
+        self._nested = tuple(
+            (key, spec.check_value) for key, spec in fields.items()
+            if not isinstance(spec, (type, tuple))
+        )
+
+    def check(self, data) -> None:
+        """Raise :class:`TelemetryError` unless ``data`` fits."""
+        if data.__class__ is not dict:
+            raise TelemetryError(
+                f"not a {self.what} (expected an object, got "
+                f"{type(data).__name__})"
+            )
+        version = self.version
+        if version is not None \
+                and data.get("version", version) != version:
+            raise TelemetryError(
+                f"unsupported {self.what} version {data['version']!r} "
+                f"(expected {version})"
+            )
+        for key, classes in self._classes:
+            try:
+                cls = data[key].__class__
+            except KeyError:
+                raise TelemetryError(
+                    f"{self.what} missing key {key!r}") from None
+            if cls not in classes:
+                raise TelemetryError(
+                    f"{self.what} key {key!r} has type {cls.__name__}")
+        for key, check_value in self._nested:
+            check_value(data[key], key)
+        if self.invariant is not None:
+            self.invariant(data)
+
+    def check_value(self, value, key: str) -> None:
+        """Raise :class:`TelemetryError` unless ``value`` fits."""
+        if value is not None:
+            self.check(value)
+
+
+# -- cross-field invariants ----------------------------------------------
+def _non_negative(data: dict, *keys: str) -> None:
+    for key in keys:
+        if data[key] is not None and data[key] < 0:
+            raise TelemetryError(f"{key} must be non-negative")
+
+
+def _bits_match_values(entry: dict) -> None:
+    if len(entry["bit_positions"]) != len(entry["stuck_values"]):
+        raise TelemetryError("fault site bit/value length mismatch")
+
+
+def _decision_invariants(data: dict) -> None:
+    if data["committed"] <= 0:
+        raise TelemetryError("decision committed count must be positive")
+    if not 0 <= data["sdc"] <= data["committed"]:
+        raise TelemetryError("decision sdc count outside [0, committed]")
+
+
+def _provenance_invariants(data: dict) -> None:
+    _non_negative(data, "run_index", "corrupted_reads",
+                  "first_corrupted_read")
+    if (data["first_corrupted_read"] is None) \
+            != (data["corrupted_reads"] == 0):
+        raise TelemetryError(
+            "first_corrupted_read and corrupted_reads disagree on "
+            "whether any read consumed corrupted bytes"
+        )
+    if any(n <= 0 for n in data["consumers"].values()):
+        raise TelemetryError(
+            "consumers must map object name -> positive read count")
+
+
+def _chunk_source(data: dict) -> None:
+    if data["kind"] == "chunk" and data["source"] not in CHUNK_SOURCES:
+        raise TelemetryError(
+            f"chunk event source {data['source']!r} not in "
+            f"{CHUNK_SOURCES}"
+        )
+
+
+# -- schemas -------------------------------------------------------------
+#: One injected fault cluster of a run record.
+FAULT_SCHEMA = Schema("fault entry", {
+    "block_addr": int,
+    "word_index": int,
+    "bit_positions": list,
+    "stuck_values": list,
+}, invariant=_bits_match_values)
+
+#: The fields that place one run in its campaign, shared by the run
+#: and provenance records.
+RUN_IDENTITY = {
     "run_index": int,
     "seed": int,
     "app": str,
@@ -39,69 +263,239 @@ RUN_RECORD_SCHEMA: dict[str, type | tuple[type, ...]] = {
     "selection": str,
     "n_blocks": int,
     "n_bits": int,
-    "outcome": str,
+    "outcome": OneOf(o.value for o in Outcome),
+}
+
+RUN_RECORD_SCHEMA = Schema("run record", {
+    **RUN_IDENTITY,
     "error": (int, float),
     "detail": str,
-    "faults": list,
-    "counters": dict,
-}
+    "faults": ListOf(FAULT_SCHEMA),
+    "counters": MapOf(int),
+}, version=RUN_RECORD_VERSION,
+    invariant=lambda record: _non_negative(record, "run_index"))
 
-#: Required keys of each entry of a record's ``faults`` list.
-FAULT_SCHEMA: dict[str, type] = {
-    "block_addr": int,
-    "word_index": int,
-    "bit_positions": list,
-    "stuck_values": list,
-}
-
-
-#: Bumped whenever the stop-decision record shape changes incompatibly.
-DECISION_RECORD_VERSION = 1
-
-#: Required top-level keys of one adaptive stop-decision record.
-DECISION_RECORD_SCHEMA: dict[str, type | tuple[type, ...]] = {
-    "version": int,
-    "committed": int,
-    "sdc": int,
-    "stop": bool,
-    "interval": dict,
-}
-
-#: Required keys of a decision record's embedded interval image
+#: A decision's embedded interval image
 #: (:meth:`repro.utils.stats.ConfidenceInterval.to_dict`).
-INTERVAL_SCHEMA: dict[str, type | tuple[type, ...]] = {
+INTERVAL_SCHEMA = Schema("decision interval", {
     "proportion": (int, float),
     "margin": (int, float),
     "low": (int, float),
     "high": (int, float),
     "level": (int, float),
     "runs": int,
+})
+
+DECISION_RECORD_SCHEMA = Schema("decision", {
+    "committed": int,
+    "sdc": int,
+    "stop": bool,
+    "interval": INTERVAL_SCHEMA,
+}, version=DECISION_RECORD_VERSION, invariant=_decision_invariants)
+
+#: One fault site of a provenance record.
+SITE_SCHEMA = Schema("site", {
+    "object": str,
+    "region": OneOf(REGIONS),
+    "liveness": OneOf(LIVENESS_CLASSES),
+    "block_addr": int,
+    "word_index": int,
+    "byte_offset": int,
+    "bit_positions": list,
+    "stuck_values": list,
+    "visible": bool,
+}, invariant=_bits_match_values)
+
+PROVENANCE_RECORD_SCHEMA = Schema("provenance record", {
+    **RUN_IDENTITY,
+    "evidence": OneOf(EVIDENCE_KINDS),
+    "cause": OneOf(PROVENANCE_CAUSES),
+    "sites": ListOf(SITE_SCHEMA),
+    "first_corrupted_read": (int, type(None)),
+    "corrupted_reads": int,
+    "consumers": MapOf(int),
+    "detection": Schema("detection", {
+        "object": str,
+        "read_position": int,
+    }, nullable=True),
+}, version=PROVENANCE_RECORD_VERSION, invariant=_provenance_invariants)
+
+SESSION_EVENT_SCHEMA = Schema("session event", {
+    "seq": int,
+    "kind": OneOf(EVENT_KINDS),
+    "cell": str,
+    "start": int,
+    "stop": int,
+    "attempt": int,
+    "source": str,
+    "detail": str,
+}, version=SESSION_EVENT_VERSION, invariant=_chunk_source)
+
+#: The search trail's two line types, keyed by their ``type`` value.
+TRAIL_LINE_SCHEMAS = {
+    "search": Schema("trail header", {
+        "type": str,
+        "app": str,
+        "space": dict,
+        "strategy": str,
+        "search_seed": int,
+    }, version=TRAIL_VERSION),
+    "round": Schema("trail round", {
+        "type": str,
+        "round": int,
+        "proposed": int,
+        "new": int,
+        "cached": int,
+        "evaluations": list,
+        "front": list,
+    }),
 }
 
 
-__all__ = [
-    "RUN_RECORD_VERSION",
-    "RUN_RECORD_SCHEMA",
-    "DECISION_RECORD_VERSION",
-    "DECISION_RECORD_SCHEMA",
-    "FAULT_SCHEMA",
-    "INTERVAL_SCHEMA",
-    "JsonlWriter",
-    "RunRecord",
-    "TelemetryError",
-    "TelemetryWriter",
-    "iter_records",
-    "iter_validated_jsonl",
-    "iter_validated_lines",
-    "read_decisions",
-    "read_records",
-    "records_in_order",
-    "validate_decision",
-    "validate_record",
-    "write_decisions",
-]
+# -- validators: one per kind --------------------------------------------
+validate_record = RUN_RECORD_SCHEMA.check
+validate_decision = DECISION_RECORD_SCHEMA.check
+validate_provenance = PROVENANCE_RECORD_SCHEMA.check
+validate_event = SESSION_EVENT_SCHEMA.check
 
 
+def validate_trail_line(doc) -> None:
+    """Validate one search-trail line against its ``type``'s schema."""
+    line_type = doc.get("type") if isinstance(doc, dict) else None
+    if not isinstance(line_type, str):
+        raise TelemetryError(f"not a trail line: {doc!r}")
+    if line_type not in TRAIL_LINE_SCHEMAS:
+        raise TelemetryError(f"unknown trail line type {line_type!r}")
+    TRAIL_LINE_SCHEMAS[line_type].check(doc)
+
+
+def _seq_continuity(index: int, event: dict) -> None:
+    if event["seq"] != index:
+        raise TelemetryError(
+            f"sequence gap (got {event['seq']}, expected {index})")
+
+
+def _header_first(index: int, line: dict) -> None:
+    expected = "round" if index else "search"
+    if line["type"] != expected:
+        raise TelemetryError(
+            f"expected a {expected} line, got {line['type']!r}")
+
+
+@dataclass(frozen=True)
+class RecordKind:
+    """One registered JSONL record kind."""
+
+    version: int
+    #: Keys whose joint presence identifies the kind's first line.
+    markers: tuple[str, ...]
+    #: Per-line validator; raises :class:`TelemetryError`.
+    validate: Callable[[dict], None]
+    #: Whole-stream rule, called with each record's index in the
+    #: stream; raises :class:`TelemetryError`.
+    check_stream: Callable[[int, dict], None] | None = None
+
+
+#: Every JSONL record kind, in first-line detection order.
+RECORD_KINDS: dict[str, RecordKind] = {
+    "runs": RecordKind(RUN_RECORD_VERSION, ("faults", "counters"),
+                       validate_record),
+    "provenance": RecordKind(PROVENANCE_RECORD_VERSION,
+                             ("cause", "sites"), validate_provenance),
+    "decisions": RecordKind(DECISION_RECORD_VERSION,
+                            ("committed", "interval"), validate_decision),
+    "session": RecordKind(SESSION_EVENT_VERSION, ("seq", "kind"),
+                          validate_event, _seq_continuity),
+    "trail": RecordKind(TRAIL_VERSION, ("type", "strategy"),
+                        validate_trail_line, _header_first),
+}
+
+
+# -- the reader ----------------------------------------------------------
+def iter_jsonl(source: str | os.PathLike | Iterable[str], kind: str,
+               label: str | None = None) -> Iterator[dict]:
+    """Yield the validated records of one ``kind`` stream, lazily.
+
+    ``source`` is a file path or an iterable of lines (``repro stats
+    -`` feeds stdin).  Blank lines are skipped; each other line is
+    parsed, validated and checked against the stream rule, and any
+    failure raises :class:`TelemetryError` prefixed ``label:lineno:``
+    (``label`` defaults to the path).
+    """
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, "r", encoding="utf-8") as fh:
+            yield from iter_jsonl(fh, kind, label or os.fspath(source))
+        return
+    codec = RECORD_KINDS[kind]
+    label = label or "<stream>"
+    index = 0
+    for lineno, line in enumerate(source, 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            data = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise TelemetryError(
+                f"{label}:{lineno}: not valid JSON ({exc})") from None
+        try:
+            codec.validate(data)
+            if codec.check_stream is not None:
+                codec.check_stream(index, data)
+        except TelemetryError as exc:
+            raise TelemetryError(f"{label}:{lineno}: {exc}") from None
+        index += 1
+        yield data
+
+
+# -- the writer ----------------------------------------------------------
+class JsonlWriter:
+    """The one JSONL sink: one canonical-JSON line per record.
+
+    A record is a dict or anything with ``to_dict()``.  :meth:`write`
+    appends one line and flushes it, so a stream written line by line
+    (the session log, the search trail) leaves a valid prefix when
+    interrupted; :meth:`write_all` appends a whole result, in the
+    order given.  The file is created on construction; use as a
+    context manager.
+    """
+
+    def __init__(self, path: str):
+        self.path = path
+        self._fh: IO[str] | None = open(path, "w", encoding="utf-8",
+                                        newline="\n")
+        self.n_written = 0
+
+    def __enter__(self) -> "JsonlWriter":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def write(self, record) -> None:
+        """Append one record as a canonical JSON line and flush it."""
+        self.write_all((record,))
+        self._fh.flush()
+
+    def write_all(self, records: Iterable) -> int:
+        """Append every record; returns how many were written."""
+        n = 0
+        for record in records:
+            if not isinstance(record, dict):
+                record = record.to_dict()
+            self._fh.write(canonical_json(record) + "\n")
+            n += 1
+        self.n_written += n
+        return n
+
+    def close(self) -> None:
+        """Flush and close the underlying file (idempotent)."""
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
+
+
+# -- run records ---------------------------------------------------------
 @dataclass(frozen=True)
 class RunRecord:
     """The deterministic telemetry of one fault-injection run."""
@@ -148,9 +542,7 @@ class RunRecord:
 
     def to_json(self) -> str:
         """Canonical single-line JSON (sorted keys, fixed separators)."""
-        return json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":")
-        )
+        return canonical_json(self.to_dict())
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunRecord":
@@ -180,81 +572,6 @@ class RunRecord:
         )
 
 
-_OUTCOME_VALUES = frozenset(o.value for o in Outcome)
-
-
-def validate_record(data: dict) -> None:
-    """Check one decoded record against :data:`RUN_RECORD_SCHEMA`.
-
-    Raises :class:`TelemetryError` on any missing key, wrong type,
-    unknown outcome, or malformed fault entry.
-    """
-    if not isinstance(data, dict):
-        raise TelemetryError(f"record must be an object, got {type(data)}")
-    for key, typ in RUN_RECORD_SCHEMA.items():
-        if key not in data:
-            raise TelemetryError(f"record missing key {key!r}")
-        if not isinstance(data[key], typ) or isinstance(data[key], bool):
-            raise TelemetryError(
-                f"record key {key!r} has type {type(data[key]).__name__}"
-            )
-    if data["version"] != RUN_RECORD_VERSION:
-        raise TelemetryError(
-            f"unsupported record version {data['version']} "
-            f"(expected {RUN_RECORD_VERSION})"
-        )
-    if data["run_index"] < 0:
-        raise TelemetryError("run_index must be non-negative")
-    if data["outcome"] not in _OUTCOME_VALUES:
-        raise TelemetryError(f"unknown outcome {data['outcome']!r}")
-    for entry in data["faults"]:
-        if not isinstance(entry, dict):
-            raise TelemetryError("fault entry must be an object")
-        for key, typ in FAULT_SCHEMA.items():
-            if key not in entry or not isinstance(entry[key], typ):
-                raise TelemetryError(f"fault entry key {key!r} bad/missing")
-        if len(entry["bit_positions"]) != len(entry["stuck_values"]):
-            raise TelemetryError("fault bit/value length mismatch")
-    for name, value in data["counters"].items():
-        if not isinstance(name, str) or not isinstance(value, int):
-            raise TelemetryError("counters must map str -> int")
-
-
-class JsonlWriter:
-    """Append-only canonical-JSONL sink for record streams.
-
-    Shared base of the telemetry and provenance writers: anything with
-    a ``to_json()`` canonical single-line encoding is written one LF
-    line each, in the order given — callers hand over result streams
-    that are already in run-index order.  Use as a context manager.
-    """
-
-    def __init__(self, path: str):
-        self.path = path
-        self._fh: IO[str] | None = None
-        self.n_written = 0
-
-    def __enter__(self) -> "JsonlWriter":
-        self._fh = open(self.path, "w", encoding="utf-8", newline="\n")
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def write(self, record) -> None:
-        """Append one record as a canonical JSON line."""
-        if self._fh is None:
-            self._fh = open(self.path, "w", encoding="utf-8", newline="\n")
-        self._fh.write(record.to_json() + "\n")
-        self.n_written += 1
-
-    def close(self) -> None:
-        """Flush and close the underlying file."""
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-
 class TelemetryWriter(JsonlWriter):
     """Append-only JSONL sink for :class:`RunRecord` streams."""
 
@@ -270,94 +587,17 @@ class TelemetryWriter(JsonlWriter):
                 f"{result.app_name}: no telemetry records collected "
                 "(campaign must run with collect_records=True)"
             )
-        for record in result.records:
-            self.write(record)
-        return len(result.records)
-
-
-def iter_validated_lines(
-    lines: Iterable[str], validate, label: str = "<stream>"
-) -> Iterator[dict]:
-    """Yield decoded dicts from JSONL lines, one per non-blank line.
-
-    Each line is parsed and passed through ``validate`` (a callable
-    raising :class:`TelemetryError` on a bad record); any failure is
-    re-raised with a ``label:lineno:`` prefix.  The source-agnostic
-    core of :func:`iter_validated_jsonl`, also fed directly from stdin
-    by ``repro stats -`` / ``repro vuln -``.
-    """
-    for lineno, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TelemetryError(
-                f"{label}:{lineno}: not valid JSON ({exc})"
-            ) from None
-        try:
-            validate(data)
-        except TelemetryError as exc:
-            raise TelemetryError(f"{label}:{lineno}: {exc}") from None
-        yield data
-
-
-def iter_validated_jsonl(path: str, validate) -> Iterator[dict]:
-    """Yield decoded dicts from a JSONL file, one per non-blank line.
-
-    File-opening wrapper over :func:`iter_validated_lines`; failures
-    carry a ``path:lineno:`` prefix.  Shared by the telemetry and
-    provenance readers.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        yield from iter_validated_lines(fh, validate, label=path)
+        return self.write_all(result.records)
 
 
 def iter_records(path: str) -> Iterator[dict]:
     """Yield validated record dicts from a telemetry JSONL file."""
-    return iter_validated_jsonl(path, validate_record)
+    return iter_jsonl(path, "runs")
 
 
 def read_records(path: str) -> list[dict]:
     """Load and validate every record of a telemetry JSONL file."""
-    return list(iter_records(path))
-
-
-def validate_decision(data: dict) -> None:
-    """Check one decoded stop-decision record against the schema.
-
-    Raises :class:`TelemetryError` on missing keys, wrong types, or an
-    internally inconsistent tally (``sdc`` exceeding ``committed``).
-    """
-    if not isinstance(data, dict):
-        raise TelemetryError(
-            f"decision must be an object, got {type(data)}"
-        )
-    for key, typ in DECISION_RECORD_SCHEMA.items():
-        if key not in data:
-            raise TelemetryError(f"decision missing key {key!r}")
-        value = data[key]
-        if not isinstance(value, typ) \
-                or (typ is not bool and isinstance(value, bool)):
-            raise TelemetryError(
-                f"decision key {key!r} has type {type(value).__name__}"
-            )
-    if data["version"] != DECISION_RECORD_VERSION:
-        raise TelemetryError(
-            f"unsupported decision version {data['version']} "
-            f"(expected {DECISION_RECORD_VERSION})"
-        )
-    if data["committed"] <= 0:
-        raise TelemetryError("decision committed count must be positive")
-    if not 0 <= data["sdc"] <= data["committed"]:
-        raise TelemetryError("decision sdc count outside [0, committed]")
-    for key, typ in INTERVAL_SCHEMA.items():
-        value = data["interval"].get(key)
-        if not isinstance(value, typ) or isinstance(value, bool):
-            raise TelemetryError(
-                f"decision interval key {key!r} bad/missing"
-            )
+    return list(iter_jsonl(path, "runs"))
 
 
 def write_decisions(path: str, decisions: Iterable) -> int:
@@ -369,38 +609,16 @@ def write_decisions(path: str, decisions: Iterable) -> int:
     is byte-identical for any worker count or batch size.  Returns the
     number of lines written.
     """
-    n = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for decision in decisions:
-            data = {"version": DECISION_RECORD_VERSION}
-            data.update(decision.to_dict())
-            fh.write(json.dumps(
-                data, sort_keys=True, separators=(",", ":")
-            ) + "\n")
-            n += 1
-    return n
+    with JsonlWriter(path) as writer:
+        return writer.write_all(
+            {"version": DECISION_RECORD_VERSION, **decision.to_dict()}
+            for decision in decisions
+        )
 
 
 def read_decisions(path: str) -> list[dict]:
     """Load and validate a stop-decision JSONL file."""
-    decisions = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TelemetryError(
-                    f"{path}:{lineno}: not valid JSON ({exc})"
-                ) from None
-            try:
-                validate_decision(data)
-            except TelemetryError as exc:
-                raise TelemetryError(f"{path}:{lineno}: {exc}") from None
-            decisions.append(data)
-    return decisions
+    return list(iter_jsonl(path, "decisions"))
 
 
 def records_in_order(records: Iterable[RunRecord]) -> list[RunRecord]:

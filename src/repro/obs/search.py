@@ -12,87 +12,31 @@ strategies from the search seed, and timing/footprint objectives from
 the configuration alone — the file is **byte-identical at any
 ``--jobs``/``--batch`` setting and across interrupt/resume**, the
 same guarantee the telemetry and provenance streams give.  That makes
-the trail diffable evidence in the A/B determinism suite.
+the trail diffable evidence in the A/B determinism suite.  The header
+and round schemas and the header-first rule are the ``trail`` kind of
+the record codec (:mod:`repro.obs.records`).
 """
 
 from __future__ import annotations
 
 from repro.errors import TelemetryError
-from repro.utils.canonical import canonical_json
-
-#: Trail format version stamped into the header line.
-TRAIL_VERSION = 1
+from repro.obs.records import TRAIL_VERSION, JsonlWriter, iter_jsonl
 
 
-class SearchTrailWriter:
+class SearchTrailWriter(JsonlWriter):
     """Stream search rounds to a JSONL file (context manager).
 
-    Lines are canonical JSON with ``\\n`` newlines regardless of
-    platform, flushed per round so an interrupted search leaves a
-    valid prefix of the replayed trail.
+    Every line is flushed as it is written, so an interrupted search
+    leaves a valid prefix of the replayed trail.
     """
-
-    def __init__(self, path: str):
-        self.path = path
-        self._fh = open(path, "w", encoding="utf-8", newline="\n")
-        self.n_written = 0
-
-    def __enter__(self) -> "SearchTrailWriter":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    def close(self) -> None:
-        """Close the underlying file (idempotent)."""
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def _write(self, doc: dict) -> None:
-        self._fh.write(canonical_json(doc) + "\n")
-        self._fh.flush()
-        self.n_written += 1
 
     def write_header(self, doc: dict) -> None:
         """Write the search-identity header line."""
-        self._write({"type": "search", "version": TRAIL_VERSION, **doc})
+        self.write({"type": "search", "version": TRAIL_VERSION, **doc})
 
     def write_round(self, doc: dict) -> None:
         """Write one round's decision line."""
-        self._write({"type": "round", **doc})
-
-
-#: Keys every round line must carry.
-_ROUND_KEYS = frozenset(
-    ("type", "round", "proposed", "new", "cached", "evaluations",
-     "front")
-)
-
-
-def validate_trail_line(doc: dict) -> dict:
-    """Validate one parsed trail line; raises
-    :class:`~repro.errors.TelemetryError` on schema violations."""
-    if not isinstance(doc, dict) or "type" not in doc:
-        raise TelemetryError(f"not a trail line: {doc!r}")
-    if doc["type"] == "search":
-        for key in ("version", "app", "space", "strategy"):
-            if key not in doc:
-                raise TelemetryError(
-                    f"trail header missing key {key!r}")
-        if doc["version"] != TRAIL_VERSION:
-            raise TelemetryError(
-                f"trail version {doc['version']!r} unsupported "
-                f"(expected {TRAIL_VERSION})"
-            )
-        return doc
-    if doc["type"] == "round":
-        missing = _ROUND_KEYS - set(doc)
-        if missing:
-            raise TelemetryError(
-                f"trail round missing key(s) {sorted(missing)}")
-        return doc
-    raise TelemetryError(f"unknown trail line type {doc['type']!r}")
+        self.write({"type": "round", **doc})
 
 
 def read_search_trail(path: str) -> list[dict]:
@@ -102,33 +46,7 @@ def read_search_trail(path: str) -> list[dict]:
     Defects raise :class:`~repro.errors.TelemetryError` naming the
     line number.
     """
-    import json
-
-    lines: list[dict] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                doc = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise TelemetryError(
-                    f"{path}:{lineno}: not JSON ({exc})"
-                ) from None
-            try:
-                validate_trail_line(doc)
-            except TelemetryError as exc:
-                raise TelemetryError(
-                    f"{path}:{lineno}: {exc}"
-                ) from None
-            expected = "search" if not lines else "round"
-            if doc["type"] != expected:
-                raise TelemetryError(
-                    f"{path}:{lineno}: expected a {expected} line, "
-                    f"got {doc['type']!r}"
-                )
-            lines.append(doc)
+    lines = list(iter_jsonl(path, "trail"))
     if not lines:
         raise TelemetryError(f"{path}: empty search trail")
     return lines

@@ -8,37 +8,22 @@ Those depend on wall-clock behavior and are explicitly **not** part of
 any byte-identity guarantee; they exist so an operator can reconstruct
 what a long campaign did overnight.
 
-One event per line, canonical JSON, validated on read like the run
-telemetry.
+One event per line, canonical JSON, flushed as it happens.  The event
+schema, its vocabularies and the ``seq`` continuity rule are the
+``session`` kind of the record codec (:mod:`repro.obs.records`).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import IO, Iterator
+from typing import Iterator
 
-from repro.errors import TelemetryError
-from repro.utils.canonical import canonical_json
-
-#: Bumped whenever the event shape changes incompatibly.
-SESSION_EVENT_VERSION = 1
-
-#: The closed vocabulary of event kinds.
-EVENT_KINDS = (
-    "plan",         # session planned its work units
-    "chunk",        # one chunk completed (source: run|checkpoint|serial)
-    "retry",        # a chunk attempt failed and will be retried
-    "timeout",      # a chunk attempt exceeded its deadline
-    "fallback",     # the session degraded to in-process serial execution
-    "early_stop",   # adaptive cells under target margin skipped chunks
-    "progress",     # mirrored live-progress observation (detail field)
-    "interrupted",  # the session stopped early with durable progress
-    "finish",       # the session completed every planned chunk
+from repro.obs.records import (
+    SESSION_EVENT_VERSION,
+    JsonlWriter,
+    iter_jsonl,
+    validate_event,
 )
-
-#: Valid ``source`` values of a ``chunk`` event.
-CHUNK_SOURCES = ("run", "serial", "checkpoint")
 
 
 @dataclass(frozen=True)
@@ -68,112 +53,24 @@ class SessionEvent:
             "detail": self.detail,
         }
 
-    def to_json(self) -> str:
-        """One canonical-JSON line, as written to the log file."""
-        return canonical_json(self.to_dict())
 
-
-def validate_event(data: dict) -> None:
-    """Check one decoded event; raises :class:`TelemetryError`."""
-    if not isinstance(data, dict):
-        raise TelemetryError(
-            f"session event must be an object, got {type(data).__name__}"
-        )
-    schema = {
-        "version": int, "seq": int, "kind": str, "cell": str,
-        "start": int, "stop": int, "attempt": int, "source": str,
-        "detail": str,
-    }
-    for key, typ in schema.items():
-        if key not in data:
-            raise TelemetryError(f"session event missing key {key!r}")
-        if not isinstance(data[key], typ) or isinstance(data[key], bool):
-            raise TelemetryError(
-                f"session event key {key!r} has type "
-                f"{type(data[key]).__name__}"
-            )
-    if data["version"] != SESSION_EVENT_VERSION:
-        raise TelemetryError(
-            f"unsupported session event version {data['version']}"
-        )
-    if data["kind"] not in EVENT_KINDS:
-        raise TelemetryError(f"unknown session event kind "
-                             f"{data['kind']!r}")
-    if data["kind"] == "chunk" and data["source"] not in CHUNK_SOURCES:
-        raise TelemetryError(
-            f"chunk event source {data['source']!r} not in "
-            f"{CHUNK_SOURCES}"
-        )
-
-
-class SessionLog:
+class SessionLog(JsonlWriter):
     """Append-only JSONL sink for :class:`SessionEvent` streams."""
-
-    def __init__(self, path: str):
-        self.path = path
-        self._fh: IO[str] | None = None
-        self._seq = 0
-
-    def __enter__(self) -> "SessionLog":
-        self._open()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def _open(self) -> None:
-        if self._fh is None:
-            self._fh = open(self.path, "w", encoding="utf-8",
-                            newline="\n")
 
     def emit(self, kind: str, **fields) -> SessionEvent:
         """Append one event; sequence numbers are assigned here."""
-        event = SessionEvent(seq=self._seq, kind=kind, **fields)
-        validate_event(event.to_dict())
-        self._open()
-        self._fh.write(event.to_json() + "\n")
-        self._fh.flush()
-        self._seq += 1
+        event = SessionEvent(seq=self.n_written, kind=kind, **fields)
+        data = event.to_dict()
+        validate_event(data)
+        self.write(data)
         return event
-
-    @property
-    def n_written(self) -> int:
-        return self._seq
-
-    def close(self) -> None:
-        """Flush and close the underlying file (idempotent)."""
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
 
 
 def iter_session_events(path: str) -> Iterator[dict]:
     """Yield validated event dicts from a session log file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        expected_seq = 0
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except ValueError as exc:
-                raise TelemetryError(
-                    f"{path}:{lineno}: not valid JSON ({exc})"
-                ) from None
-            try:
-                validate_event(data)
-            except TelemetryError as exc:
-                raise TelemetryError(f"{path}:{lineno}: {exc}") from None
-            if data["seq"] != expected_seq:
-                raise TelemetryError(
-                    f"{path}:{lineno}: sequence gap (got {data['seq']}, "
-                    f"expected {expected_seq})"
-                )
-            expected_seq += 1
-            yield data
+    return iter_jsonl(path, "session")
 
 
 def read_session_events(path: str) -> list[dict]:
     """Load and validate every event of a session log file."""
-    return list(iter_session_events(path))
+    return list(iter_jsonl(path, "session"))

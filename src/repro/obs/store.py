@@ -30,27 +30,25 @@ import sqlite3
 from typing import Iterable
 
 from repro.errors import StoreError, TelemetryError
-from repro.obs.provenance import (
-    PROVENANCE_RECORD_VERSION,
-    validate_provenance,
-)
-from repro.obs.records import (
-    DECISION_RECORD_VERSION,
-    RUN_RECORD_VERSION,
-    iter_validated_lines,
-    validate_decision,
-    validate_record,
-)
-from repro.obs.session import SESSION_EVENT_VERSION, validate_event
+from repro.obs.records import RECORD_KINDS, iter_jsonl
 from repro.utils.canonical import canonical_digest, canonical_json
 from repro.utils.stats import confidence_interval, zero_run_interval
 
 #: Bumped whenever the warehouse table layout changes incompatibly.
 STORE_SCHEMA_VERSION = 1
 
-#: The record kinds the warehouse understands.  ``ingest`` sniffs the
+#: The record kinds the warehouse understands: four JSONL kinds of the
+#: record codec plus whole-file bench snapshots.  ``ingest`` sniffs the
 #: kind from the file's first record when not told explicitly.
 KINDS = ("runs", "provenance", "decisions", "session", "bench")
+
+#: The ``meta`` key stamping each JSONL kind's schema version.
+_VERSION_STAMPS = {
+    "runs": "run_record_version",
+    "provenance": "provenance_record_version",
+    "decisions": "decision_record_version",
+    "session": "session_event_version",
+}
 
 _TABLES = """
 CREATE TABLE meta (
@@ -112,6 +110,29 @@ CREATE TABLE bench (
 );
 """
 
+#: Per kind: the table holding its rows, the column :meth:`export`
+#: orders them by, and the indexed columns stored beside each record's
+#: canonical line, with their values from (position in cell, record).
+_ROWS = {
+    "runs": ("runs", "run_index", "run_index, seed, outcome, error",
+             lambda i, r: (r["run_index"], r["seed"], r["outcome"],
+                           float(r["error"]))),
+    "provenance": (
+        "provenance", "run_index",
+        "run_index, object, cause, evidence, outcome",
+        lambda i, r: (r["run_index"],
+                      r["sites"][0]["object"] if r["sites"] else "",
+                      r["cause"], r["evidence"], r["outcome"])),
+    "decisions": ("decisions", "seq", "seq, committed, sdc, stop, margin",
+                  lambda i, r: (i, r["committed"], r["sdc"],
+                                int(r["stop"]),
+                                float(r["interval"]["margin"]))),
+    "session": ("session_events", "seq", "seq, kind",
+                lambda i, r: (r["seq"], r["kind"])),
+    "bench": ("bench", "rowid", "name", None),
+}
+
+
 def _meta_stamps() -> dict[str, str]:
     """Version stamps written into ``meta`` when a store is created,
     so a report (and any future reader) can state exactly which
@@ -123,10 +144,8 @@ def _meta_stamps() -> dict[str, str]:
     return {
         "store_schema_version": str(STORE_SCHEMA_VERSION),
         "repro_version": repro.__version__,
-        "run_record_version": str(RUN_RECORD_VERSION),
-        "provenance_record_version": str(PROVENANCE_RECORD_VERSION),
-        "decision_record_version": str(DECISION_RECORD_VERSION),
-        "session_event_version": str(SESSION_EVENT_VERSION),
+        **{stamp: str(RECORD_KINDS[kind].version)
+           for kind, stamp in _VERSION_STAMPS.items()},
     }
 
 
@@ -136,36 +155,32 @@ def _group_key(record: dict) -> tuple:
             record["n_blocks"], record["n_bits"])
 
 
+def _parse(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return None
+
+
 def detect_kind(path: str) -> str:
     """Sniff a file's record kind from its first record.
 
-    JSONL kinds are recognized by marker keys of their first line;
-    anything that parses as one whole-file JSON object is a bench
-    snapshot.  Raises :class:`StoreError` when nothing matches.
+    A JSONL kind is recognized by the registry's marker keys on the
+    file's first non-blank line; only when none match is the whole
+    file parsed, and one JSON object is a bench snapshot.  Raises
+    :class:`StoreError` when nothing matches.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            first = _parse(next((ln for ln in fh if ln.strip()), ""))
+            if isinstance(first, dict):
+                for kind, codec in RECORD_KINDS.items():
+                    if all(key in first for key in codec.markers):
+                        return kind
+            fh.seek(0)
+            whole = _parse(fh.read())
     except OSError as exc:
         raise StoreError(f"cannot read {path}: {exc}") from None
-    first = next((ln for ln in text.splitlines() if ln.strip()), "")
-    try:
-        data = json.loads(first)
-    except json.JSONDecodeError:
-        data = None
-    if isinstance(data, dict):
-        if "faults" in data and "counters" in data:
-            return "runs"
-        if "cause" in data and "sites" in data:
-            return "provenance"
-        if "committed" in data and "interval" in data:
-            return "decisions"
-        if "seq" in data and "kind" in data:
-            return "session"
-    try:
-        whole = json.loads(text)
-    except json.JSONDecodeError:
-        whole = None
     if isinstance(whole, dict):
         return "bench"
     raise StoreError(
@@ -287,15 +302,7 @@ class ResultsStore:
 
     def _load_jsonl(self, path: str, kind: str) -> list[dict]:
         """Parse + validate one JSONL source into cell dicts."""
-        validate = {
-            "runs": validate_record,
-            "provenance": validate_provenance,
-            "decisions": validate_decision,
-            "session": self._validate_session_event,
-        }[kind]
-        with open(path, "r", encoding="utf-8") as fh:
-            records = list(iter_validated_lines(fh, validate,
-                                                label=path))
+        records = list(iter_jsonl(path, kind))
         if not records:
             raise StoreError(f"{path}: no records to ingest")
         label = os.path.splitext(os.path.basename(path))[0]
@@ -318,10 +325,6 @@ class ResultsStore:
             ]
         return [{"kind": kind, "records": records, "label": label,
                  "identity": None}]
-
-    @staticmethod
-    def _validate_session_event(data: dict) -> None:
-        validate_event(data)
 
     def _load_bench(self, path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
@@ -368,47 +371,14 @@ class ResultsStore:
             (digest, kind, cell["label"], *identity, len(records),
              os.path.basename(source)),
         )
-        if kind == "runs":
-            self._conn.executemany(
-                "INSERT INTO runs (cell, run_index, seed, outcome, "
-                "error, record) VALUES (?, ?, ?, ?, ?, ?)",
-                [(digest, r["run_index"], r["seed"], r["outcome"],
-                  float(r["error"]), canonical_json(r))
-                 for r in records],
-            )
-        elif kind == "provenance":
-            self._conn.executemany(
-                "INSERT INTO provenance (cell, run_index, object, "
-                "cause, evidence, outcome, record) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?)",
-                [(digest, r["run_index"],
-                  r["sites"][0]["object"] if r["sites"] else "",
-                  r["cause"], r["evidence"], r["outcome"],
-                  canonical_json(r))
-                 for r in records],
-            )
-        elif kind == "decisions":
-            self._conn.executemany(
-                "INSERT INTO decisions (cell, seq, committed, sdc, "
-                "stop, margin, record) VALUES (?, ?, ?, ?, ?, ?, ?)",
-                [(digest, seq, r["committed"], r["sdc"],
-                  int(r["stop"]), float(r["interval"]["margin"]),
-                  canonical_json(r))
-                 for seq, r in enumerate(records)],
-            )
-        elif kind == "session":
-            self._conn.executemany(
-                "INSERT INTO session_events (cell, seq, kind, record) "
-                "VALUES (?, ?, ?, ?)",
-                [(digest, r["seq"], r["kind"], canonical_json(r))
-                 for r in records],
-            )
-        else:  # bench
-            self._conn.execute(
-                "INSERT INTO bench (cell, name, record) "
-                "VALUES (?, ?, ?)",
-                (digest, cell["label"], canonical_json(records[0])),
-            )
+        table, _, columns, values = _ROWS[kind]
+        rows = [(digest, cell["label"], canonical_json(records[0]))] \
+            if kind == "bench" else \
+            [(digest, *values(i, r), canonical_json(r))
+             for i, r in enumerate(records)]
+        self._conn.executemany(
+            f"INSERT INTO {table} (cell, {columns}, record) "
+            f"VALUES ({', '.join('?' * len(rows[0]))})", rows)
         return receipt
 
     # -- queries --------------------------------------------------------
@@ -499,17 +469,10 @@ class ResultsStore:
             raise StoreError(
                 f"{self.path}: no cell with digest {digest!r}"
             )
-        kind = row[0]
-        order = {
-            "runs": ("runs", "run_index"),
-            "provenance": ("provenance", "run_index"),
-            "decisions": ("decisions", "seq"),
-            "session": ("session_events", "seq"),
-            "bench": ("bench", "rowid"),
-        }[kind]
+        table, order = _ROWS[row[0]][:2]
         lines = self._conn.execute(
-            f"SELECT record FROM {order[0]} WHERE cell = ? "
-            f"ORDER BY {order[1]}", (digest,)
+            f"SELECT record FROM {table} WHERE cell = ? "
+            f"ORDER BY {order}", (digest,)
         ).fetchall()
         return "".join(line + "\n" for (line,) in lines)
 

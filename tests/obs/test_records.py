@@ -109,6 +109,16 @@ class TestValidation:
         with pytest.raises(TelemetryError):
             validate_record(data)
 
+    @pytest.mark.parametrize("nested", ["fault", "counter"])
+    def test_bool_is_not_an_int_when_nested(self, nested):
+        data = make_record().to_dict()
+        if nested == "fault":
+            data["faults"][0]["block_addr"] = True
+        else:
+            data["counters"]["c"] = True
+        with pytest.raises(TelemetryError):
+            validate_record(data)
+
     def test_bad_counter_value_rejected(self):
         data = make_record().to_dict()
         data["counters"]["corrected_reads"] = 1.5

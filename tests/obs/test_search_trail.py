@@ -3,11 +3,8 @@
 import pytest
 
 from repro.errors import TelemetryError
-from repro.obs.search import (
-    SearchTrailWriter,
-    read_search_trail,
-    validate_trail_line,
-)
+from repro.obs.records import validate_trail_line
+from repro.obs.search import SearchTrailWriter, read_search_trail
 
 HEADER = {"app": "P-BICG", "space": {"objects": ["p"]},
           "strategy": "greedy", "search_seed": 1}
@@ -93,6 +90,16 @@ class TestValidation:
     def test_round_requires_keys(self):
         with pytest.raises(TelemetryError, match="missing key"):
             validate_trail_line({"type": "round", "round": 0})
+
+    def test_round_fields_are_typed(self):
+        doc = {"type": "round", **ROUND, "round": "x", "evaluations": 3}
+        with pytest.raises(TelemetryError, match="'round' has type str"):
+            validate_trail_line(doc)
+
+    def test_header_version_bool_rejected(self):
+        doc = {"type": "search", **HEADER, "version": True}
+        with pytest.raises(TelemetryError, match="has type bool"):
+            validate_trail_line(doc)
 
     def test_unknown_type_rejected(self):
         with pytest.raises(TelemetryError, match="unknown trail"):

@@ -232,6 +232,20 @@ class TestFailureModes:
             with pytest.raises(StoreError, match="not valid JSON"):
                 store.ingest(str(broken), kind="runs")
 
+    def test_session_log_sequence_gap_raises(self, tmp_path):
+        from repro.obs.session import SessionLog
+
+        path = tmp_path / "gap.jsonl"
+        with SessionLog(str(path)) as log:
+            for kind in ("plan", "progress", "finish"):
+                log.emit(kind)
+        first, _, last = path.read_text().splitlines(True)
+        path.write_text(first + last)
+        with ResultsStore(str(tmp_path / "w.db")) as store:
+            with pytest.raises(StoreError,
+                               match=r"gap\.jsonl:2: sequence gap"):
+                store.ingest(str(path))
+
     def test_empty_file_raises(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")

@@ -1,10 +1,10 @@
 """Reliability/performance tradeoff sweep (the paper's Section V-C).
 
 For each cumulative protection level (0..N objects, Figs 7/9 x-axis)
-run one timing simulation and one fault campaign, yielding the curve
-from which a user picks their operating point: protecting exactly the
-hot objects buys nearly the whole SDC reduction at a sliver of the
-full-replication cost.
+run one timing simulation and one fault campaign, all in one drive of
+the execution core, yielding the curve from which a user picks their
+operating point: protecting exactly the hot objects buys nearly the
+whole SDC reduction at a sliver of the full-replication cost.
 """
 
 from __future__ import annotations
@@ -46,55 +46,50 @@ def tradeoff_curve(
 ) -> list[TradeoffPoint]:
     """Sweep protection from 0 to all input objects.
 
-    ``jobs`` sets the campaign worker-process count per level
-    (defaults to the manager's setting).  ``telemetry`` is an optional
+    The N+1 levels' campaigns and timing simulations run in one drive
+    of the execution core, so at ``jobs > 1`` (default: the manager's
+    setting) the simulations share one worker pool with the chunks.
+    ``telemetry`` is an optional
     :class:`~repro.obs.records.TelemetryWriter`: each level's campaign
     then collects per-run records and appends them, in level order, to
-    the writer (one sweep -> one JSONL file).  ``metrics`` optionally
-    receives campaign and simulator observability.
+    the writer.  ``metrics`` optionally receives every campaign's
+    observability and the drive's ``session.*`` counters.
     """
     from repro.faults.outcomes import Outcome
+    from repro.obs.metrics import MetricsRegistry
+    from repro.runtime.executor import SimUnit, _run_campaigns
 
-    baseline_sim = manager.simulate_performance(
-        "baseline", "none", metrics=metrics
-    )
-    points = []
-    n_objects = len(manager.app.object_importance)
-    for level in range(n_objects + 1):
-        names = manager.protected_names(level)
-        if level == 0:
-            sim = baseline_sim
-        else:
-            sim = manager.simulate_performance(
-                scheme, level, metrics=metrics
-            )
-        campaign = manager.evaluate(
-            scheme=scheme if level else "baseline",
-            protect=level,
-            runs=runs,
-            n_blocks=n_blocks,
-            n_bits=n_bits,
-            selection=selection,
-            seed=seed,
-            jobs=jobs,
-            collect_records=telemetry is not None,
-            metrics=metrics,
+    metrics = metrics if metrics is not None else MetricsRegistry()
+    levels = range(len(manager.app.object_importance) + 1)
+    arms = [(scheme if level else "baseline", level) for level in levels]
+    campaigns = [
+        manager._request_campaign(
+            metrics=metrics, scheme=arm, protect=level, runs=runs,
+            n_blocks=n_blocks, n_bits=n_bits, selection=selection,
+            seed=seed, jobs=jobs, collect_records=telemetry is not None)
+        for arm, level in arms
+    ]
+    sims = [SimUnit(manager.app, manager.config, manager.budget,
+                    manager.protection_spec(*arm)) for arm in arms]
+    results, drive = _run_campaigns(campaigns, campaigns[0].jobs,
+                                    metrics=metrics, sims=sims)
+    reports = [drive.reports[sim.digest] for sim in sims]
+    if telemetry is not None:
+        for result in results:
+            telemetry.write_result(result)
+    return [
+        TradeoffPoint(
+            n_protected=level,
+            protected_names=manager.protected_names(level),
+            slowdown=report.slowdown_vs(reports[0]),
+            missed_accesses_ratio=report.missed_accesses_vs(reports[0]),
+            sdc_count=result.sdc_count,
+            detected_count=result.count(Outcome.DETECTED),
+            corrected_count=result.count(Outcome.CORRECTED),
+            runs=result.n_runs,
         )
-        if telemetry is not None:
-            telemetry.write_result(campaign)
-        points.append(
-            TradeoffPoint(
-                n_protected=level,
-                protected_names=names,
-                slowdown=sim.slowdown_vs(baseline_sim),
-                missed_accesses_ratio=sim.missed_accesses_vs(baseline_sim),
-                sdc_count=campaign.sdc_count,
-                detected_count=campaign.count(Outcome.DETECTED),
-                corrected_count=campaign.count(Outcome.CORRECTED),
-                runs=campaign.n_runs,
-            )
-        )
-    return points
+        for level, result, report in zip(levels, results, reports)
+    ]
 
 
 def knee_point(points: list[TradeoffPoint]) -> TradeoffPoint:

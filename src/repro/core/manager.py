@@ -238,16 +238,14 @@ class ReliabilityManager:
         request supplies every field above (its ``app`` must name
         this manager's application).
         """
-        if request is not None:
-            return self._request_campaign(
-                request, metrics=metrics, progress=progress
-            ).run()
-        campaign = self._evaluation_campaign(
-            scheme, protect, runs, n_blocks, n_bits, selection, seed,
-            keep_runs, jobs, collect_records, collect_provenance,
-            metrics, batch, max_batch_bytes, target_margin, progress,
-        )
-        return campaign.run()
+        return self._request_campaign(
+            request, metrics, progress, scheme=scheme, protect=protect,
+            runs=runs, n_blocks=n_blocks, n_bits=n_bits,
+            selection=selection, seed=seed, keep_runs=keep_runs, jobs=jobs,
+            collect_records=collect_records,
+            collect_provenance=collect_provenance, batch=batch,
+            max_batch_bytes=max_batch_bytes, target_margin=target_margin,
+        ).run()
 
     def evaluate_adaptive(
         self,
@@ -278,87 +276,61 @@ class ReliabilityManager:
         supplies every field as in :meth:`evaluate`; it must carry a
         ``target_margin``.
         """
-        if request is not None:
-            if request.target_margin is None:
-                raise SpecError(
-                    "evaluate_adaptive needs a request with a "
-                    "target_margin"
-                )
-            campaign = self._request_campaign(
-                request, metrics=metrics, progress=progress)
-        else:
-            campaign = self._evaluation_campaign(
-                scheme, protect, runs, n_blocks, n_bits, selection, seed,
-                keep_runs, jobs, collect_records, collect_provenance,
-                metrics, batch, max_batch_bytes, target_margin, progress,
+        if request is not None and request.target_margin is None:
+            raise SpecError(
+                "evaluate_adaptive needs a request with a target_margin"
             )
-        return campaign.run_adaptive()
+        return self._request_campaign(
+            request, metrics, progress, scheme=scheme, protect=protect,
+            runs=runs, n_blocks=n_blocks, n_bits=n_bits,
+            selection=selection, seed=seed, keep_runs=keep_runs, jobs=jobs,
+            collect_records=collect_records,
+            collect_provenance=collect_provenance, batch=batch,
+            max_batch_bytes=max_batch_bytes, target_margin=target_margin,
+        ).run_adaptive()
 
     def _request_campaign(
-        self, request: EvaluationRequest, metrics=None, progress=None,
+        self, request: EvaluationRequest | None = None, metrics=None,
+        progress=None, **fields,
     ) -> Campaign:
-        """Materialize an :class:`EvaluationRequest` as a campaign.
-
-        Explicitly passed sinks win over the request's own, and the
-        request's ``chunk_runs`` is the stop rule's ``check_every`` —
-        the boundaries a :class:`~repro.runtime.session.Session`
-        decides at for the same request.
-        """
+        """The one campaign builder: ``request``, or without one the
+        keyword ``fields`` of :meth:`evaluate` (``jobs=None`` is the
+        manager's own), as a campaign.  Explicitly passed sinks win
+        over the request's own, and its ``chunk_runs`` is the stop
+        rule's ``check_every``, the boundaries a
+        :class:`~repro.runtime.session.Session` decides at."""
+        if request is None:
+            jobs = fields.pop("jobs")
+            request = EvaluationRequest(
+                app=self.app.name, **fields,
+                jobs=self.jobs if jobs is None else jobs)
         if request.app != self.app.name:
             raise SpecError(
                 f"request is for {request.app!r}, this manager "
                 f"drives {self.app.name!r}"
             )
-        return self._evaluation_campaign(
-            request.scheme, request.protect, request.runs,
-            request.n_blocks, request.n_bits, request.selection,
-            request.seed, request.keep_runs, request.jobs,
-            request.collect_records, request.collect_provenance,
-            metrics if metrics is not None else request.metrics,
-            request.batch, request.max_batch_bytes,
-            request.target_margin,
-            progress if progress is not None else request.progress,
-            secded=request.secded,
-            check_every=request.chunk_runs,
-        )
-
-    def _evaluation_campaign(
-        self, scheme, protect, runs, n_blocks, n_bits, selection,
-        seed, keep_runs, jobs, collect_records, collect_provenance,
-        metrics, batch, max_batch_bytes, target_margin, progress=None,
-        secded=False, check_every=None,
-    ) -> Campaign:
-        if isinstance(protect, ProtectionSpec) or (
-            isinstance(protect, str) and "=" in protect
-        ):
-            # Typed (or explicit per-object) protection fully
-            # determines scheme and objects; ``scheme`` is unused.
-            how = {"protection": self.protection_spec(scheme, protect)}
-        else:
-            how = {"scheme": scheme,
-                   "protect": self.protected_names(protect)}
+        # Typed (or explicit per-object) protection fully determines
+        # scheme and objects; ``scheme`` is then unused.
+        protection = request.protection
+        how = {"protection": protection} if protection is not None else {
+            "scheme": request.scheme,
+            "protect": self.protected_names(request.protect)}
+        margin = request.target_margin
         return Campaign(
-            self.app,
-            self.selection(selection),
-            **how,
+            self.app, self.selection(request.selection), **how,
             config=CampaignConfig(
-                runs=runs, n_blocks=n_blocks, n_bits=n_bits, seed=seed,
-                secded=secded,
-            ),
-            keep_runs=keep_runs,
-            jobs=self.jobs if jobs is None else jobs,
-            collect_records=collect_records,
-            collect_provenance=collect_provenance,
-            metrics=metrics,
-            batch=batch,
-            max_batch_bytes=max_batch_bytes,
-            adaptive=(
-                None if target_margin is None else AdaptiveConfig(
-                    target_margin=float(target_margin),
-                    check_every=check_every or AdaptiveConfig.check_every,
-                )
-            ),
-            progress=progress,
+                runs=request.runs, n_blocks=request.n_blocks,
+                n_bits=request.n_bits, seed=request.seed,
+                secded=request.secded),
+            keep_runs=request.keep_runs, jobs=request.jobs,
+            collect_records=request.collect_records,
+            collect_provenance=request.collect_provenance,
+            metrics=metrics if metrics is not None else request.metrics,
+            batch=request.batch, max_batch_bytes=request.max_batch_bytes,
+            adaptive=None if margin is None else AdaptiveConfig(
+                target_margin=float(margin),
+                check_every=request.chunk_runs or AdaptiveConfig.check_every),
+            progress=progress if progress is not None else request.progress,
         )
 
     def motivation(
@@ -374,16 +346,11 @@ class ReliabilityManager:
         ``space`` in {"hot", "rest"}."""
         if space not in ("hot", "rest"):
             raise ConfigError("motivation space must be 'hot' or 'rest'")
-        campaign = Campaign(
-            self.app,
-            self.selection(space),
-            scheme="baseline",
-            config=CampaignConfig(
-                runs=runs, n_blocks=n_blocks, n_bits=n_bits, seed=seed
-            ),
-            jobs=self.jobs if jobs is None else jobs,
+        return self.evaluate(
+            scheme="baseline", protect="none", runs=runs,
+            n_blocks=n_blocks, n_bits=n_bits, selection=space, seed=seed,
+            jobs=jobs,
         )
-        return campaign.run()
 
     def simulate_performance(
         self, scheme: str = "baseline",

@@ -28,6 +28,7 @@ adaptive estimate lands inside the exhaustive run's CI.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -185,32 +186,22 @@ def run_adaptive(
     config: AdaptiveConfig,
     jobs: int | None = None,
 ) -> AdaptiveResult:
-    """Drive ``campaign`` under the early-stopping rule.
+    """Drive ``campaign`` under the early-stopping rule ``config``.
 
-    Runs commit in ``check_every`` spans through the execution core
-    (:mod:`repro.runtime.executor`): spans may finish in any order, on
-    any number of workers, but commit in run-index order and the rule
-    is evaluated at each boundary; spans past the first satisfied
-    boundary are skipped, or discarded if already in flight.  The
-    committed outcome is byte-identical at any ``jobs``/``batch``, and
-    ``campaign`` itself is left as it was.
+    A copy of the campaign with ``config`` as its stop rule runs
+    through the execution core's one driver
+    (:mod:`repro.runtime.executor`): ``check_every`` spans may finish
+    in any order on any number of workers but commit in run-index
+    order, the rule is evaluated at each boundary, and spans past the
+    first satisfied one are skipped or discarded.  The committed
+    outcome is byte-identical at any ``jobs``/``batch``.
     """
     from repro.runtime.executor import CampaignExecutor
 
-    executor = CampaignExecutor(campaign, jobs)
-    merged, committer = executor._execute(config)
-    decisions = committer.decisions[0]
-    campaign.metrics.merge_snapshot(merged.metrics_snapshot)
-    campaign.metrics.inc("adaptive.decisions", len(decisions))
-    campaign.metrics.inc("adaptive.committed_runs", merged.n_runs)
-    campaign.metrics.inc("adaptive.discarded_runs", committer.discarded)
-    return AdaptiveResult(
-        result=merged,
-        config=config,
-        budget=campaign.config.runs,
-        converged=bool(committer.stopped),
-        decisions=decisions,
-    )
+    campaign = copy.copy(campaign)
+    campaign.adaptive = config
+    CampaignExecutor(campaign, jobs).run()
+    return campaign.adaptive_result
 
 
 def stratified_estimate(

@@ -578,8 +578,6 @@ class Campaign:
         boundary whose Wilson CI meets the target margin; the full
         decision trail lands in :attr:`adaptive_result`.
         """
-        if self.adaptive is not None:
-            return self.run_adaptive(jobs=jobs).result
         from repro.runtime.executor import CampaignExecutor
 
         return CampaignExecutor(self, jobs=jobs).run()

@@ -1,20 +1,20 @@
-"""Campaign execution engine: parallel fan-out, caching, durability.
+"""Campaign execution engine: one driver, caching, durability.
 
-* :mod:`repro.runtime.executor` — the one execution core: a single
-  worker pool (retries, deadlines, pool restarts, serial fallback)
-  and a single in-order stop rule, driving every campaign, adaptive
-  campaign and sweep cell; :class:`~repro.runtime.executor.CampaignExecutor`
-  is its one-campaign entry.
+* :mod:`repro.runtime.executor` — the one execution core: one driver
+  over a single worker pool (retries, deadlines, pool restarts, serial
+  fallback) and a single in-order stop rule, running every campaign,
+  adaptive campaign, sweep cell and tradeoff level;
+  :class:`~repro.runtime.executor.CampaignExecutor` is its
+  one-campaign entry.
 * :mod:`repro.runtime.cache` — per-process cache of pristine device
   memory, golden outputs and memory traces keyed by application
   identity, so sweeps and worker processes never recompute them per
   campaign object.
 * :mod:`repro.runtime.session` — declarative, resumable sweep
-  sessions: a :class:`~repro.runtime.session.SweepSpec` grid executed
-  as checkpointed chunk-level work units with bounded retry and
-  graceful serial degradation.
+  sessions: a :class:`~repro.runtime.session.SweepSpec` grid run
+  through the driver as checkpointed chunk-level work units.
 * :mod:`repro.runtime.checkpoint` — the content-addressed on-disk
-  chunk store the sessions persist into.
+  chunk and report store the sessions persist into.
 """
 
 from repro.runtime.cache import (

@@ -1,20 +1,24 @@
-"""The one execution core: a worker pool and an in-order stop rule.
+"""The one execution core: one driver, one worker pool, one stop rule.
 
-Every evaluation — a plain campaign, an adaptive campaign, each cell
-of a sweep — executes as :class:`WorkUnit` spans of one campaign's run
-indices; every timing simulation a sweep asks for executes as a
-:class:`SimUnit` beside them.  Two pieces drive them, and nothing else
-does:
+Every evaluation — a campaign, an adaptive campaign, each cell of a
+sweep or search round, each level of the tradeoff curve — executes as
+:class:`WorkUnit` spans of one campaign's run indices, and every
+timing simulation as a :class:`SimUnit` beside them.  Three pieces
+drive them, and nothing else does:
 
+* ``_Drive`` — the driver.  It takes built campaigns, their unit plan
+  and any simulations; with a checkpoint store it loads finished
+  units and persists new ones; it narrates session events and
+  progress.  :class:`CampaignExecutor` (so ``Campaign.run``,
+  ``ReliabilityManager.evaluate`` and adaptive runs) and the tradeoff
+  curve enter it through ``_run_campaigns``; sweeps and search rounds
+  through :class:`~repro.runtime.session.Session`.
 * ``_run_units`` — the pool loop.  With ``jobs=1`` units run
   in-process; otherwise they fan out over one
   :class:`concurrent.futures.ProcessPoolExecutor`, each span shipped
-  as its campaign's picklable :class:`CampaignSpec` (a worker rebuilds
-  the campaign once and reuses it, under fork and spawn alike) and
-  each simulation as its own picklable unit.  Failed attempts retry
-  with exponential backoff, chunk attempts may carry a deadline, a
-  dead pool restarts a bounded number of times, and when no pool can
-  be used the remaining units run in-process.
+  as its campaign's picklable :class:`CampaignSpec` and each
+  simulation as itself, with retries and backoff, chunk deadlines,
+  bounded pool restarts and serial degradation.
 * ``_Committer`` — the in-order per-cell committer.  Finished units
   fold into their cell's contiguous run-index prefix only, so tallies
   and decisions depend on the unit plan, never on completion order.
@@ -24,8 +28,7 @@ does:
 
 Every run derives solely from ``(campaign seed, run index)``, so the
 committed results, records and decision trails are byte-identical at
-any ``jobs``/``batch``.  :class:`CampaignExecutor` is the one-campaign
-entry; sweeps enter through :class:`~repro.runtime.session.Session`.
+any ``jobs``/``batch``.
 """
 
 from __future__ import annotations
@@ -44,19 +47,29 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 from repro.arch.config import PAPER_CONFIG, GpuConfig
 from repro.core.hardware import HardwareBudget
 from repro.core.protection import ProtectionSpec
-from repro.errors import ConfigError, SessionError, SpecError
-from repro.faults.adaptive import StopDecision, should_stop
+from repro.errors import (
+    CheckpointError,
+    ConfigError,
+    ReproError,
+    SessionError,
+    SpecError,
+)
+from repro.faults.adaptive import AdaptiveResult, StopDecision, should_stop
+from repro.faults.campaign import Campaign, CampaignResult
 from repro.obs.log import get_logger
 from repro.obs.progress import ProgressEvent
+from repro.runtime.cache import app_cache_key, app_context, cache_info
+from repro.runtime.checkpoint import wrap_payload_error
+from repro.sim.metrics import SimReport
 from repro.utils.canonical import canonical_digest
 from repro.utils.stats import confidence_interval
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.manager import ReliabilityManager
     from repro.faults.adaptive import AdaptiveConfig
-    from repro.faults.campaign import Campaign, CampaignResult
+    from repro.kernels.base import GpuApplication
     from repro.obs.metrics import MetricsRegistry
-    from repro.sim.metrics import SimReport
+    from repro.runtime.checkpoint import CheckpointStore
 
 log = get_logger("executor")
 
@@ -121,14 +134,9 @@ class CampaignSpec:
 
     @classmethod
     def from_campaign(cls, campaign: "Campaign") -> "CampaignSpec":
-        # Ship the app without its cached golden output: each worker
-        # recomputes (or fork-inherits) it via the app-context cache,
-        # keeping task pickles small.
-        app = copy.copy(campaign.app)
-        app._golden = None
         return cls(
             token=f"{id(campaign)}-{next(_TOKENS)}",
-            app=app,
+            app=_shipped(campaign.app),
             selection=campaign.selection,
             scheme_name=campaign.scheme_name,
             protected_names=campaign.protected_names,
@@ -147,6 +155,16 @@ class CampaignSpec:
 
 _TOKENS = count(1)
 
+
+def _shipped(app: "GpuApplication") -> "GpuApplication":
+    """The app without its cached golden output: each worker recomputes
+    (or fork-inherits) it via the app-context cache, keeping task
+    pickles small."""
+    app = copy.copy(app)
+    app._golden = None
+    return app
+
+
 #: Worker-side cache: campaigns rebuilt from specs.
 _WORKER_CAMPAIGNS: dict[str, "Campaign"] = {}
 
@@ -157,8 +175,6 @@ def _run_span_spec(
     """Worker entry: rebuild-or-reuse the campaign, then run a span."""
     campaign = _WORKER_CAMPAIGNS.get(spec.token)
     if campaign is None:
-        from repro.faults.campaign import Campaign
-
         if len(_WORKER_CAMPAIGNS) >= _MAX_WORKER_CAMPAIGNS:
             _WORKER_CAMPAIGNS.clear()
         if spec.protection is not None:
@@ -186,26 +202,25 @@ def _run_span_spec(
 class SimUnit:
     """One timing simulation, picklable and identified by content.
 
-    The application is named by ``(app, scale, app_seed)``, so a
-    worker rebuilds it from its process's shared app context; the
-    :attr:`digest` over every input is the key its
-    :class:`~repro.sim.metrics.SimReport` persists under.
+    ``app`` ships without its cached golden output, and a worker
+    simulates it on its process's shared app context.  The
+    :attr:`digest` keys the app by :func:`app_cache_key`, the identity
+    campaign checkpoints use; its SimReport persists under it.
     """
 
-    app: str
-    scale: str
-    app_seed: int
+    app: "GpuApplication"
     config: GpuConfig
     budget: HardwareBudget
     protection: ProtectionSpec
+
+    def __post_init__(self):
+        object.__setattr__(self, "app", _shipped(self.app))
 
     @property
     def digest(self) -> str:
         """Content address of the simulation's inputs."""
         return canonical_digest({
-            "app": self.app,
-            "scale": self.scale,
-            "app_seed": self.app_seed,
+            "app": app_cache_key(self.app),
             "config": asdict(self.config),
             "budget": asdict(self.budget),
             "protection": self.protection.digest(),
@@ -213,25 +228,27 @@ class SimUnit:
 
     def run(self) -> "SimReport":
         """Simulate, on the memory and trace of the app context."""
-        manager = context_manager(self.app, self.scale, self.app_seed,
-                                  self.config)
+        manager = context_manager(self.app, config=self.config)
         manager.budget = self.budget
         return manager.simulate_performance("baseline", self.protection)
 
 
 def context_manager(
-    app: str, scale: str, app_seed: int, config: GpuConfig = PAPER_CONFIG,
+    app: "str | GpuApplication", scale: str = "default",
+    app_seed: int = 1234, config: GpuConfig = PAPER_CONFIG,
 ) -> "ReliabilityManager":
     """A manager whose memory and trace are the process's app context's.
 
-    The trace is built once per process (and inherited by forked
-    workers) instead of once per manager.
+    ``app`` is an application object or a registry name, built at
+    ``scale``/``app_seed``.  The trace is built once per process (and
+    inherited by forked workers) instead of once per manager.
     """
     from repro.core.manager import ReliabilityManager
     from repro.kernels.registry import create_app
-    from repro.runtime.cache import app_context
 
-    context = app_context(create_app(app, scale=scale, seed=app_seed))
+    if isinstance(app, str):
+        app = create_app(app, scale=scale, seed=app_seed)
+    context = app_context(app)
     manager = ReliabilityManager(context.app, config=config)
     # Prime the manager's cached analyses with the context's
     # (identical) artifacts.
@@ -265,21 +282,15 @@ class SessionConfig:
 
     def validate(self) -> None:
         """Reject out-of-range knobs with :class:`SpecError`."""
-        if self.jobs < 1:
-            raise SpecError("session jobs must be >= 1")
-        if self.batch < 1:
-            raise SpecError("session batch must be >= 1")
-        if self.max_batch_bytes < 1:
-            raise SpecError("session max_batch_bytes must be >= 1")
-        if self.max_retries < 0:
-            raise SpecError("session max_retries must be >= 0")
-        if self.retry_backoff_s < 0:
-            raise SpecError("session retry_backoff_s must be >= 0")
+        for name, floor in (("jobs", 1), ("batch", 1),
+                            ("max_batch_bytes", 1), ("max_retries", 0),
+                            ("retry_backoff_s", 0),
+                            ("stop_after_chunks", 1)):
+            value = getattr(self, name)
+            if value is not None and value < floor:
+                raise SpecError(f"session {name} must be >= {floor}")
         if self.chunk_timeout_s is not None and self.chunk_timeout_s <= 0:
             raise SpecError("session chunk_timeout_s must be positive")
-        if self.stop_after_chunks is not None \
-                and self.stop_after_chunks < 1:
-            raise SpecError("session stop_after_chunks must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -289,6 +300,10 @@ class WorkUnit:
     cell_index: int
     start: int
     stop: int
+
+
+#: The wall-time histogram each kind of finished unit lands in.
+_UNIT_TIMERS = {WorkUnit: "session.chunk_ms", SimUnit: "session.sim_ms"}
 
 
 def _unit_batch(batch: int, adaptive: "AdaptiveConfig | None") -> int:
@@ -325,12 +340,15 @@ class _Committer:
         self.stopped: dict[int, int] = {}
         #: Finished runs that lie past a stop (speculation waste).
         self.discarded = 0
+        #: Units folded so far (committed or waiting), loaded included.
+        self.finished: set[WorkUnit] = set()
 
     def record(self, unit: WorkUnit, result: "CampaignResult") -> bool:
         """Fold one finished unit; False when it lies past a stop."""
         if self.skippable(unit):
             self.discarded += result.n_runs
             return False
+        self.finished.add(unit)
         cell = unit.cell_index
         plan, parts = self._plan[cell], self.parts[cell]
         self._waiting[unit] = result
@@ -365,15 +383,12 @@ class _Committer:
         return frontier is not None and unit.start >= frontier
 
     def margin(self, cell: int) -> float | None:
-        """Wilson CI margin over the cell's committed prefix."""
+        """Wilson CI margin over the cell's committed prefix, at the
+        stop rule's confidence level."""
         runs, sdc = self.tallies[cell]
-        return confidence_interval(sdc, runs).margin if runs else None
-
-
-def _unit_timer(unit: WorkUnit | SimUnit) -> str:
-    """The wall-time histogram a finished unit lands in."""
-    return "session.sim_ms" if isinstance(unit, SimUnit) \
-        else "session.chunk_ms"
+        level = 0.95 if self.adaptive is None else self.adaptive.level
+        return confidence_interval(sdc, runs, level).margin if runs \
+            else None
 
 
 class _FallBackToSerial(Exception):
@@ -401,7 +416,6 @@ def _run_units(
     skippable: Callable[[WorkUnit], bool] = lambda unit: False,
     emit: Callable[..., None] = lambda kind, **fields: None,
     sleep: Callable[[float], None] = time.sleep,
-    specs: Sequence[CampaignSpec] | None = None,
     entry: Callable = _run_span_spec,
 ) -> str | None:
     """Execute ``units`` (spans of ``campaigns``, simulations) with
@@ -411,12 +425,12 @@ def _run_units(
     completion order — a :class:`CampaignResult` for a span, a
     :class:`~repro.sim.metrics.SimReport` for a :class:`SimUnit` — and
     returns False to stop early; spans for which ``skippable`` answers
-    True are never started.  Pool workers run
-    ``entry(specs[unit.cell_index], (start, stop))`` for a span and
-    :meth:`SimUnit.run` for a simulation.  ``metrics`` gets the
-    ``session.*`` retry, timeout, restart and unit-time counters,
-    ``emit(kind, **fields)`` the matching narration.  Returns why
-    execution degraded to serial, or ``None``.
+    True are never started.  Pool workers run ``entry(spec, (start,
+    stop))`` for a span (``spec`` is its campaign's
+    :class:`CampaignSpec`) and :meth:`SimUnit.run` for a simulation.
+    ``metrics`` gets the ``session.*`` retry, timeout, restart and
+    unit-time counters, ``emit(kind, **fields)`` the matching
+    narration.  Returns why execution degraded to serial, or ``None``.
     """
 
     def skip(unit: WorkUnit | SimUnit) -> bool:
@@ -429,7 +443,7 @@ def _run_units(
              exc: BaseException) -> None:
         """Count one failed attempt; backoff or give up."""
         if isinstance(unit, SimUnit):
-            what = f"simulation of {unit.app} under " \
+            what = f"simulation of {unit.app.name} under " \
                 f"{unit.protection.to_string()}"
             where = {"cell": unit.digest}
         else:
@@ -453,8 +467,7 @@ def _run_units(
             methods = mp.get_all_start_methods()
             context = mp.get_context(
                 "fork" if "fork" in methods else None)
-        shipped = specs if specs is not None else [
-            CampaignSpec.from_campaign(c) for c in campaigns]
+        shipped = [CampaignSpec.from_campaign(c) for c in campaigns]
         deadline = config.chunk_timeout_s
         tick = None if deadline is None else min(0.05, deadline / 4)
         completed: set[WorkUnit] = set()
@@ -529,7 +542,7 @@ def _run_units(
                         retry(unit, exc)
                         queue.append(unit)
                     else:
-                        metrics.observe(_unit_timer(unit),
+                        metrics.observe(_UNIT_TIMERS[type(unit)],
                                         (now - begin) * 1e3)
                         completed.add(unit)
                         if not on_done(unit, result, "run"):
@@ -591,20 +604,263 @@ def _run_units(
             except Exception as exc:
                 attempt += 1
                 fail(unit, attempt, exc)
-        metrics.observe(_unit_timer(unit),
+        metrics.observe(_UNIT_TIMERS[type(unit)],
                         (time.perf_counter() - begin) * 1e3)
         if not on_done(unit, result, "serial"):
             break
     return reason
 
 
-class CampaignExecutor:
-    """Runs one campaign's index space through the execution core.
+@dataclass
+class _Drive:
+    """The one driver: every evaluation runs through :meth:`run`.
 
-    Reassembly is deterministic: chunk results commit in run-index
-    order, so ``counts`` and (with ``keep_runs=True``) the ``runs``
-    list are bit-identical to a serial execution no matter how the
-    workers interleave.
+    With a ``store`` it first loads finished chunks and reports of
+    ``campaigns``/``sims`` and persists each new one; ``_run_units``
+    executes the rest; the :class:`_Committer` folds chunks in
+    run-index order under ``rule``.  ``emit`` narrates to a session
+    log; ``progress`` gets one event per folded chunk, of phase
+    ``sweep`` when ``labels`` name the cells, else ``adaptive`` or
+    ``campaign``.  Execution ends early once
+    ``config.stop_after_chunks`` chunks have executed.
+    """
+
+    campaigns: Sequence["Campaign"]
+    units: Sequence[WorkUnit]
+    config: SessionConfig
+    metrics: "MetricsRegistry"
+    rule: "AdaptiveConfig | None" = None
+    sims: Sequence[SimUnit] = ()
+    store: "CheckpointStore | None" = None
+    labels: Sequence[str] | None = None
+    progress: Callable[[ProgressEvent], None] | None = None
+    emit: Callable[..., None] = lambda kind, **fields: None
+    sleep: Callable[[float], None] = time.sleep
+    entry: Callable = _run_span_spec
+
+    def __post_init__(self):
+        self.committer = _Committer(self.units, self.rule)
+        #: Checkpoint key of each campaign.
+        self.digests = [c.identity_digest() for c in self.campaigns]
+        #: Timing reports by :attr:`SimUnit.digest`.
+        self.reports: dict[str, SimReport] = {}
+        #: Chunks executed (not loaded) so far.
+        self.executed = 0
+        #: Why execution degraded to serial, if it did.
+        self.fallback_reason: str | None = None
+
+    @property
+    def used_jobs(self) -> int:
+        """Worker processes the run used."""
+        return self.config.jobs if self.fallback_reason is None else 1
+
+    def run(self) -> "_Drive":
+        """Load, execute, commit and persist every unit."""
+        begin = time.perf_counter()
+        committer, store, metrics = self.committer, self.store, self.metrics
+        pending: list[WorkUnit] = []
+        for unit in self.units:
+            loaded = None if store is None else self._load_chunk(unit)
+            if loaded is None:
+                pending.append(unit)
+            else:
+                committer.record(unit, loaded)
+        if len(pending) < len(self.units):
+            log.info(f"sweep: resumed {len(self.units) - len(pending)} "
+                     f"chunk(s) from {store.root}")
+        #: digest -> simulation still to run.
+        sims = {sim.digest: sim for sim in self.sims}
+        for digest, sim in list(sims.items()):
+            loaded = None if store is None else self._load_report(sim)
+            if loaded is not None:
+                self.reports[digest] = loaded
+                del sims[digest]
+        budget = self.config.stop_after_chunks
+        total_runs = sum(u.stop - u.start for u in self.units)
+        phase = "sweep" if self.labels else \
+            "campaign" if self.rule is None else "adaptive"
+
+        def on_done(unit: WorkUnit | SimUnit,
+                    result: "CampaignResult | SimReport",
+                    source: str) -> bool:
+            """Fold and persist one finished unit; True to keep going."""
+            if isinstance(unit, SimUnit):
+                self.reports[unit.digest] = result
+                if store is not None:
+                    store.save_report(unit.digest, result.to_dict())
+                metrics.inc("session.simulations.executed")
+            elif not committer.record(unit, result):
+                # Speculative chunk past the cell's stop boundary
+                # (finished in flight while the stop settled):
+                # discard so the committed result is jobs-invariant.
+                metrics.inc("session.chunks.skipped")
+            else:
+                cell, digest = unit.cell_index, self.digests[unit.cell_index]
+                if store is not None:
+                    store.save_chunk(digest, unit.start, unit.stop,
+                                     result.to_dict())
+                self.emit("chunk", cell=digest, start=unit.start,
+                          stop=unit.stop, source=source)
+                metrics.inc("session.chunks.executed")
+                self.executed += 1
+                if self.progress is not None:
+                    event = ProgressEvent(
+                        phase=phase, total=total_runs,
+                        done=sum(t[0] for t in committer.tallies.values()),
+                        elapsed_s=time.perf_counter() - begin,
+                        cell=self.labels[cell] if self.labels else "",
+                        # Exhaustive campaigns report no margin.
+                        margin=(committer.margin(cell)
+                                if phase != "campaign" else None),
+                    )
+                    self.progress(event)
+                    self.emit("progress", cell=digest, start=unit.start,
+                              stop=unit.stop, detail=event.to_detail())
+            return budget is None or self.executed < budget
+
+        if pending or sims:
+            # Simulations go first: they are the longest units.
+            self.fallback_reason = _run_units(
+                self.campaigns, [*sims.values(), *pending], on_done,
+                self.config, metrics=metrics,
+                skippable=committer.skippable, emit=self.emit,
+                sleep=self.sleep, entry=self.entry,
+            )
+        return self
+
+    def result(self, cell: int) -> "CampaignResult":
+        """The cell's merged committed result.  Early-stopped cells
+        commit fewer runs than planned, but exactly their required
+        units' runs."""
+        merged = CampaignResult.merge(self.committer.parts[cell])
+        expected = sum(u.stop - u.start for u in self.units
+                       if u.cell_index == cell
+                       and not self.committer.skippable(u))
+        if merged.n_runs != expected:
+            label = self.labels[cell] if self.labels else self.digests[cell]
+            raise SessionError(f"cell {label}: merged {merged.n_runs} "
+                               f"run(s), planned {expected}")
+        return merged
+
+    def _load_chunk(self, unit: WorkUnit) -> "CampaignResult | None":
+        digest = self.digests[unit.cell_index]
+        payload = self.store.load_chunk(digest, unit.start, unit.stop)
+        if payload is None:
+            return None
+        path = self.store.chunk_path(digest, unit.start, unit.stop)
+        try:
+            result = CampaignResult.from_dict(payload)
+        except ReproError as exc:
+            raise wrap_payload_error(path, exc) from None
+        app = self.campaigns[unit.cell_index].app.name
+        if result.app_name != app \
+                or result.n_runs != unit.stop - unit.start:
+            raise CheckpointError(
+                f"{path}: chunk payload is for {result.app_name!r} "
+                f"with {result.n_runs} run(s), expected "
+                f"{app!r} with {unit.stop - unit.start}"
+            )
+        self.metrics.inc("session.chunks.resumed")
+        self.emit("chunk", cell=digest, start=unit.start,
+                  stop=unit.stop, source="checkpoint")
+        return result
+
+    def _load_report(self, sim: SimUnit) -> "SimReport | None":
+        payload = self.store.load_report(sim.digest)
+        if payload is None:
+            return None
+        path = self.store.report_path(sim.digest)
+        try:
+            report = SimReport.from_dict(payload)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(
+                f"{path}: bad report payload ({exc!r})") from None
+        if report.app_name != sim.app.name:
+            raise CheckpointError(
+                f"{path}: report is for {report.app_name!r}, expected "
+                f"{sim.app.name!r}"
+            )
+        self.metrics.inc("session.simulations.loaded")
+        return report
+
+
+def _run_campaigns(
+    campaigns: Sequence["Campaign"],
+    jobs: int,
+    *,
+    metrics: "MetricsRegistry",
+    rule: "AdaptiveConfig | None" = None,
+    progress: Callable[[ProgressEvent], None] | None = None,
+    sims: Sequence[SimUnit] = (),
+) -> tuple[list["CampaignResult"], _Drive]:
+    """Run whole campaigns, and ``sims`` beside them, in one drive.
+
+    Without a stop rule each campaign plans ``plan_chunks(runs, jobs,
+    align=effective_batch)`` — one ``(0, runs)`` span when it runs
+    serially without a progress sink; under ``rule`` it commits in
+    ``check_every`` spans at the rule's unit batch.  Each campaign then
+    publishes one metric set into its registry: its chunk snapshots,
+    ``executor.*`` and ``runtime.app_cache.*``; under a rule its
+    :class:`~repro.faults.adaptive.AdaptiveResult` lands in
+    ``campaign.adaptive_result``.  ``metrics`` gets the drive's
+    ``session.*`` counters.
+    """
+    wall_begin = time.perf_counter()
+    jobs = min(jobs, max(c.config.runs for c in campaigns))
+    shipped, units = [], []
+    for cell, campaign in enumerate(campaigns):
+        runs = campaign.config.runs
+        if rule is not None:
+            # A copy carries the unit batch; the caller's keeps its own.
+            campaign = copy.copy(campaign)
+            campaign.batch = _unit_batch(campaign.batch, rule)
+            spans = plan_chunks(runs, 1, rule.check_every)
+        elif jobs > 1 or progress is not None:
+            spans = plan_chunks(runs, jobs, align=campaign.effective_batch)
+        else:
+            spans = [(0, runs)]
+        shipped.append(campaign)
+        units += [WorkUnit(cell, start, stop) for start, stop in spans]
+    drive = _Drive(shipped, units, SessionConfig(jobs=jobs),
+                   metrics=metrics, rule=rule, sims=sims,
+                   progress=progress).run()
+    wall_ms = (time.perf_counter() - wall_begin) * 1e3
+    results = []
+    for cell, campaign in enumerate(campaigns):
+        result = drive.result(cell)
+        results.append(result)
+        registry = campaign.metrics
+        snapshot = result.metrics_snapshot or {"histograms": {}}
+        span_ms = snapshot["histograms"].get("campaign.span_ms", {})
+        registry.merge_snapshot(result.metrics_snapshot)
+        registry.inc("executor.chunks", span_ms.get("count", 0))
+        registry.counter("executor.used_jobs").set(drive.used_jobs)
+        registry.observe("executor.wall_ms", wall_ms)
+        if wall_ms > 0:
+            registry.observe(
+                "executor.worker_utilization_pct",
+                100.0 * span_ms.get("total", 0.0)
+                / (wall_ms * drive.used_jobs),
+            )
+        for name, value in cache_info().items():
+            registry.counter(f"runtime.app_cache.{name}").set(value)
+        if rule is not None:
+            campaign.adaptive_result = AdaptiveResult(
+                result=result, config=rule, budget=campaign.config.runs,
+                converged=cell in drive.committer.stopped,
+                decisions=drive.committer.decisions[cell],
+            )
+    return results, drive
+
+
+class CampaignExecutor:
+    """Runs one campaign's index space through the one driver.
+
+    Chunk results commit in run-index order, so ``counts`` and (with
+    ``keep_runs=True``) the ``runs`` list are bit-identical to a serial
+    execution no matter how the workers interleave.  Under the
+    campaign's ``adaptive`` rule it commits what
+    :meth:`~repro.faults.campaign.Campaign.run` commits.
     """
 
     def __init__(self, campaign: "Campaign", jobs: int | None = None):
@@ -618,95 +874,17 @@ class CampaignExecutor:
         self.fallback_reason: str | None = None
 
     def run(self) -> "CampaignResult":
-        """Execute every run and aggregate, fanning out when jobs > 1.
+        """Execute every run (under a stop rule, the committed prefix)
+        and aggregate, fanning out when jobs > 1.
 
         Chunk metric snapshots fold into the campaign's registry along
         with the executor's own observability: chunk count, wall time,
         worker utilization, and the parent's app-cache hit/miss tally.
         """
-        wall_begin = time.perf_counter()
-        result, _committer = self._execute(None)
-        self._publish_metrics(
-            result, (time.perf_counter() - wall_begin) * 1e3
-        )
-        return result
-
-    def _execute(
-        self, adaptive: "AdaptiveConfig | None"
-    ) -> tuple["CampaignResult", _Committer]:
-        """Plan, run and commit the campaign's units.
-
-        Exhaustive campaigns chunk by ``jobs`` (a single span when
-        serial without a progress sink); adaptive ones commit in
-        ``check_every`` spans.  Returns the merged committed result
-        and the committer holding the decision trail.
-        """
-        from repro.faults.campaign import CampaignResult
-
         campaign = self.campaign
-        runs = campaign.config.runs
-        jobs = min(self.jobs, runs)
-        progress = campaign.progress
-        if adaptive is not None:
-            batch = _unit_batch(campaign.batch, adaptive)
-            if batch != campaign.batch:
-                # A copy carries the unit batch: the caller's campaign
-                # keeps its own.
-                campaign = copy.copy(campaign)
-                campaign.batch = batch
-            spans = plan_chunks(runs, 1, adaptive.check_every)
-        elif jobs > 1 or progress is not None:
-            spans = plan_chunks(runs, jobs, align=campaign.effective_batch)
-        else:
-            spans = [(0, runs)]
-        units = [WorkUnit(0, start, stop) for start, stop in spans]
-        committer = _Committer(units, adaptive)
-        phase = "campaign" if adaptive is None else "adaptive"
-        begin = time.perf_counter()
-
-        def on_done(unit, result, _source) -> bool:
-            committer.record(unit, result)
-            decisions = committer.decisions[0]
-            if progress is not None and (adaptive is None or decisions):
-                progress(ProgressEvent(
-                    phase=phase, done=committer.tallies[0][0],
-                    total=runs, elapsed_s=time.perf_counter() - begin,
-                    margin=(decisions[-1].interval.margin
-                            if decisions else None),
-                ))
-            return True
-
-        self.fallback_reason = _run_units(
-            [campaign], units, on_done, SessionConfig(jobs=jobs),
-            metrics=campaign.metrics, skippable=committer.skippable,
-        )
-        self.used_jobs = jobs if self.fallback_reason is None else 1
-        return CampaignResult.merge(committer.parts[0]), committer
-
-    def _publish_metrics(
-        self, result: "CampaignResult", wall_ms: float
-    ) -> None:
-        """Fold chunk metrics plus executor stats into the campaign."""
-        from repro.runtime.cache import cache_info
-
-        metrics = self.campaign.metrics
-        metrics.merge_snapshot(result.metrics_snapshot)
-        metrics.inc("executor.chunks",
-                     result.metrics_snapshot["histograms"]
-                     .get("campaign.span_ms", {}).get("count", 0)
-                     if result.metrics_snapshot else 0)
-        metrics.counter("executor.used_jobs").set(self.used_jobs)
-        metrics.observe("executor.wall_ms", wall_ms)
-        busy_ms = 0.0
-        if result.metrics_snapshot:
-            busy_ms = result.metrics_snapshot["histograms"] \
-                .get("campaign.span_ms", {}).get("total", 0.0)
-        if wall_ms > 0 and self.used_jobs > 0:
-            metrics.observe(
-                "executor.worker_utilization_pct",
-                100.0 * busy_ms / (wall_ms * self.used_jobs),
-            )
-        info = cache_info()
-        metrics.counter("runtime.app_cache.entries").set(info["entries"])
-        metrics.counter("runtime.app_cache.hits").set(info["hits"])
-        metrics.counter("runtime.app_cache.misses").set(info["misses"])
+        [result], drive = _run_campaigns(
+            [campaign], self.jobs, metrics=campaign.metrics,
+            rule=campaign.adaptive, progress=campaign.progress)
+        self.used_jobs = drive.used_jobs
+        self.fallback_reason = drive.fallback_reason
+        return result

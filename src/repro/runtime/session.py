@@ -2,32 +2,20 @@
 
 A :class:`SweepSpec` declares a grid of fault-injection campaign cells
 — (application, scheme, protection level) × one shared fault
-configuration — and a :class:`Session` executes it as chunk-level work
-units with durable progress:
-
-* every completed chunk's :class:`~repro.faults.campaign.CampaignResult`
-  is persisted to a :class:`~repro.runtime.checkpoint.CheckpointStore`
-  before the session moves on, so a crash or ``SIGINT`` loses at most
-  the chunks in flight;
-* a restart with ``resume=True`` loads the durable chunks and runs
-  only the remainder — the merged results and telemetry are
-  byte-identical to an uninterrupted run, at any ``jobs`` setting,
-  because the chunk plan depends only on the spec (never on ``jobs``)
-  and every run derives from ``(seed, run_index)``;
-* worker failures get bounded retry with exponential backoff, chunk
-  attempts can carry a deadline, a broken process pool is restarted a
-  bounded number of times, and when no pool can be used at all the
-  session degrades to in-process serial execution;
-* timing simulations handed to the session as
-  :class:`~repro.runtime.executor.SimUnit` s run in the same pool,
-  beside the chunks; each finished
-  :class:`~repro.sim.metrics.SimReport` is persisted under the unit's
-  digest and loaded instead of re-simulated on resume.  Simulations
-  are not chunks: chunk counters and ``stop_after_chunks`` ignore
-  them;
-* progress, retry and fallback counters flow through the
-  :class:`~repro.obs.metrics.MetricsRegistry`, and an optional
-  :class:`~repro.obs.session.SessionLog` narrates the orchestration.
+configuration.  A :class:`Session` builds each cell's campaign through
+the manager's campaign builder, plans the cells as jobs-independent
+chunks, and hands campaigns, plan and any timing
+:class:`~repro.runtime.executor.SimUnit` s to the execution core's one
+driver (:mod:`repro.runtime.executor`), which every campaign, adaptive
+campaign and tradeoff curve also runs through.  With a
+:class:`~repro.runtime.checkpoint.CheckpointStore`, each finished chunk
+and timing report is persisted before the session moves on, so a
+crash or ``SIGINT`` loses at most the units in flight, and
+``resume=True`` runs only the remainder: results and telemetry are
+byte-identical to an uninterrupted run at any ``jobs``, because the
+plan depends only on the spec and every run derives from ``(seed,
+run_index)``.  An optional :class:`~repro.obs.session.SessionLog`
+narrates the orchestration.
 """
 
 from __future__ import annotations
@@ -42,29 +30,20 @@ from repro import _compat
 from repro.core.protection import ProtectionSpec
 from repro.core.request import EvaluationRequest
 from repro.core.schemes import SCHEME_NAMES
-from repro.errors import (
-    CheckpointError,
-    ReproError,
-    SessionError,
-    SessionInterrupted,
-    SpecError,
-    UnknownSchemeError,
-)
+from repro.errors import SessionInterrupted, SpecError, UnknownSchemeError
 from repro.faults.adaptive import AdaptiveConfig, StopDecision
-from repro.faults.campaign import Campaign, CampaignConfig, CampaignResult
+from repro.faults.campaign import Campaign, CampaignResult
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.progress import ProgressEvent
 from repro.obs.session import SessionLog
-from repro.runtime.checkpoint import CheckpointStore, wrap_payload_error
+from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.executor import (
     CampaignSpec,
     SessionConfig,
     SimUnit,
     WorkUnit,
-    _Committer,
+    _Drive,
     _run_span_spec,
-    _run_units,
     _unit_batch,
     context_manager,
     plan_chunks,
@@ -80,7 +59,7 @@ log = get_logger("session")
 #: per-worker heuristic.
 DEFAULT_CHUNKS_PER_CELL = 16
 
-#: Test seam: when set, called as ``hook(cell_digest, span)`` inside
+#: Test seam: when set, called as ``hook(spec_token, span)`` inside
 #: every worker attempt before the chunk executes; raising simulates a
 #: worker failure.  Inherited by forked workers.
 _chaos_hook: Callable[[str, tuple[int, int]], None] | None = None
@@ -142,33 +121,17 @@ class CellSpec:
         batch: int = 1,
         max_batch_bytes: int = 256 * 1024 * 1024,
     ) -> Campaign:
-        """Materialize this cell's campaign (parent-side).
-
-        ``batch``/``max_batch_bytes`` are execution knobs (vectorized
-        fault sweeps) — results are identical to ``batch=1``, so they
-        never join the cell or sweep identity.
-        """
-        manager = context_manager(self.app, self.scale, self.app_seed)
-        app = manager.app
-        if isinstance(self.protect, ProtectionSpec):
-            how = {"protection": self.protect}
-        else:
-            how = {"scheme": self.scheme,
-                   "protect": manager.protected_names(self.protect)}
-        return Campaign(
-            app,
-            manager.selection(self.selection),
-            **how,
-            config=CampaignConfig(
-                runs=self.runs, n_blocks=self.n_blocks,
-                n_bits=self.n_bits, seed=self.seed, secded=self.secded,
-            ),
-            keep_runs=self.keep_runs,
-            collect_records=self.collect_records,
-            metrics=metrics,
-            batch=batch,
-            max_batch_bytes=max_batch_bytes,
+        """Materialize this cell's campaign through the manager's
+        builder.  ``batch``/``max_batch_bytes`` are execution knobs:
+        results are identical to ``batch=1``, so they never join the
+        cell or sweep identity."""
+        request = EvaluationRequest(
+            **{f.name: getattr(self, f.name)
+               for f in dataclasses.fields(self)},
+            batch=batch, max_batch_bytes=max_batch_bytes,
         )
+        manager = context_manager(self.app, self.scale, self.app_seed)
+        return manager._request_campaign(request, metrics=metrics)
 
 
 @dataclass(frozen=True)
@@ -589,8 +552,6 @@ class Session:
             )
             for cell in cells
         ]
-        digests = [campaign.identity_digest() for campaign in campaigns]
-
         if self.store is not None:
             self.store.initialize(self.spec.to_dict(), resume=resume)
 
@@ -599,101 +560,26 @@ class Session:
         self.metrics.counter("session.chunks.planned").set(len(units))
         self._emit("plan", detail=f"{len(cells)} cells, "
                                   f"{len(units)} chunks")
-
-        committer = _Committer(units, adaptive)
-        finished: set[WorkUnit] = set()
-        pending: list[WorkUnit] = []
-        for unit in units:
-            loaded = self._load_checkpointed(unit, cells, digests)
-            if loaded is not None:
-                finished.add(unit)
-                committer.record(unit, loaded)
-            else:
-                pending.append(unit)
-        if finished:
-            log.info(f"sweep: resumed {len(finished)} chunk(s) from "
-                     f"{self.store.root}")
-        reports: dict[str, SimReport] = {}
-        #: digest -> simulation still to run.
-        sims: dict[str, SimUnit] = {}
-        for sim in self.sims:
-            digest = sim.digest
-            if digest in reports or digest in sims:
-                continue
-            loaded = self._load_report(sim, digest)
-            if loaded is not None:
-                reports[digest] = loaded
-            else:
-                sims[digest] = sim
-
-        executed = 0
-        budget = self.config.stop_after_chunks
-        total_runs = sum(u.stop - u.start for u in units)
-        done_runs = sum(u.stop - u.start for u in finished)
-
-        def on_done(unit: WorkUnit | SimUnit,
-                    result: CampaignResult | SimReport,
-                    source: str) -> bool:
-            """Persist one finished unit; True to keep going."""
-            nonlocal executed, done_runs
-            if isinstance(unit, SimUnit):
-                digest = unit.digest
-                reports[digest] = result
-                if self.store is not None:
-                    self.store.save_report(digest, result.to_dict())
-                self.metrics.inc("session.simulations.executed")
-                return budget is None or executed < budget
-            if not committer.record(unit, result):
-                # Speculative chunk past the cell's stop boundary
-                # (finished in flight while the stop settled):
-                # discard so the committed result is jobs-invariant.
-                self.metrics.inc("session.chunks.skipped")
-                return budget is None or executed < budget
-            finished.add(unit)
-            digest = digests[unit.cell_index]
-            self._persist(unit, digest, result)
-            self._emit("chunk", cell=digest, start=unit.start,
-                       stop=unit.stop, source=source)
-            self.metrics.inc("session.chunks.executed")
-            executed += 1
-            done_runs += result.n_runs
-            if self.progress is not None:
-                event = ProgressEvent(
-                    phase="sweep", done=done_runs, total=total_runs,
-                    elapsed_s=time.perf_counter() - wall_begin,
-                    cell=cells[unit.cell_index].key,
-                    margin=committer.margin(unit.cell_index),
-                )
-                self.progress(event)
-                self._emit("progress", cell=digest, start=unit.start,
-                           stop=unit.stop, detail=event.to_detail())
-            return budget is None or executed < budget
-
+        drive = _Drive(
+            campaigns, units, self.config, metrics=self.metrics,
+            rule=adaptive, sims=self.sims, store=self.store,
+            labels=[cell.key for cell in cells], progress=self.progress,
+            emit=self._emit, sleep=self._sleep, entry=_run_session_span,
+        )
+        committer = drive.committer
         try:
-            if pending or sims:
-                # Simulations go first: they are the longest units.
-                self.fallback_reason = _run_units(
-                    campaigns, [*sims.values(), *pending], on_done,
-                    self.config,
-                    metrics=self.metrics, skippable=committer.skippable,
-                    emit=self._emit, sleep=self._sleep,
-                    specs=[
-                        dataclasses.replace(
-                            CampaignSpec.from_campaign(campaign),
-                            token=digest)
-                        for campaign, digest in zip(campaigns, digests)
-                    ],
-                    entry=_run_session_span,
-                )
+            drive.run()
         except KeyboardInterrupt:
             self._emit("interrupted",
-                       detail=f"SIGINT after {executed} chunk(s)")
-            raise SessionInterrupted(len(finished), len(units),
+                       detail=f"SIGINT after {drive.executed} chunk(s)")
+            raise SessionInterrupted(len(committer.finished), len(units),
                                      reason="interrupted") from None
+        self.fallback_reason = drive.fallback_reason
         required = [u for u in units if not committer.skippable(u)]
-        done = sum(1 for unit in required if unit in finished)
+        done = sum(1 for unit in required if unit in committer.finished)
         if done < len(required) or any(
-                digest not in reports for digest in sims):
+                sim.digest not in drive.reports for sim in self.sims):
+            budget = self.config.stop_after_chunks
             self._emit("interrupted",
                        detail=f"chunk budget ({budget}) reached")
             raise SessionInterrupted(done, len(required),
@@ -704,97 +590,17 @@ class Session:
                        detail=f"{skipped} chunk(s) under target margin "
                               f"{self.spec.target_margin:g}")
 
-        result = self._merge(cells, digests, committer, required)
-        result.reports = reports
+        sweep = SweepResult(spec=self.spec, reports=drive.reports)
+        sweep.entries = [
+            SweepEntry(cell=cell, digest=drive.digests[index],
+                       result=drive.result(index),
+                       decisions=tuple(committer.decisions[index]))
+            for index, cell in enumerate(cells)
+        ]
         self.metrics.observe(
             "session.wall_ms", (time.perf_counter() - wall_begin) * 1e3
         )
         self._emit("finish", detail=f"{len(units)} chunks")
-        return result
-
-    # -- resume ---------------------------------------------------------
-    def _load_checkpointed(
-        self,
-        unit: WorkUnit,
-        cells: Sequence[CellSpec],
-        digests: Sequence[str],
-    ) -> CampaignResult | None:
-        if self.store is None:
-            return None
-        digest = digests[unit.cell_index]
-        payload = self.store.load_chunk(digest, unit.start, unit.stop)
-        if payload is None:
-            return None
-        path = self.store.chunk_path(digest, unit.start, unit.stop)
-        try:
-            result = CampaignResult.from_dict(payload)
-        except ReproError as exc:
-            raise wrap_payload_error(path, exc) from None
-        expected = cells[unit.cell_index]
-        if result.app_name != expected.app \
-                or result.n_runs != unit.stop - unit.start:
-            raise CheckpointError(
-                f"{path}: chunk payload is for {result.app_name!r} "
-                f"with {result.n_runs} run(s), expected "
-                f"{expected.app!r} with {unit.stop - unit.start}"
-            )
-        self.metrics.inc("session.chunks.resumed")
-        self._emit("chunk", cell=digest, start=unit.start,
-                   stop=unit.stop, source="checkpoint")
-        return result
-
-    def _load_report(self, sim: SimUnit, digest: str) -> SimReport | None:
-        if self.store is None:
-            return None
-        payload = self.store.load_report(digest)
-        if payload is None:
-            return None
-        path = self.store.report_path(digest)
-        try:
-            report = SimReport.from_dict(payload)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(
-                f"{path}: bad report payload ({exc!r})") from None
-        if report.app_name != sim.app:
-            raise CheckpointError(
-                f"{path}: report is for {report.app_name!r}, expected "
-                f"{sim.app!r}"
-            )
-        self.metrics.inc("session.simulations.loaded")
-        return report
-
-    def _persist(
-        self, unit: WorkUnit, digest: str, result: CampaignResult
-    ) -> None:
-        if self.store is not None:
-            self.store.save_chunk(digest, unit.start, unit.stop,
-                                  result.to_dict())
-
-    # -- merge ----------------------------------------------------------
-    def _merge(
-        self,
-        cells: Sequence[CellSpec],
-        digests: Sequence[str],
-        committer: _Committer,
-        units: Sequence[WorkUnit],
-    ) -> SweepResult:
-        sweep = SweepResult(spec=self.spec)
-        for cell_index, cell in enumerate(cells):
-            merged = CampaignResult.merge(committer.parts[cell_index])
-            # Early-stopped cells legitimately commit fewer runs than
-            # planned; the committed count must still match the
-            # required units exactly.
-            expected = sum(u.stop - u.start for u in units
-                           if u.cell_index == cell_index)
-            if merged.n_runs != expected:
-                raise SessionError(
-                    f"cell {cell.key}: merged {merged.n_runs} run(s), "
-                    f"planned {expected}"
-                )
-            sweep.entries.append(SweepEntry(
-                cell=cell, digest=digests[cell_index], result=merged,
-                decisions=tuple(committer.decisions[cell_index]),
-            ))
         return sweep
 
     # -- plumbing -------------------------------------------------------

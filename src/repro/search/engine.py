@@ -355,9 +355,8 @@ def optimize(
         })
 
     def sim_unit(point: DesignPoint) -> SimUnit:
-        return SimUnit(app=app, scale=scale, app_seed=app_seed,
-                       config=manager.config, budget=manager.budget,
-                       protection=point.spec)
+        return SimUnit(app=manager.app, config=manager.config,
+                       budget=manager.budget, protection=point.spec)
 
     baseline_sim = sim_unit(space.baseline())
     baseline_report = None

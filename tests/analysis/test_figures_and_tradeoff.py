@@ -129,3 +129,27 @@ class TestTradeoff:
     def test_empty_curve_rejected(self):
         with pytest.raises(ValueError):
             knee_point([])
+
+class TestTradeoffSession:
+    def test_curve_runs_as_one_session(self, laplacian_manager,
+                                       monkeypatch):
+        import repro.runtime.executor as executor_mod
+        from repro.obs.metrics import MetricsRegistry
+
+        pools = []
+        make_pool = executor_mod._make_pool
+
+        def counting(context, jobs):
+            pools.append(jobs)
+            return make_pool(context, jobs)
+
+        monkeypatch.setattr(executor_mod, "_make_pool", counting)
+        metrics = MetricsRegistry()
+        pooled = tradeoff_curve(laplacian_manager, runs=24, jobs=2,
+                                metrics=metrics)
+        assert pools == [2]
+        n_levels = len(laplacian_manager.app.object_importance) + 1
+        assert metrics.counter(
+            "session.simulations.executed").value == n_levels
+        assert pooled == tradeoff_curve(laplacian_manager, runs=24,
+                                        jobs=1)

@@ -207,3 +207,31 @@ class TestEntryPointEquivalence:
         assert result.n_runs == entry.result.n_runs == 96
         assert self._bytes(tmp_path, "evaluate", result, None) \
             == self._bytes(tmp_path, "session", entry.result, None)
+
+
+class TestTradeoffEntryPoint:
+    """Each tradeoff level is the campaign ``evaluate`` runs for it."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_levels_are_their_campaigns(self, tmp_path, jobs):
+        from repro.analysis.tradeoff import tradeoff_curve
+        from repro.obs.records import TelemetryWriter
+
+        manager = manager_for("P-BICG")
+        curve = tmp_path / "curve.jsonl"
+        with TelemetryWriter(str(curve)) as writer:
+            points = tradeoff_curve(manager, scheme="correction", runs=48,
+                                    jobs=jobs, telemetry=writer)
+        expected = b""
+        for point in points:
+            level = point.n_protected
+            result = manager.evaluate(
+                scheme="correction" if level else "baseline",
+                protect=level, runs=48, collect_records=True)
+            assert (point.sdc_count, point.runs) == \
+                (result.sdc_count, result.n_runs)
+            records = tmp_path / f"level{level}.jsonl"
+            with TelemetryWriter(str(records)) as writer:
+                writer.write_result(result)
+            expected += records.read_bytes()
+        assert curve.read_bytes() == expected

@@ -9,6 +9,7 @@ import pickle
 
 import pytest
 
+from repro.core.manager import ReliabilityManager
 from repro.errors import ConfigError
 from repro.faults.campaign import (
     Campaign,
@@ -19,6 +20,7 @@ from repro.faults.campaign import (
 from repro.faults.outcomes import Outcome, RunResult
 from repro.faults.selection import uniform_selection
 from repro.kernels.registry import create_app
+from repro.obs.metrics import MetricsRegistry
 from repro.runtime import (
     CampaignExecutor,
     CampaignSpec,
@@ -215,6 +217,44 @@ class TestExecutor:
     def test_bad_jobs_rejected(self):
         with pytest.raises(ConfigError):
             CampaignExecutor(make_campaign(runs=4), jobs=0)
+
+
+class TestOneDriver:
+    """Every campaign entry commits what :meth:`Campaign.run` commits
+    and publishes one metric set, with or without a stop rule."""
+
+    @staticmethod
+    def adaptive_campaign():
+        manager = ReliabilityManager(create_app("P-BICG", scale="small"))
+        return Campaign(
+            manager.app, manager.selection("access-weighted"),
+            scheme="detection", protect=manager.protected_names("hot"),
+            config=CampaignConfig(runs=400), target_margin=0.05,
+        )
+
+    def test_executor_honours_the_stop_rule(self):
+        via_executor = CampaignExecutor(self.adaptive_campaign()).run()
+        via_run = self.adaptive_campaign().run()
+        assert via_run.n_runs == 128
+        assert via_executor.to_dict() == via_run.to_dict()
+
+    def test_adaptive_campaign_publishes_the_executor_metrics(self):
+        manager = ReliabilityManager(create_app("P-BICG", scale="small"))
+        published = []
+        for margin in (None, 0.05):
+            registry = MetricsRegistry()
+            manager.evaluate(scheme="detection", protect="hot", runs=400,
+                             target_margin=margin, metrics=registry)
+            snapshot = registry.snapshot()
+            published.append({
+                name for kind in ("counters", "histograms")
+                for name in snapshot[kind]
+                if name.startswith(("executor.", "runtime.app_cache."))
+            })
+        assert published[0] == published[1]
+        assert {"executor.chunks", "executor.used_jobs",
+                "executor.wall_ms", "executor.worker_utilization_pct",
+                "runtime.app_cache.entries"} <= published[1]
 
 
 class TestCampaignSpec:

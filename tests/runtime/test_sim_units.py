@@ -33,7 +33,7 @@ SPECS = {
 
 
 def unit(spec: ProtectionSpec) -> SimUnit:
-    return SimUnit(app=APP, scale="small", app_seed=1234,
+    return SimUnit(app=create_app(APP, scale="small", seed=1234),
                    config=PAPER_CONFIG,
                    budget=HardwareBudget.from_config(PAPER_CONFIG),
                    protection=spec)
@@ -75,8 +75,9 @@ class TestSimUnitIdentity:
         base = unit(SPECS["baseline"])
         variants = [
             unit(SPECS["mixed"]),
-            SimUnit(**{**vars(base), "scale": "default"}),
-            SimUnit(**{**vars(base), "app_seed": 7}),
+            SimUnit(**{**vars(base), "app": create_app(APP)}),
+            SimUnit(**{**vars(base),
+                       "app": create_app(APP, scale="small", seed=7)}),
             SimUnit(**{**vars(base),
                        "config": PAPER_CONFIG.scaled(l1_mshr_entries=4)}),
             SimUnit(**{**vars(base),

@@ -13,8 +13,8 @@ these arms of the execution engine:
   processes (``REPRO_BENCH_JOBS``, default 4);
 * ``batched-cow`` — the batched propagation engine
   (:mod:`repro.faults.batch`): ``REPRO_BENCH_BATCH`` lanes (default
-  64) planned and classified per sweep, ``--max-batch-bytes``-clamped
-  so the lane images cannot OOM;
+  64) planned and classified per sweep, the lanes that must execute
+  run one at a time;
 * ``adaptive``   — the batched engine under CI-driven early stopping
   (:mod:`repro.faults.adaptive`, ``REPRO_BENCH_MARGIN``, default
   0.03): same statistical question as the fixed budget, answered from
@@ -100,7 +100,6 @@ def _time_arm(manager, jobs: int, batch: int = 1, reference=False,
         "memory": "full" if reference else "cow",
         "jobs": jobs,
         "batch": batch,
-        "effective_batch": campaign.effective_batch,
         "seconds": round(elapsed, 3),
         "runs_per_sec": round(BENCH_RUNS / elapsed, 1),
         "outcomes": {o.value: n for o, n in counts.items() if n},

@@ -42,12 +42,12 @@ The evaluating commands declare their
 :class:`~repro.core.request.EvaluationRequest` flags (``--scale``,
 ``--app-seed``, ``--fault-seed``, ``--runs``, ``--blocks``, ``--bits``,
 ``--selection``, ``--scheme``, ``--protect``, ``--jobs``, ``--batch``,
-``--max-batch-bytes``, ``--target-margin``, ``--chunk-runs``) from one
-table, take exactly the ones their entry point honours, and hand it
-the one request they build.  ``--app-seed`` always sets the inputs,
-``--fault-seed`` the fault campaign.  The deprecated ``--seed`` keeps
-its old meaning per command (app seed; fault seed on ``sweep`` and
-``optimize``), warns once, and exits 4 beside its canonical spelling.
+``--target-margin``, ``--chunk-runs``) from one table, take exactly
+the ones their entry point honours, and hand it the one request they
+build.  ``--app-seed`` always sets the inputs, ``--fault-seed`` the
+fault campaign.  The deprecated ``--seed`` keeps its old meaning per
+command (app seed; fault seed on ``sweep`` and ``optimize``), warns
+once, and exits 4 beside its canonical spelling.
 
 ``campaign`` and ``tradeoff`` accept ``--telemetry PATH`` to stream
 one per-run :class:`~repro.obs.records.RunRecord` JSON line per
@@ -145,10 +145,8 @@ _REQUEST_FLAGS = {
     "--jobs": ("jobs", dict(type=int, default=1, help=(
         "worker processes (default 1); never affects results"))),
     "--batch": ("batch", dict(type=int, default=1, help=(
-        "runs per batched sweep (default 1); never affects results"))),
-    "--max-batch-bytes": ("max_batch_bytes", dict(
-        type=int, default=256 * 1024 * 1024,
-        help="memory ceiling on one batch (default 256 MiB)")),
+        "runs planned and classified per batched sweep (default 1); "
+        "never affects results"))),
     "--target-margin": ("target_margin", dict(
         type=float, default=None, metavar="M", help=(
             "stop at the first chunk boundary whose Wilson 95%% CI "
@@ -183,7 +181,7 @@ _SHARED_FLAGS = {
 _APP_FLAGS = ("--scale", "--app-seed")
 _GRID_FLAGS = ("--fault-seed", "--runs", "--blocks", "--bits",
                "--selection")
-_EXEC_FLAGS = ("--jobs", "--batch", "--max-batch-bytes")
+_EXEC_FLAGS = ("--jobs", "--batch")
 _DURABILITY_FLAGS = ("--checkpoint-dir", "--resume",
                      "--stop-after-chunks")
 _TRACE_FLAGS = ("--trace", "--trace-interval", "--trace-max-events")

@@ -207,7 +207,6 @@ class ReliabilityManager:
         collect_provenance: bool = False,
         metrics=None,
         batch: int = 1,
-        max_batch_bytes: int = 256 * 1024 * 1024,
         target_margin: float | None = None,
         progress=None,
         request: EvaluationRequest | None = None,
@@ -221,9 +220,9 @@ class ReliabilityManager:
         :class:`~repro.obs.provenance.ProvenanceRecord` stream;
         ``metrics`` names the
         :class:`~repro.obs.metrics.MetricsRegistry` observability
-        accumulates into.  ``batch`` propagates that many runs per
-        vectorized sweep (results are identical to ``batch=1``);
-        ``max_batch_bytes`` clamps its memory footprint.
+        accumulates into.  ``batch`` plans and classifies that many
+        runs per vectorized sweep (results are identical to
+        ``batch=1``).
         ``target_margin`` turns on CI-driven early stopping with
         ``runs`` as the budget (see :meth:`evaluate_adaptive` for the
         full decision trail).  ``progress`` names a live-progress sink
@@ -244,7 +243,7 @@ class ReliabilityManager:
             selection=selection, seed=seed, keep_runs=keep_runs, jobs=jobs,
             collect_records=collect_records,
             collect_provenance=collect_provenance, batch=batch,
-            max_batch_bytes=max_batch_bytes, target_margin=target_margin,
+            target_margin=target_margin,
         ).run()
 
     def evaluate_adaptive(
@@ -263,7 +262,6 @@ class ReliabilityManager:
         collect_provenance: bool = False,
         metrics=None,
         batch: int = 1,
-        max_batch_bytes: int = 256 * 1024 * 1024,
         progress=None,
         request: EvaluationRequest | None = None,
     ):
@@ -286,7 +284,7 @@ class ReliabilityManager:
             selection=selection, seed=seed, keep_runs=keep_runs, jobs=jobs,
             collect_records=collect_records,
             collect_provenance=collect_provenance, batch=batch,
-            max_batch_bytes=max_batch_bytes, target_margin=target_margin,
+            target_margin=target_margin,
         ).run_adaptive()
 
     def _request_campaign(
@@ -326,7 +324,7 @@ class ReliabilityManager:
             collect_records=request.collect_records,
             collect_provenance=request.collect_provenance,
             metrics=metrics if metrics is not None else request.metrics,
-            batch=request.batch, max_batch_bytes=request.max_batch_bytes,
+            batch=request.batch,
             adaptive=None if margin is None else AdaptiveConfig(
                 target_margin=float(margin),
                 check_every=request.chunk_runs or AdaptiveConfig.check_every),

@@ -12,7 +12,7 @@ and every entry point accepts it:
 
 The request separates *identity* (what is measured — part of
 :meth:`to_dict`/:meth:`digest`, shared with checkpoint manifests)
-from *execution knobs* (``jobs``/``batch``/``max_batch_bytes``) and
+from *execution knobs* (``jobs``/``batch``) and
 *sinks* (``metrics``/``progress``), which never influence results and
 therefore never join the digest.
 """
@@ -52,7 +52,6 @@ class EvaluationRequest:
     # -- execution knobs: never part of the request identity ----------
     jobs: int = 1
     batch: int = 1
-    max_batch_bytes: int = 256 * 1024 * 1024
     # -- observability sinks: never part of the request identity ------
     metrics: Any = field(default=None, compare=False)
     progress: Any = field(default=None, compare=False)
@@ -131,8 +130,4 @@ class EvaluationRequest:
         core layer free of runtime dependencies)."""
         from repro.runtime.session import SessionConfig
 
-        return SessionConfig(
-            jobs=self.jobs,
-            batch=self.batch,
-            max_batch_bytes=self.max_batch_bytes,
-        )
+        return SessionConfig(jobs=self.jobs, batch=self.batch)

@@ -51,16 +51,17 @@ per-object, SECDED — runs here.
 * Remaining **exec lanes** — visible divergence in an unprotected
   object, a writable-object fault the snapshots cannot clear, or
   divergence reaching both a detection- and a correction-protected
-  object — run through the application's ``execute_batch``, which
-  vectorized kernels implement as stacked ``(N, ...)`` NumPy sweeps
-  (scalar fallback otherwise).
+  object — run one at a time through the campaign's own lane pipeline
+  (``Campaign._run_lane``: inject, ``execute``, outcome, emit) as soon
+  as the classifier declines them, so a batch holds at most one
+  executing lane's memory.
 
 * **SECDED** lanes skip the analytic classifier: the kernel consumes
   post-decode data, not the injected overlays.  Each lane's faults are
   filtered through the (72,64) decode; a lane with a
   detected-uncorrectable error resolves to DETECTED without executing,
-  the rest go through the same ``execute_batch``, and the per-fault
-  ECC verdicts feed the provenance derivation.
+  the rest execute like any other exec lane, and the per-fault ECC
+  verdicts feed the provenance derivation.
 
 The fault-free evidence base (golden timeline, prefix read counts,
 clean counters, layout caches) and the analytic classifier itself live
@@ -72,6 +73,7 @@ streams byte-identical across ``--batch`` settings.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,55 +188,42 @@ class BatchEngine:
         Emits the same per-run metrics and (with ``record_sink`` /
         ``provenance_sink``) the same :class:`RunRecord` and
         :class:`~repro.obs.provenance.ProvenanceRecord` payloads as
-        the scalar path, in run-index order.
+        the scalar path, in run-index order.  Each lane's
+        ``campaign.run_ms.<outcome>`` latency is timed from its
+        classification to its emission.
         """
         c = self.campaign
         # Under SECDED the kernel consumes post-decode data, not the
         # injected overlays the analytic classifier reasons about.
         ev = None if c.config.secded else c._golden_evidence()
-        lanes = self._plan(start, stop)
-        # Per lane: (result, counters, evidence, SECDED verdicts).
-        decided: list = [None] * len(lanes)
-        pending = []
+        results = []
+        n_analytic = 0
         pruned: dict[str, int] = {}
-        for slot, lane in enumerate(lanes):
+        for lane in self._plan(start, stop):
+            begin = time.perf_counter()
             verdict = (
                 ev.classify_analytic(lane.run_index, lane.faults)
                 if ev is not None and ev.analytic else None
             )
-            if verdict is not None:
+            if verdict is None:
+                run = c._run_lane(lane, c._run_memory(), metrics,
+                                  record_sink, provenance_sink,
+                                  evidence="executed")
+            else:
                 run, counters, prunes = verdict
-                decided[slot] = (run, counters, "analytic", None)
+                n_analytic += 1
                 for tag in prunes:
                     pruned[tag] = pruned.get(tag, 0) + 1
-                continue
-            memory = c._run_memory()
-            scheme, verdicts, run = c._inject(lane, memory)
-            if run is None:
-                pending.append((slot, memory, scheme, verdicts))
-            else:
-                decided[slot] = (run, vars(scheme.stats), "executed",
-                                 verdicts)
-        if pending:
-            with np.errstate(all="ignore"):
-                outputs = c.app.execute_batch(
-                    [memory for _slot, memory, _s, _v in pending],
-                    [scheme for _slot, _m, scheme, _v in pending],
-                )
-            for (slot, _memory, scheme, verdicts), output in \
-                    zip(pending, outputs):
-                run = c._outcome(lanes[slot].run_index, output, scheme)
-                decided[slot] = (run, vars(scheme.stats), "executed",
-                                 verdicts)
+                c._emit(lane, run, counters, metrics, record_sink,
+                        provenance_sink, evidence="analytic")
+            if metrics is not None:
+                metrics.observe(f"campaign.run_ms.{run.outcome.value}",
+                                (time.perf_counter() - begin) * 1e3)
+            results.append(run)
         if metrics is not None:
-            n_analytic = sum(d[2] == "analytic" for d in decided)
             metrics.inc("campaign.batch.analytic_lanes", n_analytic)
             metrics.inc("campaign.batch.exec_lanes",
-                        len(lanes) - n_analytic)
+                        len(results) - n_analytic)
             for tag in sorted(pruned):
                 metrics.inc(f"campaign.batch.pruned.{tag}", pruned[tag])
-        for lane, (run, counters, evidence, verdicts) in \
-                zip(lanes, decided):
-            c._emit(lane, run, counters, metrics, record_sink,
-                    provenance_sink, evidence=evidence, verdicts=verdicts)
-        return [d[0] for d in decided]
+        return results

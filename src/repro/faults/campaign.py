@@ -404,7 +404,6 @@ class Campaign:
         collect_provenance: bool = False,
         metrics: MetricsRegistry | None = None,
         batch: int = 1,
-        max_batch_bytes: int = 256 * 1024 * 1024,
         target_margin: float | None = None,
         adaptive=None,
         progress=None,
@@ -443,8 +442,6 @@ class Campaign:
             raise ConfigError("jobs must be >= 1")
         if batch < 1:
             raise ConfigError("batch must be >= 1")
-        if max_batch_bytes < 1:
-            raise ConfigError("max_batch_bytes must be >= 1")
         self.app = app
         self.selection = selection
         self.scheme_name = scheme
@@ -461,13 +458,12 @@ class Campaign:
         #: the golden read timeline per run, a cost the plain
         #: telemetry path must not pay.
         self.collect_provenance = collect_provenance
-        #: Runs propagated per batched sweep (1 = scalar ``run_one``
-        #: loop).  Like ``jobs`` this is an execution knob, provably
-        #: result-invariant, and stays out of :meth:`spec_identity`;
-        #: ``max_batch_bytes`` clamps the effective size so large apps
-        #: cannot OOM.
+        #: Runs planned and classified per batched sweep (1 = scalar
+        #: ``run_one`` loop); the lanes the classifier declines execute
+        #: one at a time.  Like ``jobs`` this is an execution knob,
+        #: provably result-invariant, and stays out of
+        #: :meth:`spec_identity`.
         self.batch = batch
-        self.max_batch_bytes = max_batch_bytes
         #: Early-stopping rule (an
         #: :class:`~repro.faults.adaptive.AdaptiveConfig`), built from
         #: the ``target_margin`` shorthand when only that is given.
@@ -620,25 +616,21 @@ class Campaign:
             result.provenance if self.collect_provenance else None
         )
         span_begin = time.perf_counter()
-        step = self.effective_batch
-        if step > 1:
+        if self.batch > 1:
             index = start
             while index < stop:
-                batch_stop = min(index + step, stop)
+                batch_stop = min(index + self.batch, stop)
                 batch_begin = time.perf_counter()
                 batch_runs = self.run_batch(
                     index, batch_stop,
                     metrics=span_metrics, record_sink=record_sink,
                     provenance_sink=provenance_sink,
                 )
-                elapsed_ms = (time.perf_counter() - batch_begin) * 1e3
-                span_metrics.observe("campaign.batch_ms", elapsed_ms)
-                per_run_ms = elapsed_ms / len(batch_runs)
+                span_metrics.observe(
+                    "campaign.batch_ms",
+                    (time.perf_counter() - batch_begin) * 1e3,
+                )
                 for run_result in batch_runs:
-                    span_metrics.observe(
-                        f"campaign.run_ms.{run_result.outcome.value}",
-                        per_run_ms,
-                    )
                     result.counts[run_result.outcome] += 1
                     if self.keep_runs:
                         result.runs.append(run_result)
@@ -664,20 +656,6 @@ class Campaign:
         result.metrics_snapshot = span_metrics.snapshot()
         return result
 
-    @property
-    def effective_batch(self) -> int:
-        """The batch size actually used by :meth:`run_span`.
-
-        The requested ``batch`` is clamped so a batch's worst-case
-        footprint — every lane COW-cloning the full prepared image,
-        replicas included — stays under ``max_batch_bytes``.
-        """
-        if self.batch <= 1:
-            return 1
-        per_lane = max(1, self._pristine.bytes_allocated
-                       + self.protection.replica_bytes(self._pristine))
-        return max(1, min(self.batch, self.max_batch_bytes // per_lane))
-
     def run_batch(
         self,
         start: int,
@@ -693,7 +671,8 @@ class Campaign:
         identical to calling :meth:`run_one` per index — the batched
         engine (see :mod:`repro.faults.batch`) is an execution
         strategy, not a semantic variant, for every protection spec
-        (uniform, mixed, SECDED).
+        (uniform, mixed, SECDED).  ``metrics`` also receives each
+        lane's ``campaign.run_ms.<outcome>`` latency.
         """
         if self._batch_engine is None:
             self._batch_engine = BatchEngine(self)
@@ -806,9 +785,10 @@ class Campaign:
         metrics: MetricsRegistry | None = None,
         record_sink: list[RunRecord] | None = None,
         provenance_sink: list[ProvenanceRecord] | None = None,
+        evidence: str | None = None,
     ) -> RunResult:
         """Inject one planned lane into ``memory``, execute, classify
-        and emit it."""
+        and emit it (``evidence`` as in :meth:`_emit`)."""
         scheme, verdicts, result = self._inject(lane, memory)
         if result is None:
             try:
@@ -818,7 +798,8 @@ class Campaign:
                 output = exc
             result = self._outcome(lane.run_index, output, scheme)
         self._emit(lane, result, vars(scheme.stats), metrics,
-                   record_sink, provenance_sink, verdicts=verdicts)
+                   record_sink, provenance_sink, evidence=evidence,
+                   verdicts=verdicts)
         return result
 
     def _inject(self, lane: _Lane, memory: DeviceMemory):

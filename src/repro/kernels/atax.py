@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.arch.address_space import DeviceMemory
-from repro.errors import FaultDetected, KernelCrash
 from repro.kernels import common
 from repro.kernels.base import GpuApplication
 from repro.kernels.trace import (
@@ -76,45 +75,6 @@ class Atax(GpuApplication):
             y = (a.T @ tmp_back).astype(np.float32)
         memory.write_object(memory.object("y"), y)
         return memory.read_object(memory.object("y"))
-
-    def execute_batch(self, memories, readers) -> list:
-        # Stacked (N, n, n) sweeps, bitwise identical to the scalar
-        # path including the tmp write/read-back between the kernels.
-        results: list = [None] * len(memories)
-        live, a_rows, x_rows = [], [], []
-        for i, (memory, reader) in enumerate(zip(memories, readers)):
-            try:
-                a = reader.read(memory.object("A"))
-                x = reader.read(memory.object("x"))
-            except (FaultDetected, KernelCrash) as exc:
-                results[i] = exc
-                continue
-            live.append(i)
-            a_rows.append(a)
-            x_rows.append(x)
-        if live:
-            a_b = np.stack(a_rows)
-            x_b = np.stack(x_rows)
-            with np.errstate(all="ignore"):
-                tmp_b = np.matmul(
-                    a_b, x_b[:, :, None]
-                )[:, :, 0].astype(np.float32)
-            tmp_back = []
-            for k, i in enumerate(live):
-                memory = memories[i]
-                memory.write_object(memory.object("tmp"), tmp_b[k])
-                tmp_back.append(
-                    memory.read_object(memory.object("tmp")))
-            t_b = np.stack(tmp_back)
-            with np.errstate(all="ignore"):
-                y_b = np.matmul(
-                    a_b.transpose(0, 2, 1), t_b[:, :, None]
-                )[:, :, 0].astype(np.float32)
-            for k, i in enumerate(live):
-                memory = memories[i]
-                memory.write_object(memory.object("y"), y_b[k])
-                results[i] = memory.read_object(memory.object("y"))
-        return results
 
     def build_trace(self, memory: DeviceMemory) -> AppTrace:
         a = memory.object("A")

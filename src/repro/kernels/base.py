@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.arch.address_space import DataObject, DeviceMemory
-from repro.errors import ConfigError, FaultDetected, KernelCrash, TraceError
+from repro.errors import ConfigError, TraceError
 from repro.kernels import coalesce
 from repro.kernels.trace import (
     AppTrace,
@@ -89,27 +89,6 @@ class GpuApplication(abc.ABC):
     @abc.abstractmethod
     def build_trace(self, memory: DeviceMemory) -> AppTrace:
         """Generate the warp-level coalesced memory trace."""
-
-    def execute_batch(self, memories, readers) -> list:
-        """Run N injected lanes; per lane an output array or exception.
-
-        The batched campaign engine calls this with parallel lists of
-        per-lane device memories and scheme readers.  The returned list
-        holds, per lane, either the output array ``execute`` would
-        return or the :class:`~repro.errors.FaultDetected` /
-        :class:`~repro.errors.KernelCrash` it would raise.  This
-        default simply loops ``execute`` — the scalar fallback every
-        application gets for free; vectorizable kernels override it
-        with stacked ``(N, ...)`` sweeps that must stay bitwise
-        identical to the scalar path (assert so in tests, not here).
-        """
-        results = []
-        for memory, reader in zip(memories, readers):
-            try:
-                results.append(self.execute(memory, reader))
-            except (FaultDetected, KernelCrash) as exc:
-                results.append(exc)
-        return results
 
     # -- provided machinery ------------------------------------------------
     def fresh_memory(

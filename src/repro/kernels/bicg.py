@@ -20,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.arch.address_space import DeviceMemory
-from repro.errors import FaultDetected, KernelCrash
 from repro.kernels import common
 from repro.kernels.base import GpuApplication
 from repro.kernels.trace import (
@@ -84,45 +83,6 @@ class Bicg(GpuApplication):
         s_out = memory.read_object(memory.object("s"))
         q_out = memory.read_object(memory.object("q"))
         return np.concatenate([s_out, q_out])
-
-    def execute_batch(self, memories, readers) -> list:
-        # One stacked (N, nx, ny) matmul per kernel instead of N scalar
-        # passes.  The batched matmul forms used here are bitwise
-        # identical to the scalar ``@`` (same pairwise-sum reduction);
-        # the determinism regression tests pin that equivalence.
-        results: list = [None] * len(memories)
-        live, a_rows, r_rows, p_rows = [], [], [], []
-        for i, (memory, reader) in enumerate(zip(memories, readers)):
-            try:
-                a = reader.read(memory.object("A"))
-                r = reader.read(memory.object("r"))
-                p = reader.read(memory.object("p"))
-            except (FaultDetected, KernelCrash) as exc:
-                results[i] = exc
-                continue
-            live.append(i)
-            a_rows.append(a)
-            r_rows.append(r)
-            p_rows.append(p)
-        if live:
-            a_b = np.stack(a_rows)
-            r_b = np.stack(r_rows)
-            p_b = np.stack(p_rows)
-            with np.errstate(all="ignore"):
-                s_b = np.matmul(
-                    a_b.transpose(0, 2, 1), r_b[:, :, None]
-                )[:, :, 0].astype(np.float32)
-                q_b = np.matmul(
-                    a_b, p_b[:, :, None]
-                )[:, :, 0].astype(np.float32)
-            for k, i in enumerate(live):
-                memory = memories[i]
-                memory.write_object(memory.object("s"), s_b[k])
-                memory.write_object(memory.object("q"), q_b[k])
-                s_out = memory.read_object(memory.object("s"))
-                q_out = memory.read_object(memory.object("q"))
-                results[i] = np.concatenate([s_out, q_out])
-        return results
 
     def build_trace(self, memory: DeviceMemory) -> AppTrace:
         a = memory.object("A")

@@ -21,7 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.arch.address_space import DeviceMemory
-from repro.errors import FaultDetected, KernelCrash
 from repro.kernels import common
 from repro.kernels.base import GpuApplication
 from repro.kernels.trace import (
@@ -87,50 +86,6 @@ class Gesummv(GpuApplication):
             y = (ALPHA * tmp_back + BETA * partial).astype(np.float32)
         memory.write_object(memory.object("y"), y)
         return memory.read_object(memory.object("y"))
-
-    def execute_batch(self, memories, readers) -> list:
-        # Stacked (N, n, n) matmuls; the alpha/beta combine is
-        # elementwise and therefore bitwise scalar-identical.
-        results: list = [None] * len(memories)
-        live, a_rows, b_rows, x_rows = [], [], [], []
-        for i, (memory, reader) in enumerate(zip(memories, readers)):
-            try:
-                a = reader.read(memory.object("A"))
-                b = reader.read(memory.object("B"))
-                x = reader.read(memory.object("x"))
-            except (FaultDetected, KernelCrash) as exc:
-                results[i] = exc
-                continue
-            live.append(i)
-            a_rows.append(a)
-            b_rows.append(b)
-            x_rows.append(x)
-        if live:
-            a_b = np.stack(a_rows)
-            b_b = np.stack(b_rows)
-            x_b = np.stack(x_rows)
-            with np.errstate(all="ignore"):
-                tmp_b = np.matmul(
-                    a_b, x_b[:, :, None]
-                )[:, :, 0].astype(np.float32)
-                partial_b = np.matmul(
-                    b_b, x_b[:, :, None]
-                )[:, :, 0].astype(np.float32)
-            tmp_back = []
-            for k, i in enumerate(live):
-                memory = memories[i]
-                memory.write_object(memory.object("tmp"), tmp_b[k])
-                tmp_back.append(
-                    memory.read_object(memory.object("tmp")))
-            t_b = np.stack(tmp_back)
-            with np.errstate(all="ignore"):
-                y_b = (ALPHA * t_b + BETA * partial_b) \
-                    .astype(np.float32)
-            for k, i in enumerate(live):
-                memory = memories[i]
-                memory.write_object(memory.object("y"), y_b[k])
-                results[i] = memory.read_object(memory.object("y"))
-        return results
 
     def build_trace(self, memory: DeviceMemory) -> AppTrace:
         a = memory.object("A")

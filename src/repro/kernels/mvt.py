@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.arch.address_space import DeviceMemory
-from repro.errors import FaultDetected, KernelCrash
 from repro.kernels import common
 from repro.kernels.base import GpuApplication
 from repro.kernels.trace import (
@@ -80,50 +79,6 @@ class Mvt(GpuApplication):
         x1_out = memory.read_object(memory.object("x1"))
         x2_out = memory.read_object(memory.object("x2"))
         return np.concatenate([x1_out, x2_out])
-
-    def execute_batch(self, memories, readers) -> list:
-        # Stacked (N, n, n) matmuls; the read-modify-write adds are
-        # elementwise, so batching keeps them bitwise scalar-identical.
-        results: list = [None] * len(memories)
-        live, a_rows, y1_rows, y2_rows = [], [], [], []
-        x1_rows, x2_rows = [], []
-        for i, (memory, reader) in enumerate(zip(memories, readers)):
-            try:
-                a = reader.read(memory.object("a"))
-                y1 = reader.read(memory.object("y1"))
-                y2 = reader.read(memory.object("y2"))
-            except (FaultDetected, KernelCrash) as exc:
-                results[i] = exc
-                continue
-            live.append(i)
-            a_rows.append(a)
-            y1_rows.append(y1)
-            y2_rows.append(y2)
-            x1_rows.append(memory.read_object(memory.object("x1")))
-            x2_rows.append(memory.read_object(memory.object("x2")))
-        if live:
-            a_b = np.stack(a_rows)
-            y1_b = np.stack(y1_rows)
-            y2_b = np.stack(y2_rows)
-            x1_b = np.stack(x1_rows)
-            x2_b = np.stack(x2_rows)
-            with np.errstate(all="ignore"):
-                x1_out_b = (
-                    x1_b + np.matmul(a_b, y1_b[:, :, None])[:, :, 0]
-                ).astype(np.float32)
-                x2_out_b = (
-                    x2_b + np.matmul(
-                        a_b.transpose(0, 2, 1), y2_b[:, :, None]
-                    )[:, :, 0]
-                ).astype(np.float32)
-            for k, i in enumerate(live):
-                memory = memories[i]
-                memory.write_object(memory.object("x1"), x1_out_b[k])
-                memory.write_object(memory.object("x2"), x2_out_b[k])
-                x1_out = memory.read_object(memory.object("x1"))
-                x2_out = memory.read_object(memory.object("x2"))
-                results[i] = np.concatenate([x1_out, x2_out])
-        return results
 
     def _vector_kernel(
         self,

@@ -127,7 +127,6 @@ class CampaignSpec:
     collect_records: bool = False
     collect_provenance: bool = False
     batch: int = 1
-    max_batch_bytes: int = 256 * 1024 * 1024
     #: Full typed protection (mixed per-object configurations only;
     #: ``None`` means ``scheme_name``/``protected_names`` say it all).
     protection: Any = None
@@ -145,7 +144,6 @@ class CampaignSpec:
             collect_records=campaign.collect_records,
             collect_provenance=campaign.collect_provenance,
             batch=campaign.batch,
-            max_batch_bytes=campaign.max_batch_bytes,
             protection=(
                 campaign.protection if campaign.protection.is_mixed
                 else None
@@ -191,7 +189,6 @@ def _run_span_spec(
             collect_records=spec.collect_records,
             collect_provenance=spec.collect_provenance,
             batch=spec.batch,
-            max_batch_bytes=spec.max_batch_bytes,
         )
         _WORKER_CAMPAIGNS[spec.token] = campaign
     start, stop = span
@@ -274,17 +271,15 @@ class SessionConfig:
     #: Stop (checkpointed, resumable) after this many newly executed
     #: chunks — for schedulers with wall-clock budgets and for tests.
     stop_after_chunks: int | None = None
-    #: Runs swept per vectorized campaign batch (results are identical
-    #: to ``batch=1`` — an execution knob, never sweep identity).
+    #: Runs planned and classified per vectorized campaign batch
+    #: (results are identical to ``batch=1`` — an execution knob,
+    #: never sweep identity).
     batch: int = 1
-    #: Memory clamp on one vectorized batch.
-    max_batch_bytes: int = 256 * 1024 * 1024
 
     def validate(self) -> None:
         """Reject out-of-range knobs with :class:`SpecError`."""
         for name, floor in (("jobs", 1), ("batch", 1),
-                            ("max_batch_bytes", 1), ("max_retries", 0),
-                            ("retry_backoff_s", 0),
+                            ("max_retries", 0), ("retry_backoff_s", 0),
                             ("stop_after_chunks", 1)):
             value = getattr(self, name)
             if value is not None and value < floor:
@@ -796,7 +791,7 @@ def _run_campaigns(
     """Run whole campaigns, and ``sims`` beside them, in one drive.
 
     Without a stop rule each campaign plans ``plan_chunks(runs, jobs,
-    align=effective_batch)`` — one ``(0, runs)`` span when it runs
+    align=batch)`` — one ``(0, runs)`` span when it runs
     serially without a progress sink; under ``rule`` it commits in
     ``check_every`` spans at the rule's unit batch.  Each campaign then
     publishes one metric set into its registry: its chunk snapshots,
@@ -816,7 +811,7 @@ def _run_campaigns(
             campaign.batch = _unit_batch(campaign.batch, rule)
             spans = plan_chunks(runs, 1, rule.check_every)
         elif jobs > 1 or progress is not None:
-            spans = plan_chunks(runs, jobs, align=campaign.effective_batch)
+            spans = plan_chunks(runs, jobs, align=campaign.batch)
         else:
             spans = [(0, runs)]
         shipped.append(campaign)

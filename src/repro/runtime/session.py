@@ -119,16 +119,15 @@ class CellSpec:
         self,
         metrics: MetricsRegistry | None = None,
         batch: int = 1,
-        max_batch_bytes: int = 256 * 1024 * 1024,
     ) -> Campaign:
         """Materialize this cell's campaign through the manager's
-        builder.  ``batch``/``max_batch_bytes`` are execution knobs:
-        results are identical to ``batch=1``, so they never join the
-        cell or sweep identity."""
+        builder.  ``batch`` is an execution knob: results are
+        identical to ``batch=1``, so it never joins the cell or sweep
+        identity."""
         request = EvaluationRequest(
             **{f.name: getattr(self, f.name)
                for f in dataclasses.fields(self)},
-            batch=batch, max_batch_bytes=max_batch_bytes,
+            batch=batch,
         )
         manager = context_manager(self.app, self.scale, self.app_seed)
         return manager._request_campaign(request, metrics=metrics)
@@ -547,9 +546,7 @@ class Session:
         log.info(f"sweep: {len(cells)} cell(s), building campaigns")
         campaigns = [
             cell.build_campaign(
-                batch=_unit_batch(self.config.batch, adaptive),
-                max_batch_bytes=self.config.max_batch_bytes,
-            )
+                batch=_unit_batch(self.config.batch, adaptive))
             for cell in cells
         ]
         if self.store is not None:

@@ -134,7 +134,7 @@ def _candidate_objects(manager: ReliabilityManager, objects):
 
 def _vulnerability_ranking(
     manager: ReliabilityManager, candidates, runs, n_blocks, n_bits,
-    selection, seed, jobs, batch, max_batch_bytes,
+    selection, seed, jobs, batch,
 ) -> tuple[str, ...]:
     """Candidate objects ranked by baseline SDC attribution.
 
@@ -157,7 +157,6 @@ def _vulnerability_ranking(
         scheme="baseline", protect="none", runs=runs,
         n_blocks=n_blocks, n_bits=n_bits, selection=selection,
         seed=seed, collect_provenance=True, jobs=jobs, batch=batch,
-        max_batch_bytes=max_batch_bytes,
     )
     profiles = vulnerability_profiles(result.provenance)
     attributed = [
@@ -253,7 +252,6 @@ def optimize(
     resume: bool = False,
     jobs: int = 1,
     batch: int = 1,
-    max_batch_bytes: int = 256 * 1024 * 1024,
     stop_after_chunks: int | None = None,
     trail: str | None = None,
     progress=None,
@@ -296,7 +294,6 @@ def optimize(
         scale, app_seed = request.scale, request.app_seed
         chunk_runs = request.chunk_runs
         jobs, batch = request.jobs, request.batch
-        max_batch_bytes = request.max_batch_bytes
         if progress is None:
             progress = request.progress
         if metrics is None and request.metrics is not None:
@@ -339,7 +336,7 @@ def optimize(
         ranking = search_store.ranking(
             ranking_key, lambda: _vulnerability_ranking(
                 manager, candidates, runs, n_blocks, n_bits, selection,
-                seed, jobs, batch, max_batch_bytes,
+                seed, jobs, batch,
             ))
         log.info(f"search: vulnerability ranking {ranking}")
     strategy_obj = make_strategy(
@@ -407,8 +404,7 @@ def optimize(
                     app, new_points, [*extra, *sims.values()],
                     search_store, round_index, runs, n_blocks, n_bits,
                     seed, selection, scale, app_seed, chunk_runs, jobs,
-                    batch, max_batch_bytes, chunk_budget, metrics,
-                    progress,
+                    batch, chunk_budget, metrics, progress,
                 )
                 if baseline_report is None:
                     baseline_report = sweep.reports[baseline_sim.digest]
@@ -491,7 +487,7 @@ def optimize(
 def _run_round(
     app, new_points, sims, search_store, round_index, runs, n_blocks,
     n_bits, seed, selection, scale, app_seed, chunk_runs, jobs,
-    batch, max_batch_bytes, chunk_budget, metrics, progress,
+    batch, chunk_budget, metrics, progress,
 ):
     """Evaluate one round's new configurations as a ``spec`` sweep,
     with the round's timing simulations beside its chunks."""
@@ -510,8 +506,7 @@ def _run_round(
     )
     round_dir = search_store.round_dir(round_index)
     config = SessionConfig(
-        jobs=jobs, batch=batch, max_batch_bytes=max_batch_bytes,
-        stop_after_chunks=chunk_budget,
+        jobs=jobs, batch=batch, stop_after_chunks=chunk_budget,
     )
     session = Session(spec, store=round_dir, config=config,
                       metrics=metrics, progress=progress, sims=sims)

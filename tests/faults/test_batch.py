@@ -61,6 +61,7 @@ CELLS = [
     # Writable outputs in the pool force exec-lane fallback paths.
     ("P-ATAX", "detection", ("A", "x")),
     ("P-GESUMMV", "correction", ("A", "B")),
+    ("P-MVT", "correction", ("y1", "y2")),
     # Mixed per-object schemes; P-ATAX's writable tmp/y force exec
     # lanes.
     ("P-BICG", "mixed", "r=detection,p=correction"),
@@ -109,7 +110,6 @@ class TestBatchedEqualsSerial:
         campaign = cell_campaign(app_name, scheme, protect, batch=batch,
                                  jobs=jobs)
         batched = campaign.run()
-        assert campaign.effective_batch == batch
         assert records_jsonl(batched) == records_jsonl(serial)
         assert records_jsonl(batched) == "\n".join(
             r.to_json() for r in sink)
@@ -141,19 +141,49 @@ class TestBatchedEqualsSerial:
         assert records_jsonl(batched) == records_jsonl(serial)
 
 
-class TestMemoryClamp:
-    def test_clamp_counts_replica_bytes(self):
-        """Each lane clones the prepared image, replicas included, so
-        triplicating every object (a 3x image) fits one lane in a
-        budget of four pristine images, not four lanes."""
-        app = create_app("P-BICG", scale="small")
-        names = tuple(o.name for o in app.fresh_memory().objects)
-        campaign = make_campaign("P-BICG", "correction", names, batch=8)
-        pristine = campaign._pristine.bytes_allocated
-        campaign.max_batch_bytes = 4 * pristine
-        assert campaign.effective_batch == 1
-        campaign.max_batch_bytes = 8 * pristine
-        assert campaign.effective_batch == 2
+class TestExecutedLanes:
+    """Lanes the classifier declines run one at a time through the
+    campaign's own lane pipeline."""
+
+    def test_one_executing_lane_at_a_time(self, monkeypatch):
+        """Each exec lane's clone is executed before the next clone is
+        made: a batch never holds more than one lane's memory."""
+        campaign = make_campaign("P-ATAX", "detection", ("A", "x"),
+                                 runs=64, batch=64)
+        campaign._golden_evidence()
+        events = []
+        run_memory, execute = campaign._run_memory, campaign.app.execute
+
+        def cloned():
+            events.append("clone")
+            return run_memory()
+
+        def executed(memory, reader):
+            events.append("execute")
+            return execute(memory, reader)
+
+        monkeypatch.setattr(campaign, "_run_memory", cloned)
+        monkeypatch.setattr(campaign.app, "execute", executed)
+        campaign.run_batch(0, 64)
+        # Writable tmp/y in the fault pool force executed lanes.
+        assert events.count("execute") > 1
+        assert events == ["clone", "execute"] * events.count("execute")
+
+    def test_run_ms_is_per_lane(self):
+        """One 64-lane batch of analytic and executed lanes records
+        each lane's own latency, not the batch mean."""
+        result = make_campaign("P-ATAX", "detection", ("A", "x"),
+                               runs=64, batch=64).run()
+        counters = result.metrics_snapshot["counters"]
+        assert counters["campaign.batch.analytic_lanes"] > 0
+        assert counters["campaign.batch.exec_lanes"] > 0
+        run_ms = [
+            h for name, h in result.metrics_snapshot["histograms"].items()
+            if name.startswith("campaign.run_ms.")
+        ]
+        assert sum(h["count"] for h in run_ms) == 64
+        assert len({h[edge] for h in run_ms
+                    for edge in ("vmin", "vmax")}) > 1
 
 
 class TestPlanningEquivalence:

@@ -229,7 +229,7 @@ class TestVulnerabilityRanking:
         def ranking(batch):
             return engine._vulnerability_ranking(
                 manager, candidates, KW["runs"], 1, 2,
-                "access-weighted", KW["seed"], 1, batch, 256 << 20)
+                "access-weighted", KW["seed"], 1, batch)
 
         assert ranking(1) == ranking(64)
 

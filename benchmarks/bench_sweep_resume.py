@@ -27,6 +27,7 @@ from pathlib import Path
 
 from conftest import SEED, banner
 
+from repro.core.request import EvaluationRequest
 from repro.runtime import clear_app_cache
 from repro.runtime.session import Session, SessionConfig, SweepSpec
 from repro.utils.canonical import canonical_json
@@ -39,11 +40,9 @@ _APP = "P-BICG"
 
 def _spec() -> SweepSpec:
     return SweepSpec(
-        apps=(_APP,),
+        EvaluationRequest(app=_APP, runs=BENCH_RUNS, seed=SEED,
+                          collect_records=True),
         schemes=("baseline", "correction"),
-        protects=("hot",),
-        runs=BENCH_RUNS,
-        seed=SEED,
     )
 
 

@@ -3,6 +3,11 @@
 Each ``figN_*``/``tableN_*`` function computes exactly the series or
 rows the corresponding exhibit reports, so the benchmark harness (and
 any notebook) can print or plot them without re-deriving methodology.
+A figure grid (Figs 6, 7 and 9) builds every cell's campaign through
+the manager's one campaign builder, or every bar as a timing
+:class:`~repro.runtime.executor.SimUnit`, and runs the whole grid in
+one drive of the execution core, the one ``tradeoff_curve`` uses: at
+the manager's ``jobs > 1`` the grid shares one worker pool.
 """
 
 from __future__ import annotations
@@ -14,14 +19,28 @@ import numpy as np
 from repro.arch.config import GpuConfig, PAPER_CONFIG
 from repro.core.manager import ReliabilityManager
 from repro.data.gpu_trends import L2_SIZE_TREND
+from repro.faults.campaign import CampaignResult
 from repro.faults.outcomes import Outcome
+from repro.obs.metrics import MetricsRegistry
 from repro.profiling.hot_objects import Table3Row
+from repro.runtime.executor import SimUnit, _run_campaigns
 from repro.sim.metrics import SimReport
 
 #: The paper's fault-injection grid: {1, 5} blocks x {2, 3, 4} bits.
 FAULT_GRID: tuple[tuple[int, int], ...] = (
     (1, 2), (1, 3), (1, 4), (5, 2), (5, 3), (5, 4),
 )
+
+
+def _grid_results(
+    manager: ReliabilityManager, cells: list[dict],
+) -> list[CampaignResult]:
+    """Each cell's campaign (:meth:`ReliabilityManager.evaluate`
+    keywords), all run in one drive at the manager's ``jobs``."""
+    campaigns = [manager._request_campaign(**cell) for cell in cells]
+    results, _drive = _run_campaigns(campaigns, manager.jobs,
+                                     metrics=MetricsRegistry())
+    return results
 
 
 # ----------------------------------------------------------------------
@@ -114,27 +133,26 @@ class Fig6Cell:
 def fig6_grid(
     manager: ReliabilityManager, runs: int, seed: int = 20210621
 ) -> list[Fig6Cell]:
-    """The Figure 6 grid: both spaces x the fault grid."""
-    cells = []
-    for space in ("hot", "rest"):
-        for n_blocks, n_bits in FAULT_GRID:
-            result = manager.motivation(
-                space, runs=runs, n_blocks=n_blocks, n_bits=n_bits,
-                seed=seed,
-            )
-            cells.append(
-                Fig6Cell(
-                    app_name=manager.app.name,
-                    space=space,
-                    n_blocks=n_blocks,
-                    n_bits=n_bits,
-                    sdc=result.sdc_count,
-                    crash=result.count(Outcome.CRASH),
-                    masked=result.count(Outcome.MASKED),
-                    runs=result.n_runs,
-                )
-            )
-    return cells
+    """The Figure 6 grid: both spaces x the fault grid, each cell the
+    campaign :meth:`ReliabilityManager.motivation` runs."""
+    cells = [
+        dict(scheme="baseline", protect="none", runs=runs,
+             n_blocks=n_blocks, n_bits=n_bits, selection=space, seed=seed)
+        for space in ("hot", "rest") for n_blocks, n_bits in FAULT_GRID
+    ]
+    return [
+        Fig6Cell(
+            app_name=manager.app.name,
+            space=cell["selection"],
+            n_blocks=cell["n_blocks"],
+            n_bits=cell["n_bits"],
+            sdc=result.sdc_count,
+            crash=result.count(Outcome.CRASH),
+            masked=result.count(Outcome.MASKED),
+            runs=result.n_runs,
+        )
+        for cell, result in zip(cells, _grid_results(manager, cells))
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -153,24 +171,32 @@ class Fig7Row:
 def fig7_sweep(
     manager: ReliabilityManager,
 ) -> tuple[SimReport, list[Fig7Row]]:
-    """Baseline report plus one row per (scheme, protection level)."""
-    baseline = manager.simulate_performance("baseline", "none")
-    rows = []
+    """Baseline report plus one row per (scheme, protection level).
+
+    Each bar is the report :meth:`ReliabilityManager.
+    simulate_performance` gives; the 1 + 2N simulations run in one
+    drive at the manager's ``jobs``.
+    """
     n_objects = len(manager.app.object_importance)
-    for scheme in ("detection", "correction"):
-        for level in range(1, n_objects + 1):
-            report = manager.simulate_performance(scheme, level)
-            rows.append(
-                Fig7Row(
-                    app_name=manager.app.name,
-                    scheme=scheme,
-                    n_protected=level,
-                    norm_time=report.slowdown_vs(baseline),
-                    norm_missed_accesses=report.missed_accesses_vs(
-                        baseline),
-                    replica_transactions=report.replica_transactions,
-                )
-            )
+    arms = [(scheme, level) for scheme in ("detection", "correction")
+            for level in range(1, n_objects + 1)]
+    sims = [SimUnit(manager.app, manager.config, manager.budget,
+                    manager.protection_spec(*arm))
+            for arm in [("baseline", "none"), *arms]]
+    _results, drive = _run_campaigns([], manager.jobs,
+                                     metrics=MetricsRegistry(), sims=sims)
+    baseline, *reports = [drive.reports[sim.digest] for sim in sims]
+    rows = [
+        Fig7Row(
+            app_name=manager.app.name,
+            scheme=scheme,
+            n_protected=level,
+            norm_time=report.slowdown_vs(baseline),
+            norm_missed_accesses=report.missed_accesses_vs(baseline),
+            replica_transactions=report.replica_transactions,
+        )
+        for (scheme, level), report in zip(arms, reports)
+    ]
     return baseline, rows
 
 
@@ -200,36 +226,31 @@ def fig9_grid(
     selection: str = "access-weighted",
     seed: int = 20210621,
 ) -> list[Fig9Cell]:
-    """The Figure 9 grid: protection levels x the fault grid."""
+    """The Figure 9 grid: protection levels x the fault grid, each cell
+    the campaign :meth:`ReliabilityManager.evaluate` runs."""
     if levels is None:
         levels = list(range(len(manager.app.object_importance) + 1))
-    cells = []
-    for level in levels:
-        for n_blocks, n_bits in grid:
-            result = manager.evaluate(
-                scheme=scheme if level else "baseline",
-                protect=level,
-                runs=runs,
-                n_blocks=n_blocks,
-                n_bits=n_bits,
-                selection=selection,
-                seed=seed,
-            )
-            cells.append(
-                Fig9Cell(
-                    app_name=manager.app.name,
-                    scheme=scheme if level else "baseline",
-                    n_protected=level,
-                    n_blocks=n_blocks,
-                    n_bits=n_bits,
-                    sdc=result.sdc_count,
-                    detected=result.count(Outcome.DETECTED),
-                    corrected=result.count(Outcome.CORRECTED),
-                    crash=result.count(Outcome.CRASH),
-                    runs=result.n_runs,
-                )
-            )
-    return cells
+    cells = [
+        dict(scheme=scheme if level else "baseline", protect=level,
+             runs=runs, n_blocks=n_blocks, n_bits=n_bits,
+             selection=selection, seed=seed)
+        for level in levels for n_blocks, n_bits in grid
+    ]
+    return [
+        Fig9Cell(
+            app_name=manager.app.name,
+            scheme=cell["scheme"],
+            n_protected=cell["protect"],
+            n_blocks=cell["n_blocks"],
+            n_bits=cell["n_bits"],
+            sdc=result.sdc_count,
+            detected=result.count(Outcome.DETECTED),
+            corrected=result.count(Outcome.CORRECTED),
+            crash=result.count(Outcome.CRASH),
+            runs=result.n_runs,
+        )
+        for cell, result in zip(cells, _grid_results(manager, cells))
+    ]
 
 
 def average_sdc_drop(

@@ -45,7 +45,8 @@ def summarize_sweep(sweep) -> list[SweepCellSummary]:
         cell, result = entry.cell, entry.result
         rows.append(SweepCellSummary(
             app=cell.app,
-            scheme=cell.scheme,
+            # The campaign's label: a typed protection names its own.
+            scheme=result.scheme_name,
             protect=cell.protect,
             runs=result.n_runs,
             masked=result.count(Outcome.MASKED),

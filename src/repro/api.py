@@ -23,16 +23,6 @@ Quickstart::
     result = manager.evaluate(scheme="correction", protect="hot",
                               runs=1000, jobs=4)
 
-    # Grid sweeps with durable, resumable progress:
-    from repro.api import Session, SessionConfig, SweepSpec
-
-    spec = SweepSpec(apps=("P-BICG", "A-Laplacian"),
-                     schemes=("baseline", "correction"),
-                     protects=("hot",), runs=1000)
-    session = Session(spec, store="sweep.ckpt",
-                      config=SessionConfig(jobs=8))
-    sweep = session.run(resume=True)
-
     # One request value drives every entry point:
     from repro.api import EvaluationRequest, ProtectionSpec
 
@@ -40,6 +30,17 @@ Quickstart::
                                 protect=ProtectionSpec.parse(
                                     "p=correction,r=detection"))
     result = manager.evaluate(request=request)
+
+    # Grid sweeps (one request per cell) with durable, resumable
+    # progress:
+    from repro.api import Session, SessionConfig, SweepSpec
+
+    spec = SweepSpec(EvaluationRequest(app="P-BICG", runs=1000),
+                     apps=("P-BICG", "A-Laplacian"),
+                     schemes=("baseline", "correction"))
+    session = Session(spec, store="sweep.ckpt",
+                      config=SessionConfig(jobs=8))
+    sweep = session.run(resume=True)
 
     # Design-space exploration with Pareto-front extraction:
     from repro.api import optimize
@@ -116,7 +117,6 @@ from repro.analysis.html import render_html_report, write_html_report
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.executor import CampaignExecutor
 from repro.runtime.session import (
-    CellSpec,
     Session,
     SessionConfig,
     SweepResult,
@@ -162,7 +162,6 @@ __all__ = [
     "stratify_by_object",
     # sweep sessions
     "SweepSpec",
-    "CellSpec",
     "Session",
     "SessionConfig",
     "SweepResult",

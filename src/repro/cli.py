@@ -141,7 +141,8 @@ _REQUEST_FLAGS = {
     "--scheme": ("scheme", dict(choices=SCHEME_NAMES, help=(
         "protection scheme (default: %(default)s)"))),
     "--protect": ("protect", dict(default="hot", help=(
-        "none | hot | all | <N objects> (default: hot)"))),
+        "none | hot | all | <N objects> | obj=scheme,... "
+        "(default: hot)"))),
     "--jobs": ("jobs", dict(type=int, default=1, help=(
         "worker processes (default 1); never affects results"))),
     "--batch": ("batch", dict(type=int, default=1, help=(
@@ -221,17 +222,12 @@ def _app_manager(request: EvaluationRequest) -> ReliabilityManager:
 
 
 def _protect_level(value: str) -> int | str:
-    if value in ("none", "hot", "all"):
-        return value
+    """An object count as an int; every other spelling (shorthand or
+    ``obj=scheme,...``) as given, for the request to validate."""
     try:
         return int(value)
     except ValueError:
-        from repro.errors import SpecError
-
-        raise SpecError(
-            f"protection level {value!r} must be none, hot, all, or "
-            "an object count"
-        ) from None
+        return value
 
 
 def _progress_sink(args):
@@ -421,33 +417,30 @@ def _cmd_sweep(args) -> int:
         sweep_table,
     )
     from repro.obs.session import SessionLog
-    from repro.runtime.session import Session, SweepSpec
+    from repro.runtime.session import Session, SessionConfig, SweepSpec
 
     request = _request(args, app=args.app[0],
                        collect_records=args.telemetry is not None)
-    spec = dataclasses.replace(
-        SweepSpec.from_request(request),
-        apps=tuple(args.app),
-        schemes=tuple(args.schemes),
-        protects=tuple(_protect_level(p) for p in args.protects),
-    )
-    config = dataclasses.replace(
-        request.session_config(),
+    grid = SweepSpec(request, apps=args.app, schemes=args.schemes,
+                     protects=[_protect_level(p) for p in args.protects])
+    config = SessionConfig(
+        jobs=request.jobs,
         max_retries=args.max_retries,
         chunk_timeout_s=args.chunk_timeout,
         stop_after_chunks=args.stop_after_chunks,
     )
-    log.info(f"sweep: {len(spec.cells())} cell(s) x {spec.runs} runs, "
-             f"jobs={config.jobs}, spec {spec.digest()}"
-             + (f", checkpoints in {args.checkpoint_dir}"
-                if args.checkpoint_dir else ""))
     events = (SessionLog(args.session_log)
               if args.session_log is not None else None)
     with _progress_sink(args) as progress, \
             events if events is not None else nullcontext():
-        sweep = Session(spec, store=args.checkpoint_dir, config=config,
-                        events=events, progress=progress,
-                        ).run(resume=args.resume)
+        session = Session(grid, store=args.checkpoint_dir, config=config,
+                          events=events, progress=progress)
+        log.info(f"sweep: {len(session.requests)} cell(s) x "
+                 f"{request.runs} runs, jobs={config.jobs}, "
+                 f"spec {session.digest()}"
+                 + (f", checkpoints in {args.checkpoint_dir}"
+                    if args.checkpoint_dir else ""))
+        sweep = session.run(resume=args.resume)
     rows = summarize_sweep(sweep)
     log.result(sweep_table(rows).render())
     reductions = sdc_reduction_by_app(rows)
@@ -856,7 +849,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: baseline correction)")
     p.add_argument("--protects", nargs="+", default=["hot"],
                    help="protection level(s): none | hot | all | "
-                        "<N objects> (default: hot)")
+                        "<N objects> | obj=scheme,... (one cell per "
+                        "app, whatever --schemes) (default: hot)")
     p.add_argument("--max-retries", type=int, default=2,
                    help="retries per chunk beyond the first attempt "
                         "(default 2)")

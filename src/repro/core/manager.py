@@ -30,6 +30,7 @@ from repro.faults.selection import (
     uniform_selection,
 )
 from repro.kernels.base import GpuApplication
+from repro.kernels.registry import ALL_APPLICATIONS, create_app
 from repro.kernels.trace import AppTrace
 from repro.profiling.access_profile import AccessProfile, profile_trace
 from repro.profiling.hot_blocks import (
@@ -39,6 +40,7 @@ from repro.profiling.hot_blocks import (
 from repro.profiling.hot_objects import Table3Row, table3_row
 from repro.profiling.instrument import DiscoveryResult, discover
 from repro.profiling.miss_profile import l1_miss_profile
+from repro.runtime.cache import app_cache_key
 
 
 class ReliabilityManager:
@@ -234,8 +236,13 @@ class ReliabilityManager:
         ``request=`` — the unified surface shared with
         :class:`~repro.runtime.session.Session` and
         :func:`~repro.search.engine.optimize` — in which case the
-        request supplies every field above (its ``app`` must name
-        this manager's application).
+        request supplies every field above.  Its ``app`` must name
+        this manager's application and, for a registered application,
+        ``scale``/``app_seed`` must build this very instance; any
+        other request raises :class:`~repro.errors.SpecError`.  A
+        manager on custom sizes (``create_app(name, nx=...)``) is
+        reached by no ``(scale, app_seed)``, so it takes the keyword
+        surface; a user application subclass is checked by name only.
         """
         return self._request_campaign(
             request, metrics, progress, scheme=scheme, protect=protect,
@@ -292,20 +299,28 @@ class ReliabilityManager:
         progress=None, **fields,
     ) -> Campaign:
         """The one campaign builder: ``request``, or without one the
-        keyword ``fields`` of :meth:`evaluate` (``jobs=None`` is the
-        manager's own), as a campaign.  Explicitly passed sinks win
+        keyword ``fields`` of :meth:`evaluate` (``jobs`` defaults to
+        the manager's own), as a campaign.  Explicitly passed sinks win
         over the request's own, and its ``chunk_runs`` is the stop
         rule's ``check_every``, the boundaries a
         :class:`~repro.runtime.session.Session` decides at."""
         if request is None:
-            jobs = fields.pop("jobs")
+            jobs = fields.pop("jobs", None)
             request = EvaluationRequest(
                 app=self.app.name, **fields,
                 jobs=self.jobs if jobs is None else jobs)
-        if request.app != self.app.name:
+        elif request.app != self.app.name:
             raise SpecError(
                 f"request is for {request.app!r}, this manager "
                 f"drives {self.app.name!r}"
+            )
+        elif request.app in ALL_APPLICATIONS and app_cache_key(create_app(
+                request.app, scale=request.scale,
+                seed=request.app_seed)) != app_cache_key(self.app):
+            raise SpecError(
+                f"request is for {request.app!r} at scale "
+                f"{request.scale!r}, app seed {request.app_seed}; this "
+                f"manager drives a different {self.app.name!r} instance"
             )
         # Typed (or explicit per-object) protection fully determines
         # scheme and objects; ``scheme`` is then unused.

@@ -6,7 +6,7 @@ configurations that duplicate some objects (detection) and triplicate
 others (correction).  It is the canonical identity of a protection
 configuration: the same type the design-space explorer's
 ``DesignPoint`` wraps, what ``Campaign(protection=...)`` accepts, and
-what ``SweepSpec`` grids may carry in place of the ``protect``
+what an ``EvaluationRequest`` may carry in place of the ``protect``
 string/int shorthand (which remains valid everywhere as parse sugar).
 
 Identity is canonical-JSON: :meth:`ProtectionSpec.to_dict` sorts the

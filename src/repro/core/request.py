@@ -6,9 +6,11 @@ application, what protection (string shorthand or a typed
 seeds, adaptive stopping, execution knobs and observability sinks —
 and every entry point accepts it:
 :meth:`repro.core.manager.ReliabilityManager.evaluate`,
-:class:`repro.runtime.session.Session` (via
-:meth:`~repro.runtime.session.SweepSpec.from_request`), and
-:func:`repro.search.engine.optimize`.
+:class:`repro.runtime.session.Session` (a session is an ordered tuple
+of requests, one per cell; one request is a one-cell session), and
+:func:`repro.search.engine.optimize`.  It is the only type that
+declares an evaluation's identity, and it validates every field it
+can check without building the application.
 
 The request separates *identity* (what is measured — part of
 :meth:`to_dict`/:meth:`digest`, shared with checkpoint manifests)
@@ -23,7 +25,8 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.protection import ProtectionSpec
-from repro.errors import SpecError
+from repro.core.schemes import SCHEME_NAMES
+from repro.errors import SpecError, UnknownSchemeError
 from repro.utils.canonical import canonical_digest
 
 
@@ -57,11 +60,33 @@ class EvaluationRequest:
     progress: Any = field(default=None, compare=False)
 
     def __post_init__(self):
-        """Validate the cheap structural invariants."""
+        """Validate every field that needs no application.  ``app``
+        may name a user :class:`~repro.kernels.base.GpuApplication`
+        subclass, so it is checked against the registry only where a
+        name becomes an application (:class:`~repro.runtime.session.
+        Session`, :func:`~repro.kernels.registry.create_app`); an
+        object count's range is checked when it resolves."""
         if not self.app:
             raise SpecError("request app must be set")
+        if self.scheme not in SCHEME_NAMES:
+            raise UnknownSchemeError(self.scheme, SCHEME_NAMES)
+        protect = self.protect
+        if isinstance(protect, str) and "=" in protect:
+            ProtectionSpec.parse(protect)  # raises when malformed
+        elif isinstance(protect, bool) or not (
+                isinstance(protect, (int, ProtectionSpec))
+                or protect in ("none", "hot", "all")):
+            raise SpecError(
+                f"protection level {protect!r} must be none, hot, all, "
+                "an object count or 'object=scheme,...'"
+            )
+        if self.scale not in ("default", "small"):
+            raise SpecError(f"unknown scale {self.scale!r} "
+                            "(default|small)")
         if self.runs <= 0:
             raise SpecError("request runs must be positive")
+        if self.chunk_runs is not None and self.chunk_runs <= 0:
+            raise SpecError("request chunk_runs must be positive")
         if self.jobs < 1:
             raise SpecError("request jobs must be >= 1")
         if self.batch < 1:
@@ -123,11 +148,3 @@ class EvaluationRequest:
     def digest(self) -> str:
         """SHA-256 content address of the identity document."""
         return canonical_digest(self.to_dict())
-
-    def session_config(self):
-        """The :class:`~repro.runtime.session.SessionConfig` carrying
-        this request's execution knobs (imported lazily to keep the
-        core layer free of runtime dependencies)."""
-        from repro.runtime.session import SessionConfig
-
-        return SessionConfig(jobs=self.jobs, batch=self.batch)

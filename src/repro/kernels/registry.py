@@ -47,6 +47,10 @@ EXTENDED_APPLICATIONS: dict[str, Callable[..., GpuApplication]] = {
     "P-ATAX": Atax,
 }
 
+#: Every registered application, by name.
+ALL_APPLICATIONS: dict[str, Callable[..., GpuApplication]] = {
+    **APPLICATIONS, **FLAT_APPLICATIONS, **EXTENDED_APPLICATIONS}
+
 _SMALL_OVERRIDES: dict[str, dict] = {
     "C-NN": {"batch": 8},
     "P-BICG": {"nx": 96, "ny": 96},
@@ -62,6 +66,17 @@ _SMALL_OVERRIDES: dict[str, dict] = {
 }
 
 
+def app_factory(name: str) -> Callable[..., GpuApplication]:
+    """The registered constructor of ``name``; raises
+    :class:`~repro.errors.UnknownAppError` for any other name."""
+    factory = ALL_APPLICATIONS.get(name)
+    if factory is None:
+        known = (sorted(APPLICATIONS) + sorted(FLAT_APPLICATIONS)
+                 + sorted(EXTENDED_APPLICATIONS))
+        raise UnknownAppError(name, known)
+    return factory
+
+
 def create_app(
     name: str, scale: str = "default", seed: int = 1234, **kwargs
 ) -> GpuApplication:
@@ -71,15 +86,7 @@ def create_app(
     ``"small"`` (fast sizes for tests and smoke runs).  Explicit
     ``kwargs`` override either.
     """
-    factory = (
-        APPLICATIONS.get(name)
-        or FLAT_APPLICATIONS.get(name)
-        or EXTENDED_APPLICATIONS.get(name)
-    )
-    if factory is None:
-        known = (sorted(APPLICATIONS) + sorted(FLAT_APPLICATIONS)
-                 + sorted(EXTENDED_APPLICATIONS))
-        raise UnknownAppError(name, known)
+    factory = app_factory(name)
     if scale == "default":
         params: dict = {}
     elif scale == "small":

@@ -10,9 +10,11 @@
   memory, golden outputs and memory traces keyed by application
   identity, so sweeps and worker processes never recompute them per
   campaign object.
-* :mod:`repro.runtime.session` — declarative, resumable sweep
-  sessions: a :class:`~repro.runtime.session.SweepSpec` grid run
-  through the driver as checkpointed chunk-level work units.
+* :mod:`repro.runtime.session` — resumable sweep sessions: an
+  ordered tuple of :class:`~repro.core.request.EvaluationRequest` s
+  (one per cell; a :class:`~repro.runtime.session.SweepSpec` is their
+  cross product over one base request) run through the driver as
+  checkpointed chunk-level work units.
 * :mod:`repro.runtime.checkpoint` — the content-addressed on-disk
   chunk and report store the sessions persist into.
 """
@@ -27,7 +29,6 @@ from repro.runtime.cache import (
 from repro.runtime.checkpoint import STORE_VERSION, CheckpointStore
 from repro.runtime.executor import CampaignExecutor, CampaignSpec, plan_chunks
 from repro.runtime.session import (
-    CellSpec,
     Session,
     SessionConfig,
     SweepEntry,
@@ -41,7 +42,6 @@ __all__ = [
     "AppContext",
     "CampaignExecutor",
     "CampaignSpec",
-    "CellSpec",
     "CheckpointStore",
     "STORE_VERSION",
     "Session",

@@ -22,9 +22,10 @@ drive them, and nothing else does:
 * ``_Committer`` — the in-order per-cell committer.  Finished units
   fold into their cell's contiguous run-index prefix only, so tallies
   and decisions depend on the unit plan, never on completion order.
-  With an :class:`~repro.faults.adaptive.AdaptiveConfig` it evaluates
-  the stopping rule at every unit boundary; the first satisfied
-  boundary stops the cell and its later units become skippable.
+  For a cell whose campaign carries an
+  :class:`~repro.faults.adaptive.AdaptiveConfig` it evaluates that
+  stopping rule at every unit boundary; the first satisfied boundary
+  stops the cell and its later units become skippable.
 
 Every run derives solely from ``(campaign seed, run index)``, so the
 committed results, records and decision trails are byte-identical at
@@ -271,14 +272,10 @@ class SessionConfig:
     #: Stop (checkpointed, resumable) after this many newly executed
     #: chunks — for schedulers with wall-clock budgets and for tests.
     stop_after_chunks: int | None = None
-    #: Runs planned and classified per vectorized campaign batch
-    #: (results are identical to ``batch=1`` — an execution knob,
-    #: never sweep identity).
-    batch: int = 1
 
     def validate(self) -> None:
         """Reject out-of-range knobs with :class:`SpecError`."""
-        for name, floor in (("jobs", 1), ("batch", 1),
+        for name, floor in (("jobs", 1),
                             ("max_retries", 0), ("retry_backoff_s", 0),
                             ("stop_after_chunks", 1)):
             value = getattr(self, name)
@@ -301,24 +298,28 @@ class WorkUnit:
 _UNIT_TIMERS = {WorkUnit: "session.chunk_ms", SimUnit: "session.sim_ms"}
 
 
-def _unit_batch(batch: int, adaptive: "AdaptiveConfig | None") -> int:
-    """The batch size adaptive units run at (execution knob only).
+def _at_unit_batch(campaign: "Campaign") -> "Campaign":
+    """The campaign as its units run (batch is an execution knob only).
 
     An adaptive campaign without a batch of its own sweeps each commit
     chunk through the batch engine, so analytic classification and
-    equivalence pruning carry the early-stopped campaign.
+    equivalence pruning carry the early-stopped campaign; a copy
+    carries that batch, and the caller's keeps its own.
     """
-    if adaptive is not None and batch <= 1:
-        return adaptive.check_every
-    return batch
+    if campaign.adaptive is None or campaign.batch > 1:
+        return campaign
+    campaign = copy.copy(campaign)
+    campaign.batch = campaign.adaptive.check_every
+    return campaign
 
 
 class _Committer:
     """In-order per-cell commit; the one place the stop rule runs."""
 
     def __init__(self, units: Sequence[WorkUnit],
-                 adaptive: "AdaptiveConfig | None" = None):
-        self.adaptive = adaptive
+                 rules: Sequence["AdaptiveConfig | None"]):
+        #: cell -> its stopping rule (``None``: exhaustive).
+        self.rules = rules
         self._plan: dict[int, list[WorkUnit]] = {}
         for unit in sorted(units, key=lambda u: (u.cell_index, u.start)):
             self._plan.setdefault(unit.cell_index, []).append(unit)
@@ -354,13 +355,13 @@ class _Committer:
             tally = self.tallies[cell]
             tally[0] += parts[-1].n_runs
             tally[1] += parts[-1].sdc_count
-            if self.adaptive is not None:
+            if self.rules[cell] is not None:
                 self._decide(cell, head)
         return True
 
     def _decide(self, cell: int, head: WorkUnit) -> None:
         runs, sdc = self.tallies[cell]
-        rule = self.adaptive
+        rule = self.rules[cell]
         stop, interval = should_stop(sdc, runs, rule.target_margin,
                                      rule.level)
         stop = stop and runs >= rule.min_runs
@@ -381,7 +382,8 @@ class _Committer:
         """Wilson CI margin over the cell's committed prefix, at the
         stop rule's confidence level."""
         runs, sdc = self.tallies[cell]
-        level = 0.95 if self.adaptive is None else self.adaptive.level
+        rule = self.rules[cell]
+        level = 0.95 if rule is None else rule.level
         return confidence_interval(sdc, runs, level).margin if runs \
             else None
 
@@ -613,10 +615,10 @@ class _Drive:
     With a ``store`` it first loads finished chunks and reports of
     ``campaigns``/``sims`` and persists each new one; ``_run_units``
     executes the rest; the :class:`_Committer` folds chunks in
-    run-index order under ``rule``.  ``emit`` narrates to a session
-    log; ``progress`` gets one event per folded chunk, of phase
-    ``sweep`` when ``labels`` name the cells, else ``adaptive`` or
-    ``campaign``.  Execution ends early once
+    run-index order under each campaign's own ``adaptive`` rule.
+    ``emit`` narrates to a session log; ``progress`` gets one event
+    per folded chunk, of phase ``sweep`` when ``labels`` name the
+    cells, else ``adaptive`` or ``campaign``.  Execution ends early once
     ``config.stop_after_chunks`` chunks have executed.
     """
 
@@ -624,7 +626,6 @@ class _Drive:
     units: Sequence[WorkUnit]
     config: SessionConfig
     metrics: "MetricsRegistry"
-    rule: "AdaptiveConfig | None" = None
     sims: Sequence[SimUnit] = ()
     store: "CheckpointStore | None" = None
     labels: Sequence[str] | None = None
@@ -634,7 +635,9 @@ class _Drive:
     entry: Callable = _run_span_spec
 
     def __post_init__(self):
-        self.committer = _Committer(self.units, self.rule)
+        self.campaigns = [_at_unit_batch(c) for c in self.campaigns]
+        self.committer = _Committer(
+            self.units, [c.adaptive for c in self.campaigns])
         #: Checkpoint key of each campaign.
         self.digests = [c.identity_digest() for c in self.campaigns]
         #: Timing reports by :attr:`SimUnit.digest`.
@@ -672,8 +675,8 @@ class _Drive:
                 del sims[digest]
         budget = self.config.stop_after_chunks
         total_runs = sum(u.stop - u.start for u in self.units)
-        phase = "sweep" if self.labels else \
-            "campaign" if self.rule is None else "adaptive"
+        phase = "sweep" if self.labels else "adaptive" if any(
+            c.adaptive is not None for c in self.campaigns) else "campaign"
 
         def on_done(unit: WorkUnit | SimUnit,
                     result: "CampaignResult | SimReport",
@@ -784,15 +787,14 @@ def _run_campaigns(
     jobs: int,
     *,
     metrics: "MetricsRegistry",
-    rule: "AdaptiveConfig | None" = None,
     progress: Callable[[ProgressEvent], None] | None = None,
     sims: Sequence[SimUnit] = (),
 ) -> tuple[list["CampaignResult"], _Drive]:
     """Run whole campaigns, and ``sims`` beside them, in one drive.
 
-    Without a stop rule each campaign plans ``plan_chunks(runs, jobs,
-    align=batch)`` — one ``(0, runs)`` span when it runs
-    serially without a progress sink; under ``rule`` it commits in
+    An exhaustive campaign plans ``plan_chunks(runs, jobs,
+    align=batch)`` — one ``(0, runs)`` span when it runs serially
+    without a progress sink; one with an ``adaptive`` rule commits in
     ``check_every`` spans at the rule's unit batch.  Each campaign then
     publishes one metric set into its registry: its chunk snapshots,
     ``executor.*`` and ``runtime.app_cache.*``; under a rule its
@@ -801,24 +803,19 @@ def _run_campaigns(
     ``session.*`` counters.
     """
     wall_begin = time.perf_counter()
-    jobs = min(jobs, max(c.config.runs for c in campaigns))
-    shipped, units = [], []
+    jobs = min(jobs, max((c.config.runs for c in campaigns), default=jobs))
+    units = []
     for cell, campaign in enumerate(campaigns):
-        runs = campaign.config.runs
+        runs, rule = campaign.config.runs, campaign.adaptive
         if rule is not None:
-            # A copy carries the unit batch; the caller's keeps its own.
-            campaign = copy.copy(campaign)
-            campaign.batch = _unit_batch(campaign.batch, rule)
             spans = plan_chunks(runs, 1, rule.check_every)
         elif jobs > 1 or progress is not None:
             spans = plan_chunks(runs, jobs, align=campaign.batch)
         else:
             spans = [(0, runs)]
-        shipped.append(campaign)
         units += [WorkUnit(cell, start, stop) for start, stop in spans]
-    drive = _Drive(shipped, units, SessionConfig(jobs=jobs),
-                   metrics=metrics, rule=rule, sims=sims,
-                   progress=progress).run()
+    drive = _Drive(campaigns, units, SessionConfig(jobs=jobs),
+                   metrics=metrics, sims=sims, progress=progress).run()
     wall_ms = (time.perf_counter() - wall_begin) * 1e3
     results = []
     for cell, campaign in enumerate(campaigns):
@@ -839,9 +836,10 @@ def _run_campaigns(
             )
         for name, value in cache_info().items():
             registry.counter(f"runtime.app_cache.{name}").set(value)
-        if rule is not None:
+        if campaign.adaptive is not None:
             campaign.adaptive_result = AdaptiveResult(
-                result=result, config=rule, budget=campaign.config.runs,
+                result=result, config=campaign.adaptive,
+                budget=campaign.config.runs,
                 converged=cell in drive.committer.stopped,
                 decisions=drive.committer.decisions[cell],
             )
@@ -879,7 +877,7 @@ class CampaignExecutor:
         campaign = self.campaign
         [result], drive = _run_campaigns(
             [campaign], self.jobs, metrics=campaign.metrics,
-            rule=campaign.adaptive, progress=campaign.progress)
+            progress=campaign.progress)
         self.used_jobs = drive.used_jobs
         self.fallback_reason = drive.fallback_reason
         return result

@@ -6,10 +6,10 @@ each proposed protection configuration on three objectives:
 
 * **SDC rate** — a fault-injection campaign per configuration, driven
   through the existing :class:`~repro.runtime.session.Session` sweep
-  backend (one ``("spec",)`` grid per round), so evaluations inherit
-  the campaign machinery's guarantees wholesale: chunk-level
-  checkpoints, byte-identical results at any ``jobs``/``batch``, and
-  resumability;
+  backend (one request per configuration, one session per round), so
+  evaluations inherit the campaign machinery's guarantees wholesale:
+  chunk-level checkpoints, byte-identical results at any
+  ``jobs``/``batch``, and resumability;
 * **performance overhead** — one timing simulation per configuration
   (slowdown minus one versus the unprotected baseline), run as a
   :class:`~repro.runtime.executor.SimUnit` of the same round's
@@ -32,6 +32,7 @@ uninterrupted run.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -52,7 +53,7 @@ from repro.runtime.checkpoint import (
     read_json,
 )
 from repro.runtime.executor import SimUnit, context_manager
-from repro.runtime.session import Session, SessionConfig, SweepSpec
+from repro.runtime.session import Session, SessionConfig
 from repro.search.pareto import Evaluation, budget_best, pareto_front
 from repro.search.space import DesignPoint, DesignSpace
 from repro.search.strategies import make_strategy
@@ -133,20 +134,19 @@ def _candidate_objects(manager: ReliabilityManager, objects):
 
 
 def _vulnerability_ranking(
-    manager: ReliabilityManager, candidates, runs, n_blocks, n_bits,
-    selection, seed, jobs, batch,
+    manager: ReliabilityManager, candidates, request: EvaluationRequest,
 ) -> tuple[str, ...]:
     """Candidate objects ranked by baseline SDC attribution.
 
     One baseline campaign with provenance collection, run in the
-    parent at the search's ``jobs``/``batch``, seeds the
-    greedy/evolutionary strategies (the paper's protect-what-matters
-    argument).  Campaign results are a pure function of
-    ``(seed, run_index)``, so the ranking — like the search trail
-    built on it — is identical at any ``jobs``/``batch``; a durable
-    search stores it and a resume loads it instead of re-running the
-    campaign.  Objects without SDC attributions keep their importance
-    order at the tail.
+    parent on the search ``request``'s fault grid at its
+    ``jobs``/``batch``, seeds the greedy/evolutionary strategies (the
+    paper's protect-what-matters argument).  Campaign results are a
+    pure function of ``(seed, run_index)``, so the ranking — like the
+    search trail built on it — is identical at any ``jobs``/``batch``;
+    a durable search stores it and a resume loads it instead of
+    re-running the campaign.  Objects without SDC attributions keep
+    their importance order at the tail.
     """
     from repro.obs.provenance import (
         top_sdc_objects,
@@ -154,9 +154,10 @@ def _vulnerability_ranking(
     )
 
     result = manager.evaluate(
-        scheme="baseline", protect="none", runs=runs,
-        n_blocks=n_blocks, n_bits=n_bits, selection=selection,
-        seed=seed, collect_provenance=True, jobs=jobs, batch=batch,
+        scheme="baseline", protect="none", runs=request.runs,
+        n_blocks=request.n_blocks, n_bits=request.n_bits,
+        selection=request.selection, seed=request.seed,
+        collect_provenance=True, jobs=request.jobs, batch=request.batch,
     )
     profiles = vulnerability_profiles(result.provenance)
     attributed = [
@@ -282,25 +283,30 @@ def optimize(
     request's ``target_margin`` or ``secded`` raises
     :class:`~repro.errors.SpecError` instead of being dropped.
     """
-    if request is not None:
+    if request is None:
+        if app is None:
+            raise SpecError("optimize needs an application name")
+        request = EvaluationRequest(
+            app=app, runs=runs, n_blocks=n_blocks, n_bits=n_bits,
+            selection=selection, seed=seed, scale=scale,
+            app_seed=app_seed, chunk_runs=chunk_runs, jobs=jobs,
+            batch=batch)
+    else:
         for name in ("target_margin", "secded"):
             if getattr(request, name):
                 raise SpecError(
                     f"optimize does not support request {name}")
         app = app or request.app
-        runs = request.runs
-        n_blocks, n_bits = request.n_blocks, request.n_bits
-        selection, seed = request.selection, request.seed
-        scale, app_seed = request.scale, request.app_seed
-        chunk_runs = request.chunk_runs
-        jobs, batch = request.jobs, request.batch
         if progress is None:
             progress = request.progress
-        if metrics is None and request.metrics is not None:
+        if metrics is None:
             metrics = request.metrics
-    if app is None:
-        raise SpecError("optimize needs an application name")
-    manager = context_manager(app, scale, app_seed)
+    # Every configuration is one cell of the round's session: the
+    # request's fault grid, full records, its own protection.
+    request = dataclasses.replace(
+        request, app=app, keep_runs=False, collect_records=True,
+        collect_provenance=False, metrics=None, progress=None)
+    manager = context_manager(app, request.scale, request.app_seed)
     candidates = _candidate_objects(manager, objects)
     space = DesignSpace(app=app, objects=candidates)
     metrics = metrics if metrics is not None else MetricsRegistry()
@@ -312,10 +318,11 @@ def optimize(
         "population": population,
         "generations": generations,
         "sweep": {
-            "runs": runs, "n_blocks": n_blocks, "n_bits": n_bits,
-            "seed": seed, "selection": selection, "scale": scale,
-            "app_seed": app_seed,
-            "chunk_runs": chunk_runs,
+            "runs": request.runs, "n_blocks": request.n_blocks,
+            "n_bits": request.n_bits, "seed": request.seed,
+            "selection": request.selection, "scale": request.scale,
+            "app_seed": request.app_seed,
+            "chunk_runs": request.chunk_runs,
         },
     }
     if max_evals is not None:
@@ -327,17 +334,16 @@ def optimize(
     if strategy in ("greedy", "evolutionary"):
         ranking_key = canonical_digest({
             "ranking": {
-                "app": app, "scale": scale, "app_seed": app_seed,
-                "candidates": list(candidates), "runs": runs,
-                "n_blocks": n_blocks, "n_bits": n_bits,
-                "selection": selection, "seed": seed,
+                "app": app, "scale": request.scale,
+                "app_seed": request.app_seed,
+                "candidates": list(candidates), "runs": request.runs,
+                "n_blocks": request.n_blocks, "n_bits": request.n_bits,
+                "selection": request.selection, "seed": request.seed,
             },
         })
         ranking = search_store.ranking(
             ranking_key, lambda: _vulnerability_ranking(
-                manager, candidates, runs, n_blocks, n_bits, selection,
-                seed, jobs, batch,
-            ))
+                manager, candidates, request))
         log.info(f"search: vulnerability ranking {ranking}")
     strategy_obj = make_strategy(
         strategy, space, seed=search_seed, population=population,
@@ -400,12 +406,21 @@ def optimize(
                 # overhead is measured against (the session runs a
                 # repeated unit once).
                 extra = [baseline_sim] if baseline_report is None else []
-                sweep = _run_round(
-                    app, new_points, [*extra, *sims.values()],
-                    search_store, round_index, runs, n_blocks, n_bits,
-                    seed, selection, scale, app_seed, chunk_runs, jobs,
-                    batch, chunk_budget, metrics, progress,
-                )
+                round_dir = search_store.round_dir(round_index)
+                session = Session(
+                    [dataclasses.replace(request, protect=p.spec)
+                     for p in new_points],
+                    store=round_dir, sims=[*extra, *sims.values()],
+                    config=SessionConfig(
+                        jobs=request.jobs,
+                        stop_after_chunks=chunk_budget),
+                    metrics=metrics, progress=progress)
+                # Round directories are always safe to resume: the
+                # manifest digest pins the round's exact cell set,
+                # chunk and report payloads are content-verified on
+                # load, and reports are keyed by the digest of every
+                # simulation input.
+                sweep = session.run(resume=round_dir is not None)
                 if baseline_report is None:
                     baseline_report = sweep.reports[baseline_sim.digest]
                 if chunk_budget is not None:
@@ -483,35 +498,3 @@ def optimize(
         },
     )
 
-
-def _run_round(
-    app, new_points, sims, search_store, round_index, runs, n_blocks,
-    n_bits, seed, selection, scale, app_seed, chunk_runs, jobs,
-    batch, chunk_budget, metrics, progress,
-):
-    """Evaluate one round's new configurations as a ``spec`` sweep,
-    with the round's timing simulations beside its chunks."""
-    spec = SweepSpec(
-        apps=(app,),
-        schemes=("spec",),
-        protects=tuple(p.spec for p in new_points),
-        runs=runs,
-        n_blocks=n_blocks,
-        n_bits=n_bits,
-        seed=seed,
-        selection=selection,
-        scale=scale,
-        app_seed=app_seed,
-        chunk_runs=chunk_runs,
-    )
-    round_dir = search_store.round_dir(round_index)
-    config = SessionConfig(
-        jobs=jobs, batch=batch, stop_after_chunks=chunk_budget,
-    )
-    session = Session(spec, store=round_dir, config=config,
-                      metrics=metrics, progress=progress, sims=sims)
-    # Round directories are always safe to resume: the manifest
-    # digest pins the round's exact cell set, chunk and report
-    # payloads are content-verified on load, and reports are keyed by
-    # the digest of every simulation input.
-    return session.run(resume=round_dir is not None)

@@ -56,6 +56,63 @@ class TestCampaignCommand:
         assert code == 0
 
 
+class TestTypedProtect:
+    """``--protect``/``--protects`` take ``obj=scheme,...`` strings."""
+
+    TYPED = "p=detection,r=correction"
+
+    def test_campaign_equals_evaluate(self, tmp_path,
+                                      small_bicg_manager):
+        from repro.core.protection import ProtectionSpec
+        from repro.obs.records import TelemetryWriter
+
+        cli_path = tmp_path / "cli.jsonl"
+        assert main(["-q", "campaign", "P-BICG", "--scale", "small",
+                     "--protect", self.TYPED,
+                     "--telemetry", str(cli_path)]) == 0
+        result = small_bicg_manager.evaluate(
+            protect=ProtectionSpec.parse(self.TYPED), runs=200,
+            collect_records=True)
+        api_path = tmp_path / "api.jsonl"
+        with TelemetryWriter(str(api_path)) as writer:
+            writer.write_result(result)
+        assert cli_path.read_bytes() == api_path.read_bytes()
+
+    def test_sweep_equals_campaign(self, tmp_path):
+        args = ["--scale", "small", "--runs", "48"]
+        assert main(["-q", "campaign", "P-BICG", *args, "--protect",
+                     self.TYPED, "--telemetry",
+                     str(tmp_path / "a.jsonl")]) == 0
+        assert main(["-q", "sweep", "P-BICG", *args, "--schemes",
+                     "correction", "--protects", self.TYPED,
+                     "--telemetry", str(tmp_path / "b.jsonl")]) == 0
+        assert (tmp_path / "a.jsonl").read_bytes() \
+            == (tmp_path / "b.jsonl").read_bytes()
+
+    def test_typed_protect_skips_the_scheme_axis(self, tmp_path):
+        # The default --schemes is "baseline correction"; a typed
+        # protection names its own schemes, so it is one cell.
+        args = ["--scale", "small", "--runs", "48"]
+        assert main(["-q", "campaign", "P-BICG", *args, "--protect",
+                     self.TYPED, "--telemetry",
+                     str(tmp_path / "a.jsonl")]) == 0
+        assert main(["-q", "sweep", "P-BICG", *args, "--protects",
+                     self.TYPED, "--telemetry",
+                     str(tmp_path / "b.jsonl")]) == 0
+        assert (tmp_path / "a.jsonl").read_bytes() \
+            == (tmp_path / "b.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("command,flag", [
+        ("campaign", "--protect"), ("sweep", "--protects"),
+        ("perf", "--protect")])
+    def test_malformed_typed_protect_exits_4(self, command, flag,
+                                             capsys):
+        assert main([command, "P-BICG", "--scale", "small",
+                     "--runs" if command != "perf" else "--app-seed",
+                     "4", flag, "p=detection,r"]) == 4
+        assert "protection assignment" in capsys.readouterr().err
+
+
 class TestPerfCommand:
     def test_perf_prints_normalized_row(self, capsys):
         code = main([
@@ -172,7 +229,7 @@ class TestSweepCommand:
         assert code == 0
         assert "sdc-rate" in capsys.readouterr().out
         doc = json.loads(out.read_text(encoding="utf-8"))
-        assert doc["spec"]["runs"] == 4
+        assert doc["spec"]["cells"][0]["runs"] == 4
         assert len(doc["cells"]) == 1
         assert telemetry.read_text().count("\n") == 4
         from repro.obs.session import read_session_events

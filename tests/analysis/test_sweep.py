@@ -10,14 +10,14 @@ from repro.analysis.sweep import (
 )
 from repro.faults.campaign import CampaignConfig, CampaignResult
 from repro.faults.outcomes import Outcome
-from repro.runtime.session import CellSpec, SweepEntry, SweepResult, SweepSpec
+from repro.core.request import EvaluationRequest
+from repro.runtime.session import SweepEntry, SweepResult
 
 
 def make_cell(app="A-Laplacian", scheme="baseline", protect="hot",
-              runs=10) -> CellSpec:
-    return CellSpec(app=app, scheme=scheme, protect=protect,
-                    selection="uniform", runs=runs, n_blocks=1,
-                    n_bits=2, seed=1)
+              runs=10) -> EvaluationRequest:
+    return EvaluationRequest(app=app, scheme=scheme, protect=protect,
+                             selection="uniform", runs=runs, seed=1)
 
 
 def make_result(app, scheme, counts) -> CampaignResult:
@@ -31,8 +31,7 @@ def make_result(app, scheme, counts) -> CampaignResult:
 
 
 def make_sweep(*cells) -> SweepResult:
-    spec = SweepSpec(apps=("A-Laplacian",), runs=10)
-    sweep = SweepResult(spec=spec)
+    sweep = SweepResult(spec={"cells": []})
     for cell, counts in cells:
         sweep.entries.append(SweepEntry(
             cell=cell, digest="0" * 64,

@@ -1,14 +1,23 @@
 """Tests for the unified evaluation request surface."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.manager import ReliabilityManager
 from repro.core.protection import ProtectionSpec
 from repro.core.request import EvaluationRequest
-from repro.errors import SpecError
+from repro.errors import SpecError, UnknownAppError, UnknownSchemeError
+from repro.kernels.bicg import Bicg
 from repro.kernels.registry import create_app
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.session import Session, SweepSpec
+
+
+class _UserBicg(Bicg):
+    """A user application: a subclass no registry names."""
+
+    name = "X-UserBicg"
 
 
 def manager(app="A-Laplacian"):
@@ -31,6 +40,30 @@ class TestValidation:
     def test_target_margin_range(self):
         with pytest.raises(SpecError, match="target_margin"):
             EvaluationRequest(app="P-BICG", target_margin=1.5)
+
+    def test_unknown_scheme(self):
+        with pytest.raises(UnknownSchemeError):
+            EvaluationRequest(app="P-BICG", scheme="tmr")
+
+    def test_unregistered_app_checked_where_it_is_built(self):
+        # A user application subclass is no registry name, so the
+        # request accepts it; a session builds apps by name and fails.
+        request = EvaluationRequest(app="NOT-AN-APP")
+        with pytest.raises(UnknownAppError):
+            Session(request)
+
+    @pytest.mark.parametrize("protect", [True, "warm", 1.5, "p="])
+    def test_bad_protect_rejected(self, protect):
+        with pytest.raises(SpecError, match="protect"):
+            EvaluationRequest(app="P-BICG", protect=protect)
+
+    def test_unknown_scale(self):
+        with pytest.raises(SpecError, match="scale"):
+            EvaluationRequest(app="P-BICG", scale="huge")
+
+    def test_chunk_runs_positive(self):
+        with pytest.raises(SpecError, match="chunk_runs"):
+            EvaluationRequest(app="P-BICG", chunk_runs=0)
 
 
 class TestIdentity:
@@ -71,7 +104,7 @@ class TestManagerSurface:
         m = manager()
         request = EvaluationRequest(app="A-Laplacian",
                                     scheme="correction", protect="hot",
-                                    runs=8, seed=5)
+                                    runs=8, seed=5, scale="small")
         via_request = m.evaluate(request=request)
         via_kwargs = m.evaluate(scheme="correction", protect="hot",
                                 runs=8, seed=5)
@@ -81,7 +114,7 @@ class TestManagerSurface:
         m = manager()
         hot = m.app.object_importance[0]
         request = EvaluationRequest(
-            app="A-Laplacian", runs=8, seed=5,
+            app="A-Laplacian", runs=8, seed=5, scale="small",
             protect=ProtectionSpec.parse(f"{hot}=correction"))
         result = m.evaluate(request=request)
         assert result.n_runs == 8
@@ -91,8 +124,42 @@ class TestManagerSurface:
         with pytest.raises(SpecError, match="P-BICG"):
             manager("A-Laplacian").evaluate(request=request)
 
+    @pytest.mark.parametrize("instance", [
+        dict(scale="default"), dict(scale="small", app_seed=77)])
+    def test_other_app_instance_rejected(self, instance):
+        # A small-scale, seed-1234 manager drives one instance only;
+        # a request for another would run on the wrong inputs.
+        request = EvaluationRequest(app="A-Laplacian", runs=4,
+                                    **instance)
+        with pytest.raises(SpecError, match="different"):
+            manager().evaluate(request=request)
+        with pytest.raises(SpecError, match="different"):
+            manager().evaluate_adaptive(
+                request=EvaluationRequest(app="A-Laplacian", runs=4,
+                                          target_margin=0.1, **instance))
+
+    def test_user_application_evaluates(self):
+        m = ReliabilityManager(_UserBicg(nx=96, ny=96))
+        via_kwargs = m.evaluate(runs=4)
+        via_request = m.evaluate(
+            request=EvaluationRequest(app="X-UserBicg", runs=4))
+        assert via_kwargs.n_runs == 4
+        assert via_request.to_dict() == via_kwargs.to_dict()
+
+    def test_custom_sizes_take_the_keyword_surface(self):
+        # No (scale, app_seed) builds this instance, so no request
+        # names it; the keyword surface still drives it.
+        m = ReliabilityManager(
+            create_app("A-Laplacian", height=40, width=40))
+        assert m.evaluate(runs=4).n_runs == 4
+        for scale in ("default", "small"):
+            with pytest.raises(SpecError, match="different"):
+                m.evaluate(request=EvaluationRequest(
+                    app="A-Laplacian", runs=4, scale=scale))
+
     def test_adaptive_request_needs_a_margin(self):
-        request = EvaluationRequest(app="A-Laplacian", runs=4)
+        request = EvaluationRequest(app="A-Laplacian", runs=4,
+                                    scale="small")
         with pytest.raises(SpecError, match="target_margin"):
             manager().evaluate_adaptive(request=request)
 
@@ -102,26 +169,28 @@ class TestSessionSurface:
         request = EvaluationRequest(app="A-Laplacian",
                                     scheme="baseline", protect="none",
                                     runs=8, seed=5, scale="small",
-                                    batch=4, jobs=1)
+                                    batch=4, jobs=1, chunk_runs=8)
         session = Session(request)
-        assert session.config.batch == 4
+        assert session.requests == (request,)
         sweep = session.run()
         assert sweep.entries[0].result.n_runs == 8
+        # The cell ran at its own request's batch: two 4-lane batches.
+        histograms = sweep.entries[0].result.metrics_snapshot[
+            "histograms"]
+        assert histograms["campaign.batch_ms"]["count"] == 2
 
-    def test_from_request_equals_explicit_spec(self):
+    def test_request_equals_one_cell_grid(self):
         request = EvaluationRequest(app="A-Laplacian",
                                     scheme="baseline", protect="none",
                                     runs=8, seed=5, scale="small",
                                     collect_records=True)
-        explicit = SweepSpec(apps=("A-Laplacian",),
-                             schemes=("baseline",),
-                             protects=("none",), runs=8, seed=5,
-                             scale="small")
-        assert SweepSpec.from_request(request).digest() == \
-            explicit.digest()
+        grid = SweepSpec(dataclasses.replace(request, scheme="detection"),
+                         schemes=("baseline",), protects=("none",))
+        assert tuple(grid) == (request,)
+        assert Session(grid).digest() == Session(request).digest()
 
     def test_provenance_not_supported_by_sessions(self):
         request = EvaluationRequest(app="A-Laplacian", runs=4,
                                     collect_provenance=True)
         with pytest.raises(SpecError, match="provenance"):
-            SweepSpec.from_request(request)
+            Session(request)

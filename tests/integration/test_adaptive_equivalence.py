@@ -13,6 +13,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.manager import ReliabilityManager
+from repro.faults.outcomes import Outcome
 from repro.kernels.registry import create_app
 
 BUDGET = 1000
@@ -133,7 +134,7 @@ class TestEntryPointEquivalence:
             batch):
         from repro.core.request import EvaluationRequest
         from repro.faults.campaign import Campaign, CampaignConfig
-        from repro.runtime.session import Session, SweepSpec, run_sweep
+        from repro.runtime.session import Session, run_sweep
 
         request = EvaluationRequest(
             app=app_name, scheme=scheme, protect=protect, runs=runs,
@@ -168,8 +169,7 @@ class TestEntryPointEquivalence:
         outputs["session"] = self._bytes(
             tmp_path, "session", entry.result, entry.decisions)
 
-        entry = run_sweep(SweepSpec.from_request(request), jobs=jobs,
-                          batch=batch).entries[0]
+        entry = run_sweep(request, jobs=jobs).entries[0]
         outputs["run_sweep"] = self._bytes(
             tmp_path, "run_sweep", entry.result, entry.decisions)
 
@@ -235,3 +235,68 @@ class TestTradeoffEntryPoint:
                 writer.write_result(result)
             expected += records.read_bytes()
         assert curve.read_bytes() == expected
+
+
+class TestFigureGridEntryPoint:
+    """Each figure-grid cell is the evaluation its entry point runs,
+    and a grid at the manager's ``jobs`` shares one worker pool."""
+
+    @staticmethod
+    def count_pools(monkeypatch):
+        import repro.runtime.executor as executor_mod
+
+        pools = []
+        make_pool = executor_mod._make_pool
+
+        def counting(context, jobs):
+            pools.append(jobs)
+            return make_pool(context, jobs)
+
+        monkeypatch.setattr(executor_mod, "_make_pool", counting)
+        return pools
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_campaign_grids_are_their_campaigns(self, monkeypatch, jobs):
+        from repro.analysis.figures import fig6_grid, fig9_grid
+
+        pools = self.count_pools(monkeypatch)
+        manager = ReliabilityManager(
+            create_app("P-BICG", scale="small"), jobs=jobs)
+        fig6 = fig6_grid(manager, runs=24, seed=3)
+        assert pools == [2] * (jobs > 1)
+        fig9 = fig9_grid(manager, "correction", runs=24, seed=3)
+        assert pools == [2, 2] * (jobs > 1)
+
+        serial = manager_for("P-BICG")
+        for cell in fig6:
+            result = serial.motivation(
+                cell.space, runs=24, n_blocks=cell.n_blocks,
+                n_bits=cell.n_bits, seed=3)
+            assert (cell.sdc, cell.crash, cell.masked, cell.runs) == (
+                result.sdc_count, result.count(Outcome.CRASH),
+                result.count(Outcome.MASKED), result.n_runs)
+        for cell in fig9:
+            result = serial.evaluate(
+                scheme=cell.scheme, protect=cell.n_protected, runs=24,
+                n_blocks=cell.n_blocks, n_bits=cell.n_bits, seed=3)
+            assert (cell.sdc, cell.detected, cell.corrected, cell.crash,
+                    cell.runs) == (
+                result.sdc_count, result.count(Outcome.DETECTED),
+                result.count(Outcome.CORRECTED),
+                result.count(Outcome.CRASH), result.n_runs)
+
+    def test_fig7_rows_are_their_simulations(self):
+        from repro.analysis.figures import fig7_sweep
+
+        manager = manager_for("P-BICG")
+        baseline, rows = fig7_sweep(manager)
+        assert baseline == manager.simulate_performance("baseline", "none")
+        assert len(rows) == 2 * len(manager.app.object_importance)
+        for row in rows:
+            report = manager.simulate_performance(row.scheme,
+                                                  row.n_protected)
+            assert (row.norm_time, row.norm_missed_accesses,
+                    row.replica_transactions) == (
+                report.slowdown_vs(baseline),
+                report.missed_accesses_vs(baseline),
+                report.replica_transactions)

@@ -12,6 +12,21 @@ from repro.analysis.figures import fig3_series, fig4_series
 from repro.faults.outcomes import Outcome
 
 
+@pytest.fixture(scope="module")
+def bicg_report(bicg_manager):
+    """Default-scale P-BICG timing reports, one simulation per
+    ``(scheme, protect)`` however many tests read it."""
+    reports = {}
+
+    def report(scheme, protect):
+        if (scheme, protect) not in reports:
+            reports[scheme, protect] = bicg_manager.simulate_performance(
+                scheme, protect)
+        return reports[scheme, protect]
+
+    return report
+
+
 class TestObservation1:
     """A small number of blocks absorbs a very high number of reads."""
 
@@ -107,25 +122,25 @@ class TestHeadlineResults:
         drop = 100.0 * (bad_base - bad_corr) / bad_base
         assert drop > 90.0
 
-    def test_hot_protection_overhead_is_small(self, bicg_manager):
-        base = bicg_manager.simulate_performance("baseline", "none")
-        det = bicg_manager.simulate_performance("detection", "hot")
-        corr = bicg_manager.simulate_performance("correction", "hot")
+    def test_hot_protection_overhead_is_small(self, bicg_report):
+        base = bicg_report("baseline", "none")
+        det = bicg_report("detection", "hot")
+        corr = bicg_report("correction", "hot")
         # Paper: 1.2% / 3.4% average; individual apps jitter around 0.
         assert det.slowdown_vs(base) < 1.10
         assert corr.slowdown_vs(base) < 1.10
 
-    def test_full_protection_overhead_is_large(self, bicg_manager):
-        base = bicg_manager.simulate_performance("baseline", "none")
-        det = bicg_manager.simulate_performance("detection", "all")
-        corr = bicg_manager.simulate_performance("correction", "all")
+    def test_full_protection_overhead_is_large(self, bicg_report):
+        base = bicg_report("baseline", "none")
+        det = bicg_report("detection", "all")
+        corr = bicg_report("correction", "all")
         # Paper: 40.65% / 74.24% average across apps.
         assert det.slowdown_vs(base) > 1.15
         assert corr.slowdown_vs(base) > det.slowdown_vs(base)
 
-    def test_missed_accesses_scale_with_replication(self, bicg_manager):
-        base = bicg_manager.simulate_performance("baseline", "none")
-        det = bicg_manager.simulate_performance("detection", "all")
-        corr = bicg_manager.simulate_performance("correction", "all")
+    def test_missed_accesses_scale_with_replication(self, bicg_report):
+        base = bicg_report("baseline", "none")
+        det = bicg_report("detection", "all")
+        corr = bicg_report("correction", "all")
         assert 1.5 < det.missed_accesses_vs(base) < 2.2
         assert 2.5 < corr.missed_accesses_vs(base) < 4.0

@@ -2,7 +2,7 @@
 worker failures, and interrupt/resume cycles.
 
 The contract under test: a sweep's merged results and telemetry are a
-pure function of its :class:`SweepSpec` — the same bytes at any
+pure function of its cell requests — the same bytes at any
 ``jobs`` setting, after any number of worker crashes within the retry
 budget, and across any interrupt/resume split.
 """
@@ -14,6 +14,7 @@ import time
 import pytest
 
 import repro.runtime.session as session_mod
+from repro.core.request import EvaluationRequest
 from repro.errors import SessionInterrupted
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.session import Session, SessionConfig, SweepSpec
@@ -24,15 +25,11 @@ needs_fork = pytest.mark.skipif(
     reason="worker tests pin the fork start method",
 )
 
-SPEC = SweepSpec(
-    apps=("A-Laplacian",),
+SPEC = tuple(SweepSpec(
+    EvaluationRequest(app="A-Laplacian", runs=6, chunk_runs=3,
+                      scale="small", seed=77, collect_records=True),
     schemes=("baseline", "correction"),
-    protects=("hot",),
-    runs=6,
-    chunk_runs=3,
-    scale="small",
-    seed=77,
-)
+))
 
 
 @pytest.fixture(scope="module")

@@ -181,15 +181,12 @@ class TestAdaptiveProgress:
 class TestSweepProgress:
     def test_sweep_progress_and_session_mirror(self, tmp_path):
         from repro.obs.session import SessionLog, read_session_events
-        from repro.runtime.session import (
-            Session,
-            SessionConfig,
-            SweepSpec,
-        )
+        from repro.core.request import EvaluationRequest
+        from repro.runtime.session import Session
 
-        spec = SweepSpec(
-            apps=("A-Laplacian",), schemes=("baseline",),
-            protects=("hot",), runs=8, scale="small", chunk_runs=4)
+        spec = EvaluationRequest(
+            app="A-Laplacian", scheme="baseline", protect="hot", runs=8,
+            scale="small", chunk_runs=4, collect_records=True)
         log_path = tmp_path / "session.jsonl"
         events = SessionLog(str(log_path))
         seen = []
@@ -206,11 +203,12 @@ class TestSweepProgress:
         assert all("done=" in e["detail"] for e in mirrored)
 
     def test_sweep_results_identical_with_progress(self):
-        from repro.runtime.session import run_sweep, SweepSpec
+        from repro.core.request import EvaluationRequest
+        from repro.runtime.session import run_sweep
 
-        spec = SweepSpec(
-            apps=("A-Laplacian",), schemes=("baseline",),
-            protects=("hot",), runs=8, scale="small", chunk_runs=4)
+        spec = EvaluationRequest(
+            app="A-Laplacian", scheme="baseline", protect="hot", runs=8,
+            scale="small", chunk_runs=4, collect_records=True)
         quiet = run_sweep(spec)
         loud = run_sweep(spec, progress=lambda e: None)
         assert quiet.to_dict() == loud.to_dict()

@@ -1,13 +1,19 @@
-"""Tests for declarative sweep specs and resumable sessions (serial).
+"""Tests for request-tuple sweep sessions (serial).
 
 Pool-backed execution, crash injection and interrupt/resume
 byte-identity live in ``tests/integration/test_sweep_resume.py``;
-this file covers the spec/plan/merge machinery and the serial paths.
+this file covers the grid/plan/merge machinery and the serial paths.
+Every cell is an :class:`EvaluationRequest`, so the grid's validation
+is the request's own (plus the session's duplicate and empty checks).
 """
+
+import json
 
 import pytest
 
+from repro.core.request import EvaluationRequest
 from repro.errors import (
+    CheckpointError,
     SessionError,
     SessionInterrupted,
     SpecError,
@@ -15,6 +21,8 @@ from repro.errors import (
     UnknownSchemeError,
 )
 from repro.faults.campaign import Campaign
+from repro.runtime.checkpoint import STORE_VERSION
+from repro.runtime.executor import context_manager
 from repro.runtime.session import (
     DEFAULT_CHUNKS_PER_CELL,
     Session,
@@ -22,43 +30,50 @@ from repro.runtime.session import (
     SweepSpec,
     WorkUnit,
 )
-from repro.utils.canonical import canonical_json
+from repro.utils.canonical import canonical_digest, canonical_json
 
 
-def small_spec(**overrides) -> SweepSpec:
+def small_spec(apps=("A-Laplacian",), schemes=("baseline",),
+               protects=("hot",), **overrides) -> SweepSpec:
     kwargs = dict(
-        apps=("A-Laplacian",),
-        schemes=("baseline",),
-        protects=("hot",),
+        app=apps[0] if apps else "A-Laplacian",
         runs=6,
         chunk_runs=3,
         scale="small",
         seed=77,
+        collect_records=True,
     )
     kwargs.update(overrides)
-    return SweepSpec(**kwargs)
+    return SweepSpec(EvaluationRequest(**kwargs), apps=apps,
+                     schemes=schemes, protects=protects)
+
+
+def identity(spec) -> dict:
+    return Session(spec).identity()
 
 
 class TestSweepSpecValidation:
+    """The checks every cell's request makes, and the session's own."""
+
     def test_unknown_app(self):
         with pytest.raises(UnknownAppError):
-            small_spec(apps=("NOT-AN-APP",))
+            Session(small_spec(apps=("A-Laplacian", "NOT-AN-APP")))
 
     def test_unknown_scheme(self):
         with pytest.raises(UnknownSchemeError):
-            small_spec(schemes=("tmr",))
+            tuple(small_spec(schemes=("tmr",)))
 
     def test_empty_axis(self):
         with pytest.raises(SpecError, match="empty"):
-            small_spec(apps=())
+            Session([])
 
     def test_bad_protect_string(self):
         with pytest.raises(SpecError, match="protect"):
-            small_spec(protects=("warm",))
+            tuple(small_spec(protects=("warm",)))
 
     def test_bool_protect_rejected(self):
         with pytest.raises(SpecError, match="protect"):
-            small_spec(protects=(True,))
+            tuple(small_spec(protects=(True,)))
 
     def test_nonpositive_runs(self):
         with pytest.raises(SpecError, match="runs"):
@@ -74,51 +89,77 @@ class TestSweepSpecValidation:
 
     def test_duplicate_cells(self):
         with pytest.raises(SpecError, match="duplicate"):
-            small_spec(apps=("A-Laplacian", "A-Laplacian"))
+            Session(small_spec(apps=("A-Laplacian", "A-Laplacian")))
+
+    def test_typed_protect_is_one_cell_per_app(self):
+        cells = tuple(small_spec(schemes=("baseline", "correction"),
+                                 protects=("hot", "r=correction")))
+        assert [(c.scheme, c.protect) for c in cells] == [
+            ("baseline", "hot"), ("baseline", "r=correction"),
+            ("correction", "hot")]
+        Session(cells)  # no duplicate identities
 
     def test_lists_coerced_to_tuples(self):
         spec = small_spec(apps=["A-Laplacian"], protects=["hot", 1])
-        assert spec.apps == ("A-Laplacian",)
-        assert spec.protects == ("hot", 1)
+        session = Session(list(spec))
+        assert session.requests == tuple(spec)
+        assert [r.protect for r in session.requests] == ["hot", 1]
 
 
 class TestSweepSpecIdentity:
-    def test_dict_roundtrip_preserves_digest(self):
-        spec = small_spec()
-        clone = SweepSpec.from_dict(spec.to_dict())
-        assert clone.digest() == spec.digest()
-
-    def test_from_dict_rejects_unknown_keys(self):
-        doc = small_spec().to_dict()
-        doc["jobs"] = 8
-        with pytest.raises(SpecError, match="unknown keys"):
-            SweepSpec.from_dict(doc)
-
     def test_chunking_is_part_of_identity(self):
-        assert small_spec(chunk_runs=3).digest() \
-            != small_spec(chunk_runs=2).digest()
+        assert identity(small_spec(chunk_runs=3)) \
+            != identity(small_spec(chunk_runs=2))
 
     def test_default_chunking_resolved_into_identity(self):
         # An explicit chunk_runs equal to the resolved default is the
-        # same sweep as the default spelling.
-        spec = small_spec(chunk_runs=None)
-        explicit = small_spec(chunk_runs=spec.resolved_chunk_runs())
-        assert explicit.digest() == spec.digest()
+        # same session as the default spelling.
+        resolved = -(-6 // DEFAULT_CHUNKS_PER_CELL)
+        assert identity(small_spec(chunk_runs=None)) \
+            == identity(small_spec(chunk_runs=resolved))
 
     def test_default_chunk_count(self):
-        spec = small_spec(runs=160, chunk_runs=None)
-        assert spec.resolved_chunk_runs() == 160 // DEFAULT_CHUNKS_PER_CELL
+        session = Session(small_spec(runs=160, chunk_runs=None))
+        unit = session.plan()[0]
+        assert unit.stop - unit.start == 160 // DEFAULT_CHUNKS_PER_CELL
 
     def test_cells_enumerate_app_major(self):
         spec = small_spec(schemes=("baseline", "correction"),
                           protects=("hot", "none"))
-        keys = [cell.key for cell in spec.cells()]
-        assert keys == [
-            "A-Laplacian~baseline~hot",
-            "A-Laplacian~baseline~none",
-            "A-Laplacian~correction~hot",
-            "A-Laplacian~correction~none",
+        assert [(r.app, r.scheme, r.protect) for r in spec] == [
+            ("A-Laplacian", "baseline", "hot"),
+            ("A-Laplacian", "baseline", "none"),
+            ("A-Laplacian", "correction", "hot"),
+            ("A-Laplacian", "correction", "none"),
         ]
+
+    def test_each_cell_carries_its_request_identity(self):
+        spec = small_spec(schemes=("baseline", "correction"))
+        cells = identity(spec)["cells"]
+        assert [cell["scheme"] for cell in cells] == \
+            ["baseline", "correction"]
+        assert all(cell["chunk_runs"] == 3 for cell in cells)
+        assert cells[0] == dict(next(iter(spec)).to_dict(), chunk_runs=3)
+
+    def test_manifest_from_before_request_cells_is_a_different_sweep(
+            self, tmp_path):
+        # The manifest body a SweepSpec with its own identity fields
+        # wrote for this grid: resuming it must refuse, not mix.
+        old = {
+            "apps": ["A-Laplacian"], "schemes": ["baseline"],
+            "protects": ["hot"], "runs": 6, "n_blocks": 1, "n_bits": 2,
+            "seed": 77, "selection": "access-weighted",
+            "scale": "small", "app_seed": 1234, "secded": False,
+            "keep_runs": False, "collect_records": True,
+            "chunk_runs": 3,
+        }
+        store = tmp_path / "ckpt"
+        store.mkdir()
+        (store / "MANIFEST.json").write_text(json.dumps({
+            "version": STORE_VERSION, "digest": canonical_digest(old),
+            "spec": old}))
+        with pytest.raises(CheckpointError, match="different sweep"):
+            Session(small_spec(), store=store).run(resume=True)
 
 
 class TestSessionConfig:
@@ -159,7 +200,10 @@ class TestSerialExecution:
         return Session(spec).run()
 
     def test_matches_direct_campaign_run(self, spec, reference):
-        direct = spec.cells()[0].build_campaign().run()
+        request = next(iter(spec))
+        direct = context_manager(
+            request.app, request.scale, request.app_seed,
+        ).evaluate(request=request)
         merged = reference.entries[0].result
         assert merged.to_dict() == direct.to_dict()
 
@@ -238,13 +282,23 @@ class TestAdaptiveSweeps:
             small_spec(target_margin=1.5)
 
     def test_identity_gains_key_only_when_enabled(self):
-        plain = small_spec()
-        assert "target_margin" not in plain.to_dict()
-        adaptive = self.adaptive_spec()
-        assert adaptive.to_dict()["target_margin"] == 0.2
-        clone = SweepSpec.from_dict(adaptive.to_dict())
-        assert clone.digest() == adaptive.digest()
-        assert clone.digest() != plain.digest()
+        plain = identity(small_spec())
+        assert "target_margin" not in plain["cells"][0]
+        adaptive = identity(self.adaptive_spec())
+        assert adaptive["cells"][0]["target_margin"] == 0.2
+        assert Session(self.adaptive_spec()).digest() \
+            != Session(small_spec()).digest()
+
+    def test_each_cell_stops_under_its_own_rule(self):
+        # One adaptive and one exhaustive cell in one session.
+        requests = [next(iter(self.adaptive_spec())),
+                    next(iter(small_spec(runs=96, chunk_runs=16,
+                                         schemes=("correction",))))]
+        sweep = Session(requests).run()
+        adaptive, exhaustive = sweep.entries
+        assert adaptive.result.n_runs < 96 and adaptive.decisions
+        assert exhaustive.result.n_runs == 96
+        assert exhaustive.decisions == ()
 
     def test_early_stop_commits_a_prefix(self):
         session = Session(self.adaptive_spec())

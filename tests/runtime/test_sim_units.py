@@ -20,7 +20,8 @@ from repro.errors import CheckpointError, SessionInterrupted
 from repro.kernels.registry import create_app
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.executor import SimUnit
-from repro.runtime.session import Session, SessionConfig, SweepSpec
+from repro.core.request import EvaluationRequest
+from repro.runtime.session import Session, SessionConfig
 from repro.sim.metrics import SimReport
 from repro.utils.canonical import canonical_json
 
@@ -39,10 +40,10 @@ def unit(spec: ProtectionSpec) -> SimUnit:
                    protection=spec)
 
 
-def sweep_spec() -> SweepSpec:
-    return SweepSpec(apps=("A-Laplacian",), schemes=("baseline",),
-                     protects=("none",), runs=6, chunk_runs=3,
-                     scale="small", seed=5)
+def sweep_spec() -> EvaluationRequest:
+    return EvaluationRequest(app="A-Laplacian", scheme="baseline",
+                             protect="none", runs=6, chunk_runs=3,
+                             scale="small", seed=5, collect_records=True)
 
 
 @pytest.fixture(scope="module")

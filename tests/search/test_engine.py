@@ -7,6 +7,8 @@ exact same outcome, and vulnerability-seeded greedy search reaches
 the front in fewer evaluations than random sampling.
 """
 
+import json
+
 import pytest
 
 from repro.core.manager import ReliabilityManager
@@ -18,6 +20,7 @@ from repro.errors import (
 )
 from repro.obs.search import read_search_trail
 from repro.search import engine, optimize
+from repro.utils.canonical import canonical_digest
 
 APP = "P-BICG"
 #: Small but non-trivial baseline: P-BICG small with this grid shows
@@ -162,6 +165,29 @@ class TestResume:
         with pytest.raises(CheckpointError, match="labeled"):
             run(tmp_path, "two", store=str(store), resume=True)
 
+    def test_round_written_before_request_cells_raises(self, tmp_path):
+        # Rewrite round 0's manifest as the ("spec",)-grid body a
+        # round's SweepSpec wrote for the same points: the search
+        # manifest still matches, the round names a different sweep.
+        store = tmp_path / "s"
+        run(tmp_path, "one", store=str(store))
+        path = store / "round-0000" / "MANIFEST.json"
+        manifest = json.loads(path.read_text())
+        cells = manifest["spec"]["cells"]
+        old = {
+            "apps": [APP], "schemes": ["spec"],
+            "protects": [cell["protect"] for cell in cells],
+            "runs": 60, "n_blocks": 1, "n_bits": 2, "seed": 11,
+            "selection": "access-weighted", "scale": "small",
+            "app_seed": 1234, "secded": False, "keep_runs": False,
+            "collect_records": True,
+            "chunk_runs": cells[0]["chunk_runs"],
+        }
+        manifest.update(spec=old, digest=canonical_digest(old))
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="different sweep"):
+            run(tmp_path, "two", store=str(store), resume=True)
+
     def test_torn_search_manifest_raises(self, tmp_path):
         store = tmp_path / "s"
         run(tmp_path, "one", store=str(store))
@@ -228,8 +254,7 @@ class TestVulnerabilityRanking:
 
         def ranking(batch):
             return engine._vulnerability_ranking(
-                manager, candidates, KW["runs"], 1, 2,
-                "access-weighted", KW["seed"], 1, batch)
+                manager, candidates, EvaluationRequest(**KW, batch=batch))
 
         assert ranking(1) == ranking(64)
 

@@ -99,30 +99,34 @@ class TestCampaignShims:
 
 
 class TestRunSweepShim:
-    SPEC_KW = dict(apps=("A-Laplacian",), schemes=("baseline",),
-                   protects=("none",), runs=4, seed=9, scale="small")
+    SPEC_KW = dict(app="A-Laplacian", scheme="baseline",
+                   protect="none", runs=4, seed=9, scale="small",
+                   collect_records=True)
 
     def test_checkpoint_dir_still_works(self, tmp_path):
-        from repro.runtime.session import SweepSpec, run_sweep
+        from repro.core.request import EvaluationRequest
+        from repro.runtime.session import run_sweep
 
-        spec = SweepSpec(**self.SPEC_KW)
+        spec = EvaluationRequest(**self.SPEC_KW)
         with pytest.warns(DeprecationWarning, match="checkpoint_dir"):
             old = run_sweep(spec, checkpoint_dir=str(tmp_path / "a"))
         new = run_sweep(spec, store=str(tmp_path / "b"))
         assert old.to_dict() == new.to_dict()
 
     def test_both_spellings_rejected(self, tmp_path):
-        from repro.runtime.session import SweepSpec, run_sweep
+        from repro.core.request import EvaluationRequest
+        from repro.runtime.session import run_sweep
 
-        spec = SweepSpec(**self.SPEC_KW)
+        spec = EvaluationRequest(**self.SPEC_KW)
         with pytest.raises(SpecError, match="both"):
             run_sweep(spec, store=str(tmp_path / "a"),
                       checkpoint_dir=str(tmp_path / "b"))
 
     def test_store_spelling_never_warns(self, tmp_path):
-        from repro.runtime.session import SweepSpec, run_sweep
+        from repro.core.request import EvaluationRequest
+        from repro.runtime.session import run_sweep
 
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            run_sweep(SweepSpec(**self.SPEC_KW),
+            run_sweep(EvaluationRequest(**self.SPEC_KW),
                       store=str(tmp_path / "s"))

@@ -78,7 +78,6 @@ API_SURFACE = [
     "StratifiedSelection",
     "stratify_by_object",
     "SweepSpec",
-    "CellSpec",
     "Session",
     "SessionConfig",
     "SweepResult",

@@ -40,7 +40,7 @@ per-object, SECDED — runs here.
   docs/MODELING.md.
 
 * **Equivalence-class pruning** consumes the golden read/write
-  timeline (:class:`repro.obs.trace.GoldenTimeline`): faults in
+  timeline (:class:`repro.faults.evidence.GoldenTimeline`): faults in
   objects that are provably dead (on no read path at all) and faults
   in writable objects whose stuck bits agree with the object's
   content at every golden-run read — overwritten-before-next-read
@@ -64,11 +64,13 @@ per-object, SECDED — runs here.
   verdicts feed the provenance derivation.
 
 The fault-free evidence base (golden timeline, prefix read counts,
-clean counters, layout caches) and the analytic classifier itself live
-in :class:`repro.obs.provenance.GoldenEvidence`, shared with the
-scalar path's provenance derivation — both strategies reason from the
-same captured state, which is what makes telemetry *and* provenance
-streams byte-identical across ``--batch`` settings.
+clean counters, layout caches), the analytic classifier and the
+provenance derivation live in
+:class:`repro.faults.evidence.GoldenEvidence`.  The classifier's
+overlay analysis of a lane is kept on the lane and reused by its
+provenance record; both strategies reason from the same captured
+state, which is what makes telemetry *and* provenance streams
+byte-identical across ``--batch`` settings.
 """
 
 from __future__ import annotations
@@ -86,11 +88,14 @@ from repro.utils.rng import RngStream
 
 @dataclass
 class _Lane:
-    """One planned run: its seed and sampled faults."""
+    """One planned run: its seed and sampled faults, plus the overlay
+    analysis :class:`~repro.faults.evidence.GoldenEvidence` makes of
+    them on first use."""
 
     run_index: int
     seed: int
     faults: list[FaultSpec]
+    overlay: tuple | None = None
 
 
 class _FastStream(RngStream):
@@ -194,17 +199,16 @@ class BatchEngine:
         """
         c = self.campaign
         # Under SECDED the kernel consumes post-decode data, not the
-        # injected overlays the analytic classifier reasons about.
+        # injected overlays the analytic classifier reasons about, so
+        # no lane is classified and the golden run is left to the
+        # provenance derivation, if any.
         ev = None if c.config.secded else c._golden_evidence()
         results = []
         n_analytic = 0
         pruned: dict[str, int] = {}
         for lane in self._plan(start, stop):
             begin = time.perf_counter()
-            verdict = (
-                ev.classify_analytic(lane.run_index, lane.faults)
-                if ev is not None and ev.analytic else None
-            )
+            verdict = None if ev is None else ev.classify_analytic(lane)
             if verdict is None:
                 run = c._run_lane(lane, c._run_memory(), metrics,
                                   record_sink, provenance_sink,
@@ -216,6 +220,11 @@ class BatchEngine:
                     pruned[tag] = pruned.get(tag, 0) + 1
                 c._emit(lane, run, counters, metrics, record_sink,
                         provenance_sink, evidence="analytic")
+            # Drop the emitted lane's overlay analysis: kept while the
+            # next lanes execute, each one pins an allocator arena their
+            # temporaries filled (+20 MB peak RSS on a default-scale
+            # P-BICG baseline campaign of 64-lane batches).
+            lane.overlay = None
             if metrics is not None:
                 metrics.observe(f"campaign.run_ms.{run.outcome.value}",
                                 (time.perf_counter() - begin) * 1e3)

@@ -358,8 +358,8 @@ def stratify_by_liveness(
     """Strata of objects sharing a liveness window classification.
 
     ``liveness`` maps object names to
-    :class:`repro.obs.trace.ObjectLiveness` digests (from
-    :meth:`~repro.obs.trace.GoldenTimeline.liveness`); objects whose
+    :class:`repro.faults.evidence.ObjectLiveness` digests (from
+    :meth:`~repro.faults.evidence.GoldenTimeline.liveness`); objects whose
     golden-run windows match (pure inputs vs read/write working sets)
     pool into one stratum, weighted by their combined read share.
     Dead objects (never read) carry no exposure and are skipped.

@@ -147,161 +147,6 @@ class TraceConfig:
                 )
 
 
-@dataclass(frozen=True)
-class ObjectLiveness:
-    """Read/write liveness of one data object over the golden run.
-
-    Positions are indices into the :class:`GoldenTimeline` event
-    stream, so "written after its last read" style questions are
-    simple integer comparisons.
-    """
-
-    name: str
-    reads: int
-    writes: int
-    first_read: int | None
-    last_read: int | None
-    first_write: int | None
-    last_write: int | None
-
-    @property
-    def never_read(self) -> bool:
-        return self.reads == 0
-
-    @property
-    def window(self) -> str:
-        """Coarse liveness class: ``dead`` (never read), ``input``
-        (read but never written during execution) or ``working``
-        (both read and written)."""
-        if self.reads == 0:
-            return "dead"
-        if self.writes == 0:
-            return "input"
-        return "working"
-
-
-class GoldenTimeline:
-    """The golden run's complete read/write timeline, with read-time
-    content snapshots of every writable object.
-
-    Captured once per campaign from the fault-free reference
-    execution, this is the evidence base for outcome-equivalence
-    pruning (:mod:`repro.faults.batch`): a stuck-at fault is provably
-    MASKED without simulating when its bits agree with the object's
-    content at *every* moment the object is consumed — which covers
-    sites that are dead (never read at all) and sites overwritten
-    before their next read with bits the fault agrees with.  The
-    soundness induction lives in docs/MODELING.md: writes store raw
-    values and overlays re-apply on read, so agreement at every
-    clean-run read point implies the faulted execution is bitwise
-    identical to the clean one.
-
-    * :attr:`events` — ``(name, kind)`` per consumption/production
-      point, ``kind`` in ``{"prot", "unprot", "raw", "write"}`` —
-      scheme-checked reads of protected objects, scheme reads of
-      unprotected objects, direct ``read_object`` consumption that
-      bypasses the scheme, and ``write_object`` stores.
-    * :attr:`read_values` — for each *writable* object, its raw byte
-      content at every read (any path, scheme internals included).
-    * :attr:`ever_read` — every object name seen on any read path,
-      scheme-internal ``read_object`` calls included; absence here is
-      proof the object's content can never influence execution.
-    """
-
-    def __init__(self) -> None:
-        self.events: list[tuple[str, str]] = []
-        self.read_values: dict[str, list[bytes]] = {}
-        self.ever_read: set[str] = set()
-
-    def reads(self) -> list[tuple[str, str]]:
-        """The read-only view of the event stream (no writes), in the
-        ``(name, kind)`` shape the batch classifier consumes."""
-        return [(n, k) for n, k in self.events if k != "write"]
-
-    def liveness(self) -> dict[str, "ObjectLiveness"]:
-        """Per-object liveness digests over the whole timeline."""
-        agg: dict[str, dict[str, Any]] = {}
-        for pos, (name, kind) in enumerate(self.events):
-            entry = agg.setdefault(name, {
-                "reads": 0, "writes": 0,
-                "first_read": None, "last_read": None,
-                "first_write": None, "last_write": None,
-            })
-            slot = "write" if kind == "write" else "read"
-            entry[f"{slot}s"] += 1
-            if entry[f"first_{slot}"] is None:
-                entry[f"first_{slot}"] = pos
-            entry[f"last_{slot}"] = pos
-        return {
-            name: ObjectLiveness(name=name, **entry)
-            for name, entry in sorted(agg.items())
-        }
-
-    @classmethod
-    def capture(cls, app, memory: "DeviceMemory", scheme):
-        """Execute ``app`` fault-free on ``memory`` under ``scheme``,
-        recording the full timeline; returns ``(timeline, output)``.
-
-        Hooks the three consumption/production surfaces (the kernel
-        contract allows no others): ``scheme.read`` for checked input
-        reads, ``memory.read_object`` for direct reads (scheme
-        internals flagged so they don't double-count as "raw"), and
-        ``memory.write_object`` for stores.  Writable-object content
-        is snapshotted at every read so fault agreement can later be
-        checked against the exact bytes that were live at each
-        consumption point.
-        """
-        import numpy as np
-
-        timeline = cls()
-        events = timeline.events
-        inner_read = scheme.read
-        inner_read_object = memory.read_object
-        inner_write_object = memory.write_object
-        in_scheme = [False]
-
-        def snapshot(obj) -> None:
-            if not obj.read_only:
-                timeline.read_values.setdefault(obj.name, []).append(
-                    inner_read_object(obj).tobytes()
-                )
-
-        def recording_read(obj):
-            kind = "prot" if obj.name in scheme.protected_names \
-                else "unprot"
-            events.append((obj.name, kind))
-            timeline.ever_read.add(obj.name)
-            snapshot(obj)
-            in_scheme[0] = True
-            try:
-                return inner_read(obj)
-            finally:
-                in_scheme[0] = False
-
-        def recording_read_object(obj):
-            timeline.ever_read.add(obj.name)
-            if not in_scheme[0]:
-                events.append((obj.name, "raw"))
-                snapshot(obj)
-            return inner_read_object(obj)
-
-        def recording_write_object(obj, values):
-            events.append((obj.name, "write"))
-            return inner_write_object(obj, values)
-
-        scheme.read = recording_read
-        memory.read_object = recording_read_object
-        memory.write_object = recording_write_object
-        try:
-            with np.errstate(all="ignore"):
-                output = app.execute(memory, scheme)
-        finally:
-            del scheme.read  # drop the shadowing instance attributes
-            del memory.read_object
-            del memory.write_object
-        return timeline, output
-
-
 class ObjectMap:
     """Sorted-interval resolver from device addresses to object names.
 

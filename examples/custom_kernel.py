@@ -9,6 +9,8 @@ timing simulation.
 
 This is the template for evaluating applications the paper did not:
 subclass GpuApplication, provide setup/execute/build_trace, done.
+``build_trace`` only says what one warp issues; ``common.grid_1d``
+(or ``common.kernel_trace`` for other grid shapes) builds the CTAs.
 
 Run:  python examples/custom_kernel.py
 """
@@ -19,19 +21,10 @@ from repro import ReliabilityManager
 from repro.arch.address_space import DeviceMemory
 from repro.kernels import common
 from repro.kernels.base import GpuApplication
-from repro.kernels.trace import (
-    AppTrace,
-    Compute,
-    CtaTrace,
-    KernelTrace,
-    Load,
-    Store,
-    WarpTrace,
-)
+from repro.kernels.trace import AppTrace, Compute, Load, Store
 from repro.metrics.vector import VectorDeviationMetric
 
 TABLE_SIZE = 64  # lookup table: 2 memory blocks, read constantly
-CTA_SIZE = 128
 
 
 class TableSaxpy(GpuApplication):
@@ -81,30 +74,26 @@ class TableSaxpy(GpuApplication):
         table = memory.object("table")
         x = memory.object("x")
         y = memory.object("y")
-        kernel = KernelTrace("table_saxpy")
-        warp_id = 0
-        for cta_id, (first, size) in enumerate(
-            common.ctas_of_threads(self.n, CTA_SIZE)
-        ):
-            cta = CtaTrace(cta_id)
-            for w_first, lanes in common.warp_partition(size):
-                t0 = first + w_first
-                insts: list = [Compute(2)]
-                x_blocks = common.contiguous_blocks(x, t0, lanes)
-                y_blocks = common.contiguous_blocks(y, t0, lanes)
-                for k in range(self.iterations):
-                    insts.append(Load(
-                        "table",
-                        (common.block_addr(table,
-                                           (t0 + k) % TABLE_SIZE),)))
-                    insts.append(Load("x", x_blocks))
-                    insts.append(Load("y", y_blocks))
-                    insts.append(Compute(2, wait=True))
-                    insts.append(Store("y", y_blocks))
-                cta.warps.append(WarpTrace(warp_id, insts))
-                warp_id += 1
-            kernel.ctas.append(cta)
-        return AppTrace(self.name, [kernel])
+
+        # One warp of the 1-D grid: lanes t0 .. t0+lanes-1.  The table
+        # entry is a warp-wide broadcast; x and y stream coalesced.
+        def warp(t0: int, lanes: int) -> list:
+            insts: list = [Compute(2)]
+            x_blocks = common.contiguous_blocks(x, t0, lanes)
+            y_blocks = common.contiguous_blocks(y, t0, lanes)
+            for k in range(self.iterations):
+                insts.append(Load(
+                    "table",
+                    (common.block_addr(table, (t0 + k) % TABLE_SIZE),)))
+                insts.append(Load("x", x_blocks))
+                insts.append(Load("y", y_blocks))
+                insts.append(Compute(2, wait=True))
+                insts.append(Store("y", y_blocks))
+            return insts
+
+        # grid_1d numbers the CTAs (256 threads each) and warps.
+        return AppTrace(self.name, [
+            common.grid_1d("table_saxpy", self.n, warp)])
 
 
 def main() -> None:

@@ -17,7 +17,7 @@ sources (e.g. ``r[i]`` broadcasts while ``A[i*NY+j]`` streams, and the
 column-major kernels issue 32-way uncoalesced transactions).
 """
 
-from repro.kernels.base import GpuApplication, PlainReader, TraceBuilder
+from repro.kernels.base import GpuApplication, PlainReader
 from repro.kernels.coalesce import coalesce_indices
 from repro.kernels.registry import (
     APPLICATIONS,
@@ -38,7 +38,6 @@ from repro.kernels.trace import (
 __all__ = [
     "GpuApplication",
     "PlainReader",
-    "TraceBuilder",
     "coalesce_indices",
     "APPLICATIONS",
     "FLAT_APPLICATIONS",

@@ -17,18 +17,8 @@ import numpy as np
 from repro.arch.address_space import DeviceMemory
 from repro.kernels import common
 from repro.kernels.base import GpuApplication
-from repro.kernels.trace import (
-    AppTrace,
-    Compute,
-    CtaTrace,
-    KernelTrace,
-    Load,
-    Store,
-    WarpTrace,
-)
+from repro.kernels.trace import AppTrace
 from repro.metrics.vector import VectorDeviationMetric
-
-CTA_SIZE = 256
 
 
 class Atax(GpuApplication):
@@ -78,52 +68,13 @@ class Atax(GpuApplication):
 
     def build_trace(self, memory: DeviceMemory) -> AppTrace:
         a = memory.object("A")
-        x = memory.object("x")
         tmp = memory.object("tmp")
-        y = memory.object("y")
-
-        # Kernel 1: thread per row i; A uncoalesced, x broadcast.
-        k1 = KernelTrace("atax_kernel1")
-        warp_id = 0
-        for cta_id, (cta_first, cta_threads) in enumerate(
-            common.ctas_of_threads(self.n, CTA_SIZE)
-        ):
-            cta = CtaTrace(cta_id)
-            for first_i, lanes in common.warp_partition(cta_threads):
-                i0 = cta_first + first_i
-                lane_rows = np.arange(i0, i0 + lanes, dtype=np.int64)
-                insts: list = [Compute(3)]
-                for j in range(self.n):
-                    insts.append(Load("A", common.scattered_blocks(
-                        a, lane_rows * self.n + j)))
-                    insts.append(Load("x", (common.block_addr(x, j),)))
-                    insts.append(Compute(2, wait=True))
-                insts.append(Store(
-                    "tmp", common.contiguous_blocks(tmp, i0, lanes)))
-                cta.warps.append(WarpTrace(warp_id, insts))
-                warp_id += 1
-            k1.ctas.append(cta)
-
-        # Kernel 2: thread per column j; A coalesced, tmp broadcast.
-        k2 = KernelTrace("atax_kernel2")
-        warp_id = 0
-        for cta_id, (cta_first, cta_threads) in enumerate(
-            common.ctas_of_threads(self.n, CTA_SIZE)
-        ):
-            cta = CtaTrace(cta_id)
-            for first_j, lanes in common.warp_partition(cta_threads):
-                j0 = cta_first + first_j
-                insts = [Compute(3)]
-                for i in range(self.n):
-                    insts.append(Load("A", common.contiguous_blocks(
-                        a, i * self.n + j0, lanes)))
-                    insts.append(Load(
-                        "tmp", (common.block_addr(tmp, i),)))
-                    insts.append(Compute(2, wait=True))
-                insts.append(Store(
-                    "y", common.contiguous_blocks(y, j0, lanes)))
-                cta.warps.append(WarpTrace(warp_id, insts))
-                warp_id += 1
-            k2.ctas.append(cta)
-
-        return AppTrace(self.name, [k1, k2])
+        return AppTrace(self.name, [
+            # Kernel 1: thread per row i; A uncoalesced, x broadcast.
+            common.matvec_kernel("atax_kernel1", a, memory.object("x"),
+                                 tmp, coalesced=False, setup=3),
+            # Kernel 2: thread per column j; A coalesced, tmp broadcast.
+            common.matvec_kernel("atax_kernel2", a, tmp,
+                                 memory.object("y"), coalesced=True,
+                                 setup=3),
+        ])

@@ -1,22 +1,14 @@
-"""Application base class, plain memory reader, and trace builder."""
+"""Application base class and plain memory reader."""
 
 from __future__ import annotations
 
 import abc
-from typing import Sequence
 
 import numpy as np
 
 from repro.arch.address_space import DataObject, DeviceMemory
-from repro.errors import ConfigError, TraceError
-from repro.kernels import coalesce
-from repro.kernels.trace import (
-    AppTrace,
-    Compute,
-    Load,
-    Store,
-    WarpTrace,
-)
+from repro.errors import ConfigError
+from repro.kernels.trace import AppTrace
 from repro.metrics.base import OutputMetric
 
 
@@ -143,65 +135,3 @@ class GpuApplication(abc.ABC):
         from repro.utils.rng import derive_seed
 
         return np.random.default_rng(derive_seed(self.seed, *keys))
-
-
-class TraceBuilder:
-    """Incrementally builds one warp's instruction stream.
-
-    Adjacent non-waiting compute instructions are merged so the trace
-    stays compact while preserving issue-slot counts.
-    """
-
-    def __init__(self, warp_id: int):
-        self._warp_id = warp_id
-        self._insts: list = []
-
-    def compute(self, count: int = 1, wait: bool = False) -> "TraceBuilder":
-        """Append ALU issue slots (``wait`` = scoreboard barrier)."""
-        if count <= 0:
-            raise TraceError("compute count must be positive")
-        if (
-            not wait
-            and self._insts
-            and isinstance(self._insts[-1], Compute)
-            and not self._insts[-1].wait
-        ):
-            self._insts[-1] = Compute(self._insts[-1].count + count, False)
-        else:
-            self._insts.append(Compute(count, wait))
-        return self
-
-    def load_indices(
-        self, obj: DataObject, lane_indices: Sequence[int] | np.ndarray
-    ) -> "TraceBuilder":
-        """Append a load of per-lane element indices (coalesced)."""
-        addrs = coalesce.coalesce_indices(obj, lane_indices)
-        self._insts.append(Load(obj.name, addrs))
-        return self
-
-    def load_broadcast(self, obj: DataObject, flat_index: int) \
-            -> "TraceBuilder":
-        """Append a warp-wide broadcast load (one transaction)."""
-        addrs = coalesce.broadcast_transaction(obj, flat_index)
-        self._insts.append(Load(obj.name, addrs))
-        return self
-
-    def load_strided(
-        self, obj: DataObject, start: int, stride: int, lanes: int
-    ) -> "TraceBuilder":
-        """Append a strided load (lane i reads start + i*stride)."""
-        addrs = coalesce.strided_transactions(obj, start, stride, lanes)
-        self._insts.append(Load(obj.name, addrs))
-        return self
-
-    def store_indices(
-        self, obj: DataObject, lane_indices: Sequence[int] | np.ndarray
-    ) -> "TraceBuilder":
-        """Append a store of per-lane element indices (coalesced)."""
-        addrs = coalesce.coalesce_indices(obj, lane_indices)
-        self._insts.append(Store(obj.name, addrs))
-        return self
-
-    def build(self) -> WarpTrace:
-        """Finalize the warp's instruction stream."""
-        return WarpTrace(self._warp_id, self._insts)

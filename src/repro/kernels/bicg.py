@@ -22,18 +22,8 @@ import numpy as np
 from repro.arch.address_space import DeviceMemory
 from repro.kernels import common
 from repro.kernels.base import GpuApplication
-from repro.kernels.trace import (
-    AppTrace,
-    Compute,
-    CtaTrace,
-    KernelTrace,
-    Load,
-    Store,
-    WarpTrace,
-)
+from repro.kernels.trace import AppTrace
 from repro.metrics.vector import VectorDeviationMetric
-
-CTA_SIZE = 256
 
 
 class Bicg(GpuApplication):
@@ -86,60 +76,14 @@ class Bicg(GpuApplication):
 
     def build_trace(self, memory: DeviceMemory) -> AppTrace:
         a = memory.object("A")
-        r = memory.object("r")
-        p = memory.object("p")
-        s = memory.object("s")
-        q = memory.object("q")
-
-        # Kernel 1: thread j, loop over rows i.
-        k1 = KernelTrace("bicg_kernel1")
-        warp_id = 0
-        for cta_id, (cta_first, cta_threads) in enumerate(
-            common.ctas_of_threads(self.ny, CTA_SIZE)
-        ):
-            cta = CtaTrace(cta_id)
-            for first_j, lanes in common.warp_partition(cta_threads):
-                j0 = cta_first + first_j
-                insts: list = [Compute(4)]  # index setup + s[j]=0
-                for i in range(self.nx):
-                    insts.append(
-                        Load("A", common.contiguous_blocks(
-                            a, i * self.ny + j0, lanes))
-                    )
-                    insts.append(
-                        Load("r", (common.block_addr(r, i),))
-                    )
-                    insts.append(Compute(2, wait=True))  # FMA + loop
-                insts.append(
-                    Store("s", common.contiguous_blocks(s, j0, lanes))
-                )
-                cta.warps.append(WarpTrace(warp_id, insts))
-                warp_id += 1
-            k1.ctas.append(cta)
-
-        # Kernel 2: thread i, loop over columns j; A is uncoalesced.
-        k2 = KernelTrace("bicg_kernel2")
-        warp_id = 0
-        for cta_id, (cta_first, cta_threads) in enumerate(
-            common.ctas_of_threads(self.nx, CTA_SIZE)
-        ):
-            cta = CtaTrace(cta_id)
-            for first_i, lanes in common.warp_partition(cta_threads):
-                i0 = cta_first + first_i
-                lane_rows = np.arange(i0, i0 + lanes, dtype=np.int64)
-                insts = [Compute(4)]
-                for j in range(self.ny):
-                    insts.append(
-                        Load("A", common.scattered_blocks(
-                            a, lane_rows * self.ny + j))
-                    )
-                    insts.append(Load("p", (common.block_addr(p, j),)))
-                    insts.append(Compute(2, wait=True))
-                insts.append(
-                    Store("q", common.contiguous_blocks(q, i0, lanes))
-                )
-                cta.warps.append(WarpTrace(warp_id, insts))
-                warp_id += 1
-            k2.ctas.append(cta)
-
-        return AppTrace(self.name, [k1, k2])
+        return AppTrace(self.name, [
+            # Kernel 1: thread j, loop over rows i; 4 setup slots are
+            # the index arithmetic and s[j] = 0.
+            common.matvec_kernel("bicg_kernel1", a, memory.object("r"),
+                                 memory.object("s"), coalesced=True,
+                                 setup=4),
+            # Kernel 2: thread i, loop over columns j; A is uncoalesced.
+            common.matvec_kernel("bicg_kernel2", a, memory.object("p"),
+                                 memory.object("q"), coalesced=False,
+                                 setup=4),
+        ])

@@ -13,18 +13,9 @@ import numpy as np
 from repro.arch.address_space import DeviceMemory
 from repro.kernels import common
 from repro.kernels.base import GpuApplication
-from repro.kernels.trace import (
-    AppTrace,
-    Compute,
-    CtaTrace,
-    KernelTrace,
-    Load,
-    Store,
-    WarpTrace,
-)
+from repro.kernels.trace import AppTrace, Compute, Load, Store
 from repro.metrics.vector import VectorDeviationMetric
 
-CTA_SIZE = 256
 RISK_FREE = 0.02
 VOLATILITY = 0.30
 
@@ -101,25 +92,17 @@ class BlackScholes(GpuApplication):
                 "CallResult", "PutResult",
             )
         }
-        kernel = KernelTrace("BlackScholesGPU")
-        warp_id = 0
-        for cta_id, (cta_first, cta_threads) in enumerate(
-            common.ctas_of_threads(self.n_options, CTA_SIZE)
-        ):
-            cta = CtaTrace(cta_id)
-            for first, lanes in common.warp_partition(cta_threads):
-                t0 = cta_first + first
-                insts: list = [Compute(2)]
-                for name in ("StockPrice", "OptionStrike", "OptionYears"):
-                    insts.append(Load(
-                        name,
-                        common.contiguous_blocks(objs[name], t0, lanes)))
-                insts.append(Compute(24, wait=True))  # CND evaluations
-                for name in ("CallResult", "PutResult"):
-                    insts.append(Store(
-                        name,
-                        common.contiguous_blocks(objs[name], t0, lanes)))
-                cta.warps.append(WarpTrace(warp_id, insts))
-                warp_id += 1
-            kernel.ctas.append(cta)
-        return AppTrace(self.name, [kernel])
+
+        def warp(t0: int, lanes: int) -> list:
+            insts: list = [Compute(2)]
+            for name in ("StockPrice", "OptionStrike", "OptionYears"):
+                insts.append(Load(
+                    name, common.contiguous_blocks(objs[name], t0, lanes)))
+            insts.append(Compute(24, wait=True))  # CND evaluations
+            for name in ("CallResult", "PutResult"):
+                insts.append(Store(
+                    name, common.contiguous_blocks(objs[name], t0, lanes)))
+            return insts
+
+        return AppTrace(self.name, [
+            common.grid_1d("BlackScholesGPU", self.n_options, warp)])

@@ -31,11 +31,9 @@ from repro.kernels.base import GpuApplication
 from repro.kernels.trace import (
     AppTrace,
     Compute,
-    CtaTrace,
     KernelTrace,
     Load,
     Store,
-    WarpTrace,
 )
 from repro.metrics.classification import (
     MisclassificationMetric,
@@ -220,84 +218,80 @@ class Cnn(GpuApplication):
         images = memory.object("Images")
         w1 = memory.object("Layer1_Weights")
         l2n = memory.object("Layer2_Neurons")
-        kernel = KernelTrace("FirstLayer")
-        warp_id = 0
-        cta_id = 0
         n_threads = L1_OUT * L1_OUT  # 169, 2-D (13, 13)
-        for b in range(self.batch):
-            for map_id in range(L1_MAPS):
-                cta = CtaTrace(cta_id)
-                cta_id += 1
-                weight_begin = map_id * 26
-                for first, lanes in common.warp_partition(n_threads):
-                    tid = np.arange(first, first + lanes, dtype=np.int64)
-                    py, px = tid // L1_OUT, tid % L1_OUT
-                    insts: list = [
-                        Compute(6),
-                        Load("Layer1_Weights",
-                             (common.block_addr(w1, weight_begin),)),
-                    ]
-                    base = b * IMAGE_DIM * IMAGE_DIM
-                    for i in range(25):
-                        flat = base + (2 * py + i // 5) * IMAGE_DIM \
-                            + 2 * px + i % 5
-                        insts.append(Load(
-                            "Images", common.scattered_blocks(images, flat)))
-                        insts.append(Load(
-                            "Layer1_Weights",
-                            (common.block_addr(w1, weight_begin + 1 + i),)))
-                        insts.append(Compute(2, wait=True))
-                    insts.append(Compute(3))  # activation
-                    out_flat = (b * L1_MAPS + map_id) * n_threads \
-                        + py * L1_OUT + px
-                    insts.append(Store(
-                        "Layer2_Neurons",
-                        common.scattered_blocks(l2n, out_flat)))
-                    cta.warps.append(WarpTrace(warp_id, insts))
-                    warp_id += 1
-                kernel.ctas.append(cta)
-        return kernel
+
+        def warp(b: int, map_id: int, first: int, lanes: int) -> list:
+            weight_begin = map_id * 26
+            tid = np.arange(first, first + lanes, dtype=np.int64)
+            py, px = tid // L1_OUT, tid % L1_OUT
+            insts: list = [
+                Compute(6),
+                Load("Layer1_Weights",
+                     (common.block_addr(w1, weight_begin),)),
+            ]
+            base = b * IMAGE_DIM * IMAGE_DIM
+            for i in range(25):
+                flat = base + (2 * py + i // 5) * IMAGE_DIM \
+                    + 2 * px + i % 5
+                insts.append(Load(
+                    "Images", common.scattered_blocks(images, flat)))
+                insts.append(Load(
+                    "Layer1_Weights",
+                    (common.block_addr(w1, weight_begin + 1 + i),)))
+                insts.append(Compute(2, wait=True))
+            insts.append(Compute(3))  # activation
+            out_flat = (b * L1_MAPS + map_id) * n_threads \
+                + py * L1_OUT + px
+            insts.append(Store(
+                "Layer2_Neurons", common.scattered_blocks(l2n, out_flat)))
+            return insts
+
+        # One CTA per (image, feature map).
+        return common.kernel_trace("FirstLayer", (
+            [warp(b, map_id, first, lanes)
+             for first, lanes in common.warp_partition(n_threads)]
+            for b in range(self.batch)
+            for map_id in range(L1_MAPS)
+        ))
 
     def _layer2_trace(self, memory: DeviceMemory) -> KernelTrace:
         w2 = memory.object("Layer2_Weights")
         l2n = memory.object("Layer2_Neurons")
         l3n = memory.object("Layer3_Neurons")
-        kernel = KernelTrace("SecondLayer")
-        warp_id = 0
-        cta_id = 0
         n_threads = L2_OUT * L2_OUT  # 25, one warp per CTA
         tid = np.arange(n_threads, dtype=np.int64)
         py, px = tid // L2_OUT, tid % L2_OUT
-        for b in range(self.batch):
-            for feature in range(L2_MAPS):
-                cta = CtaTrace(cta_id)
-                cta_id += 1
-                insts: list = [Compute(6)]
-                for in_map in range(L1_MAPS):
-                    weight_begin = (feature * L1_MAPS + in_map) * 26
+
+        def warp(b: int, feature: int) -> list:
+            insts: list = [Compute(6)]
+            for in_map in range(L1_MAPS):
+                weight_begin = (feature * L1_MAPS + in_map) * 26
+                insts.append(Load(
+                    "Layer2_Weights",
+                    (common.block_addr(w2, weight_begin),)))
+                base = (b * L1_MAPS + in_map) * L1_OUT * L1_OUT
+                for i in range(25):
+                    flat = base + (2 * py + i // 5) * L1_OUT \
+                        + 2 * px + i % 5
+                    insts.append(Load(
+                        "Layer2_Neurons",
+                        common.scattered_blocks(l2n, flat)))
                     insts.append(Load(
                         "Layer2_Weights",
-                        (common.block_addr(w2, weight_begin),)))
-                    base = (b * L1_MAPS + in_map) * L1_OUT * L1_OUT
-                    for i in range(25):
-                        flat = base + (2 * py + i // 5) * L1_OUT \
-                            + 2 * px + i % 5
-                        insts.append(Load(
-                            "Layer2_Neurons",
-                            common.scattered_blocks(l2n, flat)))
-                        insts.append(Load(
-                            "Layer2_Weights",
-                            (common.block_addr(
-                                w2, weight_begin + 1 + i),)))
-                        insts.append(Compute(2, wait=True))
-                insts.append(Compute(3))
-                out_flat = b * FC_IN + feature * n_threads + tid
-                insts.append(Store(
-                    "Layer3_Neurons", common.scattered_blocks(l3n, out_flat)))
-                cta.warps.append(WarpTrace(warp_id, insts))
-                warp_id += 1
-                kernel.ctas.append(cta)
-        return kernel
+                        (common.block_addr(w2, weight_begin + 1 + i),)))
+                    insts.append(Compute(2, wait=True))
+            insts.append(Compute(3))
+            out_flat = b * FC_IN + feature * n_threads + tid
+            insts.append(Store(
+                "Layer3_Neurons", common.scattered_blocks(l3n, out_flat)))
+            return insts
+
+        # One single-warp CTA per (image, output feature).
+        return common.kernel_trace("SecondLayer", (
+            [warp(b, feature)]
+            for b in range(self.batch)
+            for feature in range(L2_MAPS)
+        ))
 
     def _fc_trace(
         self,
@@ -314,33 +308,29 @@ class Cnn(GpuApplication):
         w = memory.object(weight_name)
         inp = memory.object(in_name)
         out = memory.object(out_name)
-        kernel = KernelTrace(kernel_name)
-        warp_id = 0
-        cta_id = 0
-        for b in range(self.batch):
-            for neuron in range(fan_out):
-                cta = CtaTrace(cta_id)
-                cta_id += 1
-                row = neuron * (fan_in + 1)
-                insts: list = [
-                    Compute(4),
-                    Load(weight_name, (common.block_addr(w, row),)),  # bias
-                ]
-                for k0 in range(0, fan_in, 32):
-                    lanes = min(32, fan_in - k0)
-                    insts.append(Load(
-                        weight_name,
-                        common.contiguous_blocks(w, row + 1 + k0, lanes)))
-                    insts.append(Load(
-                        in_name,
-                        common.contiguous_blocks(
-                            inp, b * fan_in + k0, lanes)))
-                    insts.append(Compute(2, wait=True))
-                insts.append(Compute(6))  # tree reduction + activation
-                insts.append(Store(
-                    out_name,
-                    (common.block_addr(out, b * fan_out + neuron),)))
-                cta.warps.append(WarpTrace(warp_id, insts))
-                warp_id += 1
-                kernel.ctas.append(cta)
-        return kernel
+
+        def warp(b: int, neuron: int) -> list:
+            row = neuron * (fan_in + 1)
+            insts: list = [
+                Compute(4),
+                Load(weight_name, (common.block_addr(w, row),)),  # bias
+            ]
+            for k0 in range(0, fan_in, 32):
+                lanes = min(32, fan_in - k0)
+                insts.append(Load(
+                    weight_name,
+                    common.contiguous_blocks(w, row + 1 + k0, lanes)))
+                insts.append(Load(
+                    in_name,
+                    common.contiguous_blocks(inp, b * fan_in + k0, lanes)))
+                insts.append(Compute(2, wait=True))
+            insts.append(Compute(6))  # tree reduction + activation
+            insts.append(Store(
+                out_name, (common.block_addr(out, b * fan_out + neuron),)))
+            return insts
+
+        return common.kernel_trace(kernel_name, (
+            [warp(b, neuron)]
+            for b in range(self.batch)
+            for neuron in range(fan_out)
+        ))

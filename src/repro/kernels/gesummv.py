@@ -23,18 +23,9 @@ import numpy as np
 from repro.arch.address_space import DeviceMemory
 from repro.kernels import common
 from repro.kernels.base import GpuApplication
-from repro.kernels.trace import (
-    AppTrace,
-    Compute,
-    CtaTrace,
-    KernelTrace,
-    Load,
-    Store,
-    WarpTrace,
-)
+from repro.kernels.trace import AppTrace, Compute, Load, Store
 from repro.metrics.vector import VectorDeviationMetric
 
-CTA_SIZE = 256
 ALPHA = 1.5
 BETA = 2.5
 
@@ -94,38 +85,29 @@ class Gesummv(GpuApplication):
         tmp = memory.object("tmp")
         y = memory.object("y")
 
-        kernel = KernelTrace("gesummv_kernel")
-        warp_id = 0
-        for cta_id, (cta_first, cta_threads) in enumerate(
-            common.ctas_of_threads(self.n, CTA_SIZE)
-        ):
-            cta = CtaTrace(cta_id)
-            for first_i, lanes in common.warp_partition(cta_threads):
-                i0 = cta_first + first_i
-                lane_rows = np.arange(i0, i0 + lanes, dtype=np.int64)
-                tmp_blocks = common.contiguous_blocks(tmp, i0, lanes)
-                y_blocks = common.contiguous_blocks(y, i0, lanes)
-                insts: list = [Compute(3)]
-                for j in range(self.n):
-                    flat = lane_rows * self.n + j
-                    x_block = (common.block_addr(x, j),)
-                    insts.append(Load("A", common.scattered_blocks(a, flat)))
-                    insts.append(Load("x", x_block))
-                    insts.append(Load("tmp", tmp_blocks))
-                    insts.append(Compute(1, wait=True))
-                    insts.append(Store("tmp", tmp_blocks))
-                    insts.append(Load("B", common.scattered_blocks(b, flat)))
-                    insts.append(Load("x", x_block))
-                    insts.append(Load("y", y_blocks))
-                    insts.append(Compute(1, wait=True))
-                    insts.append(Store("y", y_blocks))
+        def warp(i0: int, lanes: int) -> list:
+            lane_rows = np.arange(i0, i0 + lanes, dtype=np.int64)
+            tmp_blocks = common.contiguous_blocks(tmp, i0, lanes)
+            y_blocks = common.contiguous_blocks(y, i0, lanes)
+            insts: list = [Compute(3)]
+            for j in range(self.n):
+                flat = lane_rows * self.n + j
+                x_block = (common.block_addr(x, j),)
+                insts.append(Load("A", common.scattered_blocks(a, flat)))
+                insts.append(Load("x", x_block))
                 insts.append(Load("tmp", tmp_blocks))
+                insts.append(Compute(1, wait=True))
+                insts.append(Store("tmp", tmp_blocks))
+                insts.append(Load("B", common.scattered_blocks(b, flat)))
+                insts.append(Load("x", x_block))
                 insts.append(Load("y", y_blocks))
-                insts.append(Compute(3, wait=True))
+                insts.append(Compute(1, wait=True))
                 insts.append(Store("y", y_blocks))
-                cta.warps.append(WarpTrace(warp_id, insts))
-                warp_id += 1
-            cta_id += 1
-            kernel.ctas.append(cta)
+            insts.append(Load("tmp", tmp_blocks))
+            insts.append(Load("y", y_blocks))
+            insts.append(Compute(3, wait=True))
+            insts.append(Store("y", y_blocks))
+            return insts
 
-        return AppTrace(self.name, [kernel])
+        return AppTrace(self.name, [
+            common.grid_1d("gesummv_kernel", self.n, warp)])

@@ -9,23 +9,15 @@ data-centric schemes do not apply.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from repro.arch.address_space import DeviceMemory
 from repro.kernels import common
 from repro.kernels.base import GpuApplication
-from repro.kernels.trace import (
-    AppTrace,
-    Compute,
-    CtaTrace,
-    KernelTrace,
-    Load,
-    Store,
-    WarpTrace,
-)
+from repro.kernels.trace import AppTrace, Compute, Load, Store
 from repro.metrics.vector import VectorDeviationMetric
-
-CTA_SIZE = 256
 
 
 class GramSchmidt(GpuApplication):
@@ -83,43 +75,35 @@ class GramSchmidt(GpuApplication):
         q = memory.object("Q")
         r = memory.object("R")
         n = self.n
-        kernels = []
+
+        def warp(k: int, first: int, lanes: int) -> list:
+            j0 = k + 1 + first
+            insts: list = [Compute(2)]
+            for i in range(n):
+                insts.append(Load(
+                    "Q", (common.block_addr(q, i * n + k),)))
+                insts.append(Load(
+                    "A", common.contiguous_blocks(a, i * n + j0, lanes)))
+                insts.append(Compute(2, wait=True))
+            insts.append(Store(
+                "R", common.contiguous_blocks(r, k * n + j0, lanes)))
+            for i in range(n):
+                insts.append(Load(
+                    "Q", (common.block_addr(q, i * n + k),)))
+                insts.append(Load(
+                    "A", common.contiguous_blocks(a, i * n + j0, lanes)))
+                insts.append(Compute(2, wait=True))
+                insts.append(Store(
+                    "A", common.contiguous_blocks(a, i * n + j0, lanes)))
+            return insts
+
         # One kernel-3 launch per column k dominates the access profile;
         # kernels 1 and 2 (norm + normalize) are folded into the first
         # warp's prologue per launch to keep the trace compact without
-        # changing any per-block count materially.
-        for k in range(n - 1):
-            kernel = KernelTrace(f"gramschmidt_kernel3_k{k}")
-            remaining = n - 1 - k
-            warp_id = 0
-            for cta_id, (cta_first, cta_threads) in enumerate(
-                common.ctas_of_threads(remaining, CTA_SIZE)
-            ):
-                cta = CtaTrace(cta_id)
-                for first, lanes in common.warp_partition(cta_threads):
-                    j0 = k + 1 + cta_first + first
-                    insts: list = [Compute(2)]
-                    for i in range(n):
-                        insts.append(Load(
-                            "Q", (common.block_addr(q, i * n + k),)))
-                        insts.append(Load(
-                            "A", common.contiguous_blocks(
-                                a, i * n + j0, lanes)))
-                        insts.append(Compute(2, wait=True))
-                    insts.append(Store(
-                        "R", common.contiguous_blocks(r, k * n + j0, lanes)))
-                    for i in range(n):
-                        insts.append(Load(
-                            "Q", (common.block_addr(q, i * n + k),)))
-                        insts.append(Load(
-                            "A", common.contiguous_blocks(
-                                a, i * n + j0, lanes)))
-                        insts.append(Compute(2, wait=True))
-                        insts.append(Store(
-                            "A", common.contiguous_blocks(
-                                a, i * n + j0, lanes)))
-                    cta.warps.append(WarpTrace(warp_id, insts))
-                    warp_id += 1
-                kernel.ctas.append(cta)
-            kernels.append(kernel)
-        return AppTrace(self.name, kernels)
+        # changing any per-block count materially.  Launch k has one
+        # thread per column j > k.
+        return AppTrace(self.name, [
+            common.grid_1d(
+                f"gramschmidt_kernel3_k{k}", n - 1 - k, partial(warp, k))
+            for k in range(n - 1)
+        ])

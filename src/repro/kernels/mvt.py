@@ -15,18 +15,8 @@ import numpy as np
 from repro.arch.address_space import DeviceMemory
 from repro.kernels import common
 from repro.kernels.base import GpuApplication
-from repro.kernels.trace import (
-    AppTrace,
-    Compute,
-    CtaTrace,
-    KernelTrace,
-    Load,
-    Store,
-    WarpTrace,
-)
+from repro.kernels.trace import AppTrace
 from repro.metrics.vector import VectorDeviationMetric
-
-CTA_SIZE = 256
 
 
 class Mvt(GpuApplication):
@@ -80,59 +70,14 @@ class Mvt(GpuApplication):
         x2_out = memory.read_object(memory.object("x2"))
         return np.concatenate([x1_out, x2_out])
 
-    def _vector_kernel(
-        self,
-        name: str,
-        a_obj,
-        x_obj,
-        y_obj,
-        coalesced: bool,
-    ) -> KernelTrace:
-        """Build one of the two MVT kernels.
-
-        ``coalesced`` selects between the row-major (kernel1, lane
-        stride n) and column-major (kernel2, lane stride 1) indexings
-        of ``a``.
-        """
-        kernel = KernelTrace(name)
-        warp_id = 0
-        for cta_id, (cta_first, cta_threads) in enumerate(
-            common.ctas_of_threads(self.n, CTA_SIZE)
-        ):
-            cta = CtaTrace(cta_id)
-            for first_i, lanes in common.warp_partition(cta_threads):
-                i0 = cta_first + first_i
-                lane_rows = np.arange(i0, i0 + lanes, dtype=np.int64)
-                x_blocks = common.contiguous_blocks(x_obj, i0, lanes)
-                insts: list = [Compute(3), Load(x_obj.name, x_blocks)]
-                for j in range(self.n):
-                    if coalesced:
-                        a_blocks = common.contiguous_blocks(
-                            a_obj, j * self.n + i0, lanes
-                        )
-                    else:
-                        a_blocks = common.scattered_blocks(
-                            a_obj, lane_rows * self.n + j
-                        )
-                    insts.append(Load("a", a_blocks))
-                    insts.append(
-                        Load(y_obj.name, (common.block_addr(y_obj, j),))
-                    )
-                    insts.append(Compute(2, wait=True))
-                insts.append(Store(x_obj.name, x_blocks))
-                cta.warps.append(WarpTrace(warp_id, insts))
-                warp_id += 1
-            kernel.ctas.append(cta)
-        return kernel
-
     def build_trace(self, memory: DeviceMemory) -> AppTrace:
+        # x1/x2 are read-modify-write: each warp loads its slice first.
         a = memory.object("a")
-        k1 = self._vector_kernel(
-            "mvt_kernel1", a, memory.object("x1"), memory.object("y1"),
-            coalesced=False,
-        )
-        k2 = self._vector_kernel(
-            "mvt_kernel2", a, memory.object("x2"), memory.object("y2"),
-            coalesced=True,
-        )
-        return AppTrace(self.name, [k1, k2])
+        return AppTrace(self.name, [
+            common.matvec_kernel(
+                "mvt_kernel1", a, memory.object("y1"), memory.object("x1"),
+                coalesced=False, setup=3, load_out=True),
+            common.matvec_kernel(
+                "mvt_kernel2", a, memory.object("y2"), memory.object("x2"),
+                coalesced=True, setup=3, load_out=True),
+        ])

@@ -21,17 +21,12 @@ from repro.kernels.base import GpuApplication
 from repro.kernels.trace import (
     AppTrace,
     Compute,
-    CtaTrace,
     KernelTrace,
     Load,
     Store,
-    WarpTrace,
 )
 from repro.metrics.image import NrmseMetric
 
-# 32x8 thread blocks: one warp per image row segment (coalesced).
-CTA_DIM_X = 32
-CTA_DIM_Y = 8
 LAMBDA = 0.5
 
 
@@ -179,93 +174,67 @@ class Srad(GpuApplication):
         reading Image and writing J."""
         image = memory.object("Image")
         j = memory.object("J")
-        kernel = KernelTrace("srad_extract")
-        warp_id = 0
-        cta_id = 0
-        n_pixels = self.rows * self.cols
-        for cta_first, cta_threads in common.ctas_of_threads(n_pixels, 256):
-            cta = CtaTrace(cta_id)
-            cta_id += 1
-            for first, lanes in common.warp_partition(cta_threads):
-                p0 = cta_first + first
-                insts: list = [
-                    Compute(2),
-                    Load("Image",
-                         common.contiguous_blocks(image, p0, lanes)),
-                    Compute(3, wait=True),  # divide + exp
-                    Store("J", common.contiguous_blocks(j, p0, lanes)),
-                ]
-                cta.warps.append(WarpTrace(warp_id, insts))
-                warp_id += 1
-            kernel.ctas.append(cta)
-        return kernel
+
+        def warp(p0: int, lanes: int) -> list:
+            return [
+                Compute(2),
+                Load("Image", common.contiguous_blocks(image, p0, lanes)),
+                Compute(3, wait=True),  # divide + exp
+                Store("J", common.contiguous_blocks(j, p0, lanes)),
+            ]
+
+        return common.grid_1d("srad_extract", self.rows * self.cols, warp)
 
     def _kernel(self, objs, first: bool) -> KernelTrace:
-        kernel = KernelTrace("srad_cuda_1" if first else "srad_cuda_2")
         j = objs["J"]
-        warp_id = 0
-        cta_id = 0
-        for cy in range(0, self.rows, CTA_DIM_Y):
-            for cx in range(0, self.cols, CTA_DIM_X):
-                cta = CtaTrace(cta_id)
-                cta_id += 1
-                for wy in range(cy, min(cy + CTA_DIM_Y, self.rows)):
-                    n_cols = min(CTA_DIM_X, self.cols - cx)
-                    lane_r = np.full(n_cols, wy, dtype=np.int64)
-                    lane_c = np.arange(cx, cx + n_cols, dtype=np.int64)
-                    center = lane_r * self.cols + lane_c
-                    north = np.maximum(lane_r - 1, 0) * self.cols + lane_c
-                    south = (
-                        np.minimum(lane_r + 1, self.rows - 1) * self.cols
-                        + lane_c
-                    )
-                    west = lane_r * self.cols + np.maximum(lane_c - 1, 0)
-                    east = lane_r * self.cols + np.minimum(
-                        lane_c + 1, self.cols - 1)
-                    insts: list = [Compute(4)]
-                    if first:
-                        for idx_name, idx in (
-                            ("i_N", wy), ("i_S", wy),
-                            ("i_E", cx), ("i_W", cx),
-                        ):
-                            insts.append(Load(
-                                idx_name,
-                                (common.block_addr(objs[idx_name], idx),),
-                            ))
-                        for flat in (center, north, south, west, east):
-                            insts.append(
-                                Load("J", common.scattered_blocks(j, flat)))
-                        insts.append(Compute(10, wait=True))
-                        for name in ("dN", "dS", "dW", "dE", "c"):
-                            insts.append(Store(
-                                name,
-                                common.scattered_blocks(objs[name], center),
-                            ))
-                    else:
-                        insts.append(Load(
-                            "i_S", (common.block_addr(objs["i_S"], wy),)))
-                        insts.append(Load(
-                            "i_E", (common.block_addr(objs["i_E"], cx),)))
-                        insts.append(Load(
-                            "c", common.scattered_blocks(objs["c"], center)))
-                        insts.append(Load(
-                            "c", common.scattered_blocks(objs["c"], south)))
-                        insts.append(Load(
-                            "c", common.scattered_blocks(objs["c"], east)))
-                        for name, flat in (
-                            ("dN", center), ("dS", center),
-                            ("dW", center), ("dE", center),
-                        ):
-                            insts.append(Load(
-                                name,
-                                common.scattered_blocks(objs[name], flat),
-                            ))
-                        insts.append(Load(
-                            "J", common.scattered_blocks(j, center)))
-                        insts.append(Compute(6, wait=True))
-                        insts.append(Store(
-                            "J", common.scattered_blocks(j, center)))
-                    cta.warps.append(WarpTrace(warp_id, insts))
-                    warp_id += 1
-                kernel.ctas.append(cta)
-        return kernel
+
+        def warp(wy: int, cx: int, n_cols: int) -> list:
+            lane_r = np.full(n_cols, wy, dtype=np.int64)
+            lane_c = np.arange(cx, cx + n_cols, dtype=np.int64)
+            center = lane_r * self.cols + lane_c
+            north = np.maximum(lane_r - 1, 0) * self.cols + lane_c
+            south = (
+                np.minimum(lane_r + 1, self.rows - 1) * self.cols + lane_c
+            )
+            west = lane_r * self.cols + np.maximum(lane_c - 1, 0)
+            east = lane_r * self.cols + np.minimum(lane_c + 1, self.cols - 1)
+            insts: list = [Compute(4)]
+            if first:
+                for idx_name, idx in (
+                    ("i_N", wy), ("i_S", wy), ("i_E", cx), ("i_W", cx),
+                ):
+                    insts.append(Load(
+                        idx_name, (common.block_addr(objs[idx_name], idx),),
+                    ))
+                for flat in (center, north, south, west, east):
+                    insts.append(Load("J", common.scattered_blocks(j, flat)))
+                insts.append(Compute(10, wait=True))
+                for name in ("dN", "dS", "dW", "dE", "c"):
+                    insts.append(Store(
+                        name, common.scattered_blocks(objs[name], center),
+                    ))
+            else:
+                insts.append(Load(
+                    "i_S", (common.block_addr(objs["i_S"], wy),)))
+                insts.append(Load(
+                    "i_E", (common.block_addr(objs["i_E"], cx),)))
+                insts.append(Load(
+                    "c", common.scattered_blocks(objs["c"], center)))
+                insts.append(Load(
+                    "c", common.scattered_blocks(objs["c"], south)))
+                insts.append(Load(
+                    "c", common.scattered_blocks(objs["c"], east)))
+                for name, flat in (
+                    ("dN", center), ("dS", center),
+                    ("dW", center), ("dE", center),
+                ):
+                    insts.append(Load(
+                        name, common.scattered_blocks(objs[name], flat),
+                    ))
+                insts.append(Load("J", common.scattered_blocks(j, center)))
+                insts.append(Compute(6, wait=True))
+                insts.append(Store("J", common.scattered_blocks(j, center)))
+            return insts
+
+        return common.grid_2d("srad_cuda_1" if first else "srad_cuda_2",
+                              self.rows, self.cols, warp)

@@ -1,7 +1,7 @@
 """Shared machinery for the AxBench image-filter applications
 (A-Laplacian, A-Meanfilter, A-Sobel).
 
-These kernels launch one thread per pixel in 16x16 CTAs and walk a
+These kernels launch one thread per pixel in 32x8 CTAs and walk a
 3x3 window.  Per tap they re-read the filter coefficients and the
 image bounds (``Filter_Height``/``Filter_Width``) — scalar objects
 that each live in a single memory block — which is why those tiny
@@ -23,21 +23,8 @@ from repro.arch.address_space import DeviceMemory
 from repro.errors import KernelCrash
 from repro.kernels import common
 from repro.kernels.base import GpuApplication
-from repro.kernels.trace import (
-    AppTrace,
-    Compute,
-    CtaTrace,
-    KernelTrace,
-    Load,
-    Store,
-    WarpTrace,
-)
+from repro.kernels.trace import AppTrace, Compute, Load, Store
 from repro.metrics.image import NrmseMetric
-
-# 32x8 thread blocks: each warp covers one full row of 32 pixels, the
-# standard geometry for coalesced image kernels.
-CTA_DIM_X = 32
-CTA_DIM_Y = 8
 
 
 class StencilApp(GpuApplication):
@@ -137,60 +124,42 @@ class StencilApp(GpuApplication):
             (name, memory.object(name)) for name in self._per_row_loads()
         ]
 
-        kernel = KernelTrace(f"{self.name.lower()}_kernel")
-        warp_id = 0
-        cta_id = 0
-        for cy in range(0, self.height, CTA_DIM_Y):
-            for cx in range(0, self.width, CTA_DIM_X):
-                cta = CtaTrace(cta_id)
-                cta_id += 1
-                for wy in range(cy, min(cy + CTA_DIM_Y, self.height)):
-                    cols = min(CTA_DIM_X, self.width - cx)
-                    insts: list = [Compute(4)]
-                    lane_y = np.full(cols, wy, dtype=np.int64)
-                    lane_x = np.arange(cx, cx + cols, dtype=np.int64)
-                    for dy in (-1, 0, 1):
-                        for name, obj in row_objs:
-                            insts.append(
-                                Load(name, (common.block_addr(obj, 0),))
-                            )
-                        for dx in (-1, 0, 1):
-                            tap = (dy + 1) * 3 + (dx + 1)
-                            for name, obj in tap_objs:
-                                idx = tap if name == "Filter" else 0
-                                insts.append(
-                                    Load(name,
-                                         (common.block_addr(obj, idx),))
-                                )
-                            y = np.clip(lane_y + dy, 0, self.height - 1)
-                            x = np.clip(lane_x + dx, 0, self.width - 1)
-                            in_bounds = (
-                                (lane_y + dy >= 0)
-                                & (lane_y + dy < self.height)
-                                & (lane_x + dx >= 0)
-                                & (lane_x + dx < self.width)
-                            )
-                            if in_bounds.any():
-                                flat = (y * self.width + x)[in_bounds]
-                                insts.append(
-                                    Load("Image",
-                                         common.scattered_blocks(img, flat))
-                                )
-                            insts.append(Compute(2, wait=True))
-                    insts.append(Compute(2))
-                    insts.append(
-                        Store(
-                            "Output",
-                            common.scattered_blocks(
-                                out, lane_y * self.width + lane_x
-                            ),
-                        )
+        def warp(wy: int, cx: int, cols: int) -> list:
+            insts: list = [Compute(4)]
+            lane_y = np.full(cols, wy, dtype=np.int64)
+            lane_x = np.arange(cx, cx + cols, dtype=np.int64)
+            for dy in (-1, 0, 1):
+                for name, obj in row_objs:
+                    insts.append(Load(name, (common.block_addr(obj, 0),)))
+                for dx in (-1, 0, 1):
+                    tap = (dy + 1) * 3 + (dx + 1)
+                    for name, obj in tap_objs:
+                        idx = tap if name == "Filter" else 0
+                        insts.append(
+                            Load(name, (common.block_addr(obj, idx),)))
+                    y = np.clip(lane_y + dy, 0, self.height - 1)
+                    x = np.clip(lane_x + dx, 0, self.width - 1)
+                    in_bounds = (
+                        (lane_y + dy >= 0)
+                        & (lane_y + dy < self.height)
+                        & (lane_x + dx >= 0)
+                        & (lane_x + dx < self.width)
                     )
-                    cta.warps.append(WarpTrace(warp_id, insts))
-                    warp_id += 1
-                kernel.ctas.append(cta)
+                    if in_bounds.any():
+                        flat = (y * self.width + x)[in_bounds]
+                        insts.append(
+                            Load("Image", common.scattered_blocks(img, flat))
+                        )
+                    insts.append(Compute(2, wait=True))
+            insts.append(Compute(2))
+            insts.append(Store(
+                "Output",
+                common.scattered_blocks(out, lane_y * self.width + lane_x),
+            ))
+            return insts
 
-        return AppTrace(self.name, [kernel])
+        return AppTrace(self.name, [common.grid_2d(
+            f"{self.name.lower()}_kernel", self.height, self.width, warp)])
 
 
 def convolve3x3(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:

@@ -259,7 +259,8 @@ class SessionConfig:
     """Execution knobs of the core (never part of any identity)."""
 
     jobs: int = 1
-    #: Retries per chunk beyond the first attempt.
+    #: Retries per chunk beyond the first attempt.  A ``ConfigError``
+    #: is deterministic, so it is raised at once, never retried.
     max_retries: int = 2
     #: Base of the exponential backoff between attempts (seconds):
     #: attempt ``k`` sleeps ``retry_backoff_s * 2**(k-1)``.
@@ -438,7 +439,11 @@ def _run_units(
 
     def fail(unit: WorkUnit | SimUnit, attempt: int,
              exc: BaseException) -> None:
-        """Count one failed attempt; backoff or give up."""
+        """Count one failed attempt; backoff or give up.  A
+        ``ConfigError`` fails every attempt alike: it is re-raised
+        unwrapped at once."""
+        if isinstance(exc, ConfigError):
+            raise exc
         if isinstance(unit, SimUnit):
             what = f"simulation of {unit.app.name} under " \
                 f"{unit.protection.to_string()}"

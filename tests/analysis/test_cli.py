@@ -112,6 +112,13 @@ class TestTypedProtect:
                      "4", flag, "p=detection,r"]) == 4
         assert "protection assignment" in capsys.readouterr().err
 
+    def test_protecting_a_writable_object_exits_4(self, capsys):
+        # A ConfigError, not a retried-then-wrapped SessionError (6).
+        assert main(["-q", "campaign", "P-BICG", "--scale", "small",
+                     "--runs", "8", "--protect", "s=detection"]) == 4
+        assert "cannot protect writable object 's'" \
+            in capsys.readouterr().err
+
 
 class TestPerfCommand:
     def test_perf_prints_normalized_row(self, capsys):

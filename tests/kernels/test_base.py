@@ -1,12 +1,12 @@
-"""Tests for the application base class and trace builder."""
+"""Tests for the application base class."""
 
 import numpy as np
 import pytest
 
-from repro.arch.address_space import DeviceMemory
-from repro.errors import ConfigError, TraceError
-from repro.kernels.base import GpuApplication, PlainReader, TraceBuilder
-from repro.kernels.trace import Compute, Load, Store
+from repro.errors import ConfigError
+from repro.kernels import common
+from repro.kernels.base import GpuApplication, PlainReader
+from repro.kernels.trace import AppTrace, Compute, Load, Store
 from repro.metrics.vector import VectorDeviationMetric
 
 
@@ -47,16 +47,14 @@ class _Toy(GpuApplication):
         return memory.read_object(memory.object("out"))
 
     def build_trace(self, memory):
-        from repro.kernels.trace import AppTrace, CtaTrace, KernelTrace
-
-        builder = TraceBuilder(0)
-        builder.load_indices(memory.object("a"), range(8))
-        builder.load_indices(memory.object("b"), range(8))
-        builder.compute(2, wait=True)
-        builder.store_indices(memory.object("out"), range(8))
-        return AppTrace(self.name, [
-            KernelTrace("k", [CtaTrace(0, [builder.build()])])
-        ])
+        insts = [
+            Load("a", common.contiguous_blocks(memory.object("a"), 0, 8)),
+            Load("b", common.contiguous_blocks(memory.object("b"), 0, 8)),
+            Compute(2, wait=True),
+            Store("out",
+                  common.contiguous_blocks(memory.object("out"), 0, 8)),
+        ]
+        return AppTrace(self.name, [common.kernel_trace("k", [[insts]])])
 
 
 class TestGpuApplication:
@@ -107,32 +105,3 @@ class TestGpuApplication:
         assert not np.array_equal(reader.read(obj),
                                   mem.read_pristine(obj))
 
-
-class TestTraceBuilder:
-    def test_merges_adjacent_computes(self):
-        warp = TraceBuilder(0).compute(2).compute(3).build()
-        assert warp.insts == [Compute(5, False)]
-
-    def test_wait_breaks_merge(self):
-        warp = TraceBuilder(0).compute(2).compute(1, wait=True).build()
-        assert warp.insts == [Compute(2, False), Compute(1, True)]
-
-    def test_load_store_shapes(self):
-        mem = DeviceMemory(1024 * 1024)
-        obj = mem.alloc("o", (64,), np.float32)
-        warp = (
-            TraceBuilder(3)
-            .load_broadcast(obj, 5)
-            .load_strided(obj, 0, 1, 32)
-            .store_indices(obj, [0, 40])
-            .build()
-        )
-        assert warp.warp_id == 3
-        assert isinstance(warp.insts[0], Load)
-        assert len(warp.insts[0].addrs) == 1
-        assert isinstance(warp.insts[2], Store)
-        assert len(warp.insts[2].addrs) == 2
-
-    def test_zero_compute_rejected(self):
-        with pytest.raises(TraceError):
-            TraceBuilder(0).compute(0)

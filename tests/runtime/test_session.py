@@ -14,6 +14,7 @@ import pytest
 from repro.core.request import EvaluationRequest
 from repro.errors import (
     CheckpointError,
+    ConfigError,
     SessionError,
     SessionInterrupted,
     SpecError,
@@ -266,6 +267,21 @@ class TestRetries:
                           config=SessionConfig(max_retries=1))
         with pytest.raises(SessionError, match="2 attempt"):
             session.run()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_config_error_is_raised_unretried(self, jobs):
+        # Protecting a writable object fails every attempt alike.
+        sleeps = []
+        request = EvaluationRequest(
+            app="P-BICG", scheme="detection", protect="s=detection",
+            runs=8, scale="small", jobs=jobs)
+        session = Session(request, sleep=sleeps.append)
+        with pytest.raises(ConfigError,
+                           match="cannot protect writable object 's'"):
+            session.run()
+        counters = session.metrics.snapshot()["counters"]
+        assert counters.get("session.retries", 0) == 0
+        assert sleeps == []
 
 
 class TestAdaptiveSweeps:

@@ -7,9 +7,7 @@ kernel name, CTA id, warp id and instruction field of its
 * ``small`` — every registered application at small scale, C-NN at
   ``batch=2`` so that CTA and warp numbering across its image loop is
   pinned;
-* ``default`` — every application except C-NN at default scale (C-NN's
-  default-scale trace is pinned through the fig7 SimReports of
-  ``perfbench/oracle.json``).
+* ``default`` — every registered application at default scale.
 
 The simulator oracle (``tests/sim/sim_oracle.json``) pins what the
 simulator makes of a trace; this one pins the trace itself.  A change
@@ -34,7 +32,7 @@ FIXTURE = Path(__file__).with_name("trace_oracle.json")
 SCALES = {
     "small": {app: {"batch": 2} if app == "C-NN" else {}
               for app in ALL_APPLICATIONS},
-    "default": {app: {} for app in ALL_APPLICATIONS if app != "C-NN"},
+    "default": {app: {} for app in ALL_APPLICATIONS},
 }
 
 

@@ -46,6 +46,16 @@ class ReplicaSet:
         return (self.primary, *self.replicas)
 
 
+def require_read_only(obj: DataObject) -> None:
+    """Raise :class:`ConfigError` unless ``obj`` may be protected: the
+    schemes replicate read-only objects only."""
+    if not obj.read_only:
+        raise ConfigError(
+            f"cannot protect writable object {obj.name!r}: the "
+            "schemes replicate read-only input data only"
+        )
+
+
 #: Channel x bank mapping period (6 channels x 16 banks in Table I);
 #: replica bases are colored modulo this so copy traffic spreads over
 #: different channels and banks than the primary's.
@@ -90,11 +100,7 @@ def create_replicas(
         raise ConfigError("replication needs at least one extra copy")
     replica_sets: dict[str, ReplicaSet] = {}
     for obj in objects:
-        if not obj.read_only:
-            raise ConfigError(
-                f"cannot protect writable object {obj.name!r}: the "
-                "schemes replicate read-only input data only"
-            )
+        require_read_only(obj)
         pristine = None
         primary_block = obj.base_addr // BLOCK_BYTES
         replicas = []

@@ -8,7 +8,11 @@ obvious, instead of round-tripping through the generic coalescer
 
 Every kernel builds its grid through :func:`kernel_trace` (or its 1-D
 and 2-D forms :func:`grid_1d` and :func:`grid_2d`), which numbers the
-CTAs and warps; a kernel body only says what one warp issues.
+CTAs and warps; a kernel body only says what one warp issues.  Build
+each distinct ``Load`` once: where many warps issue the same read (a
+broadcast weight, a window tap shared by every output map), compute
+its block addresses in a table up front and put the one instruction
+in every such warp.
 """
 
 from __future__ import annotations
@@ -59,9 +63,9 @@ def contiguous_blocks(
 def scattered_blocks(obj: DataObject, flat_indices) -> tuple[int, ...]:
     """Blocks for arbitrary lane indices (de-duplicated, sorted)."""
     idx = np.asarray(flat_indices, dtype=np.int64)
-    byte_addrs = obj.base_addr + idx * obj.dtype.itemsize
-    blocks = np.unique(byte_addrs // BLOCK_BYTES)
-    return tuple(int(b) * BLOCK_BYTES for b in blocks)
+    base, size = obj.base_addr, obj.dtype.itemsize
+    return tuple(sorted({(base + i * size) // BLOCK_BYTES * BLOCK_BYTES
+                         for i in idx.tolist()}))
 
 
 def warp_partition(n_threads: int) -> list[tuple[int, int]]:

@@ -13,6 +13,11 @@ Instruction kinds:
 * :class:`Load` — a read of ``obj`` generating one transaction per
   address in ``addrs`` (block-aligned byte addresses).
 * :class:`Store` — write-through store transactions.
+
+Instructions are immutable NamedTuples, and a kernel may put the same
+instance in many warps (C-NN builds each distinct weight and window
+read once).  Consumers must neither mutate an instruction nor key on
+its identity; two equal instructions are the same instruction.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.protection import ProtectionSpec
 from repro.errors import ConfigError
 from repro.faults.campaign import Campaign, CampaignConfig
 from repro.faults.outcomes import Outcome
@@ -44,6 +45,19 @@ class TestConfig:
             CampaignConfig(n_bits=0)
         with pytest.raises(ConfigError):
             CampaignConfig(n_bits=40)
+
+    def test_writable_protected_object_refused_at_construction(self):
+        # P-BICG's output vector s is written by its kernel.
+        with pytest.raises(ConfigError,
+                           match="cannot protect writable object 's'"):
+            make_campaign("P-BICG", scheme="detection", protected=("s",))
+
+    def test_writable_object_in_mixed_protection_refused(self):
+        app = create_app("P-BICG", scale="small")
+        spec = ProtectionSpec.parse("r=correction,s=detection")
+        with pytest.raises(ConfigError,
+                           match="cannot protect writable object 's'"):
+            Campaign(app, uniform_selection([0]), protection=spec)
 
 
 class TestBaselineCampaign:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -425,28 +424,9 @@ class DeviceMemory:
             for o in self._overlays.values()
         )
 
-    def faulted_addresses(self) -> list[int]:
-        """Byte addresses currently carrying stuck bits."""
-        return sorted(self._overlays)
-
     def overlay_offsets(self, obj: DataObject) -> list[int]:
         """Sorted object-relative byte offsets carrying stuck bits."""
         base, end = obj.base_addr, obj.end_addr
         return sorted(
             addr - base for addr in self._overlays if base <= addr < end
         )
-
-    # ------------------------------------------------------------------
-    # Block enumeration helpers (used by fault-site selection)
-    # ------------------------------------------------------------------
-    def blocks_of(self, objects: Iterable[DataObject]) -> list[int]:
-        """All block base addresses covering the given objects."""
-        addrs: list[int] = []
-        for obj in objects:
-            addrs.extend(obj.block_addrs())
-        return addrs
-
-    def iter_blocks(self) -> Iterator[int]:
-        """Block base addresses of every live allocation."""
-        for obj in self._objects.values():
-            yield from obj.block_addrs()

@@ -86,10 +86,6 @@ class GpuConfig:
         """Aggregate L2 capacity across all slices (1536 KB in Table I)."""
         return self.l2_slice_size_bytes * self.n_mem_channels
 
-    @property
-    def warp_size(self) -> int:
-        return self.simt_width
-
     def scaled(self, **overrides) -> "GpuConfig":
         """A copy of this config with the given fields replaced."""
         return replace(self, **overrides)

@@ -579,28 +579,35 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _cmd_stats(args) -> int:
+def _read_stream(command: str, path: str, kind: str,
+                 what: str) -> list[dict] | None:
+    """Every validated ``kind`` record of the file at ``path`` (``-``
+    reads stdin), or ``None`` once ``command``'s error is logged: a
+    missing file, a directory or a corrupt stream (exit code 2)."""
     from repro.errors import ReproError
-    from repro.obs.summary import summarize_file, summarize_records
+    from repro.obs.records import iter_jsonl
 
     try:
-        if args.file == "-":
-            from repro.obs.records import iter_jsonl
-
-            records = list(iter_jsonl(sys.stdin, "runs", "<stdin>"))
-            summary = summarize_records("<stdin>", records)
-        else:
-            summary = summarize_file(args.file)
+        if path == "-":
+            return list(iter_jsonl(sys.stdin, kind, "<stdin>"))
+        return list(iter_jsonl(path, kind))
     except FileNotFoundError:
-        log.error(f"stats: telemetry file not found: {args.file}")
-        return 2
+        log.error(f"{command}: {what} file not found: {path}")
     except IsADirectoryError:
-        log.error(f"stats: {args.file} is a directory, not a "
-                  "telemetry file")
-        return 2
+        log.error(f"{command}: {path} is a directory, not a {what} file")
     except ReproError as exc:
-        log.error(f"stats: {exc}")
+        log.error(f"{command}: {exc}")
+    return None
+
+
+def _cmd_stats(args) -> int:
+    from repro.obs.summary import summarize_records
+
+    records = _read_stream("stats", args.file, "runs", "telemetry")
+    if records is None:
         return 2
+    summary = summarize_records(
+        "<stdin>" if args.file == "-" else args.file, records)
     if args.json:
         from repro.utils.canonical import canonical_json
 
@@ -612,30 +619,10 @@ def _cmd_stats(args) -> int:
 
 def _cmd_vuln(args) -> int:
     from repro.analysis.report import vulnerability_table
-    from repro.errors import ReproError
-    from repro.obs.provenance import (
-        read_provenance,
-        top_sdc_objects,
-        vulnerability_profiles,
-    )
+    from repro.obs.provenance import top_sdc_objects, vulnerability_profiles
 
-    try:
-        if args.file == "-":
-            from repro.obs.records import iter_jsonl
-
-            records = list(iter_jsonl(sys.stdin, "provenance",
-                                      "<stdin>"))
-        else:
-            records = read_provenance(args.file)
-    except FileNotFoundError:
-        log.error(f"vuln: provenance file not found: {args.file}")
-        return 2
-    except IsADirectoryError:
-        log.error(f"vuln: {args.file} is a directory, not a "
-                  "provenance file")
-        return 2
-    except ReproError as exc:
-        log.error(f"vuln: {exc}")
+    records = _read_stream("vuln", args.file, "provenance", "provenance")
+    if records is None:
         return 2
     profiles = vulnerability_profiles(records)
     if args.top is not None:

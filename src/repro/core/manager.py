@@ -6,7 +6,8 @@ identification, fault-injection campaigns (reliability, Figs 6/9) and
 timing simulation (performance, Fig 7).
 
 All profiling artifacts are computed lazily and cached — the paper's
-"one-time offline analysis".
+"one-time offline analysis"; the memory and trace they derive from
+live in the process's :class:`~repro.runtime.cache.AppContext`.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from repro.profiling.hot_blocks import (
 from repro.profiling.hot_objects import Table3Row, table3_row
 from repro.profiling.instrument import DiscoveryResult, discover
 from repro.profiling.miss_profile import l1_miss_profile
-from repro.runtime.cache import app_cache_key
+from repro.runtime.cache import app_cache_key, app_context
 
 
 class ReliabilityManager:
@@ -65,16 +66,16 @@ class ReliabilityManager:
     # ------------------------------------------------------------------
     # Cached offline analyses
     # ------------------------------------------------------------------
-    @cached_property
+    @property
     def memory(self) -> DeviceMemory:
-        """Pristine device memory with the app's allocations."""
-        return self.app.fresh_memory()
+        """Pristine device memory with the app's allocations: the app
+        context's, the very object its campaigns inject into."""
+        return app_context(self.app).pristine
 
-    @cached_property
+    @property
     def trace(self) -> AppTrace:
-        trace = self.app.build_trace(self.memory)
-        trace.validate()
-        return trace
+        """The app context's validated warp-level memory trace."""
+        return app_context(self.app).trace
 
     @cached_property
     def profile(self) -> AccessProfile:

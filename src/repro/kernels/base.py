@@ -47,7 +47,6 @@ class GpuApplication(abc.ABC):
     def __init__(self, seed: int = 1234):
         self.seed = seed
         self.error_metric = self._make_metric()
-        self._golden: np.ndarray | None = None
 
     # -- subclass contract -------------------------------------------------
     @abc.abstractmethod
@@ -92,11 +91,10 @@ class GpuApplication(abc.ABC):
         return memory
 
     def golden_output(self) -> np.ndarray:
-        """The fault-free baseline output (computed once, cached)."""
-        if self._golden is None:
-            memory = self.fresh_memory()
-            self._golden = self.execute(memory, PlainReader(memory))
-        return self._golden
+        """The fault-free baseline output, computed afresh on every
+        call (:func:`~repro.runtime.cache.app_context` caches it)."""
+        memory = self.fresh_memory()
+        return self.execute(memory, PlainReader(memory))
 
     def input_objects(self, memory: DeviceMemory) -> list[DataObject]:
         """Handles for the importance-ordered kernel input objects."""

@@ -249,12 +249,6 @@ class VulnerabilityProfile:
     def sdc_rate(self) -> float:
         return self.sdc_count / self.runs if self.runs else 0.0
 
-    @property
-    def due_count(self) -> int:
-        """Loud terminations attributed to this object."""
-        return (self.outcome_counts[Outcome.DETECTED.value]
-                + self.outcome_counts[Outcome.CRASH.value])
-
     def sdc_interval(self, level: float = 0.95) -> ConfidenceInterval:
         """Wilson CI on the object's SDC attribution rate."""
         if self.runs == 0:

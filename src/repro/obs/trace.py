@@ -282,10 +282,6 @@ class TraceSession:
         """Install the address-space map used to attribute raw addresses."""
         self._object_map = ObjectMap.from_memory(memory)
 
-    @property
-    def object_map(self) -> ObjectMap | None:
-        return self._object_map
-
     def attribute(self, addr: int) -> str:
         """Owning object of ``addr``: request context first, then the
         address-space map, then :data:`UNATTRIBUTED`."""

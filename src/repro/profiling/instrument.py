@@ -19,6 +19,7 @@ from repro.kernels.trace import AppTrace, Load, Store
 from repro.profiling.access_profile import AccessProfile, profile_trace
 from repro.profiling.hot_blocks import classify_hot_blocks
 from repro.profiling.hot_objects import discover_hot_objects
+from repro.runtime.cache import app_context
 
 
 class MemoryCallback(Protocol):
@@ -78,10 +79,10 @@ def discover(
     """Full automated pipeline: trace -> profile -> hot blocks -> hot
     objects, ignoring the app's declared answers (then reporting
     agreement with them)."""
+    context = app_context(app)
     if memory is None:
-        memory = app.fresh_memory()
-    trace = app.build_trace(memory)
-    profile = profile_trace(trace, memory)
+        memory = context.pristine
+    profile = profile_trace(context.trace, memory)
     classification = classify_hot_blocks(profile, hot_factor=hot_factor)
     hot = discover_hot_objects(profile, memory, classification)
     return DiscoveryResult(

@@ -6,10 +6,10 @@
   adaptive campaign, sweep cell and tradeoff level;
   :class:`~repro.runtime.executor.CampaignExecutor` is its
   one-campaign entry.
-* :mod:`repro.runtime.cache` — per-process cache of pristine device
-  memory, golden outputs and memory traces keyed by application
-  identity, so sweeps and worker processes never recompute them per
-  campaign object.
+* :mod:`repro.runtime.cache` — the one per-process home of pristine
+  device memory, golden outputs and memory traces keyed by application
+  identity, so managers, sweeps and worker processes never recompute
+  them per object.
 * :mod:`repro.runtime.session` — resumable sweep sessions: an
   ordered tuple of :class:`~repro.core.request.EvaluationRequest` s
   (one per cell; a :class:`~repro.runtime.session.SweepSpec` is their

@@ -1,12 +1,16 @@
-"""Process-level cache of per-application derived artifacts.
+"""The one home of an application's offline artifacts.
 
-A fault-injection sweep builds many :class:`~repro.faults.campaign.
-Campaign` objects for the same application (one per scheme x
-protection-level x fault-grid cell), and a parallel campaign rebuilds
-the application once inside every worker process.  The expensive parts
-— pristine device memory, the fault-free golden output, the coalesced
-memory trace — depend only on the application's identity, so they are
-computed once per process and shared.
+An application's pristine device memory, validated warp-level trace
+and fault-free golden output — the paper's one-time offline analysis
+— are built here and nowhere else, once per process, and shared by
+everything that needs them: the
+:class:`~repro.core.manager.ReliabilityManager` profiles the same
+memory object its campaigns inject into, instrumentation-style
+discovery and the timing simulator replay the same trace, and every
+:class:`~repro.faults.campaign.Campaign` of a sweep (one per scheme x
+protection-level x fault-grid cell) compares against the same golden
+output.  A parallel campaign's workers rebuild (or fork-inherit) the
+context of the application they are shipped.
 
 The cache key is structural: application class plus every scalar
 constructor-derived attribute (seed, input sizes, ...).  Two

@@ -45,7 +45,7 @@ from dataclasses import asdict, dataclass
 from itertools import count
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from repro.arch.config import PAPER_CONFIG, GpuConfig
+from repro.arch.config import GpuConfig
 from repro.core.hardware import HardwareBudget
 from repro.core.protection import ProtectionSpec
 from repro.errors import (
@@ -59,14 +59,13 @@ from repro.faults.adaptive import AdaptiveResult, StopDecision, should_stop
 from repro.faults.campaign import Campaign, CampaignResult
 from repro.obs.log import get_logger
 from repro.obs.progress import ProgressEvent
-from repro.runtime.cache import app_cache_key, app_context, cache_info
+from repro.runtime.cache import app_cache_key, cache_info
 from repro.runtime.checkpoint import wrap_payload_error
 from repro.sim.metrics import SimReport
 from repro.utils.canonical import canonical_digest
 from repro.utils.stats import confidence_interval
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.manager import ReliabilityManager
     from repro.faults.adaptive import AdaptiveConfig
     from repro.kernels.base import GpuApplication
     from repro.obs.metrics import MetricsRegistry
@@ -136,7 +135,7 @@ class CampaignSpec:
     def from_campaign(cls, campaign: "Campaign") -> "CampaignSpec":
         return cls(
             token=f"{id(campaign)}-{next(_TOKENS)}",
-            app=_shipped(campaign.app),
+            app=campaign.app,
             selection=campaign.selection,
             scheme_name=campaign.scheme_name,
             protected_names=campaign.protected_names,
@@ -154,24 +153,21 @@ class CampaignSpec:
 
 _TOKENS = count(1)
 
-
-def _shipped(app: "GpuApplication") -> "GpuApplication":
-    """The app without its cached golden output: each worker recomputes
-    (or fork-inherits) it via the app-context cache, keeping task
-    pickles small."""
-    app = copy.copy(app)
-    app._golden = None
-    return app
-
-
 #: Worker-side cache: campaigns rebuilt from specs.
 _WORKER_CAMPAIGNS: dict[str, "Campaign"] = {}
+
+#: Test seam: when set, called as ``hook(spec_token, span)`` inside
+#: every worker attempt before the chunk executes; raising simulates a
+#: worker failure.  Inherited by forked workers.
+_chaos_hook: Callable[[str, tuple[int, int]], None] | None = None
 
 
 def _run_span_spec(
     spec: CampaignSpec, span: tuple[int, int]
 ) -> "CampaignResult":
     """Worker entry: rebuild-or-reuse the campaign, then run a span."""
+    if _chaos_hook is not None:
+        _chaos_hook(spec.token, span)
     campaign = _WORKER_CAMPAIGNS.get(spec.token)
     if campaign is None:
         if len(_WORKER_CAMPAIGNS) >= _MAX_WORKER_CAMPAIGNS:
@@ -200,8 +196,7 @@ def _run_span_spec(
 class SimUnit:
     """One timing simulation, picklable and identified by content.
 
-    ``app`` ships without its cached golden output, and a worker
-    simulates it on its process's shared app context.  The
+    A worker simulates ``app`` on its process's shared app context.  The
     :attr:`digest` keys the app by :func:`app_cache_key`, the identity
     campaign checkpoints use; its SimReport persists under it.
     """
@@ -210,9 +205,6 @@ class SimUnit:
     config: GpuConfig
     budget: HardwareBudget
     protection: ProtectionSpec
-
-    def __post_init__(self):
-        object.__setattr__(self, "app", _shipped(self.app))
 
     @property
     def digest(self) -> str:
@@ -226,32 +218,11 @@ class SimUnit:
 
     def run(self) -> "SimReport":
         """Simulate, on the memory and trace of the app context."""
-        manager = context_manager(self.app, config=self.config)
+        from repro.core.manager import ReliabilityManager
+
+        manager = ReliabilityManager(self.app, config=self.config)
         manager.budget = self.budget
         return manager.simulate_performance("baseline", self.protection)
-
-
-def context_manager(
-    app: "str | GpuApplication", scale: str = "default",
-    app_seed: int = 1234, config: GpuConfig = PAPER_CONFIG,
-) -> "ReliabilityManager":
-    """A manager whose memory and trace are the process's app context's.
-
-    ``app`` is an application object or a registry name, built at
-    ``scale``/``app_seed``.  The trace is built once per process (and
-    inherited by forked workers) instead of once per manager.
-    """
-    from repro.core.manager import ReliabilityManager
-    from repro.kernels.registry import create_app
-
-    if isinstance(app, str):
-        app = create_app(app, scale=scale, seed=app_seed)
-    context = app_context(app)
-    manager = ReliabilityManager(context.app, config=config)
-    # Prime the manager's cached analyses with the context's
-    # (identical) artifacts.
-    manager.__dict__.update(memory=context.pristine, trace=context.trace)
-    return manager
 
 
 @dataclass(frozen=True)
@@ -414,7 +385,6 @@ def _run_units(
     skippable: Callable[[WorkUnit], bool] = lambda unit: False,
     emit: Callable[..., None] = lambda kind, **fields: None,
     sleep: Callable[[float], None] = time.sleep,
-    entry: Callable = _run_span_spec,
 ) -> str | None:
     """Execute ``units`` (spans of ``campaigns``, simulations) with
     retries.
@@ -423,8 +393,8 @@ def _run_units(
     completion order — a :class:`CampaignResult` for a span, a
     :class:`~repro.sim.metrics.SimReport` for a :class:`SimUnit` — and
     returns False to stop early; spans for which ``skippable`` answers
-    True are never started.  Pool workers run ``entry(spec, (start,
-    stop))`` for a span (``spec`` is its campaign's
+    True are never started.  Pool workers run ``_run_span_spec(spec,
+    (start, stop))`` for a span (``spec`` is its campaign's
     :class:`CampaignSpec`) and :meth:`SimUnit.run` for a simulation.
     ``metrics`` gets the ``session.*`` retry, timeout, restart and
     unit-time counters, ``emit(kind, **fields)`` the matching
@@ -498,7 +468,7 @@ def _run_units(
                             fut = pool.submit(unit.run)
                         else:
                             fut = pool.submit(
-                                entry, shipped[unit.cell_index],
+                                _run_span_spec, shipped[unit.cell_index],
                                 (unit.start, unit.stop))
                     except RuntimeError as exc:
                         raise _FallBackToSerial(
@@ -637,7 +607,6 @@ class _Drive:
     progress: Callable[[ProgressEvent], None] | None = None
     emit: Callable[..., None] = lambda kind, **fields: None
     sleep: Callable[[float], None] = time.sleep
-    entry: Callable = _run_span_spec
 
     def __post_init__(self):
         self.campaigns = [_at_unit_batch(c) for c in self.campaigns]
@@ -727,7 +696,7 @@ class _Drive:
                 self.campaigns, [*sims.values(), *pending], on_done,
                 self.config, metrics=metrics,
                 skippable=committer.skippable, emit=self.emit,
-                sleep=self.sleep, entry=self.entry,
+                sleep=self.sleep,
             )
         return self
 

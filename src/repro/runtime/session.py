@@ -34,19 +34,16 @@ from repro.core.request import EvaluationRequest
 from repro.errors import SessionInterrupted, SpecError
 from repro.faults.adaptive import AdaptiveConfig, StopDecision
 from repro.faults.campaign import CampaignResult
-from repro.kernels.registry import app_factory
+from repro.kernels.registry import app_factory, create_app
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.session import SessionLog
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.executor import (
-    CampaignSpec,
     SessionConfig,
     SimUnit,
     WorkUnit,
     _Drive,
-    _run_span_spec,
-    context_manager,
     plan_chunks,
 )
 from repro.sim.metrics import SimReport
@@ -59,18 +56,6 @@ log = get_logger("session")
 #: resumable at any parallelism), so this replaces the executor's
 #: per-worker heuristic.
 DEFAULT_CHUNKS_PER_CELL = 16
-
-#: Test seam: when set, called as ``hook(spec_token, span)`` inside
-#: every worker attempt before the chunk executes; raising simulates a
-#: worker failure.  Inherited by forked workers.
-_chaos_hook: Callable[[str, tuple[int, int]], None] | None = None
-
-
-def _run_session_span(spec: CampaignSpec, span) -> CampaignResult:
-    """Worker entry: optionally misbehave (tests), then run the span."""
-    if _chaos_hook is not None:
-        _chaos_hook(spec.token, span)
-    return _run_span_spec(spec, span)
 
 
 # ----------------------------------------------------------------------
@@ -308,11 +293,14 @@ class Session:
         :class:`~repro.errors.SessionError` when a chunk exhausts its
         retry budget.
         """
+        from repro.core.manager import ReliabilityManager
+
         wall_begin = time.perf_counter()
         requests = self.requests
         log.info(f"sweep: {len(requests)} cell(s), building campaigns")
         campaigns = [
-            context_manager(request.app, request.scale, request.app_seed)
+            ReliabilityManager(create_app(
+                request.app, scale=request.scale, seed=request.app_seed))
             ._request_campaign(request)
             for request in requests
         ]
@@ -329,7 +317,6 @@ class Session:
             sims=self.sims, store=self.store,
             labels=[_cell_label(request) for request in requests],
             progress=self.progress, emit=self._emit, sleep=self._sleep,
-            entry=_run_session_span,
         )
         committer = drive.committer
         try:

@@ -44,6 +44,7 @@ from repro.errors import (
     SessionInterrupted,
     SpecError,
 )
+from repro.kernels.registry import create_app
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.search import SearchTrailWriter
@@ -52,7 +53,7 @@ from repro.runtime.checkpoint import (
     atomic_write_json,
     read_json,
 )
-from repro.runtime.executor import SimUnit, context_manager
+from repro.runtime.executor import SimUnit
 from repro.runtime.session import Session, SessionConfig
 from repro.search.pareto import Evaluation, budget_best, pareto_front
 from repro.search.space import DesignPoint, DesignSpace
@@ -306,7 +307,8 @@ def optimize(
     request = dataclasses.replace(
         request, app=app, keep_runs=False, collect_records=True,
         collect_provenance=False, metrics=None, progress=None)
-    manager = context_manager(app, request.scale, request.app_seed)
+    manager = ReliabilityManager(create_app(
+        app, scale=request.scale, seed=request.app_seed))
     candidates = _candidate_objects(manager, objects)
     space = DesignSpace(app=app, objects=candidates)
     metrics = metrics if metrics is not None else MetricsRegistry()

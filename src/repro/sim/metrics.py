@@ -53,10 +53,6 @@ class SimReport:
         return self.l1_hits / self.l1_accesses if self.l1_accesses else 0.0
 
     @property
-    def l2_hit_rate(self) -> float:
-        return self.l2_hits / self.l2_accesses if self.l2_accesses else 0.0
-
-    @property
     def ipc(self) -> float:
         return self.instructions / self.cycles if self.cycles else 0.0
 

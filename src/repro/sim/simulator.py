@@ -24,6 +24,7 @@ from repro.kernels.base import GpuApplication
 from repro.kernels.trace import AppTrace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import PID_TIMELINE, TID_MAIN, TraceSession
+from repro.runtime.cache import app_context
 from repro.sim.ldst import (
     _FAR_FUTURE,
     LdstUnit,
@@ -341,9 +342,9 @@ def simulate_app(
     ``scheme_name="mixed"`` (see :func:`build_protection`).
     """
     if memory is None:
-        memory = app.fresh_memory()
+        memory = app_context(app).pristine
     if trace is None:
-        trace = app.build_trace(memory)
+        trace = app_context(app).trace
     if tracer is not None:
         tracer.set_object_map(memory)
     protection = build_protection(

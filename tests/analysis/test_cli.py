@@ -309,20 +309,23 @@ class TestErrorExitCodes:
                      "--protect", "warm"]) == 4
 
 
+@pytest.mark.parametrize("command", ["stats", "vuln"])
 class TestStatsErrors:
-    def test_missing_file(self, capsys):
-        assert main(["stats", "/no/such/telemetry.jsonl"]) == 2
+    """``stats`` and ``vuln`` share one read path and its exit-2 errors."""
+
+    def test_missing_file(self, command, capsys):
+        assert main([command, "/no/such/telemetry.jsonl"]) == 2
         assert "not found" in capsys.readouterr().err
 
-    def test_corrupt_file(self, tmp_path, capsys):
+    def test_corrupt_file(self, command, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("this is not json\n", encoding="utf-8")
-        assert main(["stats", str(bad)]) == 2
+        assert main([command, str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_directory_argument(self, tmp_path, capsys):
-        assert main(["stats", str(tmp_path)]) == 2
-        assert "error:" in capsys.readouterr().err
+    def test_directory_argument(self, command, tmp_path, capsys):
+        assert main([command, str(tmp_path)]) == 2
+        assert "is a directory" in capsys.readouterr().err
 
 
 class TestExportCommand:

@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.arch.address_space import DeviceMemory
 from repro.core.manager import ReliabilityManager
 from repro.errors import ConfigError
 from repro.faults.outcomes import Outcome
 from repro.kernels.registry import create_app
+from repro.runtime.cache import app_context
 
 
 class TestProtectionLevels:
@@ -101,6 +103,26 @@ class TestCaching:
         assert m.profile is m.profile
         assert m.trace is m.trace
         assert m.hot_blocks is m.hot_blocks
+
+    def test_memory_and_trace_are_the_app_contexts(self, laplacian_manager):
+        context = app_context(laplacian_manager.app)
+        assert laplacian_manager.memory is context.pristine
+        assert laplacian_manager.trace is context.trace
+
+    @pytest.mark.parametrize("scheme", ["baseline", "correction"])
+    def test_campaigns_inject_into_the_managers_memory(self, scheme,
+                                                       monkeypatch):
+        manager = ReliabilityManager(create_app("A-Laplacian",
+                                                scale="small"))
+        sources = []
+        for name in ("clone", "cow_clone"):
+            def spy(memory, _original=getattr(DeviceMemory, name)):
+                sources.append(memory)
+                return _original(memory)
+            monkeypatch.setattr(DeviceMemory, name, spy)
+        result = manager.evaluate(scheme=scheme, protect="hot", runs=4)
+        assert result.n_runs == 4
+        assert sources[0] is manager.memory
 
     def test_invalid_declarations_rejected_at_construction(self):
         app = create_app("P-BICG", scale="small")

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-import repro.runtime.session as session_mod
+import repro.runtime.executor as executor_mod
 from repro.core.request import EvaluationRequest
 from repro.errors import SessionInterrupted
 from repro.runtime.checkpoint import CheckpointStore
@@ -54,7 +54,7 @@ def pool_config(**overrides) -> SessionConfig:
 def chaos(monkeypatch):
     """Install a worker-side chaos hook (inherited by forked workers)."""
     def install(hook):
-        monkeypatch.setattr(session_mod, "_chaos_hook", hook)
+        monkeypatch.setattr(executor_mod, "_chaos_hook", hook)
     yield install
 
 

@@ -8,6 +8,7 @@ from repro.kernels import common
 from repro.kernels.base import GpuApplication, PlainReader
 from repro.kernels.trace import AppTrace, Compute, Load, Store
 from repro.metrics.vector import VectorDeviationMetric
+from repro.runtime.cache import app_context
 
 
 class _Toy(GpuApplication):
@@ -66,8 +67,10 @@ class TestGpuApplication:
 
     def test_golden_is_cached_and_deterministic(self):
         app = _Toy()
-        first = app.golden_output()
-        assert app.golden_output() is first
+        first = app_context(app).golden
+        assert app_context(app).golden is first
+        assert app_context(_Toy()).golden is first
+        np.testing.assert_array_equal(first, app.golden_output())
         np.testing.assert_array_equal(first, _Toy().golden_output())
 
     def test_seed_changes_golden(self):

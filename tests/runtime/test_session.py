@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro.core.manager import ReliabilityManager
 from repro.core.request import EvaluationRequest
 from repro.errors import (
     CheckpointError,
@@ -22,8 +23,8 @@ from repro.errors import (
     UnknownSchemeError,
 )
 from repro.faults.campaign import Campaign
+from repro.kernels.registry import create_app
 from repro.runtime.checkpoint import STORE_VERSION
-from repro.runtime.executor import context_manager
 from repro.runtime.session import (
     DEFAULT_CHUNKS_PER_CELL,
     Session,
@@ -202,9 +203,9 @@ class TestSerialExecution:
 
     def test_matches_direct_campaign_run(self, spec, reference):
         request = next(iter(spec))
-        direct = context_manager(
-            request.app, request.scale, request.app_seed,
-        ).evaluate(request=request)
+        direct = ReliabilityManager(create_app(
+            request.app, scale=request.scale, seed=request.app_seed,
+        )).evaluate(request=request)
         merged = reference.entries[0].result
         assert merged.to_dict() == direct.to_dict()
 

@@ -18,6 +18,7 @@ from repro.errors import (
     SessionInterrupted,
     SpecError,
 )
+from repro.kernels.registry import create_app
 from repro.obs.search import read_search_trail
 from repro.search import engine, optimize
 from repro.utils.canonical import canonical_digest
@@ -247,9 +248,7 @@ class TestGreedySeeding:
 
 class TestVulnerabilityRanking:
     def test_ranking_identical_across_batch(self):
-        from repro.runtime.executor import context_manager
-
-        manager = context_manager(APP, "small", 1234)
+        manager = ReliabilityManager(create_app(APP, scale="small"))
         candidates = tuple(manager.app.object_importance)
 
         def ranking(batch):

@@ -8,9 +8,11 @@ these arms of the execution engine:
   deep-copy the pristine memory and rebuild every replica inside each
   run;
 * ``serial-cow``  — copy-on-write clones of a once-prepared replica
-  image, with overlay-aware divergence checks;
-* ``parallel-cow`` — the same COW path fanned out over worker
-  processes (``REPRO_BENCH_JOBS``, default 4);
+  image, with overlay-aware divergence checks, one ``Campaign.run_one``
+  per run;
+* ``parallel-cow`` — ``batch=1`` campaigns fanned out over worker
+  processes (``REPRO_BENCH_JOBS``, default 4): one-lane engine sweeps
+  of COW clones;
 * ``batched-cow`` — the batched propagation engine
   (:mod:`repro.faults.batch`): ``REPRO_BENCH_BATCH`` lanes (default
   64) planned and classified per sweep, the lanes that must execute
@@ -23,7 +25,7 @@ these arms of the execution engine:
   for, delivered at early-stop cost;
 * ``mixed-serial`` / ``mixed-batched`` — a mixed per-object spec
   (``A`` triplicated, ``p``/``r`` duplicated, one of the greedy
-  search's configurations) through the scalar loop and the batched
+  search's configurations) through a ``run_one`` loop and the batched
   engine, which must agree on the tallies.
 
 The four exhaustive arms must produce bit-identical outcome tallies —
@@ -76,7 +78,7 @@ def _peak_rss_mb() -> float:
     return round((self_kb + child_kb) / 1024.0, 1)
 
 
-def _time_arm(manager, jobs: int, batch: int = 1, reference=False,
+def _time_arm(manager, jobs: int, batch: int = 1, per_run=None,
               protection=None):
     how = {"protection": protection} if protection is not None else {
         "scheme": _SCHEME, "protect": manager.protected_names(_PROTECT)}
@@ -89,15 +91,18 @@ def _time_arm(manager, jobs: int, batch: int = 1, reference=False,
         batch=batch,
     )
     start = time.perf_counter()
-    if reference:
+    if per_run is not None:
+        # One call per run, no engine: ``_run_reference`` (deep copy)
+        # or ``run_one`` (COW clone).
+        run = getattr(campaign, per_run)
         counts = {o: 0 for o in Outcome}
         for run_index in range(BENCH_RUNS):
-            counts[campaign._run_reference(run_index).outcome] += 1
+            counts[run(run_index).outcome] += 1
     else:
         counts = campaign.run().counts
     elapsed = time.perf_counter() - start
     return {
-        "memory": "full" if reference else "cow",
+        "memory": "full" if per_run == "_run_reference" else "cow",
         "jobs": jobs,
         "batch": batch,
         "seconds": round(elapsed, 3),
@@ -150,11 +155,12 @@ def test_campaign_throughput(benchmark):
         arms, times, tallies = {}, {}, {}
         mixed = ProtectionSpec.parse(_MIXED)
         for name, jobs, batch, options in (
-            ("serial-full", 1, 1, {"reference": True}),
-            ("serial-cow", 1, 1, {}),
+            ("serial-full", 1, 1, {"per_run": "_run_reference"}),
+            ("serial-cow", 1, 1, {"per_run": "run_one"}),
             ("parallel-cow", BENCH_JOBS, 1, {}),
             ("batched-cow", 1, BENCH_BATCH, {}),
-            ("mixed-serial", 1, 1, {"protection": mixed}),
+            ("mixed-serial", 1, 1,
+             {"per_run": "run_one", "protection": mixed}),
             ("mixed-batched", 1, BENCH_BATCH, {"protection": mixed}),
         ):
             arms[name], times[name], tallies[name] = _time_arm(
@@ -282,7 +288,14 @@ PROV_OFF_SAMPLES = int(
     os.environ.get("REPRO_BENCH_PROV_OFF_SAMPLES", "5"))
 
 
-def test_provenance_off_overhead(benchmark):
+def _no_provenance(*args, **kwargs):
+    raise AssertionError(
+        "telemetry-only campaign derived provenance — provenance is "
+        "supposed to be pay-for-use"
+    )
+
+
+def test_provenance_off_overhead(benchmark, monkeypatch):
     """Provenance is strictly pay-for-use: a telemetry-only campaign
     (the default) must not regress now that the provenance subsystem
     exists.
@@ -293,12 +306,16 @@ def test_provenance_off_overhead(benchmark):
     path: the ratio of the per-arm minima is gated at
     ``MAX_PROV_OFF_RATIO`` (pure noise for identical code), and the
     structural asserts verify the dormancy that makes the path
-    identical — the shared golden-evidence base is never built and no
+    identical — the provenance derivation never runs (the golden
+    evidence base is built, for the analytic classifier alone) and no
     provenance records accumulate."""
     import gc
     import statistics
 
+    from repro.faults.evidence import GoldenEvidence
     from repro.faults.selection import uniform_selection
+
+    monkeypatch.setattr(GoldenEvidence, "provenance", _no_provenance)
 
     app = create_app(_APP, scale="small", seed=SEED)
 
@@ -319,10 +336,6 @@ def test_provenance_off_overhead(benchmark):
         start = time.perf_counter()
         result = campaign.run()
         elapsed = time.perf_counter() - start
-        assert campaign._evidence is None, (
-            "telemetry-only campaign built the golden evidence base — "
-            "provenance is supposed to be pay-for-use"
-        )
         assert result.provenance == []
         assert len(result.records) == PROV_OFF_RUNS
         return elapsed

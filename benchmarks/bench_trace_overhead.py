@@ -223,7 +223,7 @@ def _campaign_batch(app, provenance: bool) -> float:
     return elapsed
 
 
-def test_provenance_overhead(benchmark):
+def test_provenance_overhead(benchmark, monkeypatch):
     """Provenance derivation rides the golden evidence the batched
     classifier already holds, so a provenance-enabled campaign must
     stay within ``MAX_PROVENANCE_RATIO`` of the telemetry-only arm
@@ -279,21 +279,26 @@ def test_provenance_overhead(benchmark):
         f"provenance-enabled campaign is {ratio:.3f}x the "
         f"telemetry-only arm (bar: {MAX_PROVENANCE_RATIO}x)"
     )
-    # Structural zero-cost check: with collection off, the golden
-    # evidence base is never even built.
+    # Structural zero-cost check: with collection off, the provenance
+    # derivation never runs (the golden evidence base serves the
+    # analytic classifier alone).
     from repro.faults.campaign import Campaign, CampaignConfig
+    from repro.faults.evidence import GoldenEvidence
     from repro.faults.selection import uniform_selection
 
+    def no_provenance(*args, **kwargs):
+        raise AssertionError(
+            "telemetry-only campaign derived provenance — provenance "
+            "is supposed to be pay-for-use"
+        )
+
+    monkeypatch.setattr(GoldenEvidence, "provenance", no_provenance)
     memory = app.fresh_memory()
     pool = [a for o in memory.objects for a in o.block_addrs()]
-    scalar = Campaign(
+    campaign = Campaign(
         app, uniform_selection(pool), scheme=_SCHEME,
         protect=_PROTECT,
         config=CampaignConfig(runs=4, n_blocks=1, n_bits=2, seed=SEED),
     )
-    result = scalar.run()
-    assert scalar._evidence is None, (
-        "telemetry-only scalar campaign built the golden evidence "
-        "base — provenance is supposed to be pay-for-use"
-    )
+    result = campaign.run()
     assert result.provenance == []

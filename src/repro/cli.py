@@ -106,6 +106,7 @@ from repro.analysis.report import campaign_table, performance_table
 from repro.core.manager import ReliabilityManager
 from repro.core.request import EvaluationRequest
 from repro.core.schemes import SCHEME_NAMES
+from repro.faults.batch import DEFAULT_BATCH
 from repro.kernels.registry import (
     APPLICATIONS,
     FLAT_APPLICATIONS,
@@ -145,9 +146,9 @@ _REQUEST_FLAGS = {
         "(default: hot)"))),
     "--jobs": ("jobs", dict(type=int, default=1, help=(
         "worker processes (default 1); never affects results"))),
-    "--batch": ("batch", dict(type=int, default=1, help=(
-        "runs planned and classified per batched sweep (default 1); "
-        "never affects results"))),
+    "--batch": ("batch", dict(type=int, default=DEFAULT_BATCH, help=(
+        "runs planned and classified per batched sweep (default "
+        f"{DEFAULT_BATCH}); never affects results"))),
     "--target-margin": ("target_margin", dict(
         type=float, default=None, metavar="M", help=(
             "stop at the first chunk boundary whose Wilson 95%% CI "

@@ -21,6 +21,7 @@ from repro.core.protection import ProtectionSpec
 from repro.core.request import EvaluationRequest
 from repro.errors import ConfigError, SpecError
 from repro.faults.adaptive import AdaptiveConfig
+from repro.faults.batch import DEFAULT_BATCH
 from repro.faults.campaign import Campaign, CampaignConfig, CampaignResult
 from repro.faults.selection import (
     BlockSelection,
@@ -209,7 +210,7 @@ class ReliabilityManager:
         collect_records: bool = False,
         collect_provenance: bool = False,
         metrics=None,
-        batch: int = 1,
+        batch: int = DEFAULT_BATCH,
         target_margin: float | None = None,
         progress=None,
         request: EvaluationRequest | None = None,
@@ -224,8 +225,9 @@ class ReliabilityManager:
         ``metrics`` names the
         :class:`~repro.obs.metrics.MetricsRegistry` observability
         accumulates into.  ``batch`` plans and classifies that many
-        runs per vectorized sweep (results are identical to
-        ``batch=1``).
+        runs per sweep of the batched engine (default
+        :data:`~repro.faults.batch.DEFAULT_BATCH`; results are
+        identical at every batch size).
         ``target_margin`` turns on CI-driven early stopping with
         ``runs`` as the budget (see :meth:`evaluate_adaptive` for the
         full decision trail).  ``progress`` names a live-progress sink
@@ -269,7 +271,7 @@ class ReliabilityManager:
         collect_records: bool = False,
         collect_provenance: bool = False,
         metrics=None,
-        batch: int = 1,
+        batch: int = DEFAULT_BATCH,
         progress=None,
         request: EvaluationRequest | None = None,
     ):

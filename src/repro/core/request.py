@@ -27,6 +27,7 @@ from typing import Any
 from repro.core.protection import ProtectionSpec
 from repro.core.schemes import SCHEME_NAMES
 from repro.errors import SpecError, UnknownSchemeError
+from repro.faults.batch import DEFAULT_BATCH
 from repro.utils.canonical import canonical_digest
 
 
@@ -54,7 +55,7 @@ class EvaluationRequest:
     collect_provenance: bool = False
     # -- execution knobs: never part of the request identity ----------
     jobs: int = 1
-    batch: int = 1
+    batch: int = DEFAULT_BATCH
     # -- observability sinks: never part of the request identity ------
     metrics: Any = field(default=None, compare=False)
     progress: Any = field(default=None, compare=False)

@@ -1,18 +1,20 @@
 """Batched fault propagation: plan and classify N runs in one pass.
 
-The scalar campaign path (:meth:`~repro.faults.campaign.Campaign.run_one`)
-pays the full pipeline — seed derivation, memory clone, scheme
-construction, functional execution, output comparison — for every run,
-even though the vast majority of injected fault clusters are either
+The batched engine is the one campaign loop: ``Campaign.run_span``
+sweeps every span through :class:`BatchEngine` in slices of
+``Campaign.batch`` lanes (default :data:`DEFAULT_BATCH`; ``batch=1``
+means one-lane sweeps).  Most injected fault clusters are either
 invisible (the stuck bits agree with the data underneath) or fully
-absorbed by the replication scheme before they reach the kernel.  This
-module batches a span of run indices and splits the lanes analytically.
-Both paths share one lane pipeline on the campaign: the reference
-planner (``Campaign._plan``), fault injection with the scheme built by
-:func:`~repro.core.schemes.make_protection` (``Campaign._inject``),
-outcome classification (``Campaign._outcome``) and record emission
-(``Campaign._emit``), so every protection spec — uniform, mixed
-per-object, SECDED — runs here.
+absorbed by the replication scheme before they reach the kernel, so
+instead of paying the full pipeline per run — seed derivation, memory
+clone, scheme construction, functional execution, output comparison —
+the engine splits the lanes analytically.  It shares one lane
+pipeline with :meth:`~repro.faults.campaign.Campaign.run_one`: the
+reference planner (``Campaign._plan``), fault injection with the
+scheme built by :func:`~repro.core.schemes.make_protection`
+(``Campaign._inject``), outcome classification (``Campaign._outcome``)
+and record emission (``Campaign._emit``), so every protection spec —
+uniform, mixed per-object, SECDED — runs here.
 
 * **Planning** is vectorized: per-lane seeds come from
   :func:`repro.utils.fastseed.derive_seeds` (SeedSequence as uint32
@@ -32,7 +34,7 @@ per-object, SECDED — runs here.
   detection-protected divergent read, or CORRECTED with the per-read
   vote counts), each object judged by its own scheme.  These *analytic*
   lanes produce the same :class:`RunResult` and
-  :class:`~repro.obs.records.RunRecord` payloads as scalar execution
+  :class:`~repro.obs.records.RunRecord` payloads as execution would,
   without touching the kernel.  The soundness argument is strictly
   data-driven — every analytic lane's kernel-visible data is bitwise
   equal to the clean run's up to the classification point, so control
@@ -84,6 +86,10 @@ from repro.faults.model import FaultSpec, sample_word_fault
 from repro.faults.outcomes import RunResult
 from repro.utils import fastseed
 from repro.utils.rng import RngStream
+
+#: Lanes per sweep when no ``batch`` is named (``Campaign``,
+#: ``EvaluationRequest``, ``evaluate``, ``optimize``, ``--batch``).
+DEFAULT_BATCH = 64
 
 
 @dataclass
@@ -168,7 +174,9 @@ class BatchEngine:
 
     def _plan(self, start: int, stop: int) -> list[_Lane]:
         c = self.campaign
-        if self._fast:
+        # A one-lane batch would be all cross-check: plan it with the
+        # reference planner alone.
+        if self._fast and stop - start > 1:
             lanes = self._plan_fast(start, stop)
             # Cross-check the first lane of every batch against the
             # reference planner; any disagreement (a numpy internals
@@ -193,9 +201,9 @@ class BatchEngine:
         Emits the same per-run metrics and (with ``record_sink`` /
         ``provenance_sink``) the same :class:`RunRecord` and
         :class:`~repro.obs.provenance.ProvenanceRecord` payloads as
-        the scalar path, in run-index order.  Each lane's
-        ``campaign.run_ms.<outcome>`` latency is timed from its
-        classification to its emission.
+        :meth:`~repro.faults.campaign.Campaign.run_one` per index, in
+        run-index order.  Each lane's ``campaign.run_ms.<outcome>``
+        latency is timed from its classification to its emission.
         """
         c = self.campaign
         # Under SECDED the kernel consumes post-decode data, not the

@@ -38,7 +38,7 @@ from repro.errors import (
     SpecError,
     UnknownSchemeError,
 )
-from repro.faults.batch import BatchEngine, _Lane
+from repro.faults.batch import DEFAULT_BATCH, BatchEngine, _Lane
 from repro.faults.evidence import GoldenEvidence
 from repro.faults.injector import apply_faults_merged, merge_fault_masks
 from repro.faults.secded_filter import apply_filtered_faults
@@ -383,7 +383,9 @@ class Campaign:
     once-prepared, replica-populated image copy-on-write, so it
     materializes private copies only of the objects it actually
     writes; :meth:`_run_reference` keeps the original deep-copy flow
-    as the oracle that path is tested against.
+    as the oracle that path is tested against.  Every span runs through
+    the batched engine (:mod:`repro.faults.batch`), ``batch`` runs per
+    sweep.
 
     ``collect_records=True`` makes every run emit a deterministic
     :class:`~repro.obs.records.RunRecord` into the result; ``metrics``
@@ -405,7 +407,7 @@ class Campaign:
         collect_records: bool = False,
         collect_provenance: bool = False,
         metrics: MetricsRegistry | None = None,
-        batch: int = 1,
+        batch: int = DEFAULT_BATCH,
         target_margin: float | None = None,
         adaptive=None,
         progress=None,
@@ -460,11 +462,10 @@ class Campaign:
         #: the golden read timeline per run, a cost the plain
         #: telemetry path must not pay.
         self.collect_provenance = collect_provenance
-        #: Runs planned and classified per batched sweep (1 = scalar
-        #: ``run_one`` loop); the lanes the classifier declines execute
-        #: one at a time.  Like ``jobs`` this is an execution knob,
-        #: provably result-invariant, and stays out of
-        #: :meth:`spec_identity`.
+        #: Runs planned and classified per batched sweep (1 = one-lane
+        #: sweeps); the lanes the classifier declines execute one at a
+        #: time.  Like ``jobs`` this is an execution knob, provably
+        #: result-invariant, and stays out of :meth:`spec_identity`.
         self.batch = batch
         #: Early-stopping rule (an
         #: :class:`~repro.faults.adaptive.AdaptiveConfig`), built from
@@ -605,7 +606,8 @@ class Campaign:
         return self.adaptive_result
 
     def run_span(self, start: int, stop: int) -> CampaignResult:
-        """Execute runs ``start..stop`` serially (one parallel chunk).
+        """Execute runs ``start..stop`` serially (one parallel chunk)
+        as :meth:`run_batch` sweeps of ``batch`` runs.
 
         Metrics accumulate into a span-local registry whose snapshot is
         attached to the chunk result — worker processes ship it home
@@ -623,37 +625,18 @@ class Campaign:
             result.provenance if self.collect_provenance else None
         )
         span_begin = time.perf_counter()
-        if self.batch > 1:
-            index = start
-            while index < stop:
-                batch_stop = min(index + self.batch, stop)
-                batch_begin = time.perf_counter()
-                batch_runs = self.run_batch(
-                    index, batch_stop,
-                    metrics=span_metrics, record_sink=record_sink,
-                    provenance_sink=provenance_sink,
-                )
-                span_metrics.observe(
-                    "campaign.batch_ms",
-                    (time.perf_counter() - batch_begin) * 1e3,
-                )
-                for run_result in batch_runs:
-                    result.counts[run_result.outcome] += 1
-                    if self.keep_runs:
-                        result.runs.append(run_result)
-                index = batch_stop
-        else:
-            for run_index in range(start, stop):
-                run_begin = time.perf_counter()
-                run_result = self.run_one(
-                    run_index, metrics=span_metrics,
-                    record_sink=record_sink,
-                    provenance_sink=provenance_sink,
-                )
-                span_metrics.observe(
-                    f"campaign.run_ms.{run_result.outcome.value}",
-                    (time.perf_counter() - run_begin) * 1e3,
-                )
+        for index in range(start, stop, self.batch):
+            batch_begin = time.perf_counter()
+            batch_runs = self.run_batch(
+                index, min(index + self.batch, stop),
+                metrics=span_metrics, record_sink=record_sink,
+                provenance_sink=provenance_sink,
+            )
+            span_metrics.observe(
+                "campaign.batch_ms",
+                (time.perf_counter() - batch_begin) * 1e3,
+            )
+            for run_result in batch_runs:
                 result.counts[run_result.outcome] += 1
                 if self.keep_runs:
                     result.runs.append(run_result)
@@ -693,7 +676,7 @@ class Campaign:
 
         Captured on first use (one golden execution per process) and
         shared by the analytic classifier and the provenance
-        derivation of every lane, batched or scalar — a single source
+        derivation of every lane, swept or run alone — a single source
         of truth is what keeps their record streams byte-identical.
         """
         if self._evidence is None:
@@ -882,7 +865,7 @@ class Campaign:
         if provenance_sink is not None:
             golden = self._golden_evidence()
             if evidence is None:
-                # Label an unclassified (scalar or reference) lane as
+                # Label an unclassified (run_one or reference) lane as
                 # the batched engine would: analytic when the
                 # classifier can decide it.
                 analytic = golden.classify_analytic(lane) is not None

@@ -17,11 +17,12 @@ execution, :class:`GoldenEvidence` is what two consumers reason from:
 Every verdict and record derives from the campaign's deterministic
 inputs — this evidence plus the run's ``(seed, run_index)``-derived
 faults and its :class:`~repro.faults.outcomes.RunResult` — never from
-how the run happened to execute, so the scalar loop, the batched
-engine and the deep-copy reference emit byte-identical streams.  A
-lane is labeled ``evidence: "analytic"`` exactly when the classifier
-*can* decide it, a property of the faults and the golden evidence, not
-of the execution strategy.  Each lane's overlay analysis is made once
+how the run happened to execute, so the batched engine at any batch
+size, a single :meth:`~repro.faults.campaign.Campaign.run_one` and the
+deep-copy reference emit byte-identical streams.  A lane is labeled
+``evidence: "analytic"`` exactly when the classifier *can* decide it,
+a property of the faults and the golden evidence, not of the
+execution strategy.  Each lane's overlay analysis is made once
 and kept on the lane, so the classifier and the provenance derivation
 share it.
 
@@ -216,8 +217,9 @@ class GoldenEvidence:
     Holds the golden read/write timeline with writable-object
     snapshots, the scheme's clean counters, prefix read counts and
     first-read positions, plus the layout caches.  The batched engine,
-    the scalar loop and the deep-copy reference derive their analytic
-    verdicts and provenance records from this one object.
+    :meth:`~repro.faults.campaign.Campaign.run_one` and the deep-copy
+    reference derive their analytic verdicts and provenance records
+    from this one object.
     """
 
     def __init__(self, campaign: "Campaign"):

@@ -6,9 +6,9 @@ Two application paths share one overlay algebra:
   :meth:`~repro.arch.address_space.DeviceMemory.inject_stuck_at` call
   per stuck bit, merging into any existing overlay as it goes.
 * :func:`merge_fault_masks` + :func:`apply_faults_merged` — the
-  campaign's lane path (scalar and batched runs alike): every fault's
-  bits are first folded into one ``(or_mask, and_mask)`` pair per byte
-  (later faults win ties, exactly like
+  campaign's lane path (single runs and batched sweeps alike): every
+  fault's bits are first folded into one ``(or_mask, and_mask)`` pair
+  per byte (later faults win ties, exactly like
   :meth:`~repro.arch.address_space.StuckAtOverlay.merged_with`), then
   installed with a single dict write per touched byte.  The analytic
   classifier reuses the folded masks directly for its visible-divergence

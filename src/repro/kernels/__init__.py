@@ -18,7 +18,6 @@ column-major kernels issue 32-way uncoalesced transactions).
 """
 
 from repro.kernels.base import GpuApplication, PlainReader
-from repro.kernels.coalesce import coalesce_indices
 from repro.kernels.registry import (
     APPLICATIONS,
     FLAT_APPLICATIONS,
@@ -38,7 +37,6 @@ from repro.kernels.trace import (
 __all__ = [
     "GpuApplication",
     "PlainReader",
-    "coalesce_indices",
     "APPLICATIONS",
     "FLAT_APPLICATIONS",
     "create_app",

@@ -3,8 +3,9 @@
 Trace generation is the hottest Python path in the library (millions
 of transactions for the larger apps), so these helpers compute block
 addresses arithmetically where the access pattern makes the answer
-obvious, instead of round-tripping through the generic coalescer
-(:mod:`repro.kernels.coalesce`, kept as their test reference).
+obvious, instead of round-tripping through a generic per-lane
+coalescer (``tests/kernels/coalesce.py`` keeps one as their test
+reference).
 
 Every kernel builds its grid through :func:`kernel_trace` (or its 1-D
 and 2-D forms :func:`grid_1d` and :func:`grid_2d`), which numbers the

@@ -34,7 +34,6 @@ any ``jobs``/``batch``.
 
 from __future__ import annotations
 
-import copy
 import math
 import multiprocessing as mp
 import time
@@ -56,6 +55,7 @@ from repro.errors import (
     SpecError,
 )
 from repro.faults.adaptive import AdaptiveResult, StopDecision, should_stop
+from repro.faults.batch import DEFAULT_BATCH
 from repro.faults.campaign import Campaign, CampaignResult
 from repro.obs.log import get_logger
 from repro.obs.progress import ProgressEvent
@@ -84,25 +84,15 @@ _MAX_POOL_RESTARTS = 2
 
 def plan_chunks(
     runs: int, jobs: int, chunk_size: int | None = None,
-    align: int = 1,
 ) -> list[tuple[int, int]]:
-    """Split ``range(runs)`` into contiguous ``(start, stop)`` spans.
-
-    ``align`` rounds the chunk size up to a multiple of the campaign's
-    batch size so workers sweep whole batches (only the final chunk may
-    be ragged).
-    """
+    """Split ``range(runs)`` into contiguous ``(start, stop)`` spans."""
     if runs <= 0:
         return []
-    if align < 1:
-        raise ConfigError("align must be positive")
     if chunk_size is None:
         chunk_size = max(1, math.ceil(runs / (max(1, jobs)
                                               * _CHUNKS_PER_WORKER)))
     if chunk_size < 1:
         raise ConfigError("chunk_size must be positive")
-    if align > 1:
-        chunk_size = math.ceil(chunk_size / align) * align
     return [
         (start, min(start + chunk_size, runs))
         for start in range(0, runs, chunk_size)
@@ -126,7 +116,7 @@ class CampaignSpec:
     keep_runs: bool
     collect_records: bool = False
     collect_provenance: bool = False
-    batch: int = 1
+    batch: int = DEFAULT_BATCH
     #: Full typed protection (mixed per-object configurations only;
     #: ``None`` means ``scheme_name``/``protected_names`` say it all).
     protection: Any = None
@@ -268,21 +258,6 @@ class WorkUnit:
 
 #: The wall-time histogram each kind of finished unit lands in.
 _UNIT_TIMERS = {WorkUnit: "session.chunk_ms", SimUnit: "session.sim_ms"}
-
-
-def _at_unit_batch(campaign: "Campaign") -> "Campaign":
-    """The campaign as its units run (batch is an execution knob only).
-
-    An adaptive campaign without a batch of its own sweeps each commit
-    chunk through the batch engine, so analytic classification and
-    equivalence pruning carry the early-stopped campaign; a copy
-    carries that batch, and the caller's keeps its own.
-    """
-    if campaign.adaptive is None or campaign.batch > 1:
-        return campaign
-    campaign = copy.copy(campaign)
-    campaign.batch = campaign.adaptive.check_every
-    return campaign
 
 
 class _Committer:
@@ -609,7 +584,6 @@ class _Drive:
     sleep: Callable[[float], None] = time.sleep
 
     def __post_init__(self):
-        self.campaigns = [_at_unit_batch(c) for c in self.campaigns]
         self.committer = _Committer(
             self.units, [c.adaptive for c in self.campaigns])
         #: Checkpoint key of each campaign.
@@ -766,13 +740,13 @@ def _run_campaigns(
 ) -> tuple[list["CampaignResult"], _Drive]:
     """Run whole campaigns, and ``sims`` beside them, in one drive.
 
-    An exhaustive campaign plans ``plan_chunks(runs, jobs,
-    align=batch)`` — one ``(0, runs)`` span when it runs serially
-    without a progress sink; one with an ``adaptive`` rule commits in
-    ``check_every`` spans at the rule's unit batch.  Each campaign then
-    publishes one metric set into its registry: its chunk snapshots,
-    ``executor.*`` and ``runtime.app_cache.*``; under a rule its
-    :class:`~repro.faults.adaptive.AdaptiveResult` lands in
+    An exhaustive campaign plans ``plan_chunks(runs, jobs)`` — one
+    ``(0, runs)`` span when it runs serially without a progress sink;
+    one with an ``adaptive`` rule commits in ``check_every`` spans.
+    Every span sweeps its campaign's ``batch`` lanes at a time.  Each
+    campaign then publishes one metric set into its registry: its
+    chunk snapshots, ``executor.*`` and ``runtime.app_cache.*``; under
+    a rule its :class:`~repro.faults.adaptive.AdaptiveResult` lands in
     ``campaign.adaptive_result``.  ``metrics`` gets the drive's
     ``session.*`` counters.
     """
@@ -784,7 +758,7 @@ def _run_campaigns(
         if rule is not None:
             spans = plan_chunks(runs, 1, rule.check_every)
         elif jobs > 1 or progress is not None:
-            spans = plan_chunks(runs, jobs, align=campaign.batch)
+            spans = plan_chunks(runs, jobs)
         else:
             spans = [(0, runs)]
         units += [WorkUnit(cell, start, stop) for start, stop in spans]

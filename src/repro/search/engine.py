@@ -44,6 +44,7 @@ from repro.errors import (
     SessionInterrupted,
     SpecError,
 )
+from repro.faults.batch import DEFAULT_BATCH
 from repro.kernels.registry import create_app
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry
@@ -253,7 +254,7 @@ def optimize(
     store: str | None = None,
     resume: bool = False,
     jobs: int = 1,
-    batch: int = 1,
+    batch: int = DEFAULT_BATCH,
     stop_after_chunks: int | None = None,
     trail: str | None = None,
     progress=None,

@@ -1,9 +1,9 @@
 """Vectorized seed derivation and cheap Generator construction.
 
 The batched propagation engine plans thousands of per-run fault draws
-per second, and the scalar path pays two ``SeedSequence`` derivations
-plus two ``default_rng`` constructions per run — more time than the
-draws themselves.  This module reimplements exactly the two pieces of
+per second, and the reference planner pays two ``SeedSequence``
+derivations plus two ``default_rng`` constructions per run — more time
+than the draws themselves.  This module reimplements exactly the two pieces of
 numpy that dominate that cost:
 
 * :func:`derive_seeds` — ``SeedSequence(entropy=root,
@@ -17,8 +17,8 @@ numpy that dominate that cost:
 
 Both are *emulations* of numpy internals, so they are trusted only
 after :func:`self_check` has compared them against the real
-implementation in this process; callers must fall back to the scalar
-path when it fails.  The check is cheap and runs once per process.
+implementation in this process; callers must fall back to the
+reference planner when it fails.  The check is cheap and runs once per process.
 
 :func:`weighted_choice` mirrors ``Generator.choice(n, size=k,
 replace=False, p=p)`` draw-for-draw (the same uniform variates are
@@ -234,7 +234,7 @@ def weighted_choice(
 
     Consumes the generator state identically to the real call (same
     uniform draws in the same order), so a campaign may mix this with
-    the scalar path without perturbing reproducibility.
+    the reference planner without perturbing reproducibility.
     """
     n_uniq = 0
     p = p.copy()

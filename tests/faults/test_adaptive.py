@@ -124,10 +124,9 @@ class TestAdaptiveCampaign:
             > eager.adaptive_result.stopped_at
 
     def test_run_adaptive_leaves_the_campaign_batch_alone(self):
-        campaign = make_campaign(target_margin=0.05)
-        assert campaign.batch == 1
+        campaign = make_campaign(target_margin=0.05, batch=16)
         adaptive = campaign.run_adaptive()
-        assert campaign.batch == 1
+        assert campaign.batch == 16
         # the commit chunks still swept through the batch engine
         assert adaptive.analytic_runs > 0
 

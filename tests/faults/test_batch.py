@@ -1,10 +1,10 @@
-"""Determinism regression: batched campaigns ≡ the scalar loop.
+"""Determinism regression: batched campaigns ≡ the per-run path.
 
-The batched engine (:mod:`repro.faults.batch`) is an execution
-strategy, not a semantic variant — for any (app, scheme, protect,
-seed, runs) cell it must produce the same outcome tallies and
-byte-identical RunRecord JSONL as ``run_one`` at every batch size and
-worker count.  These tests pin that contract on an analytic-heavy
+The batched engine (:mod:`repro.faults.batch`), the one loop a
+campaign's spans run, is an execution strategy, not a semantic variant
+— for any (app, scheme, protect, seed, runs) cell it must produce the
+same outcome tallies and byte-identical RunRecord JSONL as ``run_one``
+per index at every batch size and worker count.  These tests pin that contract on an analytic-heavy
 cell (read-only protected objects), cells with writable-object faults
 that force the real-execution fallback, mixed per-object schemes and
 SECDED-filtered campaigns.
@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.protection import ProtectionSpec
 from repro.faults.batch import BatchEngine
-from repro.faults.campaign import Campaign, CampaignConfig
+from repro.faults.campaign import Campaign, CampaignConfig, CampaignResult
 from repro.faults.injector import (
     apply_faults,
     apply_faults_merged,
@@ -26,10 +26,11 @@ from repro.faults.selection import uniform_selection
 from repro.kernels.registry import create_app
 
 
-def make_campaign(app_name, scheme, protect, runs=24, batch=1, jobs=1,
+def make_campaign(app_name, scheme, protect, runs=24, batch=None, jobs=1,
                   seed=20210621, n_bits=2, secded=False):
     """``scheme`` ``"mixed"`` takes ``protect`` as an explicit
-    ``object=scheme`` spec string."""
+    ``object=scheme`` spec string; ``batch=None`` keeps the campaign's
+    default."""
     app = create_app(app_name, scale="small")
     memory = app.fresh_memory()
     pool = [a for o in memory.objects for a in o.block_addrs()]
@@ -45,13 +46,28 @@ def make_campaign(app_name, scheme, protect, runs=24, batch=1, jobs=1,
                               seed=seed, secded=secded),
         keep_runs=True,
         collect_records=True,
-        batch=batch,
         jobs=jobs,
+        **({} if batch is None else {"batch": batch}),
     )
 
 
 def records_jsonl(result) -> str:
     return "\n".join(r.to_json() for r in result.records)
+
+
+def run_serial(campaign) -> CampaignResult:
+    """Every run of ``campaign`` through ``run_one``, index by index:
+    the per-run path the engine is checked against."""
+    result = CampaignResult(
+        app_name=campaign.app.name, scheme_name=campaign.scheme_name,
+        selection_name=campaign.selection.name, config=campaign.config)
+    provenance = result.provenance if campaign.collect_provenance else None
+    for run_index in range(campaign.config.runs):
+        run = campaign.run_one(run_index, record_sink=result.records,
+                               provenance_sink=provenance)
+        result.counts[run.outcome] += 1
+        result.runs.append(run)
+    return result
 
 
 CELLS = [
@@ -85,7 +101,7 @@ class TestBatchedEqualsSerial:
     @pytest.mark.parametrize("batch", [8, 64])
     def test_batch_sizes_match_serial(self, app_name, scheme, protect,
                                       batch):
-        serial = cell_campaign(app_name, scheme, protect).run()
+        serial = run_serial(cell_campaign(app_name, scheme, protect))
         batched = cell_campaign(
             app_name, scheme, protect, batch=batch
         ).run()
@@ -100,9 +116,9 @@ class TestBatchedEqualsSerial:
     def test_every_spec_runs_batched(self, app_name, scheme, protect,
                                      batch, jobs):
         """Every protection spec takes the batched engine — no scalar
-        fallback — and matches both the scalar loop and the deep-copy
-        reference flow record for record."""
-        serial = cell_campaign(app_name, scheme, protect).run()
+        fallback — and matches both ``run_one`` per index and the
+        deep-copy reference flow record for record."""
+        serial = run_serial(cell_campaign(app_name, scheme, protect))
         reference = cell_campaign(app_name, scheme, protect)
         sink = []
         for i in range(reference.config.runs):
@@ -125,7 +141,7 @@ class TestBatchedEqualsSerial:
             assert analytic > 0
 
     def test_batch_of_one_is_identity(self):
-        serial = make_campaign("P-BICG", "detection", ("A",)).run()
+        serial = run_serial(make_campaign("P-BICG", "detection", ("A",)))
         batched = make_campaign(
             "P-BICG", "detection", ("A",), batch=1
         ).run()
@@ -133,12 +149,22 @@ class TestBatchedEqualsSerial:
 
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_parallel_batched_matches_serial(self, jobs):
-        serial = make_campaign("P-BICG", "detection", ("A",)).run()
+        serial = run_serial(make_campaign("P-BICG", "detection", ("A",)))
         batched = make_campaign(
             "P-BICG", "detection", ("A",), batch=8, jobs=jobs
         ).run()
         assert batched.counts == serial.counts
         assert records_jsonl(batched) == records_jsonl(serial)
+
+    def test_default_batch_runs_the_engine(self):
+        """A campaign that names no batch sweeps through the engine,
+        so an analytic-heavy cell classifies lanes without executing
+        them."""
+        result = make_campaign("P-BICG", "detection", ("A",)).run()
+        counters = result.metrics_snapshot["counters"]
+        assert counters["campaign.batch.analytic_lanes"] > 0
+        serial = run_serial(make_campaign("P-BICG", "detection", ("A",)))
+        assert records_jsonl(result) == records_jsonl(serial)
 
 
 class TestExecutedLanes:
@@ -205,8 +231,8 @@ class TestPlanningEquivalence:
         engine._fast = False
         campaign._batch_engine = engine
         batched = campaign.run()
-        serial = make_campaign("P-BICG", "detection", ("A",),
-                               runs=8).run()
+        serial = run_serial(make_campaign("P-BICG", "detection", ("A",),
+                                          runs=8))
         assert records_jsonl(batched) == records_jsonl(serial)
 
 
@@ -233,8 +259,8 @@ class TestEquivalencePruning:
     the scalar-identical results contract checked above."""
 
     def test_agrees_prunes_fire_and_results_stay_identical(self):
-        serial = make_campaign("P-ATAX", "detection", ("A", "x"),
-                               runs=96).run()
+        serial = run_serial(make_campaign("P-ATAX", "detection",
+                                          ("A", "x"), runs=96))
         batched = make_campaign("P-ATAX", "detection", ("A", "x"),
                                 runs=96, batch=32)
         result = batched.run()

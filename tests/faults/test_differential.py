@@ -3,9 +3,9 @@
 Hypothesis draws a campaign — a small-scale application, a uniform,
 mixed (``obj=scheme,...``) or SECDED protection spec, 1–4 stuck bits,
 1–3 faulty blocks, a block-selection policy and a batch size — and
-runs it through the production path (the copy-on-write scalar loop at
-``batch=1``, the batched engine's analytic classifier and executed
-lanes above it).  Its RunRecord and provenance JSONL must equal, byte
+runs it through the production path (the batched engine's analytic
+classifier and copy-on-write executed lanes, one-lane sweeps at
+``batch=1`` included).  Its RunRecord and provenance JSONL must equal, byte
 for byte, the stream of :meth:`~repro.faults.campaign.Campaign.
 _run_reference`, which deep-copies the pristine memory, rebuilds the
 replicas and executes every run.  This is the golden-run comparison

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.arch.address_space import BLOCK_BYTES, DeviceMemory
-from repro.errors import TraceError
-from repro.kernels.coalesce import (
+from coalesce import (
     broadcast_transaction,
     coalesce_indices,
     strided_transactions,
 )
+from repro.arch.address_space import BLOCK_BYTES, DeviceMemory
+from repro.errors import TraceError
 
 
 @pytest.fixture()

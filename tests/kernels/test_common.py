@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from coalesce import coalesce_indices
 from repro.arch.address_space import BLOCK_BYTES, DeviceMemory
 from repro.kernels import common
-from repro.kernels.coalesce import coalesce_indices
 from repro.kernels.trace import Compute, Load, Store
 
 

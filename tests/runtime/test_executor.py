@@ -202,6 +202,14 @@ class TestExecutor:
         merged = CampaignResult.merge([parts[u] for u in units])
         assert run_signature(merged) == run_signature(reference)
 
+    @pytest.mark.parametrize("batch", [1, 16])
+    def test_chunk_plan_ignores_the_batch(self, batch):
+        """A chunk plan depends only on runs, jobs and chunk size: a
+        48-run campaign at two jobs sweeps 8 spans at any batch."""
+        campaign = make_campaign(runs=48, jobs=2, batch=batch)
+        campaign.run()
+        assert campaign.metrics.counters["executor.chunks"] == 8
+
     def test_pool_failure_degrades_to_serial(self, monkeypatch):
         import repro.runtime.executor as executor_mod
 

@@ -20,17 +20,15 @@ def test_lazy_vs_eager_detection(benchmark, managers):
         rows = {}
         for name in APPS:
             manager = managers[name]
-            protected = manager.protected_names("all")
+            protection = manager.protection_spec("detection", "all")
             base = manager.simulate_performance("baseline", "none")
             lazy = simulate_app(
                 manager.app, manager.trace, manager.memory,
-                manager.config, scheme_name="detection",
-                protected_names=protected, lazy=True,
+                manager.config, protection=protection, lazy=True,
             )
             eager = simulate_app(
                 manager.app, manager.trace, manager.memory,
-                manager.config, scheme_name="detection",
-                protected_names=protected, lazy=False,
+                manager.config, protection=protection, lazy=False,
             )
             rows[name] = (base, lazy, eager)
         return rows

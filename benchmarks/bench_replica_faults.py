@@ -26,10 +26,9 @@ def _replica_campaign(manager, scheme, copy_index, runs):
     # Build the replica address map the scheme will create, by dry
     # running the same allocation in a clone.
     shadow = manager.memory.clone()
-    from repro.core.schemes import make_scheme
+    from repro.core.schemes import make_protection
 
-    scheme_obj = make_scheme(
-        scheme, shadow, [shadow.object(n) for n in protected])
+    make_protection(shadow, manager.protection_spec(scheme, "hot"))
     pool = [
         addr
         for name in protected

@@ -48,6 +48,7 @@ from pathlib import Path
 
 from conftest import SEED, banner
 
+from repro.core.protection import ProtectionSpec
 from repro.kernels.registry import create_app
 from repro.obs.trace import TraceConfig, TraceSession
 from repro.sim.simulator import simulate_app
@@ -57,6 +58,7 @@ BATCH = int(os.environ.get("REPRO_BENCH_TRACE_BATCH", "20"))
 SAMPLES = int(os.environ.get("REPRO_BENCH_TRACE_SAMPLES", "7"))
 _APP, _SCALE = "P-BICG", "small"
 _SCHEME, _PROTECT = "detection", ("A",)
+_PROTECTION = ProtectionSpec.uniform(_SCHEME, _PROTECT)
 
 #: Disabled-tracer slowdown bar from the issue's acceptance criteria.
 MAX_DISABLED_RATIO = 1.02
@@ -73,8 +75,7 @@ def _run_batch(app, trace, memory, tracer_factory) -> float:
     start = time.perf_counter()
     for _ in range(BATCH):
         simulate_app(
-            app, trace=trace, memory=memory,
-            scheme_name=_SCHEME, protected_names=_PROTECT,
+            app, trace=trace, memory=memory, protection=_PROTECTION,
             tracer=tracer_factory() if tracer_factory else None,
         )
     return time.perf_counter() - start
@@ -186,8 +187,8 @@ def test_trace_overhead(benchmark):
     # Enabled tracing must actually record something (sanity that the
     # enabled arm exercised the hooks rather than silently no-opping).
     probe = TraceSession(TraceConfig())
-    simulate_app(app, trace=trace, memory=memory, scheme_name=_SCHEME,
-                 protected_names=_PROTECT, tracer=probe)
+    simulate_app(app, trace=trace, memory=memory, protection=_PROTECTION,
+                 tracer=probe)
     assert probe.emitted > 0 and probe.samples
 
 

@@ -4,10 +4,15 @@
   distinct DRAM addresses.
 * :mod:`hardware` — the Section IV-C hardware budget: start-address
   table, load-instruction table, comparator, pending-compare queue.
-* :mod:`schemes` — :class:`BaselineScheme` (no protection),
-  :class:`DetectionScheme` (duplication + lazy bitwise compare +
-  terminate-on-mismatch) and :class:`CorrectionScheme` (triplication +
-  per-bit majority vote).
+* :mod:`protection` — :class:`ProtectionSpec`, the one protection
+  descriptor: which objects are protected, and with which scheme each.
+* :mod:`schemes` — the readers a spec builds through
+  :func:`make_protection`: :class:`BaselineScheme` (no protection) or
+  one :class:`ReplicatedScheme` that reads each protected object by its
+  copy count — duplication + lazy bitwise compare +
+  terminate-on-mismatch, or triplication + per-bit majority vote.
+  :class:`DetectionScheme` and :class:`CorrectionScheme` are its
+  uniform spellings.
 * :mod:`manager` — :class:`ReliabilityManager`, the end-to-end API
   tying profiling, protection, fault campaigns and the timing
   simulator together.
@@ -20,7 +25,7 @@ from repro.core.schemes import (
     BaselineScheme,
     CorrectionScheme,
     DetectionScheme,
-    make_scheme,
+    make_protection,
 )
 
 __all__ = [
@@ -31,5 +36,5 @@ __all__ = [
     "BaselineScheme",
     "CorrectionScheme",
     "DetectionScheme",
-    "make_scheme",
+    "make_protection",
 ]

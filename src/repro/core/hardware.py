@@ -63,13 +63,21 @@ class HardwareBudget:
         n_protected_loads: int,
         extra_copies: int,
     ) -> None:
-        """Raise if the proposed protection exceeds the hardware."""
-        max_objects = self.max_protected_objects(extra_copies)
-        if n_protected_objects > max_objects:
+        """Raise if protecting ``n_protected_objects`` objects with
+        ``extra_copies`` replicas each exceeds the hardware."""
+        self.check_copies(n_protected_objects * extra_copies,
+                          n_protected_loads)
+
+    def check_copies(self, n_copies: int, n_protected_loads: int) -> None:
+        """The capacity rule: the start-address table holds one 4-byte
+        base address per replica copy, the load-instruction table one
+        PC per protected load.  A mixed spec's detection and correction
+        objects share the one table."""
+        table_bytes = 4 * n_copies
+        if table_bytes > self.addr_table_bytes:
             raise ConfigError(
-                f"{n_protected_objects} protected objects exceed the "
-                f"{self.addr_table_bytes}B start-address table "
-                f"({max_objects} entries at {extra_copies} copies)"
+                f"{n_copies} replica copies need {table_bytes}B of "
+                f"start-address table (limit {self.addr_table_bytes}B)"
             )
         if n_protected_loads > self.max_tracked_loads:
             raise ConfigError(

@@ -388,16 +388,13 @@ class ReliabilityManager:
         """
         from repro.sim.simulator import simulate_app
 
-        spec = self.protection_spec(scheme, protect)
         return simulate_app(
             self.app,
             trace=self.trace,
             memory=self.memory,
             config=self.config,
-            scheme_name=spec.scheme_label,
-            protected_names=spec.objects,
+            protection=self.protection_spec(scheme, protect),
             budget=self.budget,
             metrics=metrics,
             tracer=tracer,
-            schemes=spec.schemes if spec.is_mixed else None,
         )

@@ -21,6 +21,7 @@ from repro.arch.address_space import (
     DataObject,
     DeviceMemory,
 )
+from repro.core.protection import EXTRA_COPIES, ProtectionSpec
 from repro.errors import ConfigError
 
 
@@ -92,9 +93,7 @@ def create_replicas(
     allocations rather than grow the address space.
 
     ``populate=False`` runs the allocator dry: replica objects are
-    allocated (and colored) but their data is never copied in.  The
-    timing model's :func:`~repro.sim.simulator.build_protection` only
-    needs the address offsets, so it skips the population writes.
+    allocated (and colored) but their data is never copied in.
     """
     if extra_copies < 1:
         raise ConfigError("replication needs at least one extra copy")
@@ -127,6 +126,28 @@ def create_replicas(
                 memory.write_object(replica, pristine)
             replicas.append(replica)
         replica_sets[obj.name] = ReplicaSet(obj, tuple(replicas))
+    return replica_sets
+
+
+def replicate_spec(
+    memory: DeviceMemory,
+    spec: ProtectionSpec,
+    populate: bool = True,
+) -> dict[str, ReplicaSet]:
+    """Allocate the replicas ``spec`` describes: ``EXTRA_COPIES[scheme]``
+    per protected object, object by object in spec order.
+
+    The one allocation both layers share, so a spec lays out the same
+    address map in the functional reader
+    (:class:`~repro.core.schemes.ReplicatedScheme`) and in the timing
+    model (:func:`~repro.sim.simulator.build_protection`, which needs
+    only the address offsets and runs it with ``populate=False``).
+    """
+    replica_sets: dict[str, ReplicaSet] = {}
+    for name, scheme in spec.assignments:
+        replica_sets.update(create_replicas(
+            memory, [memory.object(name)], EXTRA_COPIES[scheme],
+            populate=populate))
     return replica_sets
 
 

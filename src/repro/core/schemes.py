@@ -11,9 +11,13 @@ fan out to every replica copy and either
 * **correct** — take a per-bit majority over the three copies and
   return the voted data.
 
-Timing behaviour (lazy comparison, stall-for-all-copies, replica
-bandwidth) lives in :mod:`repro.sim.ldst`; both layers share the
-scheme descriptors defined here.
+One :class:`ReplicatedScheme` built from a
+:class:`~repro.core.protection.ProtectionSpec` does both, per object,
+so a per-object mix of the two schemes is no special case;
+:class:`DetectionScheme` and :class:`CorrectionScheme` are its uniform
+spellings.  Timing behaviour (lazy comparison, stall-for-all-copies,
+replica bandwidth) lives in :mod:`repro.sim.ldst`, built from the same
+spec.
 """
 
 from __future__ import annotations
@@ -28,12 +32,17 @@ from repro.arch.address_space import (
     DeviceMemory,
 )
 from repro.core.hardware import HardwareBudget
+from repro.core.protection import (
+    EXTRA_COPIES,
+    PROTECTION_SCHEMES,
+    ProtectionSpec,
+)
 from repro.core.replication import (
     ReplicaSet,
-    create_replicas,
     majority_vote,
+    replicate_spec,
 )
-from repro.errors import ConfigError, FaultDetected, UnknownSchemeError
+from repro.errors import ConfigError, FaultDetected
 
 
 @dataclass
@@ -51,7 +60,6 @@ class BaselineScheme:
     """No protection: every read passes straight to memory."""
 
     scheme_name = "baseline"
-    extra_copies = 0
 
     def __init__(self, memory: DeviceMemory):
         self.memory = memory
@@ -64,46 +72,49 @@ class BaselineScheme:
         return self.memory.read_object(obj)
 
 
-class _ReplicatedScheme:
-    """Shared machinery of the two replication schemes."""
+class ReplicatedScheme:
+    """The replicated reader a :class:`ProtectionSpec` describes.
 
-    scheme_name = ""
-    extra_copies = 0
+    Each protected object gets ``EXTRA_COPIES[scheme]`` replicas and
+    is read by its copy count: two copies compare and terminate on a
+    mismatch (detection), three copies vote (correction).  Uniform and
+    mixed specs take this one path, and every read tallies into the
+    one :class:`SchemeStats`.  The start-address table is budgeted at
+    4 B per replica copy (Section IV-C).
+    """
 
     def __init__(
         self,
         memory: DeviceMemory,
-        protected_objects: list[DataObject],
+        spec: ProtectionSpec,
         budget: HardwareBudget | None = None,
     ):
-        if not protected_objects:
+        if spec.is_baseline:
             raise ConfigError(
-                f"{self.scheme_name}: protect at least one object "
+                "replication: protect at least one object "
                 "(use BaselineScheme for none)"
             )
         self.memory = memory
-        budget = budget or HardwareBudget()
-        budget.check(
-            n_protected_objects=len(protected_objects),
-            n_protected_loads=len(protected_objects),  # >=1 PC per object
-            extra_copies=self.extra_copies,
+        (budget or HardwareBudget()).check_copies(
+            sum(EXTRA_COPIES[scheme] for _name, scheme in spec.assignments),
+            n_protected_loads=len(spec.objects),  # >=1 PC per object
         )
-        self.budget = budget
-        self.replica_sets: dict[str, ReplicaSet] = create_replicas(
-            memory, protected_objects, self.extra_copies
-        )
+        self.replica_sets: dict[str, ReplicaSet] = replicate_spec(
+            memory, spec)
         self.protected_names = frozenset(self.replica_sets)
         self.stats = SchemeStats()
 
     def read(self, obj: DataObject) -> np.ndarray:
-        if obj.name not in self.protected_names:
+        """Read ``obj``, checking it against its replicas if protected."""
+        replica_set = self.replica_sets.get(obj.name)
+        if replica_set is None:
             self.stats.unprotected_reads += 1
             return self.memory.read_object(obj)
         self.stats.protected_reads += 1
-        return self._read_protected(self.replica_sets[obj.name])
-
-    def _read_protected(self, replica_set: ReplicaSet) -> np.ndarray:
-        raise NotImplementedError
+        self.stats.comparisons += 1
+        if replica_set.n_copies == 2:
+            return self._compare(replica_set)
+        return self._vote(replica_set)
 
     def _divergence_offsets(self, replica_set: ReplicaSet) \
             -> list[int] | None:
@@ -131,23 +142,17 @@ class _ReplicatedScheme:
             )
         return sorted(suspects)
 
+    def _compare(self, replica_set: ReplicaSet) -> np.ndarray:
+        """Detection: bit-compare the two copies, terminate on any
+        mismatch.
 
-class DetectionScheme(_ReplicatedScheme):
-    """Duplication + bitwise comparison + terminate on mismatch.
-
-    The comparison is *lazy* in the timing model (execution proceeds on
-    the first copy's arrival); functionally the mismatch check is
-    evaluated before the data is consumed, which is equivalent because
-    a detected mismatch terminates the run either way.
-    """
-
-    scheme_name = "detection"
-    extra_copies = 1
-
-    def _read_protected(self, replica_set: ReplicaSet) -> np.ndarray:
+        The comparison is *lazy* in the timing model (execution
+        proceeds on the first copy's arrival); functionally it is
+        evaluated before the data is consumed, which is equivalent
+        because a detected mismatch terminates the run either way.
+        """
         primary_obj = replica_set.primary
         suspects = self._divergence_offsets(replica_set)
-        self.stats.comparisons += 1
         if suspects is not None:
             # Fast path: only overlay-carrying bytes can mismatch, so
             # compare those alone instead of materializing the replica.
@@ -169,22 +174,15 @@ class DetectionScheme(_ReplicatedScheme):
             raise FaultDetected(primary_obj.name, block)
         return primary
 
+    def _vote(self, replica_set: ReplicaSet) -> np.ndarray:
+        """Correction: per-bit majority over the three copies.
 
-class CorrectionScheme(_ReplicatedScheme):
-    """Triplication + per-bit majority vote.
-
-    Execution stalls (in the timing model) until all three copies
-    arrive; the voted value is what the computation consumes, so any
-    fault confined to a single copy is transparently corrected.
-    """
-
-    scheme_name = "correction"
-    extra_copies = 2
-
-    def _read_protected(self, replica_set: ReplicaSet) -> np.ndarray:
+        Execution stalls (in the timing model) until all three copies
+        arrive; the voted value is what the computation consumes, so
+        any fault confined to a single copy is transparently corrected.
+        """
         primary_obj = replica_set.primary
         suspects = self._divergence_offsets(replica_set)
-        self.stats.comparisons += 1
         if suspects is not None:
             # Fast path: the copies agree everywhere except (possibly)
             # at overlay bytes, so vote those alone and patch them into
@@ -221,127 +219,46 @@ class CorrectionScheme(_ReplicatedScheme):
         )
 
 
-class MixedScheme:
-    """Per-object mix of detection and correction.
-
-    Composes one :class:`DetectionScheme` over the duplicated objects
-    and one :class:`CorrectionScheme` over the triplicated ones,
-    sharing a single :class:`SchemeStats` so the campaign's counters
-    read like any other scheme's.  The shared start-address table is
-    budget-checked as a whole: a detection entry costs one replica
-    address, a correction entry two.
-    """
-
-    scheme_name = "mixed"
-    extra_copies = 0  # varies per object; see the sub-schemes
+class _UniformScheme(ReplicatedScheme):
+    """One scheme over a list of objects: the uniform spelling of a
+    :class:`ReplicatedScheme`."""
 
     def __init__(
         self,
         memory: DeviceMemory,
-        detection_objects: list[DataObject],
-        correction_objects: list[DataObject],
+        protected_objects: list[DataObject],
         budget: HardwareBudget | None = None,
     ):
-        if not detection_objects or not correction_objects:
-            raise ConfigError(
-                "mixed: needs at least one detection and one "
-                "correction object (use a uniform scheme otherwise)"
-            )
-        budget = budget or HardwareBudget()
-        n_objects = len(detection_objects) + len(correction_objects)
-        table_bytes = 4 * (
-            len(detection_objects) + 2 * len(correction_objects)
-        )
-        if table_bytes > budget.addr_table_bytes:
-            raise ConfigError(
-                f"mixed protection of {n_objects} objects needs "
-                f"{table_bytes}B of start-address table "
-                f"(limit {budget.addr_table_bytes}B)"
-            )
-        budget.check(
-            n_protected_objects=1,  # table checked jointly above
-            n_protected_loads=n_objects,
-            extra_copies=1,
-        )
-        self.memory = memory
-        self.budget = budget
-        self.stats = SchemeStats()
-        self._detection = DetectionScheme(
-            memory, detection_objects, budget
-        )
-        self._correction = CorrectionScheme(
-            memory, correction_objects, budget
-        )
-        # One stats block for the whole configuration: sub-scheme
-        # reads tally into the composite's counters.
-        self._detection.stats = self.stats
-        self._correction.stats = self.stats
-        self.replica_sets: dict[str, ReplicaSet] = {
-            **self._detection.replica_sets,
-            **self._correction.replica_sets,
-        }
-        self.protected_names = frozenset(self.replica_sets)
-        self._scheme_by_name = {
-            name: self._detection
-            for name in self._detection.protected_names
-        }
-        self._scheme_by_name.update(
-            (name, self._correction)
-            for name in self._correction.protected_names
-        )
-
-    def read(self, obj: DataObject) -> np.ndarray:
-        """Dispatch the read to the object's own sub-scheme."""
-        sub = self._scheme_by_name.get(obj.name)
-        if sub is None:
-            self.stats.unprotected_reads += 1
-            return self.memory.read_object(obj)
-        return sub.read(obj)
+        super().__init__(memory, ProtectionSpec.uniform(
+            self.scheme_name, [obj.name for obj in protected_objects]),
+            budget)
 
 
-SCHEME_NAMES = ("baseline", "detection", "correction")
+class DetectionScheme(_UniformScheme):
+    """Duplication + bitwise comparison + terminate on mismatch."""
+
+    scheme_name = "detection"
+    extra_copies = EXTRA_COPIES["detection"]
 
 
-def make_scheme(
-    name: str,
-    memory: DeviceMemory,
-    protected_objects: list[DataObject],
-    budget: HardwareBudget | None = None,
-):
-    """Factory: build a scheme by name.
+class CorrectionScheme(_UniformScheme):
+    """Triplication + per-bit majority vote."""
 
-    ``protected_objects`` may be empty only for ``baseline`` (and a
-    non-baseline scheme with an empty list silently degrades to the
-    baseline, which is how the Fig 7/9 sweeps express their leftmost
-    "0 objects protected" point).
-    """
-    if name not in SCHEME_NAMES:
-        raise UnknownSchemeError(name, SCHEME_NAMES)
-    if name == "baseline" or not protected_objects:
-        return BaselineScheme(memory)
-    if name == "detection":
-        return DetectionScheme(memory, protected_objects, budget)
-    return CorrectionScheme(memory, protected_objects, budget)
+    scheme_name = "correction"
+    extra_copies = EXTRA_COPIES["correction"]
+
+
+SCHEME_NAMES = ("baseline", *PROTECTION_SCHEMES)
 
 
 def make_protection(
     memory: DeviceMemory,
-    spec,
+    spec: ProtectionSpec,
     budget: HardwareBudget | None = None,
 ):
-    """Factory: build the scheme a :class:`ProtectionSpec` describes.
-
-    Uniform specs build the same objects :func:`make_scheme` would
-    (so existing campaign identities are untouched); specs mixing
-    detection and correction build a :class:`MixedScheme`.
-    """
+    """Factory: build the reader a :class:`ProtectionSpec` describes —
+    :class:`BaselineScheme` for the baseline (a spec protecting
+    nothing), else one :class:`ReplicatedScheme`, uniform or mixed."""
     if spec.is_baseline:
         return BaselineScheme(memory)
-    uniform = spec.uniform_scheme
-    objects = [memory.object(name) for name in spec.objects]
-    if uniform is not None:
-        return make_scheme(uniform, memory, objects, budget)
-    schemes = spec.schemes
-    detection = [o for o in objects if schemes[o.name] == "detection"]
-    correction = [o for o in objects if schemes[o.name] == "correction"]
-    return MixedScheme(memory, detection, correction, budget)
+    return ReplicatedScheme(memory, spec, budget)

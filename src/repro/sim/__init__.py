@@ -16,7 +16,11 @@ instruction streams on a model of the Table I GPU:
   compare, bounded by the pending-compare queue) while correction
   waits for all three.
 
-Outputs are cycle counts and the "L1-cache missed accesses" metric of
+A simulation takes its protection as a
+:class:`~repro.core.protection.ProtectionSpec`, uniform or mixed per
+object: ``simulate_app(app, protection=ProtectionSpec.parse(
+"r=detection,p=correction"))``; the default is the baseline.  Outputs
+are cycle counts and the "L1-cache missed accesses" metric of
 Figure 7.
 """
 

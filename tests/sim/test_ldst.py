@@ -4,6 +4,7 @@ import pytest
 
 from repro.arch.config import fast_config
 from repro.core.hardware import HardwareBudget
+from repro.core.protection import ProtectionSpec
 from repro.sim.ldst import LdstUnit, TimingProtection, SimStats
 from repro.sim.memory_subsystem import MemorySubsystem
 
@@ -19,16 +20,16 @@ def make_unit(protection=None, config=CFG):
     return unit, stats, subsystem
 
 
-def detection_spec(offsets=None):
+def detection_spec(lazy=True):
     return TimingProtection(
-        "detection", lazy=True,
-        offsets=offsets or {"hot": (1 << 20,)},
+        ProtectionSpec.parse("hot=detection"), lazy=lazy,
+        offsets={"hot": (1 << 20,)},
     )
 
 
 def correction_spec():
     return TimingProtection(
-        "correction", lazy=True,
+        ProtectionSpec.parse("hot=correction"), lazy=True,
         offsets={"hot": (1 << 20, 2 << 20)},
     )
 
@@ -142,9 +143,7 @@ class TestCorrectionReplication:
         assert ready_c > ready_b
 
     def test_eager_detection_also_waits(self):
-        spec = TimingProtection("detection", lazy=False,
-                              offsets={"hot": (1 << 20,)})
-        unit_e, _s1, _ = make_unit(spec)
+        unit_e, _s1, _ = make_unit(detection_spec(lazy=False))
         unit_l, _s2, _ = make_unit(detection_spec())
         ready_e, _ = unit_e.load(0, "hot", 0)
         ready_l, _ = unit_l.load(0, "hot", 0)
@@ -219,4 +218,4 @@ class TestRetryInvariance:
 
 class TestTimingProtection:
     def test_baseline_inactive(self):
-        assert not TimingProtection.baseline().active
+        assert not TimingProtection.baseline().offsets

@@ -33,6 +33,7 @@ import pytest
 
 from repro.arch.config import PAPER_CONFIG, fast_config
 from repro.core.manager import ReliabilityManager
+from repro.core.protection import ProtectionSpec
 from repro.kernels.registry import (
     APPLICATIONS,
     EXTENDED_APPLICATIONS,
@@ -137,8 +138,9 @@ def trace_digests(tcfg: TraceConfig) -> dict[str, str]:
     """Digests of a traced P-ATAX detection/``A`` run."""
     tracer = TraceSession(tcfg)
     simulate_app(create_app("P-ATAX", scale="small", seed=7),
-                 config=fast_config(), scheme_name="detection",
-                 protected_names=("A",), tracer=tracer)
+                 config=fast_config(),
+                 protection=ProtectionSpec.parse("A=detection"),
+                 tracer=tracer)
     return {
         "chrome_trace": _sha256(render_chrome_trace(tracer)),
         "object_summary": _sha256(canonical_json(tracer.object_summary())),

@@ -10,6 +10,7 @@ campaign's ``jobs`` setting.
 
 import pytest
 
+from repro.core.protection import ProtectionSpec
 from repro.kernels.registry import create_app
 from repro.obs.perfetto import render_chrome_trace, validate_trace_events, chrome_trace
 from repro.obs.trace import (
@@ -21,45 +22,43 @@ from repro.obs.trace import (
 from repro.sim.simulator import simulate_app
 
 
-def _traced_run(scheme="detection", protect=("A",), seed=7,
-                tcfg=None, test_config=None, schemes=None):
+def _traced_run(protection=ProtectionSpec.parse("A=detection"), seed=7,
+                tcfg=None, test_config=None):
     app = create_app("P-ATAX", scale="small", seed=seed)
     tracer = TraceSession(tcfg or TraceConfig(max_events=50000,
                                               interval_cycles=512))
-    report = simulate_app(
-        app, config=test_config, scheme_name=scheme,
-        protected_names=protect, tracer=tracer, schemes=schemes,
-    )
+    report = simulate_app(app, config=test_config, protection=protection,
+                          tracer=tracer)
     return report, tracer
 
 
 class TestNonPerturbation:
-    @pytest.mark.parametrize("scheme,protect,schemes,sample_rate", [
-        ("baseline", (), None, 1.0),
-        ("detection", ("A",), None, 1.0),
-        ("correction", ("A", "x"), None, 1.0),
-        ("mixed", ("A", "x"), {"A": "detection", "x": "correction"}, 1.0),
-        ("detection", ("A",), None, 0.25),
+    @pytest.mark.parametrize("protect,sample_rate", [
+        ("none", 1.0),
+        ("A=detection", 1.0),
+        ("A=correction,x=correction", 1.0),
+        ("A=detection,x=correction", 1.0),
+        ("A=detection", 0.25),
     ], ids=["baseline-protect0", "detection-protect1",
             "correction-protect2", "mixed-protect3",
             "detection-protect4-sampled"])
-    def test_traced_report_equals_untraced(self, test_config, scheme,
-                                           protect, schemes, sample_rate):
+    def test_traced_report_equals_untraced(self, test_config, protect,
+                                           sample_rate):
         app = create_app("P-ATAX", scale="small", seed=7)
+        protection = ProtectionSpec.parse(protect)
         untraced = simulate_app(app, config=test_config,
-                                scheme_name=scheme,
-                                protected_names=protect, schemes=schemes)
+                                protection=protection)
         tcfg = TraceConfig(max_events=50000, interval_cycles=512,
                            sample_rate=sample_rate)
-        traced, _ = _traced_run(scheme, protect, tcfg=tcfg,
-                                test_config=test_config, schemes=schemes)
+        traced, _ = _traced_run(protection, tcfg=tcfg,
+                                test_config=test_config)
         assert traced == untraced
 
     def test_tracing_is_per_instance(self, test_config):
         """A traced run must not leak hooks into later untraced ones."""
         app = create_app("P-ATAX", scale="small", seed=7)
         before = simulate_app(app, config=test_config)
-        _traced_run("baseline", (), test_config=test_config)
+        _traced_run(ProtectionSpec.baseline(), test_config=test_config)
         after = simulate_app(app, config=test_config)
         assert before == after
 
@@ -94,8 +93,7 @@ class TestAttribution:
         """Replica reads land outside every object's address span, so
         only the request context can attribute them — protected objects
         must show more L2 traffic than their primary misses alone."""
-        _, tracer = _traced_run("detection", ("A",),
-                                test_config=test_config)
+        _, tracer = _traced_run(test_config=test_config)
         stats = tracer.object_stats["A"]
         assert stats.l2_accesses > stats.l1_misses
         assert stats.dram_reads > 0
@@ -106,7 +104,7 @@ class TestAttribution:
         assert all(e.obj != UNATTRIBUTED for e in dram_events)
 
     def test_store_only_objects_see_l2_writes(self, test_config):
-        _, tracer = _traced_run("baseline", (),
+        _, tracer = _traced_run(ProtectionSpec.baseline(),
                                 test_config=test_config)
         # P-ATAX writes y (the output vector) but never reads it.
         stats = tracer.object_stats["y"]

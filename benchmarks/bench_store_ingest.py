@@ -153,8 +153,6 @@ def test_store_ingest_throughput(benchmark, tmp_path):
 def test_progress_off_overhead(benchmark):
     """Live progress is strictly pay-for-use: a campaign without it
     must run the exact pre-progress code path."""
-    from repro.runtime.executor import CampaignExecutor
-
     app = create_app("A-Laplacian", scale="small", seed=1234)
     memory = app.fresh_memory()
     pool = [a for o in memory.objects for a in o.block_addrs()]
@@ -211,7 +209,7 @@ def test_progress_off_overhead(benchmark):
     original = campaign.run_span
     campaign.run_span = lambda start, stop: (
         calls.append((start, stop)) or original(start, stop))
-    CampaignExecutor(campaign, jobs=1).run()
+    campaign.run(jobs=1)
     assert calls == [(0, 16)], calls
 
     out = Path(__file__).resolve().parent.parent / "BENCH_store.json"

@@ -51,9 +51,8 @@ from repro.kernels.registry import (
 from repro.obs import MetricsRegistry, RunRecord, TelemetryWriter
 from repro.profiling.hot_blocks import classify_hot_blocks
 from repro.profiling.access_profile import profile_trace
-from repro.runtime import CampaignExecutor
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "GpuConfig",
@@ -67,7 +66,6 @@ __all__ = [
     "ReproError",
     "Campaign",
     "CampaignConfig",
-    "CampaignExecutor",
     "Outcome",
     "MetricsRegistry",
     "RunRecord",

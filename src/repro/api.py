@@ -115,13 +115,11 @@ from repro.obs.session import SessionLog, read_session_events
 from repro.obs.store import ResultsStore, ingest_files
 from repro.analysis.html import render_html_report, write_html_report
 from repro.runtime.checkpoint import CheckpointStore
-from repro.runtime.executor import CampaignExecutor
 from repro.runtime.session import (
     Session,
     SessionConfig,
     SweepResult,
     SweepSpec,
-    run_sweep,
 )
 from repro.analysis.figures import ParetoPoint, pareto_front_series
 from repro.analysis.sweep import summarize_sweep
@@ -147,7 +145,6 @@ __all__ = [
     "Campaign",
     "CampaignConfig",
     "CampaignResult",
-    "CampaignExecutor",
     "Outcome",
     "RunResult",
     # adaptive campaigns and statistics
@@ -166,7 +163,6 @@ __all__ = [
     "SessionConfig",
     "SweepResult",
     "CheckpointStore",
-    "run_sweep",
     "summarize_sweep",
     "tradeoff_curve",
     # design-space exploration

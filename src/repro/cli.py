@@ -45,9 +45,7 @@ The evaluating commands declare their
 ``--target-margin``, ``--chunk-runs``) from one table, take exactly
 the ones their entry point honours, and hand it the one request they
 build.  ``--app-seed`` always sets the inputs, ``--fault-seed`` the
-fault campaign.  The deprecated ``--seed`` keeps its old meaning per
-command (app seed; fault seed on ``sweep`` and ``optimize``), warns
-once, and exits 4 beside its canonical spelling.
+fault campaign.
 
 ``campaign`` and ``tradeoff`` accept ``--telemetry PATH`` to stream
 one per-run :class:`~repro.obs.records.RunRecord` JSON line per
@@ -88,9 +86,9 @@ react without parsing stderr: ``0`` success, ``2`` usage errors,
 ``3`` unknown application or scheme, ``4`` invalid spec or
 configuration, ``5`` checkpoint-store failures, ``6`` session
 failures (retries exhausted), ``7`` results-warehouse failures
-(corrupt input, schema mismatch, unknown digest), ``75``
-interrupted-but-checkpointed (rerun ``sweep``/``optimize`` with
-``--resume`` to continue), ``1`` any other library error.
+(missing store, corrupt input, schema mismatch, unknown digest),
+``75`` interrupted-but-checkpointed (rerun ``sweep``/``optimize``
+with ``--resume`` to continue), ``1`` any other library error.
 """
 
 from __future__ import annotations
@@ -98,10 +96,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-import warnings
 from contextlib import nullcontext
 
-from repro._compat import UNSET, resolve_renamed
 from repro.analysis.report import campaign_table, performance_table
 from repro.core.manager import ReliabilityManager
 from repro.core.request import EvaluationRequest
@@ -119,17 +115,18 @@ from repro.utils.tables import TextTable
 log = get_logger("cli")
 
 #: Every request flag, declared once: flag -> (EvaluationRequest
-#: field, argparse keywords).  The seeds default to ``UNSET`` so an
-#: explicit spelling can be told from the deprecated ``--seed``;
-#: unset, they take the request's defaults.  ``--scheme`` gets its
-#: default per subcommand (see :func:`_evaluating`).
+#: field, argparse keywords).  The seeds are left off the namespace
+#: when not given, so they take the request's defaults.  ``--scheme``
+#: gets its default per subcommand (see :func:`_evaluating`).
 _REQUEST_FLAGS = {
     "--scale": ("scale", dict(default="default", choices=(
         "default", "small"), help="application input size")),
-    "--app-seed": ("app_seed", dict(type=int, default=UNSET, help=(
-        "application input seed (default 1234)"))),
-    "--fault-seed": ("seed", dict(type=int, default=UNSET, help=(
-        "fault-campaign seed (default 20210621)"))),
+    "--app-seed": ("app_seed", dict(
+        type=int, default=argparse.SUPPRESS,
+        help="application input seed (default 1234)")),
+    "--fault-seed": ("seed", dict(
+        type=int, default=argparse.SUPPRESS,
+        help="fault-campaign seed (default 20210621)")),
     "--runs": ("runs", dict(type=int, default=200, help=(
         "fault-injection runs per campaign (default 200)"))),
     "--blocks": ("n_blocks", dict(type=int, default=1, metavar="N", help=(
@@ -193,26 +190,14 @@ def _request(args, **fields) -> EvaluationRequest:
     """The one :class:`EvaluationRequest` a parsed command describes.
 
     Reads every request flag the subcommand declared; ``fields`` adds
-    the values no flag carries (sinks, a sweep's first app).  The
-    deprecated ``--seed`` resolves onto its subcommand's canonical
-    seed flag through :func:`repro._compat.resolve_renamed`, whose
-    warning is printed on stderr.
+    the values no flag carries (sinks, a sweep's first app).
     """
     values = {
         field: getattr(args, field)
         for field, _ in _REQUEST_FLAGS.values() if hasattr(args, field)
     }
-    target = _REQUEST_FLAGS[args.seed_alias_of][0]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", DeprecationWarning)
-        values[target] = resolve_renamed(
-            f"repro {args.command}", "--seed", args.seed_alias_of,
-            args.seed_alias, values[target])
-    for warning in caught:
-        log.warning(str(warning.message))
     if "protect" in values:
         values["protect"] = _protect_level(values["protect"])
-    values = {k: v for k, v in values.items() if v is not UNSET}
     return EvaluationRequest(**{"app": args.app, **values, **fields})
 
 
@@ -526,12 +511,6 @@ def _cmd_trace(args) -> int:
     from repro.obs.perfetto import validate_trace_file, write_chrome_trace
     from repro.obs.trace import TraceConfig, TraceSession
 
-    if args.app is None:
-        args.app = args.app_opt
-    if args.app is None:
-        log.error("trace: an application is required "
-                  "(positional or --app)")
-        return 2
     request = _request(args)
     manager = _app_manager(request)
     tracer = TraceSession(TraceConfig(
@@ -667,10 +646,21 @@ def _cmd_db_ingest(args) -> int:
     return 0
 
 
-def _cmd_db_cells(args) -> int:
+def _existing_store(path: str):
+    """Open the results store at ``path``; only ``db ingest`` creates
+    one, so a path that is not a file is a :class:`StoreError`."""
+    import os
+
+    from repro.errors import StoreError
     from repro.obs.store import ResultsStore
 
-    with ResultsStore(args.store) as store:
+    if not os.path.isfile(path):
+        raise StoreError(f"no results store at {path}")
+    return ResultsStore(path)
+
+
+def _cmd_db_cells(args) -> int:
+    with _existing_store(args.store) as store:
         cells = store.cells()
     if args.json:
         from repro.utils.canonical import canonical_json
@@ -686,9 +676,7 @@ def _cmd_db_cells(args) -> int:
 
 
 def _cmd_db_query(args) -> int:
-    from repro.obs.store import ResultsStore
-
-    with ResultsStore(args.store) as store:
+    with _existing_store(args.store) as store:
         summaries = store.query(app=args.app, scheme=args.scheme)
     if args.json:
         from repro.utils.canonical import canonical_json
@@ -713,9 +701,7 @@ def _cmd_db_query(args) -> int:
 
 
 def _cmd_db_export(args) -> int:
-    from repro.obs.store import ResultsStore
-
-    with ResultsStore(args.store) as store:
+    with _existing_store(args.store) as store:
         text = store.export(args.digest)
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -728,9 +714,8 @@ def _cmd_db_export(args) -> int:
 
 def _cmd_report(args) -> int:
     from repro.analysis.html import write_html_report
-    from repro.obs.store import ResultsStore
 
-    with ResultsStore(args.store) as store:
+    with _existing_store(args.store) as store:
         n = write_html_report(store, args.out)
     log.result(f"wrote {n} byte(s) of report to {args.out}")
     return 0
@@ -747,13 +732,10 @@ def _cmd_export(args) -> int:
     return 0
 
 
-def _evaluating(sub, name: str, func, flags, seed_alias: str,
-                scheme: str | None = None, app_nargs: str | None = None,
-                **kwargs):
+def _evaluating(sub, name: str, func, flags, scheme: str | None = None,
+                app_nargs: str | None = None, **kwargs):
     """Add an evaluating subcommand declaring ``flags`` from the tables.
 
-    ``seed_alias`` is the canonical seed flag the deprecated ``--seed``
-    stands for on this subcommand (its historical meaning);
     ``scheme`` is the subcommand's ``--scheme`` default, the one
     per-subcommand override of the request flag table; ``app_nargs``
     is the app positional's arity (``sweep`` takes several).
@@ -770,10 +752,7 @@ def _evaluating(sub, name: str, func, flags, seed_alias: str,
         else:
             options = _SHARED_FLAGS[flag]
         parser.add_argument(flag, **options)
-    parser.add_argument("--seed", dest="seed_alias", type=int,
-                        default=UNSET, metavar="SEED",
-                        help=f"deprecated alias of {seed_alias}")
-    parser.set_defaults(func=func, seed_alias_of=seed_alias)
+    parser.set_defaults(func=func)
     return parser
 
 
@@ -798,7 +777,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("apps", help="list applications").set_defaults(
         func=_cmd_apps)
 
-    _evaluating(sub, "profile", _cmd_profile, _APP_FLAGS, "--app-seed",
+    _evaluating(sub, "profile", _cmd_profile, _APP_FLAGS,
                 help="access-pattern analysis")
 
     p = _evaluating(
@@ -806,7 +785,7 @@ def build_parser() -> argparse.ArgumentParser:
         (*_APP_FLAGS, *_GRID_FLAGS, "--scheme", "--protect",
          *_EXEC_FLAGS, "--target-margin", "--chunk-runs",
          "--telemetry", "--progress", *_TRACE_FLAGS),
-        "--app-seed", scheme="baseline", help="fault-injection campaign")
+        scheme="baseline", help="fault-injection campaign")
     p.add_argument("--decisions", metavar="PATH", default=None,
                    help="write the adaptive stop-decision trail as "
                         "JSONL to PATH (requires --target-margin)")
@@ -817,19 +796,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     _evaluating(sub, "perf", _cmd_perf,
                 (*_APP_FLAGS, "--scheme", "--protect", *_TRACE_FLAGS),
-                "--app-seed", scheme="detection", help="timing simulation")
+                scheme="detection", help="timing simulation")
 
     _evaluating(sub, "tradeoff", _cmd_tradeoff,
                 (*_APP_FLAGS, *_GRID_FLAGS, "--scheme", "--jobs",
                  "--telemetry"),
-                "--app-seed", scheme="correction", help="Section V-C sweep")
+                scheme="correction", help="Section V-C sweep")
 
     p = _evaluating(
         sub, "sweep", _cmd_sweep,
         (*_APP_FLAGS, *_GRID_FLAGS, *_EXEC_FLAGS, "--target-margin",
          "--chunk-runs", *_DURABILITY_FLAGS, "--telemetry",
          "--progress"),
-        "--fault-seed", app_nargs="+",
+        app_nargs="+",
         help="resumable checkpointed campaign grid")
     p.add_argument("--schemes", nargs="+",
                    default=["baseline", "correction"], choices=SCHEME_NAMES,
@@ -856,7 +835,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub, "optimize", _cmd_optimize,
         (*_APP_FLAGS, *_GRID_FLAGS, *_EXEC_FLAGS, "--chunk-runs",
          *_DURABILITY_FLAGS, "--progress"),
-        "--fault-seed",
         help="protection design-space exploration (Pareto front over "
              "SDC rate, overhead, replica footprint)")
     p.add_argument("--strategy", default="greedy",
@@ -898,10 +876,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _evaluating(
         sub, "trace", _cmd_trace, (*_APP_FLAGS, "--scheme", "--protect"),
-        "--app-seed", scheme="baseline", app_nargs="?",
+        scheme="baseline",
         help="cycle-level trace of one timing run (Perfetto JSON)")
-    p.add_argument("--app", dest="app_opt", default=None,
-                   help="application name (alias for the positional)")
     p.add_argument("--out", default=None,
                    help="output path (default: <app>.trace.json)")
     p.add_argument("--objects-out", metavar="PATH", default=None,
@@ -1002,7 +978,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_report)
 
     p = _evaluating(sub, "export", _cmd_export, (*_APP_FLAGS, "--runs"),
-                    "--app-seed", help="write exhibit data to CSV")
+                    help="write exhibit data to CSV")
     p.add_argument("--out", default="results",
                    help="output directory (default: results/)")
 

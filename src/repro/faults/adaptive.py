@@ -28,7 +28,6 @@ adaptive estimate lands inside the exhaustive run's CI.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -41,7 +40,7 @@ from repro.utils.stats import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.faults.campaign import Campaign, CampaignResult
+    from repro.faults.campaign import CampaignResult
 
 
 @dataclass(frozen=True)
@@ -179,29 +178,6 @@ class AdaptiveResult:
             f"({self.simulated_runs} simulated, "
             f"{self.analytic_runs} analytic); SDC {self.interval}"
         )
-
-
-def run_adaptive(
-    campaign: "Campaign",
-    config: AdaptiveConfig,
-    jobs: int | None = None,
-) -> AdaptiveResult:
-    """Drive ``campaign`` under the early-stopping rule ``config``.
-
-    A copy of the campaign with ``config`` as its stop rule runs
-    through the execution core's one driver
-    (:mod:`repro.runtime.executor`): ``check_every`` spans may finish
-    in any order on any number of workers but commit in run-index
-    order, the rule is evaluated at each boundary, and spans past the
-    first satisfied one are skipped or discarded.  The committed
-    outcome is byte-identical at any ``jobs``/``batch``.
-    """
-    from repro.runtime.executor import CampaignExecutor
-
-    campaign = copy.copy(campaign)
-    campaign.adaptive = config
-    CampaignExecutor(campaign, jobs).run()
-    return campaign.adaptive_result
 
 
 def stratified_estimate(

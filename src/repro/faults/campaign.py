@@ -19,6 +19,7 @@ replica-fault ablation bench exercises the other case).
 
 from __future__ import annotations
 
+import copy
 import heapq
 import time
 from dataclasses import dataclass, field
@@ -26,7 +27,6 @@ from typing import Iterable
 
 import numpy as np
 
-from repro._compat import UNSET, resolve_renamed
 from repro.arch.address_space import DataObject, DeviceMemory
 from repro.core.protection import ProtectionSpec
 from repro.core.replication import require_read_only
@@ -376,8 +376,13 @@ class CampaignResult:
 class Campaign:
     """Runs fault-injection experiments for one configuration.
 
+    The configuration is ``scheme``/``protect`` (or a typed
+    ``protection``), read back as :attr:`scheme_name` and
+    :attr:`protected_names`; :meth:`run` and :meth:`run_adaptive` are
+    the one way to execute it.
+
     ``jobs`` fans the runs out over that many worker processes (see
-    :class:`~repro.runtime.executor.CampaignExecutor`); the outcome is
+    :mod:`repro.runtime.executor`); the outcome is
     bit-identical to a serial execution because each run derives
     entirely from ``(seed, run_index)``.  Every run clones a
     once-prepared, replica-populated image copy-on-write, so it
@@ -399,8 +404,8 @@ class Campaign:
         self,
         app: GpuApplication,
         selection: BlockSelection,
-        scheme: str = UNSET,
-        protect: tuple[str, ...] = UNSET,
+        scheme: str | None = None,
+        protect: tuple[str, ...] | None = None,
         config: CampaignConfig | None = None,
         keep_runs: bool = False,
         jobs: int = 1,
@@ -411,32 +416,22 @@ class Campaign:
         target_margin: float | None = None,
         adaptive=None,
         progress=None,
-        scheme_name: str = UNSET,
-        protected_names: tuple[str, ...] = UNSET,
         protection: ProtectionSpec | None = None,
     ):
-        # Canonical vocabulary is ``scheme``/``protect``; the original
-        # ``scheme_name``/``protected_names`` spellings still work but
-        # warn once per process.
-        scheme = resolve_renamed(
-            "Campaign", "scheme_name", "scheme", scheme_name, scheme)
-        protect = resolve_renamed(
-            "Campaign", "protected_names", "protect",
-            protected_names, protect)
         if protection is not None:
             # The typed spelling: a ProtectionSpec carries both the
             # scheme and the object list (mixed per-object schemes
             # included), so the string kwargs must stay unset.
-            if scheme is not UNSET or protect is not UNSET:
+            if scheme is not None or protect is not None:
                 raise ConfigError(
                     "pass either protection= or scheme=/protect=, "
                     "not both"
                 )
             scheme = protection.scheme_label
             protect = protection.objects
-        if scheme is UNSET:
+        if scheme is None:
             scheme = "baseline"
-        if protect is UNSET:
+        if protect is None:
             protect = ()
         if protection is None:
             if scheme not in SCHEME_NAMES:
@@ -520,16 +515,6 @@ class Campaign:
         self._block_objects: dict[int, DataObject] = {}
         self._live_words: dict[int, list[int]] = {}
 
-    @property
-    def scheme(self) -> str:
-        """Canonical alias of ``scheme_name``."""
-        return self.scheme_name
-
-    @property
-    def protect(self) -> tuple[str, ...]:
-        """Canonical alias of ``protected_names``."""
-        return self.protected_names
-
     def spec_identity(self) -> dict:
         """Canonical structural identity of this campaign.
 
@@ -582,9 +567,14 @@ class Campaign:
         boundary whose Wilson CI meets the target margin; the full
         decision trail lands in :attr:`adaptive_result`.
         """
-        from repro.runtime.executor import CampaignExecutor
+        from repro.runtime.executor import _run_campaigns
 
-        return CampaignExecutor(self, jobs=jobs).run()
+        jobs = self.jobs if jobs is None else int(jobs)
+        if jobs < 1:
+            raise ConfigError("jobs must be >= 1")
+        [result], _ = _run_campaigns([self], jobs, metrics=self.metrics,
+                                     progress=self.progress)
+        return result
 
     def run_adaptive(self, jobs: int | None = None, config=None):
         """Execute under the CI-driven early-stopping rule.
@@ -592,17 +582,19 @@ class Campaign:
         Returns the :class:`~repro.faults.adaptive.AdaptiveResult`
         (committed result + stop-decision trail), also stored in
         :attr:`adaptive_result`.  ``config`` overrides the campaign's
-        own ``adaptive`` config for this call.
+        own ``adaptive`` config for this call; a copy of the campaign
+        runs under it, so this one keeps its own rule.
         """
-        from repro.faults.adaptive import run_adaptive
-
         cfg = config if config is not None else self.adaptive
         if cfg is None:
             raise ConfigError(
                 "run_adaptive needs an AdaptiveConfig — construct the "
                 "campaign with target_margin/adaptive or pass config="
             )
-        self.adaptive_result = run_adaptive(self, cfg, jobs=jobs)
+        campaign = copy.copy(self)
+        campaign.adaptive = cfg
+        campaign.run(jobs)
+        self.adaptive_result = campaign.adaptive_result
         return self.adaptive_result
 
     def run_span(self, start: int, stop: int) -> CampaignResult:

@@ -4,8 +4,8 @@
   over a single worker pool (retries, deadlines, pool restarts, serial
   fallback) and a single in-order stop rule, running every campaign,
   adaptive campaign, sweep cell and tradeoff level;
-  :class:`~repro.runtime.executor.CampaignExecutor` is its
-  one-campaign entry.
+  :meth:`~repro.faults.campaign.Campaign.run` is its one-campaign
+  entry.
 * :mod:`repro.runtime.cache` — the one per-process home of pristine
   device memory, golden outputs and memory traces keyed by application
   identity, so managers, sweeps and worker processes never recompute
@@ -27,7 +27,7 @@ from repro.runtime.cache import (
     clear_app_cache,
 )
 from repro.runtime.checkpoint import STORE_VERSION, CheckpointStore
-from repro.runtime.executor import CampaignExecutor, CampaignSpec, plan_chunks
+from repro.runtime.executor import CampaignSpec, plan_chunks
 from repro.runtime.session import (
     Session,
     SessionConfig,
@@ -35,12 +35,10 @@ from repro.runtime.session import (
     SweepResult,
     SweepSpec,
     WorkUnit,
-    run_sweep,
 )
 
 __all__ = [
     "AppContext",
-    "CampaignExecutor",
     "CampaignSpec",
     "CheckpointStore",
     "STORE_VERSION",
@@ -55,5 +53,4 @@ __all__ = [
     "cache_info",
     "clear_app_cache",
     "plan_chunks",
-    "run_sweep",
 ]

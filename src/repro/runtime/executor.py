@@ -9,10 +9,10 @@ drive them, and nothing else does:
 * ``_Drive`` — the driver.  It takes built campaigns, their unit plan
   and any simulations; with a checkpoint store it loads finished
   units and persists new ones; it narrates session events and
-  progress.  :class:`CampaignExecutor` (so ``Campaign.run``,
-  ``ReliabilityManager.evaluate`` and adaptive runs) and the tradeoff
-  curve enter it through ``_run_campaigns``; sweeps and search rounds
-  through :class:`~repro.runtime.session.Session`.
+  progress.  ``Campaign.run`` (so ``ReliabilityManager.evaluate`` and
+  adaptive runs) and the tradeoff curve enter it through
+  ``_run_campaigns``; sweeps and search rounds through
+  :class:`~repro.runtime.session.Session`.
 * ``_run_units`` — the pool loop.  With ``jobs=1`` units run
   in-process; otherwise they fan out over one
   :class:`concurrent.futures.ProcessPoolExecutor`, each span shipped
@@ -792,40 +792,3 @@ def _run_campaigns(
                 decisions=drive.committer.decisions[cell],
             )
     return results, drive
-
-
-class CampaignExecutor:
-    """Runs one campaign's index space through the one driver.
-
-    Chunk results commit in run-index order, so ``counts`` and (with
-    ``keep_runs=True``) the ``runs`` list are bit-identical to a serial
-    execution no matter how the workers interleave.  Under the
-    campaign's ``adaptive`` rule it commits what
-    :meth:`~repro.faults.campaign.Campaign.run` commits.
-    """
-
-    def __init__(self, campaign: "Campaign", jobs: int | None = None):
-        self.campaign = campaign
-        self.jobs = campaign.jobs if jobs is None else int(jobs)
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
-        #: Worker processes actually used by the last :meth:`run`.
-        self.used_jobs = 1
-        #: Why the last :meth:`run` degraded to serial, if it did.
-        self.fallback_reason: str | None = None
-
-    def run(self) -> "CampaignResult":
-        """Execute every run (under a stop rule, the committed prefix)
-        and aggregate, fanning out when jobs > 1.
-
-        Chunk metric snapshots fold into the campaign's registry along
-        with the executor's own observability: chunk count, wall time,
-        worker utilization, and the parent's app-cache hit/miss tally.
-        """
-        campaign = self.campaign
-        [result], drive = _run_campaigns(
-            [campaign], self.jobs, metrics=campaign.metrics,
-            progress=campaign.progress)
-        self.used_jobs = drive.used_jobs
-        self.fallback_reason = drive.fallback_reason
-        return result

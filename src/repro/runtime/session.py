@@ -17,7 +17,9 @@ crash or ``SIGINT`` loses at most the units in flight, and
 byte-identical to an uninterrupted run at any ``jobs``, because the
 plan depends only on the requests and every run derives from ``(seed,
 run_index)``.  An optional :class:`~repro.obs.session.SessionLog`
-narrates the orchestration.
+narrates the orchestration.  ``Session(requests, store=…,
+config=SessionConfig(jobs=…)).run(resume)`` is the one way to run a
+sweep.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from dataclasses import dataclass, field
 from math import ceil
 from typing import Callable, Iterable, Iterator, Sequence
 
-from repro import _compat
 from repro.core.protection import ProtectionSpec
 from repro.core.request import EvaluationRequest
 from repro.errors import SessionInterrupted, SpecError
@@ -253,8 +254,6 @@ class Session:
         self.progress = progress if progress is not None else first.progress
         self._sleep = sleep
         self.sims = tuple(sims)
-        #: Why the session degraded to serial execution, if it did.
-        self.fallback_reason: str | None = None
 
     def identity(self) -> dict:
         """Canonical identity document (the checkpoint manifest body):
@@ -326,7 +325,6 @@ class Session:
                        detail=f"SIGINT after {drive.executed} chunk(s)")
             raise SessionInterrupted(len(committer.finished), len(units),
                                      reason="interrupted") from None
-        self.fallback_reason = drive.fallback_reason
         required = [u for u in units if not committer.skippable(u)]
         done = sum(1 for unit in required if unit in committer.finished)
         if done < len(required) or any(
@@ -359,34 +357,3 @@ class Session:
     def _emit(self, kind: str, **fields) -> None:
         if self.events is not None:
             self.events.emit(kind, **fields)
-
-
-def run_sweep(
-    requests: EvaluationRequest | Iterable[EvaluationRequest],
-    store: CheckpointStore | str | None = None,
-    resume: bool = False,
-    jobs: int = 1,
-    progress=None,
-    checkpoint_dir=_compat.UNSET,
-    **config_kwargs,
-) -> SweepResult:
-    """One-call convenience wrapper around :class:`Session`.
-
-    ``store`` names the durability root (a
-    :class:`~repro.runtime.checkpoint.CheckpointStore` or a directory
-    path), matching the :class:`Session` constructor; the old
-    ``checkpoint_dir`` spelling keeps working with a one-time
-    :class:`DeprecationWarning`.
-    """
-    if checkpoint_dir is not _compat.UNSET:
-        store = _compat.resolve_renamed(
-            "run_sweep", "checkpoint_dir", "store",
-            checkpoint_dir, _compat.UNSET if store is None else store,
-        )
-    session = Session(
-        requests,
-        store=store,
-        config=SessionConfig(jobs=jobs, **config_kwargs),
-        progress=progress,
-    )
-    return session.run(resume=resume)

@@ -285,6 +285,8 @@ def optimize(
     request's ``target_margin`` or ``secded`` raises
     :class:`~repro.errors.SpecError` instead of being dropped.
     """
+    if max_evals is not None and max_evals < 1:
+        raise SpecError("max_evals must be >= 1")
     if request is None:
         if app is None:
             raise SpecError("optimize needs an application name")

@@ -89,6 +89,8 @@ class RandomStrategy(SearchStrategy):
     def __init__(self, space: DesignSpace, seed: int = 1,
                  population: int = 12, rounds: int = 8):
         super().__init__(space)
+        if population < 1:
+            raise SpecError("random population must be >= 1")
         self.rng = random.Random(seed)
         self.population = population
         self.rounds = rounds

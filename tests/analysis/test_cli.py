@@ -6,8 +6,8 @@ import json
 import pytest
 
 from repro import cli
-from repro._compat import reset_warnings
 from repro.cli import build_parser, main
+from repro.faults.campaign import Campaign
 from repro.obs.perfetto import validate_trace_file
 from repro.utils.canonical import canonical_json
 
@@ -165,18 +165,11 @@ class TestTraceCommand:
         assert "trace event(s)" in captured
         assert "object" in captured
 
-    def test_app_flag_alias(self, tmp_path):
-        out = tmp_path / "alias.trace.json"
-        code = main([
-            "trace", "--app", "P-ATAX", "--scale", "small",
-            "--out", str(out),
-        ])
-        assert code == 0
-        assert validate_trace_file(str(out)) > 0
-
     def test_missing_app_rejected(self, capsys):
-        assert main(["trace"]) == 2
-        assert "application is required" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["trace"])
+        assert exc.value.code == 2
+        assert "app" in capsys.readouterr().err
 
     def test_quiet_suppresses_progress(self, tmp_path, capsys):
         out = tmp_path / "q.trace.json"
@@ -221,7 +214,7 @@ class TestSweepCommand:
     ARGS = [
         "-q", "sweep", "A-Laplacian", "--scale", "small",
         "--schemes", "baseline", "--protects", "hot",
-        "--runs", "4", "--chunk-runs", "2", "--seed", "9",
+        "--runs", "4", "--chunk-runs", "2", "--fault-seed", "9",
     ]
 
     def test_sweep_prints_table_and_writes_outputs(self, tmp_path,
@@ -371,13 +364,6 @@ HONOURED = {
 }
 
 
-@pytest.fixture()
-def fresh_warnings():
-    reset_warnings()
-    yield
-    reset_warnings()
-
-
 class TestRequestFlags:
     def test_each_subcommand_takes_exactly_its_honoured_flags(self):
         parsers = subparsers()
@@ -404,74 +390,28 @@ class TestRequestFlags:
         assert defaults == {"campaign": "baseline", "perf": "detection",
                             "trace": "baseline", "tradeoff": "correction"}
 
-    @pytest.mark.parametrize("argv,field", [
-        (["profile", "P-BICG"], "app_seed"),
-        (["campaign", "P-BICG"], "app_seed"),
-        (["perf", "P-BICG"], "app_seed"),
-        (["trace", "P-BICG"], "app_seed"),
-        (["tradeoff", "P-BICG"], "app_seed"),
-        (["export", "P-BICG"], "app_seed"),
-        (["sweep", "P-BICG"], "seed"),
-        (["optimize", "P-BICG"], "seed"),
-    ])
-    def test_deprecated_seed_keeps_its_old_meaning(
-            self, argv, field, fresh_warnings, capsys):
-        args = build_parser().parse_args(argv + ["--seed", "77"])
-        request = cli._request(
-            args, **({"app": "P-BICG"} if argv[0] == "sweep" else {}))
-        assert getattr(request, field) == 77
-        other = {"app_seed": "seed", "seed": "app_seed"}[field]
-        assert getattr(request, other) == getattr(
-            cli.EvaluationRequest(app="P-BICG"), other)
-        err = capsys.readouterr().err
-        assert err.count("deprecated") == 1
-        assert "'--seed'" in err
-
-    def test_deprecated_seed_warns_once(self, fresh_warnings, capsys):
-        for _ in range(2):
-            cli._request(build_parser().parse_args(
-                ["profile", "P-BICG", "--seed", "5"]))
-        assert capsys.readouterr().err.count("deprecated") == 1
-
-    def test_canonical_spelling_never_warns(self, fresh_warnings,
-                                            capsys):
+    def test_canonical_spelling_never_warns(self, capsys):
         cli._request(build_parser().parse_args(
             ["campaign", "P-BICG", "--app-seed", "5",
              "--fault-seed", "6"]))
         assert capsys.readouterr().err == ""
 
-    @pytest.mark.parametrize("argv", [
-        ["campaign", "A-Laplacian", "--seed", "1", "--app-seed", "1"],
-        ["sweep", "A-Laplacian", "--seed", "1", "--fault-seed", "1"],
+    @pytest.mark.parametrize("call,error", [
+        *(pytest.param(lambda name=name: build_parser().parse_args(
+            [name, "P-BICG", "--seed", "7"]), SystemExit, id=name)
+          for name in HONOURED),
+        # Fails on the keyword itself, before any argument is used.
+        pytest.param(lambda: Campaign(None, None, scheme_name="baseline"),
+                     TypeError, id="Campaign-scheme_name"),
     ])
-    def test_both_spellings_exit_4(self, argv, fresh_warnings, capsys):
-        assert main(argv) == 4
-        assert "both" in capsys.readouterr().err
-
-    def test_campaign_seed_alias_gives_identical_telemetry(
-            self, tmp_path, fresh_warnings):
-        outs = []
-        for flag in ("--seed", "--app-seed"):
-            out = tmp_path / f"{flag.strip('-')}.jsonl"
-            assert main([
-                "-q", "campaign", "A-Laplacian", "--scale", "small",
-                "--runs", "8", flag, "77", "--telemetry", str(out),
-            ]) == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
-
-    def test_sweep_seed_alias_gives_identical_results(
-            self, tmp_path, fresh_warnings):
-        outs = []
-        for flag in ("--seed", "--fault-seed"):
-            out = tmp_path / f"{flag.strip('-')}.json"
-            assert main([
-                "-q", "sweep", "A-Laplacian", "--scale", "small",
-                "--schemes", "baseline", "--runs", "4", flag, "9",
-                "--out", str(out),
-            ]) == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+    def test_removed_spellings_are_rejected(self, call, error, capsys):
+        with pytest.raises(error) as exc:
+            call()
+        if error is SystemExit:
+            assert exc.value.code == 2
+            assert "--seed" in capsys.readouterr().err
+        else:
+            assert "scheme_name" in str(exc.value)
 
     @pytest.mark.parametrize("flags", [
         ["--runs", "0"], ["--jobs", "0"], ["--batch", "0"],
@@ -498,6 +438,10 @@ class TestOptimizeCommand:
         expected = optimize(request=request, strategy="greedy",
                             objects=1)
         assert out == canonical_json(expected.to_dict()) + "\n"
+
+    def test_max_evals_zero_exits_4(self, capsys):
+        assert main(["optimize", *self.ARGS, "--max-evals", "0"]) == 4
+        assert "max_evals" in capsys.readouterr().err
 
     def test_resume_without_dir_exits_4(self, capsys):
         assert main(["optimize", *self.ARGS, "--resume"]) == 4

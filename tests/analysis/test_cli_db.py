@@ -2,8 +2,9 @@
 
 Exercises the exit-code taxonomy end to end: ``0`` on success, ``7``
 for any :class:`~repro.errors.StoreError` (corrupt ingest, unknown
-digest), and the long-standing ``2`` for corrupt ``stats``/``vuln``
-input — now also when the JSONL arrives on stdin as ``-``.
+digest, a missing store on a read-only command), and the
+long-standing ``2`` for corrupt ``stats``/``vuln`` input — now also
+when the JSONL arrives on stdin as ``-``.
 """
 
 from __future__ import annotations
@@ -95,10 +96,25 @@ class TestDbCommands:
                      str(bad), "--kind", "runs"])
         assert code == 7
 
-    def test_unknown_digest_exits_7(self, tmp_path):
+    def test_unknown_digest_exits_7(self, campaign_files, tmp_path):
         db = tmp_path / "w.db"
+        assert main(["db", "ingest", str(db),
+                     str(campaign_files["telemetry"])]) == 0
         assert main(["db", "cells", str(db)]) == 0
         assert main(["db", "export", str(db), "feedface"]) == 7
+
+    @pytest.mark.parametrize("command", [
+        ["db", "cells"], ["db", "query"], ["db", "export"], ["report"],
+    ], ids=" ".join)
+    def test_read_only_command_refuses_missing_store(
+            self, command, tmp_path, capsys):
+        db = tmp_path / "none.db"
+        extra = {"db export": ["feedface"],
+                 "report": ["--out", str(tmp_path / "r.html")]}
+        assert main([*command, str(db),
+                     *extra.get(" ".join(command), [])]) == 7
+        assert "no results store" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestReportCommand:

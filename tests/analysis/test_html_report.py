@@ -49,11 +49,10 @@ def build_store(tmp_path, tag, batch=1):
     provenance = tmp_path / f"p-{tag}.jsonl"
     with ProvenanceWriter(str(provenance)) as writer:
         writer.write_result(result)
-    from repro.faults.adaptive import AdaptiveConfig, run_adaptive
+    from repro.faults.adaptive import AdaptiveConfig
 
-    adaptive = run_adaptive(
-        make_campaign(runs=32),
-        AdaptiveConfig(target_margin=0.2, check_every=8))
+    adaptive = make_campaign(runs=32).run_adaptive(
+        config=AdaptiveConfig(target_margin=0.2, check_every=8))
     decisions = tmp_path / "decisions.jsonl"
     write_decisions(str(decisions), adaptive.decisions)
     bench = tmp_path / "BENCH_demo.json"

@@ -8,7 +8,6 @@ from repro.errors import ConfigError, SpecError
 from repro.faults.adaptive import (
     AdaptiveConfig,
     StopDecision,
-    run_adaptive,
     should_stop,
     stratified_estimate,
 )

@@ -107,7 +107,7 @@ class TestStopReproducibility:
 
 
 class TestEntryPointEquivalence:
-    """One request, six entry points, the same committed bytes."""
+    """One request, five entry points, the same committed bytes."""
 
     @staticmethod
     def _bytes(tmp_path, name, result, decisions):
@@ -134,7 +134,7 @@ class TestEntryPointEquivalence:
             batch):
         from repro.core.request import EvaluationRequest
         from repro.faults.campaign import Campaign, CampaignConfig
-        from repro.runtime.session import Session, run_sweep
+        from repro.runtime.session import Session
 
         request = EvaluationRequest(
             app=app_name, scheme=scheme, protect=protect, runs=runs,
@@ -168,10 +168,6 @@ class TestEntryPointEquivalence:
         entry = Session(request).run().entries[0]
         outputs["session"] = self._bytes(
             tmp_path, "session", entry.result, entry.decisions)
-
-        entry = run_sweep(request, jobs=jobs).entries[0]
-        outputs["run_sweep"] = self._bytes(
-            tmp_path, "run_sweep", entry.result, entry.decisions)
 
         records = tmp_path / "cli.records.jsonl"
         trail = tmp_path / "cli.decisions.jsonl"

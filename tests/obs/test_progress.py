@@ -21,7 +21,6 @@ from repro.obs.progress import (
     ProgressEvent,
     TtyProgress,
 )
-from repro.runtime.executor import CampaignExecutor
 
 
 def make_campaign(runs=24, progress=None, batch=1, jobs=1):
@@ -145,7 +144,7 @@ class TestCampaignProgress:
             return original(self, start, stop)
 
         monkeypatch.setattr(Campaign, "run_span", spy)
-        CampaignExecutor(campaign, jobs=1).run()
+        campaign.run(jobs=1)
         assert calls == [(0, 24)]
 
     def test_parallel_progress_reaches_total(self):
@@ -165,12 +164,12 @@ class TestCampaignProgress:
 
 class TestAdaptiveProgress:
     def test_adaptive_events_carry_margin(self):
-        from repro.faults.adaptive import AdaptiveConfig, run_adaptive
+        from repro.faults.adaptive import AdaptiveConfig
 
         events = []
         campaign = make_campaign(runs=32, progress=events.append)
-        adaptive = run_adaptive(
-            campaign, AdaptiveConfig(target_margin=0.2, check_every=8))
+        adaptive = campaign.run_adaptive(
+            config=AdaptiveConfig(target_margin=0.2, check_every=8))
         assert adaptive.result.n_runs >= 8
         assert events, "adaptive path must emit events"
         assert all(e.phase == "adaptive" for e in events)
@@ -204,11 +203,11 @@ class TestSweepProgress:
 
     def test_sweep_results_identical_with_progress(self):
         from repro.core.request import EvaluationRequest
-        from repro.runtime.session import run_sweep
+        from repro.runtime.session import Session
 
         spec = EvaluationRequest(
             app="A-Laplacian", scheme="baseline", protect="hot", runs=8,
             scale="small", chunk_runs=4, collect_records=True)
-        quiet = run_sweep(spec)
-        loud = run_sweep(spec, progress=lambda e: None)
+        quiet = Session(spec).run()
+        loud = Session(spec, progress=lambda e: None).run()
         assert quiet.to_dict() == loud.to_dict()

@@ -61,11 +61,10 @@ def corpus(tmp_path_factory):
     provenance = root / "provenance.jsonl"
     with ProvenanceWriter(str(provenance)) as writer:
         writer.write_result(result)
-    from repro.faults.adaptive import AdaptiveConfig, run_adaptive
+    from repro.faults.adaptive import AdaptiveConfig
 
-    adaptive = run_adaptive(
-        make_campaign(runs=32),
-        AdaptiveConfig(target_margin=0.2, check_every=8))
+    adaptive = make_campaign(runs=32).run_adaptive(
+        config=AdaptiveConfig(target_margin=0.2, check_every=8))
     decisions = root / "decisions.jsonl"
     write_decisions(str(decisions), adaptive.decisions)
     bench = root / "BENCH_demo.json"

@@ -22,7 +22,6 @@ from repro.faults.selection import uniform_selection
 from repro.kernels.registry import create_app
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime import (
-    CampaignExecutor,
     CampaignSpec,
     SessionConfig,
     WorkUnit,
@@ -170,19 +169,19 @@ class TestParallelBaseline:
 
 
 class TestExecutor:
-    def test_serial_when_one_job(self):
-        executor = CampaignExecutor(make_campaign(runs=6), jobs=1)
-        result = executor.run()
+    def test_serial_when_one_job(self, capsys):
+        campaign = make_campaign(runs=6)
+        result = campaign.run(jobs=1)
         assert result.n_runs == 6
-        assert executor.used_jobs == 1
-        assert executor.fallback_reason is None
+        assert campaign.metrics.counters["executor.used_jobs"] == 1
+        assert "session.fallback_serial" not in campaign.metrics.counters
+        assert "degrading" not in capsys.readouterr().err
 
     def test_jobs_capped_by_runs(self):
         campaign = make_campaign(runs=1)
-        executor = CampaignExecutor(campaign, jobs=8)
-        result = executor.run()
+        result = campaign.run(jobs=8)
         assert result.n_runs == 1
-        assert executor.used_jobs == 1
+        assert campaign.metrics.counters["executor.used_jobs"] == 1
 
     def test_explicit_chunk_size(self):
         campaign = make_campaign(runs=10, keep_runs=True)
@@ -210,21 +209,24 @@ class TestExecutor:
         campaign.run()
         assert campaign.metrics.counters["executor.chunks"] == 8
 
-    def test_pool_failure_degrades_to_serial(self, monkeypatch):
+    def test_pool_failure_degrades_to_serial(self, monkeypatch, capsys):
         import repro.runtime.executor as executor_mod
 
         monkeypatch.setattr(executor_mod, "_make_pool",
                             lambda context, jobs: None)
         reference = make_campaign(runs=10, keep_runs=True).run()
-        executor = CampaignExecutor(
-            make_campaign(runs=10, keep_runs=True), jobs=2)
-        assert run_signature(executor.run()) == run_signature(reference)
-        assert executor.used_jobs == 1
-        assert executor.fallback_reason == "could not create worker pool"
+        campaign = make_campaign(runs=10, keep_runs=True)
+        assert run_signature(campaign.run(jobs=2)) == \
+            run_signature(reference)
+        counters = campaign.metrics.counters
+        assert counters["executor.used_jobs"] == 1
+        assert counters["session.fallback_serial"] == 1
+        assert "degrading to serial execution (could not create worker " \
+            "pool)" in capsys.readouterr().err
 
     def test_bad_jobs_rejected(self):
         with pytest.raises(ConfigError):
-            CampaignExecutor(make_campaign(runs=4), jobs=0)
+            make_campaign(runs=4).run(jobs=0)
 
 
 class TestOneDriver:
@@ -241,10 +243,10 @@ class TestOneDriver:
         )
 
     def test_executor_honours_the_stop_rule(self):
-        via_executor = CampaignExecutor(self.adaptive_campaign()).run()
+        via_adaptive = self.adaptive_campaign().run_adaptive().result
         via_run = self.adaptive_campaign().run()
         assert via_run.n_runs == 128
-        assert via_executor.to_dict() == via_run.to_dict()
+        assert via_adaptive.to_dict() == via_run.to_dict()
 
     def test_adaptive_campaign_publishes_the_executor_metrics(self):
         manager = ReliabilityManager(create_app("P-BICG", scale="small"))

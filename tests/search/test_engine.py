@@ -282,6 +282,14 @@ class TestRequestSurface:
                         max_evals=3, population=5)
         assert len(result.evaluations) <= 3
 
+    @pytest.mark.parametrize("max_evals", [0, -3])
+    def test_max_evals_below_one_rejected(self, tmp_path, max_evals):
+        store = tmp_path / "search"
+        with pytest.raises(SpecError, match="max_evals"):
+            optimize(**KW, strategy="exhaustive", max_evals=max_evals,
+                     store=str(store))
+        assert not store.exists()
+
     def test_request_target_margin_rejected(self):
         # Every configuration runs its full budget; an adaptive request
         # must not silently evaluate at all of its runs.

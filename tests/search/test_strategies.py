@@ -66,6 +66,10 @@ class TestRandom:
         first = strategy.propose(0, {})
         assert first[0] == space().baseline()
 
+    def test_population_floor(self):
+        with pytest.raises(SpecError, match="population"):
+            RandomStrategy(space(), population=0)
+
     def test_rounds_bound_the_search(self):
         strategy = RandomStrategy(space(), seed=3, population=5,
                                   rounds=2)

@@ -65,7 +65,6 @@ API_SURFACE = [
     "Campaign",
     "CampaignConfig",
     "CampaignResult",
-    "CampaignExecutor",
     "Outcome",
     "RunResult",
     "AdaptiveConfig",
@@ -82,7 +81,6 @@ API_SURFACE = [
     "SessionConfig",
     "SweepResult",
     "CheckpointStore",
-    "run_sweep",
     "summarize_sweep",
     "tradeoff_curve",
     "optimize",

@@ -22,7 +22,7 @@ from repro.arch.address_space import (
     DeviceMemory,
 )
 from repro.core.protection import EXTRA_COPIES, ProtectionSpec
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SpecError
 
 
 def replica_name(object_name: str, copy_index: int) -> str:
@@ -55,6 +55,17 @@ def require_read_only(obj: DataObject) -> None:
             f"cannot protect writable object {obj.name!r}: the "
             "schemes replicate read-only input data only"
         )
+
+
+def protected_object(memory: DeviceMemory, name: str) -> DataObject:
+    """Look up the object ``name`` to protect, before any replica is
+    built: :class:`SpecError` if ``memory`` has no such object,
+    :class:`ConfigError` if it is writable."""
+    if not memory.has_object(name):
+        raise SpecError(f"cannot protect {name!r}: no object has that name")
+    obj = memory.object(name)
+    require_read_only(obj)
+    return obj
 
 
 #: Channel x bank mapping period (6 channels x 16 banks in Table I);
@@ -146,7 +157,7 @@ def replicate_spec(
     replica_sets: dict[str, ReplicaSet] = {}
     for name, scheme in spec.assignments:
         replica_sets.update(create_replicas(
-            memory, [memory.object(name)], EXTRA_COPIES[scheme],
+            memory, [protected_object(memory, name)], EXTRA_COPIES[scheme],
             populate=populate))
     return replica_sets
 

@@ -31,11 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.errors import ConfigError, SpecError
+from repro.errors import ConfigError
 from repro.utils.stats import (
     ConfidenceInterval,
     confidence_interval,
-    stratified_interval,
     zero_run_interval,
 )
 
@@ -178,48 +177,3 @@ class AdaptiveResult:
             f"({self.simulated_runs} simulated, "
             f"{self.analytic_runs} analytic); SDC {self.interval}"
         )
-
-
-def stratified_estimate(
-    result: "CampaignResult",
-    selection,
-    level: float = 0.95,
-) -> ConfidenceInterval:
-    """Recombine a stratified campaign's records into one estimate.
-
-    For a campaign run under a
-    :class:`~repro.faults.selection.StratifiedSelection` with
-    ``collect_records=True`` and single-block injections, rebuilds the
-    per-stratum (SDC, runs) tallies from the run records' fault sites
-    and recombines them with the stratum weights via
-    :func:`repro.utils.stats.stratified_interval` — the unbiased
-    estimate for the selection's target exposure distribution.
-    """
-    strata = getattr(selection, "strata", None)
-    if not strata:
-        raise SpecError(
-            f"selection {selection.name!r} is not stratified"
-        )
-    if not result.records:
-        raise SpecError(
-            "stratified estimation needs run records "
-            "(collect_records=True)"
-        )
-    if result.config.n_blocks != 1:
-        raise SpecError(
-            "stratified estimation requires single-block injections "
-            f"(got n_blocks={result.config.n_blocks})"
-        )
-    tallies = [[0, 0] for _ in strata]  # [sdc, runs] per stratum
-    for record in result.records:
-        index = selection.stratum_of(record.faults[0].block_addr)
-        tallies[index][1] += 1
-        if record.outcome == "sdc":
-            tallies[index][0] += 1
-    return stratified_interval(
-        [
-            (stratum.weight, sdc, runs)
-            for stratum, (sdc, runs) in zip(strata, tallies)
-        ],
-        level=level,
-    )

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.arch.address_space import DataObject, DeviceMemory
 from repro.core.protection import ProtectionSpec
-from repro.core.replication import require_read_only
+from repro.core.replication import protected_object
 from repro.core.schemes import SCHEME_NAMES, make_protection
 from repro.errors import (
     ConfigError,
@@ -500,11 +500,10 @@ class Campaign:
 
         context = app_context(app)
         self._pristine = context.pristine
-        # Refuse a writable protected object here rather than in the
-        # first chunk's replica build.
+        # Refuse an unknown or writable protected object here rather
+        # than in the first chunk's replica build, which would retry it.
         for name in self.protection.objects:
-            if self._pristine.has_object(name):
-                require_read_only(self._pristine.object(name))
+            protected_object(self._pristine, name)
         self._golden = context.golden
         #: Prepared per-campaign image: pristine memory plus the
         #: scheme's replicas, built once and COW-cloned per run.

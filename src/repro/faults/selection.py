@@ -9,6 +9,10 @@ Two experiments in the paper select blocks differently:
   application space with probability proportional to each block's
   L1-missed access count, because only missed accesses travel to the
   fault-prone L2/DRAM.
+
+``--selection stratified`` (:func:`stratify_by_object`) draws from the
+same read-weighted distribution as :func:`access_weighted_selection`,
+split into one weighted stratum per data object.
 """
 
 from __future__ import annotations
@@ -278,16 +282,6 @@ def stratified_selection(
     )
 
 
-def _object_block_counts(
-    read_counts: dict[int, int], obj
-) -> dict[int, int]:
-    end = obj.base_addr + obj.n_blocks * BLOCK_BYTES
-    return {
-        addr: count for addr, count in read_counts.items()
-        if obj.base_addr <= addr < end and count > 0
-    }
-
-
 def stratify_by_object(
     read_counts: dict[int, int],
     objects: Iterable,
@@ -303,7 +297,11 @@ def stratify_by_object(
     """
     strata = []
     for obj in objects:
-        counts = _object_block_counts(read_counts, obj)
+        end = obj.base_addr + obj.n_blocks * BLOCK_BYTES
+        counts = {
+            addr: count for addr, count in read_counts.items()
+            if obj.base_addr <= addr < end and count > 0
+        }
         if not counts:
             continue
         strata.append(Stratum(
@@ -313,74 +311,4 @@ def stratify_by_object(
         ))
     if not strata:
         raise ConfigError(f"{name}: no object has read-weighted blocks")
-    return stratified_selection(strata, name)
-
-
-def stratify_by_read_count(
-    read_counts: dict[int, int],
-    bins: int = 3,
-    name: str = "stratified-reads",
-) -> StratifiedSelection:
-    """Strata of blocks with similar read counts (quantile bins).
-
-    Blocks are sorted by read count and split into ``bins`` contiguous
-    groups; each group samples access-weighted within itself and
-    carries its total read share as the stratum weight.
-    """
-    if bins <= 0:
-        raise ConfigError(f"{name}: bins must be positive")
-    items = sorted(
-        (count, addr) for addr, count in read_counts.items() if count > 0
-    )
-    if not items:
-        raise ConfigError(f"{name}: no read-weighted blocks")
-    strata = []
-    for i, chunk in enumerate(np.array_split(np.arange(len(items)), bins)):
-        if not len(chunk):
-            continue
-        counts = {
-            items[j][1]: items[j][0] for j in chunk
-        }
-        strata.append(Stratum(
-            f"bin{i}",
-            float(sum(counts.values())),
-            _weighted(counts, f"{name}:bin{i}"),
-        ))
-    return stratified_selection(strata, name)
-
-
-def stratify_by_liveness(
-    read_counts: dict[int, int],
-    objects: Iterable,
-    liveness: dict[str, object],
-    name: str = "stratified-liveness",
-) -> StratifiedSelection:
-    """Strata of objects sharing a liveness window classification.
-
-    ``liveness`` maps object names to
-    :class:`repro.faults.evidence.ObjectLiveness` digests (from
-    :meth:`~repro.faults.evidence.GoldenTimeline.liveness`); objects whose
-    golden-run windows match (pure inputs vs read/write working sets)
-    pool into one stratum, weighted by their combined read share.
-    Dead objects (never read) carry no exposure and are skipped.
-    """
-    pools: dict[str, dict[int, int]] = {}
-    for obj in objects:
-        digest = liveness.get(obj.name)
-        if digest is None or digest.window == "dead":
-            continue
-        counts = _object_block_counts(read_counts, obj)
-        if not counts:
-            continue
-        pools.setdefault(digest.window, {}).update(counts)
-    if not pools:
-        raise ConfigError(f"{name}: no live read-weighted blocks")
-    strata = [
-        Stratum(
-            window,
-            float(sum(counts.values())),
-            _weighted(counts, f"{name}:{window}"),
-        )
-        for window, counts in sorted(pools.items())
-    ]
     return stratified_selection(strata, name)

@@ -7,9 +7,9 @@ Two complementary surfaces:
   the parallel executor report into (pressure, latency, utilization —
   things that may vary run to run and machine to machine);
 * :class:`~repro.obs.records.RunRecord` — the deterministic per-run
-  JSONL telemetry (seed, faults, outcome, error, scheme counters)
-  whose byte-identity across worker counts is itself a tested
-  invariant.
+  JSONL telemetry (seed, faults, outcome, error, scheme counters),
+  committed in run-index order by the execution core, whose
+  byte-identity across worker counts is itself a tested invariant.
 
 ``repro stats <file>`` (see :mod:`repro.obs.summary`) summarizes a
 telemetry file from the command line.
@@ -54,7 +54,6 @@ from repro.obs.records import (
     TelemetryWriter,
     iter_records,
     read_records,
-    records_in_order,
     validate_record,
 )
 from repro.obs.store import (
@@ -88,7 +87,6 @@ __all__ = [
     "TelemetryWriter",
     "iter_records",
     "read_records",
-    "records_in_order",
     "validate_record",
     "GroupSummary",
     "TelemetrySummary",

@@ -43,11 +43,6 @@ def configure(verbose: bool = False, quiet: bool = False) -> None:
         _level = INFO
 
 
-def level() -> int:
-    """The current process-wide threshold (one of DEBUG/INFO/QUIET)."""
-    return _level
-
-
 class Logger:
     """A named view onto the process-wide verbosity."""
 

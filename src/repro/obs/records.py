@@ -619,19 +619,3 @@ def write_decisions(path: str, decisions: Iterable) -> int:
 def read_decisions(path: str) -> list[dict]:
     """Load and validate a stop-decision JSONL file."""
     return list(iter_jsonl(path, "decisions"))
-
-
-def records_in_order(records: Iterable[RunRecord]) -> list[RunRecord]:
-    """Sort records by run index, rejecting duplicates.
-
-    The executor's merge path keeps chunk outputs ordered already; this
-    is the defensive re-check used when records from multiple sources
-    are combined.
-    """
-    ordered = sorted(records, key=lambda r: r.run_index)
-    for before, after in zip(ordered, ordered[1:]):
-        if after.run_index == before.run_index:
-            raise TelemetryError(
-                f"duplicate telemetry record for run {after.run_index}"
-            )
-    return ordered

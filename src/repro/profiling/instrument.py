@@ -3,56 +3,21 @@
 The paper identifies hot data objects by manual source-code analysis
 and notes the process "can be automated with binary instrumentation
 tools such as NVBit" (Section IV-C).  This module is that automation:
-a callback-based tracer (the NVBit idiom) plus a one-call pipeline
-that goes from an application to its discovered hot objects without
-consulting the app's declared (source-analysis) answers.
+:func:`discover`, a one-call pipeline that goes from an application's
+memory trace to its discovered hot objects without consulting the
+app's declared (source-analysis) answers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
 
 from repro.arch.address_space import DeviceMemory
 from repro.kernels.base import GpuApplication
-from repro.kernels.trace import AppTrace, Load, Store
 from repro.profiling.access_profile import AccessProfile, profile_trace
 from repro.profiling.hot_blocks import classify_hot_blocks
 from repro.profiling.hot_objects import discover_hot_objects
 from repro.runtime.cache import app_context
-
-
-class MemoryCallback(Protocol):
-    """Callback signature: one call per memory instruction."""
-
-    def __call__(self, kernel: str, warp_id: int, is_load: bool,
-                 obj: str, addrs: tuple[int, ...]) -> None: ...
-
-
-class MemoryTracer:
-    """Replays a trace through registered callbacks, one event per
-    memory instruction — the shape of an NVBit instrumentation pass."""
-
-    def __init__(self) -> None:
-        self._callbacks: list[MemoryCallback] = []
-
-    def register(self, callback: MemoryCallback) -> None:
-        """Subscribe a callback to every memory instruction."""
-        self._callbacks.append(callback)
-
-    def run(self, trace: AppTrace) -> int:
-        """Dispatch every memory instruction; returns the event count."""
-        events = 0
-        for kernel in trace.kernels:
-            for warp in kernel.iter_warps():
-                for inst in warp.insts:
-                    if isinstance(inst, (Load, Store)):
-                        is_load = isinstance(inst, Load)
-                        for cb in self._callbacks:
-                            cb(kernel.name, warp.warp_id, is_load,
-                               inst.obj, inst.addrs)
-                        events += 1
-        return events
 
 
 @dataclass

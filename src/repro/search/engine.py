@@ -332,6 +332,9 @@ def optimize(
     }
     if max_evals is not None:
         identity["max_evals"] = max_evals
+    # Check the strategy's own settings before the manifest is written.
+    make_strategy(strategy, space, seed=search_seed,
+                  population=population, generations=generations)
     search_store = _SearchStore(store)
     search_store.initialize(identity, resume=resume)
 

@@ -1,35 +1,17 @@
-"""Small shared utilities: bit manipulation, RNG streams, statistics,
-and plain-text table rendering used by reports and benches."""
+"""Small shared utilities: RNG streams, statistics, and plain-text
+table rendering used by reports and benches."""
 
-from repro.utils.bits import (
-    bit_count,
-    extract_bits,
-    flip_bits,
-    hamming_distance,
-    set_bits,
-    word_to_bits,
-)
 from repro.utils.rng import RngStream, derive_seed
 from repro.utils.stats import (
-    RunningStat,
     confidence_interval,
     geometric_mean,
-    normalized,
 )
 from repro.utils.tables import TextTable
 
 __all__ = [
-    "bit_count",
-    "extract_bits",
-    "flip_bits",
-    "hamming_distance",
-    "set_bits",
-    "word_to_bits",
     "RngStream",
     "derive_seed",
-    "RunningStat",
     "confidence_interval",
     "geometric_mean",
-    "normalized",
     "TextTable",
 ]

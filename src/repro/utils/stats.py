@@ -1,4 +1,4 @@
-"""Statistics helpers: running moments, confidence intervals, means.
+"""Statistics helpers: confidence intervals and means.
 
 The paper reports 95% confidence intervals with roughly +/-3% error
 margins for 1000-run campaigns (Leveugle et al. statistical fault
@@ -202,58 +202,3 @@ def geometric_mean(values: Sequence[float]) -> float:
     if any(v <= 0 for v in values):
         raise ValueError("geometric_mean requires positive values")
     return math.exp(sum(math.log(v) for v in values) / len(values))
-
-
-def normalized(values: Sequence[float], baseline: float) -> list[float]:
-    """Each value divided by ``baseline`` (the paper's "1.0" bars)."""
-    if baseline == 0:
-        raise ValueError("baseline must be non-zero")
-    return [v / baseline for v in values]
-
-
-class RunningStat:
-    """Numerically stable running mean/variance (Welford)."""
-
-    def __init__(self) -> None:
-        self.count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self._min = math.inf
-        self._max = -math.inf
-
-    def add(self, value: float) -> None:
-        """Fold one sample into the running moments."""
-        self.count += 1
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
-        self._min = min(self._min, value)
-        self._max = max(self._max, value)
-
-    @property
-    def mean(self) -> float:
-        if self.count == 0:
-            raise ValueError("no samples")
-        return self._mean
-
-    @property
-    def variance(self) -> float:
-        if self.count < 2:
-            return 0.0
-        return self._m2 / (self.count - 1)
-
-    @property
-    def stdev(self) -> float:
-        return math.sqrt(self.variance)
-
-    @property
-    def min(self) -> float:
-        if self.count == 0:
-            raise ValueError("no samples")
-        return self._min
-
-    @property
-    def max(self) -> float:
-        if self.count == 0:
-            raise ValueError("no samples")
-        return self._max

@@ -422,6 +422,17 @@ class TestRequestFlags:
         assert main(["campaign", "A-Laplacian", "--scale", "small",
                      *flags]) == 4
 
+    @pytest.mark.parametrize("command, flags", [
+        ("campaign", ["--runs", "8", "--protect", "nope=correction"]),
+        ("sweep", ["--runs", "8", "--protects", "nope=correction"]),
+        ("perf", ["--protect", "nope=correction"]),
+    ])
+    def test_unknown_protected_object_exits_4(self, command, flags,
+                                              capsys):
+        assert main([command, "P-BICG", "--scale", "small",
+                     *flags]) == 4
+        assert "cannot protect 'nope'" in capsys.readouterr().err
+
 
 class TestOptimizeCommand:
     ARGS = ["P-BICG", "--scale", "small", "--objects", "1",
@@ -442,6 +453,14 @@ class TestOptimizeCommand:
     def test_max_evals_zero_exits_4(self, capsys):
         assert main(["optimize", *self.ARGS, "--max-evals", "0"]) == 4
         assert "max_evals" in capsys.readouterr().err
+
+    def test_rejected_population_leaves_no_manifest(self, tmp_path):
+        store = tmp_path / "search"
+        argv = ["optimize", *self.ARGS, "--strategy", "random",
+                "--checkpoint-dir", str(store), "--population"]
+        assert main([*argv, "0"]) == 4
+        assert not (store / "SEARCH.json").exists()
+        assert main([*argv, "2"]) == 0
 
     def test_resume_without_dir_exits_4(self, capsys):
         assert main(["optimize", *self.ARGS, "--resume"]) == 4

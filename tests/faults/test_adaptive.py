@@ -4,15 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigError, SpecError
+from repro.errors import ConfigError
 from repro.faults.adaptive import (
     AdaptiveConfig,
     StopDecision,
     should_stop,
-    stratified_estimate,
 )
 from repro.faults.campaign import Campaign, CampaignConfig
-from repro.faults.selection import stratify_by_object, uniform_selection
+from repro.faults.selection import uniform_selection
 from repro.kernels.registry import create_app
 from repro.utils.stats import confidence_interval, zero_run_interval
 
@@ -183,43 +182,6 @@ class TestDeterminism:
         assert result.to_dict() == ref_result.to_dict()
         counters = campaign.metrics.snapshot()["counters"]
         assert counters["session.fallback_serial"] == 1
-
-
-class TestStratifiedEstimate:
-    def make_stratified(self, **kwargs):
-        app = create_app("A-Laplacian", scale="small")
-        manager_memory = app.fresh_memory()
-        from repro.core.manager import ReliabilityManager
-
-        manager = ReliabilityManager(app)
-        selection = stratify_by_object(
-            manager.profile.block_reads, manager_memory.objects)
-        return Campaign(
-            app, selection,
-            config=CampaignConfig(runs=64, seed=7),
-            collect_records=True, **kwargs,
-        ), selection
-
-    def test_recombines_per_stratum_tallies(self):
-        campaign, selection = self.make_stratified()
-        result = campaign.run()
-        interval = stratified_estimate(result, selection)
-        assert 0.0 <= interval.low <= interval.high <= 1.0
-        assert interval.runs == result.n_runs
-        assert interval.margin > 0
-
-    def test_rejects_flat_selections_and_missing_records(self):
-        campaign = make_campaign(runs=4, collect_records=True)
-        result = campaign.run()
-        with pytest.raises(SpecError):
-            stratified_estimate(result, campaign.selection)
-        stratified, selection = self.make_stratified()
-        bare = Campaign(
-            stratified.app, selection,
-            config=CampaignConfig(runs=4, seed=7),
-        ).run()
-        with pytest.raises(SpecError):
-            stratified_estimate(bare, selection)
 
 
 class TestDecisionRecords:

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.protection import ProtectionSpec
-from repro.errors import ConfigError
+from repro.core.replication import replicate_spec
+from repro.errors import ConfigError, SpecError
 from repro.faults.campaign import Campaign, CampaignConfig
 from repro.faults.outcomes import Outcome
 from repro.faults.selection import hot_selection, uniform_selection
@@ -58,6 +59,16 @@ class TestConfig:
         with pytest.raises(ConfigError,
                            match="cannot protect writable object 's'"):
             Campaign(app, uniform_selection([0]), protection=spec)
+
+    def test_unknown_protected_object_refused_at_construction(self):
+        # Before any chunk runs, so the executor never retries it; the
+        # timing model's replica allocation refuses it the same way.
+        app = create_app("P-BICG", scale="small")
+        spec = ProtectionSpec.parse("r=correction,nope=detection")
+        with pytest.raises(SpecError, match="cannot protect 'nope'"):
+            Campaign(app, uniform_selection([0]), protection=spec)
+        with pytest.raises(SpecError, match="cannot protect 'nope'"):
+            replicate_spec(app.fresh_memory(), spec, populate=False)
 
 
 class TestBaselineCampaign:

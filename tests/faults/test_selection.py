@@ -188,30 +188,6 @@ class TestStratifyBuilders:
         picks = sel.pick(RngStream(2), 3)
         assert len(set(picks)) == 3
 
-    def test_stratify_by_read_count_bins(self):
-        from repro.faults.selection import stratify_by_read_count
-
-        sel = stratify_by_read_count(self.read_counts, bins=2)
-        assert len(sel.strata) == 2
-        assert sel.population == 12
-        # bins partition the pool disjointly
-        pools = [set(s.selection.sampler.pool) for s in sel.strata]
-        assert not pools[0] & pools[1]
-
-    def test_stratify_by_liveness_windows(self):
-        from repro.faults.selection import stratify_by_liveness
-
-        class Digest:
-            def __init__(self, window):
-                self.window = window
-
-        liveness = {"A": Digest("input"), "x": Digest("working"),
-                    "pad": Digest("dead")}
-        sel = stratify_by_liveness(self.read_counts, self.objects,
-                                   liveness)
-        assert sorted(s.name for s in sel.strata) \
-            == ["input", "working"]
-
     def test_no_weighted_blocks_rejected(self):
         from repro.faults.selection import stratify_by_object
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.obs import log as log_mod
 from repro.obs.log import configure, get_logger
 
 
@@ -65,9 +64,3 @@ class TestQuiet:
         captured = capsys.readouterr()
         assert "warning: heads up\n" in captured.err
         assert "error: boom\n" in captured.err
-
-    def test_level_reports_threshold(self):
-        configure(quiet=True)
-        assert log_mod.level() == log_mod.QUIET
-        configure(verbose=True)
-        assert log_mod.level() == log_mod.DEBUG

@@ -12,7 +12,6 @@ from repro.obs.records import (
     TelemetryWriter,
     iter_records,
     read_records,
-    records_in_order,
     validate_record,
 )
 
@@ -163,14 +162,3 @@ class TestWriterReader:
         with TelemetryWriter(str(tmp_path / "t.jsonl")) as writer:
             with pytest.raises(TelemetryError, match="collect_records"):
                 writer.write_result(empty)
-
-
-class TestOrdering:
-    def test_sorts_by_run_index(self):
-        recs = [make_record(run_index=i) for i in (2, 0, 1)]
-        assert [r.run_index for r in records_in_order(recs)] == [0, 1, 2]
-
-    def test_rejects_duplicates(self):
-        recs = [make_record(run_index=1), make_record(run_index=1)]
-        with pytest.raises(TelemetryError, match="duplicate"):
-            records_in_order(recs)

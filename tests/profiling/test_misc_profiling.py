@@ -6,7 +6,7 @@ import pytest
 
 from repro.arch.config import fast_config
 from repro.kernels.trace import Load
-from repro.profiling.instrument import MemoryTracer, discover
+from repro.profiling.instrument import discover
 from repro.profiling.miss_profile import (
     l1_miss_profile,
     object_miss_counts,
@@ -97,27 +97,6 @@ class TestMissProfile:
 
 
 class TestInstrumentation:
-    def test_tracer_event_count(self, small_bicg_manager):
-        tracer = MemoryTracer()
-        events = []
-        tracer.register(
-            lambda kernel, warp, is_load, obj, addrs:
-            events.append((kernel, obj, is_load))
-        )
-        n = tracer.run(small_bicg_manager.trace)
-        assert n == len(events)
-        assert any(not is_load for _k, _o, is_load in events)  # stores
-
-    def test_multiple_callbacks_all_fire(self, small_bicg_manager):
-        tracer = MemoryTracer()
-        counts = [0, 0]
-        tracer.register(lambda *a: counts.__setitem__(
-            0, counts[0] + 1))
-        tracer.register(lambda *a: counts.__setitem__(
-            1, counts[1] + 1))
-        tracer.run(small_bicg_manager.trace)
-        assert counts[0] == counts[1] > 0
-
     def test_discover_pipeline(self, laplacian_manager):
         result = discover(laplacian_manager.app,
                           laplacian_manager.memory)

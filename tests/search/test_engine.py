@@ -290,6 +290,23 @@ class TestRequestSurface:
                      store=str(store))
         assert not store.exists()
 
+    @pytest.mark.parametrize("settings", [
+        dict(strategy="random", population=0),
+        dict(strategy="evolutionary", population=2),
+        dict(strategy="evolutionary", generations=0),
+        dict(strategy="annealing"),
+    ])
+    def test_rejected_strategy_settings_write_no_manifest(
+            self, tmp_path, settings):
+        store = tmp_path / "search"
+        with pytest.raises(SpecError):
+            optimize(**KW, store=str(store), **settings)
+        assert not (store / "SEARCH.json").exists()
+        # The corrected call is a fresh search, not "a different one".
+        result = optimize(**KW, store=str(store), strategy="random",
+                          population=2, max_evals=1)
+        assert len(result.evaluations) == 1
+
     def test_request_target_margin_rejected(self):
         # Every configuration runs its full budget; an adaptive request
         # must not silently evaluate at all of its runs.

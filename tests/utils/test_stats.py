@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 
 from repro.utils.stats import (
     ConfidenceInterval,
-    RunningStat,
     confidence_interval,
     geometric_mean,
-    normalized,
     runs_for_margin,
     stratified_interval,
     zero_run_interval,
@@ -171,36 +169,6 @@ class TestGeometricMean:
             geometric_mean([])
 
 
-class TestNormalized:
-    def test_divides(self):
-        assert normalized([2.0, 4.0], 2.0) == [1.0, 2.0]
-
-    def test_zero_baseline_rejected(self):
-        with pytest.raises(ValueError):
-            normalized([1.0], 0.0)
-
-
-class TestRunningStat:
-    def test_mean_and_variance(self):
-        stat = RunningStat()
-        for v in (1.0, 2.0, 3.0, 4.0):
-            stat.add(v)
-        assert stat.mean == pytest.approx(2.5)
-        assert stat.variance == pytest.approx(5.0 / 3.0)
-        assert stat.min == 1.0
-        assert stat.max == 4.0
-
-    def test_single_sample_zero_variance(self):
-        stat = RunningStat()
-        stat.add(7.0)
-        assert stat.variance == 0.0
-        assert stat.stdev == 0.0
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            RunningStat().mean
-
-
 @given(st.lists(st.floats(min_value=0.01, max_value=100.0),
                 min_size=1, max_size=20))
 def test_geomean_between_min_and_max(values):
@@ -250,16 +218,3 @@ def test_stratified_interval_is_convex_combination(strata):
     assert min(props) - 1e-9 <= combined.proportion \
         <= max(props) + 1e-9
     assert 0.0 <= combined.low <= combined.high <= 1.0
-
-
-@given(st.lists(st.floats(min_value=-1e6, max_value=1e6),
-                min_size=2, max_size=50))
-def test_running_stat_matches_numpy(values):
-    import numpy as np
-
-    stat = RunningStat()
-    for v in values:
-        stat.add(v)
-    assert stat.mean == pytest.approx(float(np.mean(values)), abs=1e-6)
-    assert stat.variance == pytest.approx(
-        float(np.var(values, ddof=1)), rel=1e-6, abs=1e-6)

@@ -3,21 +3,23 @@
 Each ``figN_*``/``tableN_*`` function computes exactly the series or
 rows the corresponding exhibit reports, so the benchmark harness (and
 any notebook) can print or plot them without re-deriving methodology.
-A figure grid (Figs 6, 7 and 9) builds every cell's campaign through
-the manager's one campaign builder, or every bar as a timing
-:class:`~repro.runtime.executor.SimUnit`, and runs the whole grid in
-one drive of the execution core, the one ``tradeoff_curve`` uses: at
-the manager's ``jobs > 1`` the grid shares one worker pool.
+The cells of a campaign grid (Figs 6 and 9) are one base
+:class:`~repro.core.request.EvaluationRequest` replaced per cell, each
+built through the manager's one campaign builder; Fig 7 builds every
+bar as a timing :class:`~repro.runtime.executor.SimUnit`.  A grid runs
+in one drive of the execution core, the one ``tradeoff_curve`` uses:
+at the manager's ``jobs > 1`` the grid shares one worker pool.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.arch.config import GpuConfig, PAPER_CONFIG
 from repro.core.manager import ReliabilityManager
+from repro.core.request import EvaluationRequest
 from repro.data.gpu_trends import L2_SIZE_TREND
 from repro.faults.campaign import CampaignResult
 from repro.faults.outcomes import Outcome
@@ -33,11 +35,11 @@ FAULT_GRID: tuple[tuple[int, int], ...] = (
 
 
 def _grid_results(
-    manager: ReliabilityManager, cells: list[dict],
+    manager: ReliabilityManager, cells: list[EvaluationRequest],
 ) -> list[CampaignResult]:
-    """Each cell's campaign (:meth:`ReliabilityManager.evaluate`
-    keywords), all run in one drive at the manager's ``jobs``."""
-    campaigns = [manager._request_campaign(**cell) for cell in cells]
+    """Each cell request's campaign, all run in one drive at the
+    manager's ``jobs``."""
+    campaigns = [manager._campaign(cell) for cell in cells]
     results, _drive = _run_campaigns(campaigns, manager.jobs,
                                      metrics=MetricsRegistry())
     return results
@@ -135,17 +137,18 @@ def fig6_grid(
 ) -> list[Fig6Cell]:
     """The Figure 6 grid: both spaces x the fault grid, each cell the
     campaign :meth:`ReliabilityManager.motivation` runs."""
+    base = manager._resolve(None, dict(
+        scheme="baseline", protect="none", runs=runs, seed=seed))
     cells = [
-        dict(scheme="baseline", protect="none", runs=runs,
-             n_blocks=n_blocks, n_bits=n_bits, selection=space, seed=seed)
+        replace(base, selection=space, n_blocks=n_blocks, n_bits=n_bits)
         for space in ("hot", "rest") for n_blocks, n_bits in FAULT_GRID
     ]
     return [
         Fig6Cell(
             app_name=manager.app.name,
-            space=cell["selection"],
-            n_blocks=cell["n_blocks"],
-            n_bits=cell["n_bits"],
+            space=cell.selection,
+            n_blocks=cell.n_blocks,
+            n_bits=cell.n_bits,
             sdc=result.sdc_count,
             crash=result.count(Outcome.CRASH),
             masked=result.count(Outcome.MASKED),
@@ -230,19 +233,20 @@ def fig9_grid(
     the campaign :meth:`ReliabilityManager.evaluate` runs."""
     if levels is None:
         levels = list(range(len(manager.app.object_importance) + 1))
+    base = manager._resolve(None, dict(runs=runs, selection=selection,
+                                       seed=seed))
     cells = [
-        dict(scheme=scheme if level else "baseline", protect=level,
-             runs=runs, n_blocks=n_blocks, n_bits=n_bits,
-             selection=selection, seed=seed)
+        replace(base, scheme=scheme if level else "baseline",
+                protect=level, n_blocks=n_blocks, n_bits=n_bits)
         for level in levels for n_blocks, n_bits in grid
     ]
     return [
         Fig9Cell(
             app_name=manager.app.name,
-            scheme=cell["scheme"],
-            n_protected=cell["protect"],
-            n_blocks=cell["n_blocks"],
-            n_bits=cell["n_bits"],
+            scheme=cell.scheme,
+            n_protected=cell.protect,
+            n_blocks=cell.n_blocks,
+            n_bits=cell.n_bits,
             sdc=result.sdc_count,
             detected=result.count(Outcome.DETECTED),
             corrected=result.count(Outcome.CORRECTED),

@@ -9,9 +9,11 @@ whole SDC reduction at a sliver of the full-replication cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.core.manager import ReliabilityManager
+from repro.core.request import EvaluationRequest
+from repro.errors import SpecError
 
 
 @dataclass(frozen=True)
@@ -34,45 +36,60 @@ class TradeoffPoint:
 
 def tradeoff_curve(
     manager: ReliabilityManager,
-    scheme: str = "correction",
-    runs: int = 200,
-    n_blocks: int = 1,
-    n_bits: int = 2,
-    selection: str = "access-weighted",
-    seed: int = 20210621,
-    jobs: int | None = None,
+    request: EvaluationRequest | None = None,
     telemetry=None,
-    metrics=None,
+    **fields,
 ) -> list[TradeoffPoint]:
     """Sweep protection from 0 to all input objects.
 
+    The experiment is ``request``, or its fields by keyword, as for
+    :meth:`ReliabilityManager.evaluate`; keywords default to
+    ``runs=200``.  Each level is the request at that protection level
+    (the baseline scheme at level 0), so the curve fixes ``protect``
+    and refuses a typed protection.  Every level runs its full budget
+    and the timing model has no SECDED, so ``target_margin``,
+    ``secded`` and the protect-nothing ``baseline`` scheme raise
+    :class:`~repro.errors.SpecError`.
+
     The N+1 levels' campaigns and timing simulations run in one drive
-    of the execution core, so at ``jobs > 1`` (default: the manager's
-    setting) the simulations share one worker pool with the chunks.
-    ``telemetry`` is an optional
+    of the execution core, so at ``jobs > 1`` the simulations share
+    one worker pool with the chunks.  ``telemetry`` is an optional
     :class:`~repro.obs.records.TelemetryWriter`: each level's campaign
     then collects per-run records and appends them, in level order, to
-    the writer.  ``metrics`` optionally receives every campaign's
+    the writer.  The request's ``metrics`` receives every campaign's
     observability and the drive's ``session.*`` counters.
     """
     from repro.faults.outcomes import Outcome
     from repro.obs.metrics import MetricsRegistry
     from repro.runtime.executor import SimUnit, _run_campaigns
 
-    metrics = metrics if metrics is not None else MetricsRegistry()
+    base = manager._resolve(request, fields, ("protect",), runs=200)
+    for name in ("target_margin", "secded"):
+        if getattr(base, name):
+            raise SpecError(
+                f"tradeoff_curve does not support request {name}")
+    if base.scheme == "baseline":
+        raise SpecError("tradeoff_curve needs a protecting scheme; "
+                        "baseline protects nothing at any level")
+    if base.protection is not None:
+        raise SpecError("tradeoff_curve sweeps the protection levels; "
+                        "a typed protection is not one")
+    metrics = base.metrics if base.metrics is not None \
+        else MetricsRegistry()
     levels = range(len(manager.app.object_importance) + 1)
-    arms = [(scheme if level else "baseline", level) for level in levels]
-    campaigns = [
-        manager._request_campaign(
-            metrics=metrics, scheme=arm, protect=level, runs=runs,
-            n_blocks=n_blocks, n_bits=n_bits, selection=selection,
-            seed=seed, jobs=jobs, collect_records=telemetry is not None)
-        for arm, level in arms
+    cells = [
+        replace(base, scheme=base.scheme if level else "baseline",
+                protect=level, metrics=metrics,
+                collect_records=base.collect_records
+                or telemetry is not None)
+        for level in levels
     ]
+    campaigns = [manager._campaign(cell) for cell in cells]
     sims = [SimUnit(manager.app, manager.config, manager.budget,
-                    manager.protection_spec(*arm)) for arm in arms]
-    results, drive = _run_campaigns(campaigns, campaigns[0].jobs,
-                                    metrics=metrics, sims=sims)
+                    manager.protection_spec(cell.scheme, cell.protect))
+            for cell in cells]
+    results, drive = _run_campaigns(campaigns, base.jobs, metrics=metrics,
+                                    progress=base.progress, sims=sims)
     reports = [drive.reports[sim.digest] for sim in sims]
     if telemetry is not None:
         for result in results:

@@ -12,8 +12,8 @@ Deprecation policy: when a name or keyword here is renamed, the old
 spelling keeps working for at least one minor release, emitting a
 ``DeprecationWarning`` exactly once per process, and is removed only
 on a major version bump.  See docs/API.md for the vocabulary
-(``jobs``, ``runs``, ``seed``, ``scheme``, ``protect``) and the
-current deprecations.
+(``jobs``, ``runs``, ``seed``, ``scheme``, ``protect``) and, under
+"Removed in 2.0.0", the old spellings that release removed.
 
 Quickstart::
 

@@ -303,12 +303,12 @@ def _cmd_campaign(args) -> int:
     manager = _app_manager(request)
     adaptive = None
     with _progress_sink(args) as progress:
+        request = dataclasses.replace(request, progress=progress)
         if request.target_margin is not None:
-            adaptive = manager.evaluate_adaptive(request=request,
-                                                 progress=progress)
+            adaptive = manager.evaluate_adaptive(request=request)
             result = adaptive.result
         else:
-            result = manager.evaluate(request=request, progress=progress)
+            result = manager.evaluate(request=request)
     log.result(campaign_table([result]).render())
     log.result("")
     log.result(f"SDC rate: {result.sdc_interval()}")
@@ -366,12 +366,8 @@ def _cmd_tradeoff(args) -> int:
     writer = (TelemetryWriter(args.telemetry)
               if args.telemetry is not None else None)
     with writer if writer is not None else nullcontext():
-        points = tradeoff_curve(
-            _app_manager(request), scheme=request.scheme,
-            runs=request.runs, n_blocks=request.n_blocks,
-            n_bits=request.n_bits, selection=request.selection,
-            seed=request.seed, jobs=request.jobs, telemetry=writer,
-        )
+        points = tradeoff_curve(_app_manager(request), request,
+                                telemetry=writer)
     if writer is not None:
         log.info(f"wrote {writer.n_written} run record(s) to "
                  f"{args.telemetry}")
@@ -456,13 +452,13 @@ def _cmd_optimize(args) -> int:
     request = _request(args)
     with _progress_sink(args) as progress:
         result = optimize(
-            request=request, strategy=args.strategy,
+            dataclasses.replace(request, progress=progress),
+            strategy=args.strategy,
             objects=args.objects, search_seed=args.search_seed,
             population=args.population, generations=args.generations,
             max_evals=args.max_evals, store=args.checkpoint_dir,
             resume=args.resume, stop_after_chunks=args.stop_after_chunks,
-            trail=args.trail, progress=progress,
-            max_overhead=args.budget_overhead,
+            trail=args.trail, max_overhead=args.budget_overhead,
             max_replica_bytes=args.budget_memory,
         )
     if args.json:

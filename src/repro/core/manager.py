@@ -18,10 +18,9 @@ from repro.arch.address_space import DeviceMemory
 from repro.arch.config import GpuConfig, PAPER_CONFIG
 from repro.core.hardware import HardwareBudget
 from repro.core.protection import ProtectionSpec
-from repro.core.request import EvaluationRequest
+from repro.core.request import EvaluationRequest, resolve_request
 from repro.errors import ConfigError, SpecError
 from repro.faults.adaptive import AdaptiveConfig
-from repro.faults.batch import DEFAULT_BATCH
 from repro.faults.campaign import Campaign, CampaignConfig, CampaignResult
 from repro.faults.selection import (
     BlockSelection,
@@ -197,127 +196,72 @@ class ReliabilityManager:
     # Experiments
     # ------------------------------------------------------------------
     def evaluate(
-        self,
-        scheme: str = "correction",
-        protect: int | str = "hot",
-        runs: int = 1000,
-        n_blocks: int = 1,
-        n_bits: int = 2,
-        selection: str = "access-weighted",
-        seed: int = 20210621,
-        keep_runs: bool = False,
-        jobs: int | None = None,
-        collect_records: bool = False,
-        collect_provenance: bool = False,
-        metrics=None,
-        batch: int = DEFAULT_BATCH,
-        target_margin: float | None = None,
-        progress=None,
-        request: EvaluationRequest | None = None,
+        self, request: EvaluationRequest | None = None, **fields,
     ) -> CampaignResult:
         """The reliability evaluation (one Fig 9 configuration).
 
-        ``jobs`` (worker processes for the campaign) defaults to the
-        manager's own ``jobs`` setting.  ``collect_records=True`` fills
-        the result's per-run telemetry records;
-        ``collect_provenance=True`` its per-run
-        :class:`~repro.obs.provenance.ProvenanceRecord` stream;
-        ``metrics`` names the
-        :class:`~repro.obs.metrics.MetricsRegistry` observability
-        accumulates into.  ``batch`` plans and classifies that many
-        runs per sweep of the batched engine (default
-        :data:`~repro.faults.batch.DEFAULT_BATCH`; results are
-        identical at every batch size).
-        ``target_margin`` turns on CI-driven early stopping with
-        ``runs`` as the budget (see :meth:`evaluate_adaptive` for the
-        full decision trail).  ``progress`` names a live-progress sink
-        (one :class:`~repro.obs.progress.ProgressEvent` per chunk);
-        campaign results are identical with or without it.
-
-        Alternatively pass the whole experiment as one
+        Pass the experiment as one
         :class:`~repro.core.request.EvaluationRequest` via
-        ``request=`` — the unified surface shared with
-        :class:`~repro.runtime.session.Session` and
-        :func:`~repro.search.engine.optimize` — in which case the
-        request supplies every field above.  Its ``app`` must name
-        this manager's application and, for a registered application,
-        ``scale``/``app_seed`` must build this very instance; any
-        other request raises :class:`~repro.errors.SpecError`.  A
-        manager on custom sizes (``create_app(name, nx=...)``) is
-        reached by no ``(scale, app_seed)``, so it takes the keyword
-        surface; a user application subclass is checked by name only.
+        ``request=``, or as its fields by keyword
+        (``evaluate(scheme="detection", runs=500, secded=True)``);
+        the request declares what each field means and its default.
+        Passing both raises :class:`~repro.errors.SpecError`.
+
+        The manager's application fixes ``app``, ``scale`` and
+        ``app_seed``: as keywords they raise
+        :class:`~repro.errors.SpecError`, and ``jobs=None`` (or no
+        ``jobs``) means the manager's own ``jobs``.  A request's
+        ``app`` must name this manager's application and, for a
+        registered application, ``scale``/``app_seed`` must build this
+        very instance; any other request raises
+        :class:`~repro.errors.SpecError`.  A manager on custom sizes
+        (``create_app(name, nx=...)``) is reached by no ``(scale,
+        app_seed)``, so it takes the keywords; a user application
+        subclass is checked by name only.
         """
-        return self._request_campaign(
-            request, metrics, progress, scheme=scheme, protect=protect,
-            runs=runs, n_blocks=n_blocks, n_bits=n_bits,
-            selection=selection, seed=seed, keep_runs=keep_runs, jobs=jobs,
-            collect_records=collect_records,
-            collect_provenance=collect_provenance, batch=batch,
-            target_margin=target_margin,
-        ).run()
+        return self._campaign(self._resolve(request, fields)).run()
 
     def evaluate_adaptive(
-        self,
-        target_margin: float = 0.03,
-        scheme: str = "correction",
-        protect: int | str = "hot",
-        runs: int = 1000,
-        n_blocks: int = 1,
-        n_bits: int = 2,
-        selection: str = "access-weighted",
-        seed: int = 20210621,
-        keep_runs: bool = False,
-        jobs: int | None = None,
-        collect_records: bool = False,
-        collect_provenance: bool = False,
-        metrics=None,
-        batch: int = DEFAULT_BATCH,
-        progress=None,
-        request: EvaluationRequest | None = None,
+        self, request: EvaluationRequest | None = None, **fields,
     ):
         """Adaptive reliability evaluation: stop at the target margin.
 
-        Same experiment as :meth:`evaluate` but returns the
+        Same experiment as :meth:`evaluate` (keywords default to
+        ``target_margin=0.03``) but returns the
         :class:`~repro.faults.adaptive.AdaptiveResult` — committed
         result plus the chunk-boundary stop-decision trail — instead
-        of only the merged :class:`CampaignResult`.  ``request=``
-        supplies every field as in :meth:`evaluate`; it must carry a
-        ``target_margin``.
+        of only the merged :class:`CampaignResult`.  The request must
+        carry a ``target_margin``.
         """
-        if request is not None and request.target_margin is None:
+        request = self._resolve(request, fields, target_margin=0.03)
+        if request.target_margin is None:
             raise SpecError(
                 "evaluate_adaptive needs a request with a target_margin"
             )
-        return self._request_campaign(
-            request, metrics, progress, scheme=scheme, protect=protect,
-            runs=runs, n_blocks=n_blocks, n_bits=n_bits,
-            selection=selection, seed=seed, keep_runs=keep_runs, jobs=jobs,
-            collect_records=collect_records,
-            collect_provenance=collect_provenance, batch=batch,
-            target_margin=target_margin,
-        ).run_adaptive()
+        return self._campaign(request).run_adaptive()
 
-    def _request_campaign(
-        self, request: EvaluationRequest | None = None, metrics=None,
-        progress=None, **fields,
-    ) -> Campaign:
-        """The one campaign builder: ``request``, or without one the
-        keyword ``fields`` of :meth:`evaluate` (``jobs`` defaults to
-        the manager's own), as a campaign.  Explicitly passed sinks win
-        over the request's own, and its ``chunk_runs`` is the stop
-        rule's ``check_every``, the boundaries a
-        :class:`~repro.runtime.session.Session` decides at."""
+    def _resolve(
+        self, request: EvaluationRequest | None, fields: dict,
+        fixed: tuple[str, ...] = (), **defaults,
+    ) -> EvaluationRequest:
+        """An entry point's request (see
+        :func:`~repro.core.request.resolve_request`): a caller's
+        ``request``, checked to build this very application instance,
+        or one built from ``fields`` for this manager's application,
+        ``jobs=None`` meaning the manager's own."""
         if request is None:
-            jobs = fields.pop("jobs", None)
-            request = EvaluationRequest(
-                app=self.app.name, **fields,
-                jobs=self.jobs if jobs is None else jobs)
-        elif request.app != self.app.name:
+            if fields.get("jobs") is None:
+                fields["jobs"] = self.jobs
+            return resolve_request(
+                None, fields, ("app", "scale", "app_seed", *fixed),
+                app=self.app.name, **defaults)
+        resolve_request(request, fields)
+        if request.app != self.app.name:
             raise SpecError(
                 f"request is for {request.app!r}, this manager "
                 f"drives {self.app.name!r}"
             )
-        elif request.app in ALL_APPLICATIONS and app_cache_key(create_app(
+        if request.app in ALL_APPLICATIONS and app_cache_key(create_app(
                 request.app, scale=request.scale,
                 seed=request.app_seed)) != app_cache_key(self.app):
             raise SpecError(
@@ -325,6 +269,13 @@ class ReliabilityManager:
                 f"{request.scale!r}, app seed {request.app_seed}; this "
                 f"manager drives a different {self.app.name!r} instance"
             )
+        return request
+
+    def _campaign(self, request: EvaluationRequest) -> Campaign:
+        """The one campaign builder: ``request`` as a campaign on this
+        manager's application.  Its ``chunk_runs`` is the stop rule's
+        ``check_every``, the boundaries a
+        :class:`~repro.runtime.session.Session` decides at."""
         # Typed (or explicit per-object) protection fully determines
         # scheme and objects; ``scheme`` is then unused.
         protection = request.protection
@@ -341,32 +292,24 @@ class ReliabilityManager:
             keep_runs=request.keep_runs, jobs=request.jobs,
             collect_records=request.collect_records,
             collect_provenance=request.collect_provenance,
-            metrics=metrics if metrics is not None else request.metrics,
+            metrics=request.metrics,
             batch=request.batch,
             adaptive=None if margin is None else AdaptiveConfig(
                 target_margin=float(margin),
                 check_every=request.chunk_runs or AdaptiveConfig.check_every),
-            progress=progress if progress is not None else request.progress,
+            progress=request.progress,
         )
 
-    def motivation(
-        self,
-        space: str,
-        runs: int = 1000,
-        n_blocks: int = 1,
-        n_bits: int = 2,
-        seed: int = 20210621,
-        jobs: int | None = None,
-    ) -> CampaignResult:
+    def motivation(self, space: str, **fields) -> CampaignResult:
         """The Fig 6 motivation experiment: unprotected app, faults in
-        ``space`` in {"hot", "rest"}."""
+        ``space`` in {"hot", "rest"}.  ``fields`` are the
+        :meth:`evaluate` keywords; the experiment fixes ``scheme``,
+        ``protect`` and ``selection``."""
         if space not in ("hot", "rest"):
             raise ConfigError("motivation space must be 'hot' or 'rest'")
-        return self.evaluate(
-            scheme="baseline", protect="none", runs=runs,
-            n_blocks=n_blocks, n_bits=n_bits, selection=space, seed=seed,
-            jobs=jobs,
-        )
+        return self._campaign(self._resolve(
+            None, fields, ("scheme", "protect", "selection"),
+            scheme="baseline", protect="none", selection=space)).run()
 
     def simulate_performance(
         self, scheme: str = "baseline",

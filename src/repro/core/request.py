@@ -5,12 +5,15 @@ application, what protection (string shorthand or a typed
 :class:`~repro.core.protection.ProtectionSpec`), the fault grid,
 seeds, adaptive stopping, execution knobs and observability sinks —
 and every entry point accepts it:
-:meth:`repro.core.manager.ReliabilityManager.evaluate`,
+:meth:`repro.core.manager.ReliabilityManager.evaluate` and
+``evaluate_adaptive``, :func:`repro.analysis.tradeoff.tradeoff_curve`,
 :class:`repro.runtime.session.Session` (a session is an ordered tuple
 of requests, one per cell; one request is a one-cell session), and
-:func:`repro.search.engine.optimize`.  It is the only type that
-declares an evaluation's identity, and it validates every field it
-can check without building the application.
+:func:`repro.search.engine.optimize`.  It is the only place an
+evaluation field and its default are declared: an entry point's
+keyword arguments are spellings of these fields, which
+:func:`resolve_request` turns into one request.  It validates every
+field it can check without building the application.
 
 The request separates *identity* (what is measured — part of
 :meth:`to_dict`/:meth:`digest`, shared with checkpoint manifests)
@@ -22,7 +25,7 @@ therefore never join the digest.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
 from repro.core.protection import ProtectionSpec
 from repro.core.schemes import SCHEME_NAMES
@@ -149,3 +152,30 @@ class EvaluationRequest:
     def digest(self) -> str:
         """SHA-256 content address of the identity document."""
         return canonical_digest(self.to_dict())
+
+
+def resolve_request(
+    request: EvaluationRequest | None, fields: dict,
+    fixed: Iterable[str] = (), **defaults,
+) -> EvaluationRequest:
+    """The one request an entry point evaluates.
+
+    ``request`` as given, or one built from the keyword ``fields``
+    over the entry point's own ``defaults``.  A request together with
+    fields, or a field the entry point sets itself (a name in
+    ``fixed``, whose value comes from ``defaults``), raises
+    :class:`~repro.errors.SpecError`: a field is never dropped or
+    overwritten in silence.
+    """
+    if request is not None:
+        if fields:
+            raise SpecError(
+                "pass a request or its fields, not both (got "
+                f"{', '.join(sorted(fields))})")
+        return request
+    refused = sorted(set(fixed) & fields.keys())
+    if refused:
+        raise SpecError(
+            f"{', '.join(refused)} cannot be set here: this entry "
+            "point fixes it")
+    return EvaluationRequest(**{**defaults, **fields})

@@ -300,7 +300,7 @@ class Session:
         campaigns = [
             ReliabilityManager(create_app(
                 request.app, scale=request.scale, seed=request.app_seed))
-            ._request_campaign(request)
+            ._campaign(request)
             for request in requests
         ]
         if self.store is not None:

@@ -38,13 +38,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.manager import ReliabilityManager
-from repro.core.request import EvaluationRequest
+from repro.core.request import EvaluationRequest, resolve_request
 from repro.errors import (
     CheckpointError,
     SessionInterrupted,
     SpecError,
 )
-from repro.faults.batch import DEFAULT_BATCH
 from repro.kernels.registry import create_app
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry
@@ -155,12 +154,9 @@ def _vulnerability_ranking(
         vulnerability_profiles,
     )
 
-    result = manager.evaluate(
-        scheme="baseline", protect="none", runs=request.runs,
-        n_blocks=request.n_blocks, n_bits=request.n_bits,
-        selection=request.selection, seed=request.seed,
-        collect_provenance=True, jobs=request.jobs, batch=request.batch,
-    )
+    result = manager.evaluate(request=dataclasses.replace(
+        request, scheme="baseline", protect="none",
+        collect_provenance=True, collect_records=False))
     profiles = vulnerability_profiles(result.provenance)
     attributed = [
         p.object for p in top_sdc_objects(profiles)
@@ -236,34 +232,35 @@ class _SearchStore:
 
 
 def optimize(
-    app: str | None = None,
+    request: EvaluationRequest | None = None,
+    *,
     strategy: str = "greedy",
     objects=None,
-    runs: int = 200,
-    n_blocks: int = 1,
-    n_bits: int = 2,
-    selection: str = "access-weighted",
-    seed: int = 20210621,
     search_seed: int = 1,
-    scale: str = "default",
-    app_seed: int = 1234,
     population: int = 12,
     generations: int = 6,
     max_evals: int | None = None,
-    chunk_runs: int | None = None,
     store: str | None = None,
     resume: bool = False,
-    jobs: int = 1,
-    batch: int = DEFAULT_BATCH,
     stop_after_chunks: int | None = None,
     trail: str | None = None,
-    progress=None,
-    metrics: MetricsRegistry | None = None,
     max_overhead: float | None = None,
     max_replica_bytes: int | None = None,
-    request: EvaluationRequest | None = None,
+    **fields,
 ) -> OptimizeResult:
     """Explore protection configurations; return the Pareto front.
+
+    The experiment baseline (application, fault grid, seeds, scale,
+    knobs and sinks) is ``request``, or its fields by keyword
+    (``optimize(app="P-BICG", runs=500, ...)``); keywords default to
+    ``runs=200``, and passing both raises
+    :class:`~repro.errors.SpecError`.  The search assigns each
+    configuration's protection and collects its records, so
+    ``scheme``, ``protect``, ``keep_runs`` and the ``collect_*``
+    fields cannot be keywords.  Every configuration runs its full
+    ``runs`` budget without SECDED, so a ``target_margin`` or
+    ``secded`` raises :class:`~repro.errors.SpecError` instead of
+    being dropped.
 
     ``objects`` restricts the design space to the first N objects of
     the importance order (int), an explicit name list, or every
@@ -277,44 +274,30 @@ def optimize(
     ``trail`` streams the per-round decision log
     (:mod:`repro.obs.search`), byte-identical at any
     ``jobs``/``batch`` and across interrupt/resume.
-
-    The experiment baseline (fault grid, seeds, scale, knobs) may
-    come from an :class:`~repro.core.request.EvaluationRequest` via
-    ``request=`` instead of the individual keywords.  Every
-    configuration runs its full ``runs`` budget without SECDED, so a
-    request's ``target_margin`` or ``secded`` raises
-    :class:`~repro.errors.SpecError` instead of being dropped.
     """
     if max_evals is not None and max_evals < 1:
         raise SpecError("max_evals must be >= 1")
-    if request is None:
-        if app is None:
-            raise SpecError("optimize needs an application name")
-        request = EvaluationRequest(
-            app=app, runs=runs, n_blocks=n_blocks, n_bits=n_bits,
-            selection=selection, seed=seed, scale=scale,
-            app_seed=app_seed, chunk_runs=chunk_runs, jobs=jobs,
-            batch=batch)
-    else:
-        for name in ("target_margin", "secded"):
-            if getattr(request, name):
-                raise SpecError(
-                    f"optimize does not support request {name}")
-        app = app or request.app
-        if progress is None:
-            progress = request.progress
-        if metrics is None:
-            metrics = request.metrics
+    if request is None and "app" not in fields:
+        raise SpecError("optimize needs an application name")
+    request = resolve_request(
+        request, fields, ("scheme", "protect", "keep_runs",
+                          "collect_records", "collect_provenance"),
+        runs=200)
+    for name in ("target_margin", "secded"):
+        if getattr(request, name):
+            raise SpecError(f"optimize does not support request {name}")
+    app, progress = request.app, request.progress
+    metrics = request.metrics if request.metrics is not None \
+        else MetricsRegistry()
     # Every configuration is one cell of the round's session: the
     # request's fault grid, full records, its own protection.
     request = dataclasses.replace(
-        request, app=app, keep_runs=False, collect_records=True,
+        request, keep_runs=False, collect_records=True,
         collect_provenance=False, metrics=None, progress=None)
     manager = ReliabilityManager(create_app(
         app, scale=request.scale, seed=request.app_seed))
     candidates = _candidate_objects(manager, objects)
     space = DesignSpace(app=app, objects=candidates)
-    metrics = metrics if metrics is not None else MetricsRegistry()
 
     identity = {
         "space": space.to_dict(),

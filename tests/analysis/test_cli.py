@@ -142,6 +142,12 @@ class TestTradeoffCommand:
         out = capsys.readouterr().out
         assert "sweet spot" in out
 
+    def test_baseline_scheme_rejected(self, capsys):
+        # Every level of a baseline curve protects nothing.
+        assert main(["tradeoff", "A-Meanfilter", "--scale", "small",
+                     "--runs", "5", "--scheme", "baseline"]) == 4
+        assert "sweet spot" not in capsys.readouterr().out
+
 
 class TestTraceCommand:
     def test_trace_writes_valid_perfetto_json(self, tmp_path, capsys):

@@ -1,6 +1,5 @@
 """Tests for the figure data generators and the tradeoff sweep."""
 
-import numpy as np
 import pytest
 
 from repro.analysis.figures import (
@@ -17,6 +16,8 @@ from repro.analysis.figures import (
     table3_rows,
 )
 from repro.analysis.tradeoff import knee_point, tradeoff_curve
+from repro.core.request import EvaluationRequest
+from repro.errors import SpecError
 
 
 class TestFig2:
@@ -125,6 +126,37 @@ class TestTradeoff:
         # Protecting the 3 hot objects already reaches zero SDCs; the
         # knee must not pay for protecting the whole image too.
         assert knee.n_protected <= 3
+
+    def test_request_equals_keywords(self, laplacian_manager):
+        request = EvaluationRequest(app="A-Laplacian", scale="small",
+                                    runs=12, n_bits=3, seed=7)
+        assert tradeoff_curve(laplacian_manager, request) == \
+            tradeoff_curve(laplacian_manager, runs=12, n_bits=3, seed=7)
+
+    def test_request_and_fields_rejected(self, laplacian_manager):
+        request = EvaluationRequest(app="A-Laplacian", scale="small",
+                                    runs=12)
+        with pytest.raises(SpecError, match="runs"):
+            tradeoff_curve(laplacian_manager, request, runs=4)
+
+    def test_typed_protection_rejected(self, laplacian_manager):
+        # The curve sweeps cumulative levels; a typed assignment would
+        # be replaced by them in silence.
+        hot = laplacian_manager.app.object_importance[0]
+        request = EvaluationRequest(app="A-Laplacian", scale="small",
+                                    runs=4, protect=f"{hot}=detection")
+        with pytest.raises(SpecError, match="typed"):
+            tradeoff_curve(laplacian_manager, request)
+
+    @pytest.mark.parametrize("fields", [
+        dict(scheme="baseline"), dict(protect="all"), dict(secded=True),
+        dict(target_margin=0.1)])
+    def test_unsweepable_experiment_rejected(self, laplacian_manager,
+                                             fields):
+        # A baseline curve protects nothing at any level; SECDED and
+        # early stopping have no place in a full-budget timing sweep.
+        with pytest.raises(SpecError):
+            tradeoff_curve(laplacian_manager, runs=4, **fields)
 
     def test_empty_curve_rejected(self):
         with pytest.raises(ValueError):

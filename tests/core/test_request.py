@@ -157,6 +157,49 @@ class TestManagerSurface:
                 m.evaluate(request=EvaluationRequest(
                     app="A-Laplacian", runs=4, scale=scale))
 
+    def test_secded_keywords_equal_request(self):
+        m = manager("P-BICG")
+        fields = dict(secded=True, n_bits=3, runs=16, seed=5)
+        via_kwargs = m.evaluate(**fields)
+        via_request = m.evaluate(request=EvaluationRequest(
+            app="P-BICG", scale="small", **fields))
+        assert via_kwargs.to_dict() == via_request.to_dict()
+
+    def test_adaptive_chunk_runs_keyword(self):
+        m = manager()
+        fields = dict(target_margin=0.1, chunk_runs=32, runs=256)
+        via_kwargs = m.evaluate_adaptive(**fields)
+        via_request = m.evaluate_adaptive(request=EvaluationRequest(
+            app="A-Laplacian", scale="small", **fields))
+        committed = [d.committed for d in via_kwargs.decisions]
+        assert committed and all(n % 32 == 0 for n in committed)
+        assert [d.to_dict() for d in via_kwargs.decisions] == \
+            [d.to_dict() for d in via_request.decisions]
+
+    def test_request_and_fields_rejected(self):
+        # The fields are never dropped in silence.
+        request = EvaluationRequest(app="A-Laplacian", runs=8,
+                                    scale="small")
+        with pytest.raises(SpecError, match="runs"):
+            manager().evaluate(request=request, runs=4)
+        with pytest.raises(SpecError, match="scheme"):
+            manager().evaluate_adaptive(
+                request=dataclasses.replace(request, target_margin=0.1),
+                scheme="detection")
+
+    @pytest.mark.parametrize("fixed", [
+        dict(scale="small"), dict(app_seed=77), dict(app="A-Laplacian")])
+    def test_application_fields_rejected(self, fixed):
+        with pytest.raises(SpecError, match="fixes"):
+            manager().evaluate(runs=4, **fixed)
+
+    @pytest.mark.parametrize("fixed", [
+        dict(scheme="detection"), dict(protect="all"),
+        dict(selection="uniform")])
+    def test_motivation_fixes_its_arm(self, fixed):
+        with pytest.raises(SpecError, match="fixes"):
+            manager().motivation("hot", runs=4, **fixed)
+
     def test_adaptive_request_needs_a_margin(self):
         request = EvaluationRequest(app="A-Laplacian", runs=4,
                                     scale="small")

@@ -2,10 +2,8 @@
 the instrumentation API."""
 
 import numpy as np
-import pytest
 
 from repro.arch.config import fast_config
-from repro.kernels.trace import Load
 from repro.profiling.instrument import discover
 from repro.profiling.miss_profile import (
     l1_miss_profile,

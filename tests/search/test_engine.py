@@ -269,6 +269,19 @@ class TestRequestSurface:
         assert [e.to_dict() for e in via_request.evaluations] == \
             [e.to_dict() for e in direct.evaluations]
 
+    def test_request_and_fields_rejected(self):
+        request = EvaluationRequest(app=APP, runs=8, scale="small")
+        with pytest.raises(SpecError, match="runs"):
+            optimize(request=request, runs=4, strategy="exhaustive",
+                     objects=1)
+
+    @pytest.mark.parametrize("fixed", [
+        dict(protect="all"), dict(scheme="detection"),
+        dict(collect_provenance=True)])
+    def test_search_fields_rejected(self, fixed):
+        with pytest.raises(SpecError, match="fixes"):
+            optimize(**KW, strategy="exhaustive", objects=1, **fixed)
+
     def test_app_required(self):
         with pytest.raises(SpecError, match="application"):
             optimize(strategy="exhaustive")
